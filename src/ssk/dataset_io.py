@@ -1,9 +1,12 @@
 """Persistence: multichannel WAV, scene manifests and binary feature tensors.
 
-Waveforms are channels-first float arrays in memory and RIFF/WAVE PCM16 or
-float32 on disk. Manifests are a single versioned JSON document with paths
-relative to the manifest location. Feature tensors use the little-endian
-TSNF1 container described in the README.
+Waveforms are channels-first float arrays in memory and RIFF/WAVE on disk.
+The WAV subset is little-endian RIFF with 16-bit PCM (format 1) or 32-bit
+IEEE float (format 3) samples, either also wrapped in WAVE_FORMAT_EXTENSIBLE;
+other chunks are skipped. Manifests are a single versioned JSON document
+with paths relative to the manifest location. Feature tensors use the
+little-endian TSNF1 container laid out in the comment above
+:func:`write_features`.
 """
 
 from __future__ import annotations
@@ -12,12 +15,10 @@ import json
 import os
 import struct
 import tempfile
-import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 MANIFEST_SCHEMA_VERSION = 1
 FEATURE_MAGIC = b"TSNF1"
@@ -47,9 +48,25 @@ def atomic_write_bytes(path, payload: bytes) -> None:
 # WAV
 
 
+# (format tag, bits per sample) -> sample dtype, for the supported encodings.
+_WAV_DTYPES = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4")}
+# WAVE_FORMAT_EXTENSIBLE stores the real tag in the first 4 bytes of a
+# sub-format GUID ending in these 12 bytes.
+_EXTENSIBLE = 0xFFFE
+_GUID_TAIL = bytes.fromhex("00001000800000aa00389b71")
+
+
+def _chunk(chunk_id: bytes, payload: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(payload)) + payload
+
+
 def write_wav(path, waveform: np.ndarray, sample_rate: int,
               encoding: str = "float32") -> None:
-    """Write mono (n,) or multichannel (J, n) audio as PCM16 or float32."""
+    """Write mono (n,) or multichannel (J, n) audio as PCM16 or float32.
+
+    PCM files carry a 16-byte ``fmt `` chunk, float files an 18-byte one
+    (``cbSize`` 0) followed by a ``fact`` chunk holding the frame count.
+    """
     wav = np.asarray(waveform)
     if not np.all(np.isfinite(wav)):
         raise ValueError("waveform must be finite")
@@ -60,48 +77,73 @@ def write_wav(path, waveform: np.ndarray, sample_rate: int,
     else:
         raise ValueError("waveform must be 1-D or (channels, samples)")
     if encoding == "float32":
-        payload = data.astype("<f4")
+        payload, tag = data.astype("<f4"), 3
     elif encoding == "pcm16":
         clipped = np.clip(np.round(data * 32768.0), -32768, 32767)
-        payload = clipped.astype("<i2")
+        payload, tag = clipped.astype("<i2"), 1
     else:
         raise DataFormatError(f"unsupported encoding {encoding!r}")
-    if payload.shape[1] == 1:
-        payload = payload[:, 0]
-    import io as _io
-    buf = _io.BytesIO()
-    wavfile.write(buf, int(sample_rate), payload)
-    atomic_write_bytes(path, buf.getvalue())
+    frames, channels = payload.shape
+    rate, block = int(sample_rate), channels * payload.itemsize
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * payload.itemsize)
+    header = _chunk(b"fmt ", fmt) if tag == 1 else (
+        _chunk(b"fmt ", fmt + b"\0\0") + _chunk(b"fact", struct.pack("<I", frames)))
+    body = b"WAVE" + header + _chunk(b"data", payload.tobytes())
+    atomic_write_bytes(path, _chunk(b"RIFF", body))
+
+
+def _riff_chunks(raw: bytes, path) -> dict[bytes, memoryview]:
+    """Chunk id -> payload of a RIFF/WAVE file (first of each id; odd sizes
+    are padded). Raises :class:`DataFormatError` for a chunk past the end."""
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise DataFormatError(f"{path}: not a RIFF/WAVE file")
+    end = min(len(raw), 8 + struct.unpack_from("<I", raw, 4)[0])
+    chunks: dict[bytes, memoryview] = {}
+    offset = 12
+    while offset + 8 <= end:
+        chunk_id, size = struct.unpack_from("<4sI", raw, offset)
+        offset += 8
+        if offset + size > end:
+            raise DataFormatError(
+                f"{path}: {chunk_id!r} chunk of {size} bytes runs past the end of the file")
+        chunks.setdefault(chunk_id, memoryview(raw)[offset:offset + size])
+        offset += size + size % 2
+    return chunks
 
 
 def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
     """Read a WAV file into a channels-first float array (J, n).
 
-    PCM16 samples are scaled to [-1, 1); float32 passes through. A rate
-    different from ``expected_rate`` raises :class:`DataFormatError`.
+    PCM16 samples are scaled to [-1, 1); float32 passes through. Other
+    encodings, malformed chunks, non-finite samples and a rate different
+    from ``expected_rate`` raise :class:`DataFormatError`.
     """
     try:
-        with warnings.catch_warnings():
-            # scipy only warns on premature EOF; treat it as corruption.
-            warnings.simplefilter("error", wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-    except Exception as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
         raise DataFormatError(f"cannot read WAV {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        wav = data.astype(float) / 32768.0
-    elif data.dtype == np.float32:
-        wav = data.astype(float)
-    else:
+    chunks = _riff_chunks(raw, path)
+    fmt, data = chunks.get(b"fmt ", b""), chunks.get(b"data")
+    if len(fmt) < 16 or data is None:
+        raise DataFormatError(f"{path}: needs a 16-byte 'fmt ' chunk and a 'data' chunk")
+    tag, channels, rate, _, block, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE and fmt[28:40] == _GUID_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    dtype = _WAV_DTYPES.get((tag, bits))
+    if dtype is None or channels < 1 or block != channels * dtype.itemsize:
+        raise DataFormatError(f"unsupported WAV encoding (format {tag:#x}, {bits}-bit, "
+                              f"{channels}-channel) in {path} (PCM16/float32 only)")
+    if len(data) % block:
         raise DataFormatError(
-            f"unsupported WAV encoding {data.dtype} in {path} (PCM16/float32 only)")
-    if wav.ndim == 1:
-        wav = wav[None, :]
-    else:
-        wav = wav.T
+            f"{path}: data chunk of {len(data)} bytes is not a whole number of {block}-byte frames")
+    samples = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
+    if dtype.kind == "f" and not np.all(np.isfinite(samples)):
+        raise DataFormatError(f"{path}: non-finite samples")
+    wav = samples.astype(float) / 32768.0 if dtype.kind == "i" else samples.astype(float)
     if expected_rate is not None and rate != expected_rate:
         raise DataFormatError(
             f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
-    return wav, int(rate)
+    return wav.T, int(rate)
 
 
 # ---------------------------------------------------------------------------

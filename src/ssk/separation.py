@@ -56,8 +56,7 @@ class SeparationResult:
 def oracle_mask(target_image_ref: np.ndarray,
                 other_images_ref: Sequence[np.ndarray],
                 kind: MaskKind,
-                oracle_cfg: StftConfig | None = None,
-                irm_on_power: bool = False) -> Mask:
+                oracle_cfg: StftConfig | None = None) -> Mask:
     """Ideal mask from ground-truth reference-channel images.
 
     With S the target spectrum, I_c the interference spectra and
@@ -66,9 +65,6 @@ def oracle_mask(target_image_ref: np.ndarray,
         IBM  = 1 where |S| > max_c |I_c|, else 0 (ties to 0)
         IRM  = |S| / (|S| + sum_c |I_c|)        (magnitude form)
         IPSM = clip(|S| * cos(angle(S) - angle(Y)) / |Y|, 0, 1)
-
-    ``irm_on_power`` switches IRM to the energy form
-    |S|^2 / (|S|^2 + sum |I_c|^2).
     """
     if kind not in (MaskKind.IBM, MaskKind.IRM, MaskKind.IPSM):
         raise ValueError(f"{kind} is not an oracle mask kind")
@@ -86,12 +82,8 @@ def oracle_mask(target_image_ref: np.ndarray,
             strongest = np.zeros_like(tgt_mag)
         values = (tgt_mag > strongest).astype(float)
     elif kind is MaskKind.IRM:
-        if irm_on_power:
-            interf = sum(np.abs(o) ** 2 for o in others) if others else 0.0
-            values = tgt_mag ** 2 / (tgt_mag ** 2 + interf + MASK_EPS)
-        else:
-            interf = sum(np.abs(o) for o in others) if others else 0.0
-            values = tgt_mag / (tgt_mag + interf + MASK_EPS)
+        interf = sum(np.abs(o) for o in others) if others else 0.0
+        values = tgt_mag / (tgt_mag + interf + MASK_EPS)
     else:
         cos_term = np.cos(np.angle(tgt) - np.angle(mix))
         values = np.clip(tgt_mag * cos_term / (np.abs(mix) + MASK_EPS), 0.0, 1.0)
@@ -154,11 +146,6 @@ def apply_mask(mixture_ref: np.ndarray, mask: Mask, cfg: StftConfig) -> Separati
     out[:n] = est[:n]
     return SeparationResult(estimate=out, sample_rate=cfg.sample_rate,
                             method=mask.kind.value)
-
-
-def separate_with_mask(mixture_ref: np.ndarray, mask: Mask) -> SeparationResult:
-    """Apply a mask with the config it was computed at."""
-    return apply_mask(mixture_ref, mask, mask.config)
 
 
 def das_beamform(mixture: np.ndarray, azimuth: float, array: MicArray,

@@ -203,15 +203,10 @@ def dpr(spec: MultichannelSpectrogram, bank: DasFilterbank, direction_index: int
 
 def dpr_all(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
     """DPR for every grid direction at once, (P, T, F)."""
-    powers = beam_powers(spec, bank)
-    total = powers.sum(axis=0)
-    uniform = 1.0 / powers.shape[0]
-    safe = np.maximum(total, DPR_POWER_FLOOR)
-    out = powers / safe[None, :, :]
-    return np.where(total[None, :, :] < DPR_POWER_FLOOR, uniform, out)
+    return _dpr_from_powers(beam_powers(spec, bank), slice(None))
 
 
-def _dpr_from_powers(powers: np.ndarray, p: int) -> np.ndarray:
+def _dpr_from_powers(powers: np.ndarray, p: int | slice) -> np.ndarray:
     total = powers.sum(axis=0)
     uniform = 1.0 / powers.shape[0]
     out = powers[p] / np.maximum(total, DPR_POWER_FLOOR)

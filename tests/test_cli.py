@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ssk
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
@@ -33,6 +37,15 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     manifest = simulate(out, seed=7, n=2)
     return out, manifest
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    env = dict(os.environ, PYTHONPATH=str(Path(ssk.__file__).parents[1]))
+    code = "import sys, ssk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestSimulate:

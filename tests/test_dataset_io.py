@@ -1,5 +1,9 @@
+import io
 import json
+import pathlib
 import struct
+import tempfile
+import wave
 
 import numpy as np
 import numpy.testing as npt
@@ -61,6 +65,99 @@ class TestWav:
     def test_unknown_write_encoding(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_wav(tmp_path / "x.wav", np.zeros(10), 16000, encoding="pcm24")
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                              for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag, channels, bits, rate=16000):
+    block = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+
+
+class TestWavOracle:
+    """scipy.io.wavfile is the reference reader and writer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(channels=st.integers(1, 8), frames=st.integers(1, 2000),
+           encoding=st.sampled_from(["float32", "pcm16"]),
+           rate=st.sampled_from([8000, 16000, 44100]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_bytes_and_samples_match_scipy(self, channels, frames, encoding, rate, seed):
+        r = np.random.default_rng(seed)
+        if encoding == "pcm16":
+            stored = r.integers(-32768, 32768, (frames, channels)).astype(np.int16)
+            waveform = stored.T / 32768.0
+        else:
+            stored = r.uniform(-1.0, 1.0, (frames, channels)).astype(np.float32)
+            waveform = stored.T
+        if channels == 1:
+            stored, waveform = stored[:, 0], waveform[0]
+        expected = io.BytesIO()
+        wavfile.write(expected, rate, stored)
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "x.wav"
+            write_wav(path, waveform, rate, encoding=encoding)
+            assert path.read_bytes() == expected.getvalue()
+            back, back_rate = read_wav(path)
+        ref_rate, ref = wavfile.read(io.BytesIO(expected.getvalue()))
+        assert back_rate == ref_rate == rate
+        ref = ref.astype(float) / 32768.0 if ref.dtype == np.int16 else ref.astype(float)
+        npt.assert_array_equal(back, ref.reshape(frames, channels).T)
+
+    def test_reads_stdlib_wave_pcm16(self, tmp_path, rng):
+        pcm = rng.integers(-32768, 32768, (500, 2)).astype("<i2")
+        with wave.open(str(tmp_path / "w.wav"), "wb") as fh:
+            fh.setnchannels(2)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(pcm.tobytes())
+        back, rate = read_wav(tmp_path / "w.wav", expected_rate=16000)
+        assert rate == 16000
+        npt.assert_array_equal(back, pcm.T / 32768.0)
+
+    @pytest.mark.parametrize("tag, bits, dtype", [(1, 16, "<i2"), (3, 32, "<f4")])
+    def test_reads_extensible_with_odd_sized_extra_chunk(self, tmp_path, rng, tag, bits, dtype):
+        samples = (rng.uniform(-0.5, 0.5, (300, 3)) * (32768 if tag == 1 else 1)).astype(dtype)
+        _, basic = _fmt(0xFFFE, 3, bits)
+        guid = struct.pack("<I", tag) + bytes.fromhex("00001000800000aa00389b71")
+        ext = basic + struct.pack("<HHI", 22, bits, 0b111) + guid
+        raw = _riff((b"fmt ", ext), (b"LIST", b"odd"), (b"data", samples.tobytes()))
+        (tmp_path / "e.wav").write_bytes(raw)
+        back, _ = read_wav(tmp_path / "e.wav")
+        expected = samples.astype(float) / (32768.0 if tag == 1 else 1.0)
+        npt.assert_array_equal(back, expected.T)
+        _, ref = wavfile.read(io.BytesIO(raw))
+        npt.assert_array_equal(ref, samples)
+
+
+class TestWavRejects:
+    """Malformed files from outside the program raise DataFormatError."""
+
+    def _read(self, tmp_path, raw, match):
+        (tmp_path / "bad.wav").write_bytes(raw)
+        with pytest.raises(DataFormatError, match=match):
+            read_wav(tmp_path / "bad.wav")
+
+    def test_non_finite_float_samples(self, tmp_path):
+        data = np.array([0.0, np.inf, 0.5], dtype="<f4").tobytes()
+        self._read(tmp_path, _riff(_fmt(3, 1, 32), (b"data", data)), "non-finite")
+
+    def test_chunk_past_end_of_file(self, tmp_path):
+        raw = _riff(_fmt(1, 1, 16), (b"data", b"\0" * 8))
+        raw = raw[:-8] + b"\0" * 4  # data chunk claims 8 bytes, 4 remain
+        self._read(tmp_path, raw, "past the end")
+
+    def test_missing_fmt_chunk(self, tmp_path):
+        self._read(tmp_path, _riff((b"data", b"\0" * 8)), "fmt")
+
+    def test_missing_data_chunk(self, tmp_path):
+        self._read(tmp_path, _riff(_fmt(1, 1, 16), (b"LIST", b"info")), "data")
+
+    def test_data_not_whole_frames(self, tmp_path):
+        self._read(tmp_path, _riff(_fmt(1, 2, 16), (b"data", b"\0" * 6)), "whole number")
 
 
 def _manifest(tmp_path, with_files=True):
@@ -167,7 +264,6 @@ class TestFeatures:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 50), st.integers(1, 20), st.integers(0, 2 ** 31 - 1))
     def test_round_trip_random_shapes(self, frames, width, seed):
-        import tempfile, pathlib
         r = np.random.default_rng(seed)
         data = r.standard_normal((frames, width)).astype(np.float32)
         stack = FeatureStack(data=data, layout=(("block", width),))

@@ -1,13 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from ssk import synth
 from ssk.geometry import SourceDirection, angle_difference, tdoa
 from ssk.metrics import bin_index
-from ssk.room_sim import (RoomConfig, SceneGenerationError, estimate_t60,
-                          render_mixture, sample_scene, simulate_rir,
-                          simulate_rirs)
+from ssk.room_sim import (RoomConfig, SceneGenerationError, _convolve_rows,
+                          _fast_rfft_length, estimate_t60, render_mixture,
+                          sample_scene, simulate_rir, simulate_rirs)
 
 from oracles import xcorr_peak_lag
 
@@ -114,6 +116,18 @@ class TestRenderMixture:
             scale = np.sqrt(np.mean(scene.images[c][0] ** 2) / np.mean(conv ** 2))
             manual += conv * scale
         assert np.linalg.norm(scene.mixture[0] - manual) / np.linalg.norm(manual) < 1e-9
+
+    def test_convolution_matches_fftconvolve_bit_for_bit(self, array6):
+        rng = np.random.default_rng(45)
+        room, _ = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.45, 0.45))
+        rirs = simulate_rirs(room, array6).rirs[0]
+        dry = synth.speech_like(rng, 1.0, FS)
+        expected = np.stack([fftconvolve(dry, h) for h in rirs])
+        npt.assert_array_equal(_convolve_rows(dry, rirs), expected)
+
+    def test_fft_length_is_scipy_fast_length(self):
+        for n in list(range(1, 3000)) + [38803, 65537, 100001]:
+            assert _fast_rfft_length(n) == next_fast_len(n, real=True)
 
     def test_silent_source_rejected(self, array6, rng):
         room, _ = sample_scene(rng, 2, sample_rate=FS)

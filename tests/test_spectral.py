@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import check_COLA
 
 from ssk.spectral import (ComplexSpectrogram, StftConfig, StftConfigError,
                           build_kernel, hann_periodic, istft, lps, stft)
@@ -51,6 +52,17 @@ class TestBuildKernel:
         cfg = StftConfig(window=hann_periodic(40), hop=13)
         with pytest.raises(StftConfigError, match="COLA"):
             build_kernel(cfg)
+
+    @pytest.mark.parametrize("window, hop, fft_size",
+                             [(hann_periodic(40), h, 64) for h in range(1, 41)]
+                             + [(np.ones(40), 40, 64), (hann_periodic(256), 128, 256)])
+    def test_cola_check_agrees_with_scipy(self, window, hop, fft_size):
+        cfg = StftConfig(window=window, hop=hop, fft_size=fft_size)
+        if check_COLA(window, window.size, window.size - hop):
+            build_kernel(cfg)
+        else:
+            with pytest.raises(StftConfigError, match="COLA"):
+                build_kernel(cfg)
 
 
 class TestStft:
