@@ -7,7 +7,7 @@ SI-SDR evaluation binned by inter-speaker angle difference.
 
 from .geometry import (DirectionGrid, MicArray, PairSelection, SourceDirection,
                        angle_difference, circular_array, min_angle_difference,
-                       steering_phase, tdoa)
+                       tdoa)
 from .metrics import EvalRecord, EvalReport, aggregate, si_sdr, si_sdri
 from .room_sim import (MixtureScene, RIRSet, RoomConfig, estimate_t60,
                        render_mixture, sample_scene, simulate_rir, simulate_rirs)

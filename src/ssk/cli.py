@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .dataset_io import atomic_write_bytes, read_manifest
-from .pipeline import (METHODS, FeatureSelection, PipelineConfig,
+from .pipeline import (METHODS, FeatureSelection, PipelineConfig, Run,
                        angle_difference_histogram, build_features,
                        evaluate_dataset, perturb_sweep, separate_dataset,
                        simulate_dataset, write_sweep_reports)
@@ -133,11 +133,9 @@ def cmd_features(args) -> int:
 def cmd_separate(args) -> int:
     cfg = _pipeline_config(args)
     manifest = read_manifest(args.manifest, validate_files=True)
-    paths = separate_dataset(
-        manifest, args.out, args.method, cfg, cond=args.cond,
-        alpha=args.alpha, beta=args.beta,
-        direction_error_deg=args.direction_error_deg, error_seed=args.seed,
-        jobs=args.jobs)
+    run = Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
+    paths = separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
+                             error_seed=args.seed, jobs=args.jobs)
     print(f"wrote {len(paths)} estimates to {args.out}")
     return 0
 

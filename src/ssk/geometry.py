@@ -1,4 +1,4 @@
-"""Microphone-array geometry: TDOAs, steering phases and azimuth arithmetic.
+"""Microphone-array geometry: TDOAs and azimuth arithmetic.
 
 All directional math assumes a far-field plane wave travelling in the
 horizontal plane of the array. Azimuths are degrees counter-clockwise,
@@ -151,24 +151,6 @@ def tdoa(array: MicArray, direction: SourceDirection) -> np.ndarray:
     toward = np.array([np.cos(az), np.sin(az), 0.0])
     rel = array.positions - array.positions[array.ref_index]
     return -(rel @ toward) / array.sound_speed
-
-
-def steering_phase(array: MicArray, direction: SourceDirection,
-                   pair: tuple[int, int], band: int, fft_size: int,
-                   sample_rate: float) -> float:
-    """Phase the pair's IPD takes for an anechoic far-field source at
-    ``direction`` and band ``band``: 2*pi*f_m*(delay[u2] - delay[u1]).
-
-    Linear in the band index; not wrapped.
-    """
-    if not 0 <= band <= fft_size // 2:
-        raise ValueError(f"band {band} out of range for fft_size {fft_size}")
-    u1, u2 = pair
-    delays = tdoa(array, direction)
-    if u1 >= delays.size or u2 >= delays.size:
-        raise ValueError(f"pair ({u1}, {u2}) out of range for J={delays.size}")
-    freq = band * sample_rate / fft_size
-    return float(2.0 * np.pi * freq * (delays[u2] - delays[u1]))
 
 
 def angle_difference(phi1: float, phi2: float) -> float:

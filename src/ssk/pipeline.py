@@ -1,5 +1,10 @@
 """Batch pipeline shared by the CLI: dataset simulation, feature extraction,
-separation and evaluation over a manifest."""
+separation and evaluation over a manifest.
+
+Features, separation and the direction-error sweep work one utterance at a
+time: an :class:`UtteranceAnalysis` reads the mixture and analyses it once,
+and every target of that utterance, under every separation :class:`Run`
+(one per sweep point), reuses it. ``jobs`` threads take whole utterances."""
 
 from __future__ import annotations
 
@@ -21,9 +26,11 @@ from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, s
 from .room_sim import render_mixture, sample_scene
 from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
                          oracle_mask)
-from .spatial_features import (angle_feature, assemble_features, cos_sin_ipd,
-                               das_filterbank, dpr, multichannel_stft,
-                               nearest_direction)
+from .spatial_features import (FeatureStack, MultichannelSpectrogram,
+                               angle_feature_from_ipd, assemble_features,
+                               beam_powers, das_filterbank, dpr_from_powers, ipd,
+                               multichannel_stft, nearest_direction,
+                               pair_steering_phases, premask)
 from .spectral import StftConfig, build_kernel, hann_periodic, lps
 
 ORACLE_METHODS = {"ibm": MaskKind.IBM, "irm": MaskKind.IRM, "ipsm": MaskKind.IPSM}
@@ -100,6 +107,16 @@ SYNTH_KINDS = {
 }
 
 
+def _map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]``, on ``jobs`` threads when there is more
+    than one item; results keep the order of ``items``."""
+    items = list(items)
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _angle_differences(azimuths: Sequence[float]) -> list[float]:
     out = []
     for i, az in enumerate(azimuths):
@@ -162,11 +179,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
             room_dimensions=tuple(float(d) for d in room.dimensions),
             array_center=tuple(float(x) for x in room.array_center))
 
-    if jobs > 1 and num_scenes > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            utterances = list(pool.map(render_one, range(num_scenes)))
-    else:
-        utterances = [render_one(i) for i in range(num_scenes)]
+    utterances = _map(render_one, range(num_scenes), jobs)
 
     manifest = Manifest(
         sample_rate=sample_rate,
@@ -207,73 +220,123 @@ def angle_difference_histogram(manifest: Manifest) -> dict[str, int]:
 # Features
 
 
-def _closest_interferer(entry: UtteranceEntry, target_index: int) -> int:
+def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
+    """Azimuth of the source closest in angle to the target."""
     tgt_az = entry.sources[target_index].azimuth_deg
     others = [(angle_difference(tgt_az, s.azimuth_deg), c)
               for c, s in enumerate(entry.sources) if c != target_index]
     if not others:
         raise ValueError(f"utterance {entry.id} has a single source; no interferer")
-    return min(others)[1]
+    return entry.sources[min(others)[1]].azimuth_deg
 
 
-def compute_feature_stack(mixture: np.ndarray, target_azimuth: float,
-                          cfg: PipelineConfig, selection: FeatureSelection,
-                          interferer_azimuth: float | None = None):
-    """Assemble the selected feature blocks for one utterance/target."""
-    kernel = build_kernel(cfg.stft_cfg)
-    spec = multichannel_stft(mixture, kernel)
+class _computed_once:
+    """Property computed on first use and then stored on the instance. Unlike
+    ``functools.cached_property`` before Python 3.12 it takes no lock shared
+    by all instances, which would let one ``--jobs`` thread at a time
+    analyse an utterance; each analysis is used by a single thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+def _read(manifest: Manifest, relative: str) -> np.ndarray:
+    wav, _ = read_wav(manifest.resolve(relative), expected_rate=manifest.sample_rate)
+    return wav
+
+
+@dataclass(frozen=True, eq=False)
+class UtteranceAnalysis:
+    """One utterance's mixture and the analysis every target and run shares.
+
+    Each part is computed on first use, so a method pays only for what it
+    reads: the mixture, the reference-channel source images, the
+    multichannel spectrogram, the pair IPDs, the premask and the grid beam
+    powers. AF and DPR for any azimuth come from the last three.
+    """
+
+    entry: UtteranceEntry
+    manifest: Manifest
+    cfg: PipelineConfig
+
+    @_computed_once
+    def mixture(self) -> np.ndarray:
+        return _read(self.manifest, self.entry.mixture)
+
+    @_computed_once
+    def ref_images(self) -> list[np.ndarray]:
+        ref = self.cfg.array.ref_index
+        return [_read(self.manifest, src.image)[ref] for src in self.entry.sources]
+
+    @_computed_once
+    def spec(self) -> MultichannelSpectrogram:
+        return multichannel_stft(self.mixture, build_kernel(self.cfg.stft_cfg))
+
+    @_computed_once
+    def pair_ipds(self) -> np.ndarray:
+        return ipd(self.spec, self.cfg.require_pairs())
+
+    @_computed_once
+    def premask(self) -> np.ndarray:
+        return premask(self.spec, self.cfg.array.ref_index)
+
+    @_computed_once
+    def beam_powers(self) -> np.ndarray:
+        cfg = self.cfg
+        return beam_powers(self.spec, das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg))
+
+    def angle_feature(self, azimuth: float) -> np.ndarray:
+        cfg = self.cfg
+        steer = pair_steering_phases(cfg.array, azimuth, cfg.require_pairs(), cfg.stft_cfg)
+        return angle_feature_from_ipd(self.pair_ipds, steer, self.premask)
+
+    def dpr(self, azimuth: float) -> np.ndarray:
+        return dpr_from_powers(self.beam_powers, nearest_direction(self.cfg.grid, azimuth))
+
+
+def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
+                          selection: FeatureSelection) -> FeatureStack:
+    """Assemble the selected feature blocks for one target of an utterance;
+    with cond tgt+intf the AF and DPR blocks also cover the closest
+    interferer."""
+    directions = [("tgt", analysis.entry.sources[target].azimuth_deg)]
+    if selection.cond == "tgt+intf":
+        directions.append(("intf", _interferer_azimuth(analysis.entry, target)))
     blocks: list[tuple[str, np.ndarray]] = []
     if selection.lps:
-        blocks.append(("lps", lps(spec.channel(cfg.array.ref_index))))
-    if selection.cosipd or selection.sinipd:
-        cos_map, sin_map = cos_sin_ipd(spec, cfg.require_pairs())
-        if selection.cosipd:
-            blocks.append(("cosipd", cos_map))
-        if selection.sinipd:
-            blocks.append(("sinipd", sin_map))
-    want_intf = selection.cond == "tgt+intf"
-    if want_intf and interferer_azimuth is None:
-        raise ValueError("tgt+intf features need an interferer azimuth")
+        blocks.append(("lps", lps(analysis.spec.channel(analysis.cfg.array.ref_index))))
+    if selection.cosipd:
+        blocks.append(("cosipd", np.cos(analysis.pair_ipds)))
+    if selection.sinipd:
+        blocks.append(("sinipd", np.sin(analysis.pair_ipds)))
     if selection.af:
-        pairs = cfg.require_pairs()
-        blocks.append(("af:tgt", angle_feature(spec, target_azimuth, cfg.array, pairs)))
-        if want_intf:
-            blocks.append(("af:intf", angle_feature(spec, interferer_azimuth,
-                                                    cfg.array, pairs)))
+        blocks += [(f"af:{who}", analysis.angle_feature(az)) for who, az in directions]
     if selection.dpr:
-        bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
-        blocks.append(("dpr:tgt", dpr(spec, bank, nearest_direction(cfg.grid, target_azimuth))))
-        if want_intf:
-            blocks.append(("dpr:intf", dpr(spec, bank,
-                                           nearest_direction(cfg.grid, interferer_azimuth))))
+        blocks += [(f"dpr:{who}", analysis.dpr(az)) for who, az in directions]
     return assemble_features(blocks)
 
 
 def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig,
                    selection: FeatureSelection, jobs: int = 1) -> list[Path]:
-    """One TSNF1 file per utterance per target speaker."""
+    """One TSNF1 file per utterance per target speaker; each mixture is read
+    and analysed once for all its targets."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(task) -> Path:
-        entry, target = task
-        mixture, _ = read_wav(manifest.resolve(entry.mixture),
-                              expected_rate=manifest.sample_rate)
-        intf_az = None
-        if selection.cond == "tgt+intf":
-            intf_az = entry.sources[_closest_interferer(entry, target)].azimuth_deg
-        stack = compute_feature_stack(mixture, entry.sources[target].azimuth_deg,
-                                      cfg, selection, intf_az)
-        path = out / f"{entry.id}_tgt{target}.tsnf"
-        write_features(path, stack)
-        return path
+    def one(entry: UtteranceEntry) -> list[Path]:
+        analysis = UtteranceAnalysis(entry, manifest, cfg)
+        paths = [out / f"{entry.id}_tgt{t}.tsnf" for t in range(len(entry.sources))]
+        for target, path in enumerate(paths):
+            write_features(path, compute_feature_stack(analysis, target, selection))
+        return paths
 
-    tasks = [(entry, t) for entry in manifest.utterances
-             for t in range(len(entry.sources))]
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, tasks))
-    return [one(t) for t in tasks]
+    return [p for paths in _map(one, manifest.utterances, jobs) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -288,88 +351,81 @@ def _perturbed_azimuth(azimuth: float, error_deg: float, seed_parts) -> float:
     return azimuth + sign * error_deg
 
 
-def separate_utterance(entry: UtteranceEntry, manifest: Manifest, method: str,
-                       cfg: PipelineConfig, target: int, cond: str = "tgt",
-                       alpha: float = 1.0, beta: float = 1.0,
-                       azimuth_override: float | None = None) -> np.ndarray:
-    """Run one separation method for one utterance/target, returning the
-    estimated reference-channel waveform."""
-    mixture, _ = read_wav(manifest.resolve(entry.mixture),
-                          expected_rate=manifest.sample_rate)
+def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
+                       azimuth: float, cond: str = "tgt", alpha: float = 1.0,
+                       beta: float = 1.0) -> np.ndarray:
+    """Run one separation method for one utterance/target steered at
+    ``azimuth``, returning the estimated reference-channel waveform."""
+    cfg = analysis.cfg
     ref = cfg.array.ref_index
-    azimuth = entry.sources[target].azimuth_deg if azimuth_override is None \
-        else azimuth_override
-
     if method in ORACLE_METHODS:
-        tgt_img, _ = read_wav(manifest.resolve(entry.sources[target].image),
-                              expected_rate=manifest.sample_rate)
-        others = []
-        for c, src in enumerate(entry.sources):
-            if c == target:
-                continue
-            img, _ = read_wav(manifest.resolve(src.image),
-                              expected_rate=manifest.sample_rate)
-            others.append(img[ref])
-        mask = oracle_mask(tgt_img[ref], others, ORACLE_METHODS[method],
+        images = analysis.ref_images
+        others = [img for c, img in enumerate(images) if c != target]
+        mask = oracle_mask(images[target], others, ORACLE_METHODS[method],
                            oracle_cfg=cfg.oracle_cfg)
-        return apply_mask(mixture[ref], mask, cfg.oracle_cfg).estimate
+        return apply_mask(analysis.mixture[ref], mask, cfg.oracle_cfg).estimate
     if method == "heuristic":
-        kernel = build_kernel(cfg.stft_cfg)
-        spec = multichannel_stft(mixture, kernel)
-        bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
-        pairs = cfg.require_pairs()
-        af_tgt = angle_feature(spec, azimuth, cfg.array, pairs)
-        dpr_tgt = dpr(spec, bank, nearest_direction(cfg.grid, azimuth))
+        entry = analysis.entry
         af_intf = dpr_intf = None
         if cond == "tgt+intf" and len(entry.sources) > 1:
-            intf_az = entry.sources[_closest_interferer(entry, target)].azimuth_deg
-            af_intf = angle_feature(spec, intf_az, cfg.array, pairs)
-            dpr_intf = dpr(spec, bank, nearest_direction(cfg.grid, intf_az))
-        mask = directional_mask(af_tgt, dpr_tgt, af_intf, dpr_intf,
-                                alpha=alpha, beta=beta, cfg=cfg.stft_cfg)
-        return apply_mask(mixture[ref], mask, cfg.stft_cfg).estimate
+            intf_az = _interferer_azimuth(entry, target)
+            af_intf, dpr_intf = analysis.angle_feature(intf_az), analysis.dpr(intf_az)
+        mask = directional_mask(analysis.angle_feature(azimuth), analysis.dpr(azimuth),
+                                af_intf, dpr_intf, alpha=alpha, beta=beta,
+                                cfg=cfg.stft_cfg)
+        return apply_mask(analysis.mixture[ref], mask, cfg.stft_cfg).estimate
     if method == "das":
-        return das_beamform(mixture, azimuth, cfg.array, cfg.stft_cfg).estimate
+        return das_beamform(analysis.mixture, azimuth, cfg.array, cfg.stft_cfg).estimate
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def separate_dataset(manifest: Manifest, out_dir, method: str, cfg: PipelineConfig,
-                     cond: str = "tgt", alpha: float = 1.0, beta: float = 1.0,
-                     direction_error_deg: float = 0.0, error_seed: int = 0,
+@dataclass(frozen=True)
+class Run:
+    """One setting to separate a dataset with; its estimates go to ``out_dir``."""
+
+    out_dir: Path
+    direction_error_deg: float
+    alpha: float
+    beta: float
+
+
+def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
+                     cfg: PipelineConfig, cond: str = "tgt", error_seed: int = 0,
                      jobs: int = 1) -> list[Path]:
-    """Separate every (utterance, target); writes estimate WAVs plus JSON
-    sidecars recording the method and the azimuth actually used."""
+    """Separate every (utterance, target) once per run, in one pass over the
+    utterances that reads and analyses each mixture once. Writes estimate
+    WAVs plus JSON sidecars recording the method and the azimuth actually
+    used; the error sign is drawn per (utterance, target) from ``error_seed``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    for run in runs:
+        run.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(task) -> Path:
-        index, entry, target = task
-        azimuth = _perturbed_azimuth(entry.sources[target].azimuth_deg,
-                                     direction_error_deg,
-                                     [error_seed, index, target])
-        est = separate_utterance(entry, manifest, method, cfg, target,
-                                 cond=cond, alpha=alpha, beta=beta,
-                                 azimuth_override=azimuth)
-        path = out / f"{entry.id}_tgt{target}.wav"
-        write_wav(path, est, manifest.sample_rate)
-        sidecar = {
-            "utterance": entry.id, "target_index": target, "method": method,
-            "cond": cond, "azimuth_used_deg": float(azimuth),
-            "direction_error_deg": float(direction_error_deg),
-            "alpha": alpha, "beta": beta,
-        }
-        atomic_write_bytes(path.with_suffix(".json"),
-                           (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
-        return path
+    def one(task) -> list[Path]:
+        index, entry = task
+        analysis = UtteranceAnalysis(entry, manifest, cfg)
+        paths = []
+        for target, src in enumerate(entry.sources):
+            for run in runs:
+                azimuth = _perturbed_azimuth(src.azimuth_deg, run.direction_error_deg,
+                                             [error_seed, index, target])
+                est = separate_utterance(analysis, method, target, azimuth, cond=cond,
+                                         alpha=run.alpha, beta=run.beta)
+                path = run.out_dir / f"{entry.id}_tgt{target}.wav"
+                write_wav(path, est, manifest.sample_rate)
+                sidecar = {
+                    "utterance": entry.id, "target_index": target, "method": method,
+                    "cond": cond, "azimuth_used_deg": float(azimuth),
+                    "direction_error_deg": float(run.direction_error_deg),
+                    "alpha": run.alpha, "beta": run.beta,
+                }
+                atomic_write_bytes(path.with_suffix(".json"),
+                                   (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
+                paths.append(path)
+        return paths
 
-    tasks = [(i, entry, t) for i, entry in enumerate(manifest.utterances)
-             for t in range(len(entry.sources))]
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, tasks))
-    return [one(t) for t in tasks]
+    tasks = list(enumerate(manifest.utterances))
+    return [p for paths in _map(one, tasks, jobs) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +440,14 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = "",
     records: list[EvalRecord] = []
     missing: list[str] = []
     for entry in manifest.utterances:
-        mixture, _ = read_wav(manifest.resolve(entry.mixture),
-                              expected_rate=manifest.sample_rate)
+        mixture = _read(manifest, entry.mixture)
         for target, src in enumerate(entry.sources):
             est_path = est_dir / f"{entry.id}_tgt{target}.wav"
             if not est_path.exists():
                 missing.append(str(est_path))
                 continue
             est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
-            ref_img, _ = read_wav(manifest.resolve(src.image),
-                                  expected_rate=manifest.sample_rate)
-            reference = ref_img[ref_index]
+            reference = _read(manifest, src.image)[ref_index]
             records.append(EvalRecord(
                 utterance_id=f"{entry.id}_tgt{target}",
                 target_azimuth=src.azimuth_deg,
@@ -416,25 +469,35 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
                   jobs: int = 1) -> dict:
     """Heuristic separation under direction estimation error.
 
-    For every error magnitude and both heuristic variants (AF only and
-    AF+DPR) runs a full separate+evaluate pass; the error sign is random per
-    utterance, drawn from a dedicated seeded stream.
+    Every error magnitude and both heuristic variants (AF only and AF+DPR)
+    make one run, whose estimates and sidecars go to ``<variant>/errNN``.
+    One :func:`separate_dataset` pass writes all runs from a single analysis of
+    each mixture; :func:`evaluate_dataset` then scores each run. The error
+    sign is random per (utterance, target), drawn from a dedicated seeded
+    stream, and is the same for every magnitude.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    dirs: dict[str, float] = {}
+    for error in errors:
+        name = f"err{int(round(error)):02d}"
+        if dirs.setdefault(name, float(error)) != float(error):
+            raise ValueError(f"direction errors {dirs[name]:g} and {error:g} "
+                             f"would share the output directory {name}")
+    runs = {(variant, error): Run(out / variant / name, error, alpha, beta)
+            for variant, (alpha, beta) in PERTURB_VARIANTS.items()
+            for name, error in dirs.items()}
+    separate_dataset(manifest, list(runs.values()), "heuristic", cfg, cond=cond,
+                     error_seed=seed, jobs=jobs)
     sweep: dict = {"seed": seed, "cond": cond,
                    "errors_deg": [float(e) for e in errors], "variants": {},
                    "note": ("single-target separators have no output-permutation "
                             "freedom; rows are strictly comparable only above 15 "
                             "degrees of angle difference")}
-    for variant, (alpha, beta) in PERTURB_VARIANTS.items():
+    for variant in PERTURB_VARIANTS:
         rows = []
         for error in errors:
-            est_dir = out / variant / f"err{int(round(error)):02d}"
-            separate_dataset(manifest, est_dir, "heuristic", cfg, cond=cond,
-                             alpha=alpha, beta=beta,
-                             direction_error_deg=float(error), error_seed=seed,
-                             jobs=jobs)
+            est_dir = runs[variant, float(error)].out_dir
             report, _, missing = evaluate_dataset(
                 manifest, est_dir, method=f"heuristic/{variant}")
             if missing:

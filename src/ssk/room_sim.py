@@ -265,8 +265,8 @@ def _convolve_rows(signal: np.ndarray, rirs: np.ndarray) -> np.ndarray:
 
 
 def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
-                   array: MicArray, mixing_gains_db: Sequence[float] | None = None,
-                   dry_sample_rates: Sequence[int] | None = None) -> MixtureScene:
+                   array: MicArray,
+                   mixing_gains_db: Sequence[float] | None = None) -> MixtureScene:
     """Convolve dry sources with their RIRs, level them on the reference
     channel, and sum into a J-channel mixture.
 
@@ -278,13 +278,6 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
         raise ValueError("need at least one dry source")
     if len(dry) != room.num_sources:
         raise ValueError(f"{len(dry)} dry sources but room has {room.num_sources} positions")
-    if dry_sample_rates is not None:
-        rates = list(dry_sample_rates)
-        if len(rates) != len(dry):
-            raise ValueError("one sample rate per dry source expected")
-        for r in rates:
-            if r != room.sample_rate:
-                raise ValueError(f"dry source at {r} Hz does not match room rate {room.sample_rate} Hz")
     for c, s in enumerate(dry):
         if s.size == 0 or not np.any(s):
             raise ValueError(f"dry source {c} is silent")

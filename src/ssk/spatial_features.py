@@ -126,12 +126,6 @@ def ipd(spec: MultichannelSpectrogram, pairs: PairSelection) -> np.ndarray:
     return out
 
 
-def cos_sin_ipd(spec: MultichannelSpectrogram, pairs: PairSelection) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise cos/sin of the pair IPDs, each (U, T, F)."""
-    phi = ipd(spec, pairs)
-    return np.cos(phi), np.sin(phi)
-
-
 def pair_steering_phases(array: MicArray, azimuth: float, pairs: PairSelection,
                          cfg: StftConfig) -> np.ndarray:
     """Expected anechoic IPD per pair and bin, shape (U, F)."""
@@ -144,31 +138,35 @@ def pair_steering_phases(array: MicArray, azimuth: float, pairs: PairSelection,
     return out
 
 
-def premask(spec: MultichannelSpectrogram, ref_index: int,
-            threshold_db: float = PREMASK_DB) -> np.ndarray:
-    """Boolean (T, F) map of bins within ``threshold_db`` of the utterance's
+def premask(spec: MultichannelSpectrogram, ref_index: int) -> np.ndarray:
+    """Boolean (T, F) map of bins within ``PREMASK_DB`` of the utterance's
     reference-channel magnitude maximum. A silent utterance masks everything."""
     mag = np.abs(spec.data[ref_index])
     peak = float(mag.max())
     if peak <= 0.0:
         return np.zeros(mag.shape, dtype=bool)
-    return mag >= peak * 10.0 ** (-threshold_db / 20.0)
+    return mag >= peak * 10.0 ** (-PREMASK_DB / 20.0)
 
 
 def angle_feature(spec: MultichannelSpectrogram, azimuth: float, array: MicArray,
-                  pairs: PairSelection, premask_db: float = PREMASK_DB) -> np.ndarray:
+                  pairs: PairSelection) -> np.ndarray:
     """Angle feature for a hypothesized azimuth, (T, F) in [-1, 1].
 
     AF = mean_u cos(IPD(u) - steering_phase(u)); each summand is the real
     part of a unit-modulus ratio between the observed and expected
-    inter-channel phasors. Bins more than ``premask_db`` below the
+    inter-channel phasors. Bins more than ``PREMASK_DB`` below the
     utterance's reference-channel peak are zeroed.
     """
-    pairs.validate_for(spec.num_channels)
-    phi = ipd(spec, pairs)
-    steer = pair_steering_phases(array, azimuth, pairs, spec.config)
+    return angle_feature_from_ipd(ipd(spec, pairs),
+                                  pair_steering_phases(array, azimuth, pairs, spec.config),
+                                  premask(spec, array.ref_index))
+
+
+def angle_feature_from_ipd(phi: np.ndarray, steer: np.ndarray,
+                           keep: np.ndarray) -> np.ndarray:
+    """AF from pair IPDs (U, T, F), steering phases (U, F) and a premask
+    (T, F); bins outside the premask are zero."""
     af = np.cos(phi - steer[:, None, :]).mean(axis=0)
-    keep = premask(spec, array.ref_index, premask_db)
     return np.where(keep, af, 0.0)
 
 
@@ -197,16 +195,16 @@ def dpr(spec: MultichannelSpectrogram, bank: DasFilterbank, direction_index: int
     """
     if not 0 <= direction_index < bank.num_directions:
         raise ValueError(f"direction index {direction_index} out of range")
-    powers = beam_powers(spec, bank)
-    return _dpr_from_powers(powers, direction_index)
+    return dpr_from_powers(beam_powers(spec, bank), direction_index)
 
 
 def dpr_all(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
     """DPR for every grid direction at once, (P, T, F)."""
-    return _dpr_from_powers(beam_powers(spec, bank), slice(None))
+    return dpr_from_powers(beam_powers(spec, bank), slice(None))
 
 
-def _dpr_from_powers(powers: np.ndarray, p: int | slice) -> np.ndarray:
+def dpr_from_powers(powers: np.ndarray, p: int | slice) -> np.ndarray:
+    """DPR toward direction(s) ``p`` from grid beam powers (P, T, F)."""
     total = powers.sum(axis=0)
     uniform = 1.0 / powers.shape[0]
     out = powers[p] / np.maximum(total, DPR_POWER_FLOOR)

@@ -166,18 +166,28 @@ def istft(spec: ComplexSpectrogram, kernel: StftKernel) -> np.ndarray:
         raise ValueError("spectrogram config does not match kernel config")
     num_frames = spec.num_frames
     out_len = (num_frames - 1) * cfg.hop + cfg.win_len if num_frames else 0
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
     # Frame waveforms via the inverse rfft of the zero-padded spectrum.
     frames = np.fft.irfft(spec.data, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
     win = cfg.window
     win_sq = win * win
-    for t in range(num_frames):
-        start = t * cfg.hop
-        out[start:start + cfg.win_len] += frames[t] * win
-        norm[start:start + cfg.win_len] += win_sq
+    out = _overlap_add(frames * win, cfg.hop)[:out_len]
+    norm = _overlap_add(np.broadcast_to(win_sq, frames.shape), cfg.hop)[:out_len]
     floor = max(float(_hop_folded(win_sq, cfg.hop).min()), 1e-10)
     return out / np.maximum(norm, floor)
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-add (T, L) frames at ``hop``, one hop-wide column block per
+    step. Blocks go in descending offset, so each sample sums its frames in
+    ascending frame order, as a frame-by-frame loop does, bit for bit."""
+    num_frames, length = frames.shape
+    blocks = -(-length // hop)
+    cols = np.pad(frames, ((0, 0), (0, blocks * hop - length)))
+    cols = cols.reshape(num_frames, blocks, hop)
+    out = np.zeros((num_frames + blocks - 1) * hop)
+    for r in reversed(range(blocks)):
+        out[r * hop:(r + num_frames) * hop] += cols[:, r].ravel()
+    return out
 
 
 LPS_FLOOR = 1e-12

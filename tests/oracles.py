@@ -48,3 +48,20 @@ def plane_wave_channels(tone: np.ndarray, delays_s: np.ndarray, sample_rate: int
     for j, tau in enumerate(delays_s):
         out[j] = np.fft.irfft(spec * np.exp(-2j * np.pi * freqs * tau), n=n)
     return out
+
+
+def loop_istft(data: np.ndarray, window: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+    """Weighted overlap-add inverse of a (T, F) spectrum, one frame at a
+    time. The normaliser floor is its fully overlapped minimum, read off
+    the accumulated window squares, so it needs T >= ceil(len(window)/hop)."""
+    win_len = window.size
+    num_frames = data.shape[0]
+    frames = np.fft.irfft(data, n=fft_size, axis=1)[:, :win_len]
+    out = np.zeros((num_frames - 1) * hop + win_len)
+    norm = np.zeros_like(out)
+    for t in range(num_frames):
+        out[t * hop:t * hop + win_len] += frames[t] * window
+        norm[t * hop:t * hop + win_len] += window * window
+    full = -(-win_len // hop) - 1
+    floor = max(float(norm[full * hop:(full + 1) * hop].min()), 1e-10)
+    return out / np.maximum(norm, floor)

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import ssk
+from ssk import pipeline
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
@@ -69,6 +70,15 @@ class TestSimulate:
         simulate(tmp_path / "j2", seed=11, n=3, duration=0.5,
                  extra=["--jobs", "3"])
         assert tree_hash(tmp_path / "j1") == tree_hash(tmp_path / "j2")
+
+    def test_source_at_other_rate_rejected(self, tmp_path, capsys):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        write_wav(pool / "a.wav", np.random.default_rng(0).standard_normal(8000), 8000)
+        rc = main(["simulate", "--out", str(tmp_path / "d"), "--num-scenes", "1",
+                   "--source-dir", str(pool)])
+        assert rc == 1
+        assert "sample rate 8000 Hz, expected 16000 Hz" in capsys.readouterr().err
 
     def test_histogram_printed(self, tmp_path, capsys):
         simulate(tmp_path / "h", seed=1, n=2)
@@ -204,22 +214,36 @@ class TestEvaluate:
 class TestPerturb:
     def test_zero_error_matches_unperturbed(self, dataset, tmp_path):
         out, _ = dataset
-        rc = main(["perturb", "--manifest", str(out / "manifest.json"),
-                   "--out", str(tmp_path / "sweep"),
-                   "--direction-error-deg", "0", "--seed", "5"])
+        manifest = str(out / "manifest.json")
+        rc = main(["perturb", "--manifest", manifest, "--out", str(tmp_path / "sweep"),
+                   "--direction-error-deg", "0,7", "--seed", "5"])
         assert rc == 0
         sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
-        rc = main(["separate", "--manifest", str(out / "manifest.json"),
-                   "--out", str(tmp_path / "plain"), "--method", "heuristic"])
-        assert rc == 0
-        rc = main(["evaluate", "--manifest", str(out / "manifest.json"),
-                   "--estimates", str(tmp_path / "plain"),
-                   "--out", str(tmp_path / "plainrep")])
-        assert rc == 0
-        plain = json.loads((tmp_path / "plainrep.json").read_text())
-        row = sweep["variants"]["af_dpr"][0]
-        assert row["error_deg"] == 0.0
-        npt.assert_allclose(row["overall"], plain["overall"]["mean_si_sdri"], atol=1e-9)
+        for k, error in enumerate(("0", "7")):
+            plain = tmp_path / f"plain{error}"
+            rc = main(["separate", "--manifest", manifest, "--out", str(plain),
+                       "--method", "heuristic", "--direction-error-deg", error,
+                       "--seed", "5"])
+            assert rc == 0
+            rc = main(["evaluate", "--manifest", manifest, "--estimates", str(plain),
+                       "--out", str(tmp_path / f"rep{error}")])
+            assert rc == 0
+            report = json.loads((tmp_path / f"rep{error}.json").read_text())
+            row = sweep["variants"]["af_dpr"][k]
+            assert row["error_deg"] == float(error)
+            npt.assert_allclose(row["overall"], report["overall"]["mean_si_sdri"], atol=1e-9)
+        swept = tmp_path / "sweep" / "af_dpr" / "err07"
+        wavs = sorted(p.name for p in swept.glob("*.wav"))
+        assert wavs == sorted(p.name for p in (tmp_path / "plain7").glob("*.wav"))
+        for name in wavs:
+            assert (swept / name).read_bytes() == (tmp_path / "plain7" / name).read_bytes()
+
+    def test_errors_sharing_a_directory_rejected(self, dataset, tmp_path, capsys):
+        out, _ = dataset
+        rc = main(["perturb", "--manifest", str(out / "manifest.json"),
+                   "--out", str(tmp_path / "s"), "--direction-error-deg", "0,0.4"])
+        assert rc == 1
+        assert "err00" in capsys.readouterr().err
 
     def test_sweep_deterministic(self, dataset, tmp_path):
         out, _ = dataset
@@ -228,3 +252,19 @@ class TestPerturb:
         main(args + ["--out", str(tmp_path / "s1")])
         main(args + ["--out", str(tmp_path / "s2")])
         assert tree_hash(tmp_path / "s1") == tree_hash(tmp_path / "s2")
+
+
+def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
+    # Every target and run of an utterance shares one spectrogram.
+    out, manifest = dataset
+    calls = []
+    stft = pipeline.multichannel_stft
+    monkeypatch.setattr(pipeline, "multichannel_stft",
+                        lambda *a, **k: calls.append(1) or stft(*a, **k))
+    m = str(out / "manifest.json")
+    for argv in (["features", "--cond", "tgt+intf"],
+                 ["separate", "--method", "heuristic", "--cond", "tgt+intf"],
+                 ["perturb", "--direction-error-deg", "0,4"]):
+        calls.clear()
+        assert main([*argv, "--manifest", m, "--out", str(tmp_path / argv[0])]) == 0
+        assert len(calls) == len(manifest.utterances), argv[0]

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ssk.geometry import (DirectionGrid, MicArray, PairSelection, SourceDirection,
                           angle_difference, circular_array, min_angle_difference,
-                          steering_phase, tdoa)
+                          tdoa)
 
 azimuths = st.floats(min_value=-720.0, max_value=720.0,
                      allow_nan=False, allow_infinity=False)
@@ -76,33 +76,6 @@ class TestTdoa:
         back = tdoa(arr, SourceDirection(az + 180.0))
         for a, b in ((0, 3), (1, 4), (2, 5)):
             npt.assert_allclose(fwd[a] - fwd[b], -(back[a] - back[b]), atol=1e-15)
-
-
-class TestSteeringPhase:
-    def test_zero_frequency(self, array6):
-        assert steering_phase(array6, SourceDirection(77.0), (0, 3), 0, 64, 16000) == 0.0
-
-    def test_equal_delays_give_zero(self, array6):
-        # Broadside direction makes the (1,4) pair delays equal.
-        val = steering_phase(array6, SourceDirection(90.0), (0, 3), 16, 64, 16000)
-        npt.assert_allclose(val, 0.0, atol=1e-12)
-
-    def test_frozen_regression_pair14_azimuth0(self, array6):
-        # Brute force from coordinates: delay difference 0.07/343 s at
-        # f = 16*16000/64 = 4000 Hz -> 2*pi*4000*0.07/343 rad.
-        expected = 2.0 * np.pi * 4000.0 * (0.07 / 343.0)
-        val = steering_phase(array6, SourceDirection(0.0), (0, 3), 16, 64, 16000)
-        npt.assert_allclose(val, expected, rtol=1e-12)
-        npt.assert_allclose(val, 5.129130863003744, rtol=1e-12)
-
-    def test_linear_in_band_index(self, array6):
-        vals = [steering_phase(array6, SourceDirection(40.0), (0, 1), m, 64, 16000)
-                for m in range(33)]
-        npt.assert_allclose(np.diff(vals, 2), 0.0, atol=1e-12)
-
-    def test_band_out_of_range(self, array6):
-        with pytest.raises(ValueError):
-            steering_phase(array6, SourceDirection(0.0), (0, 3), 33, 64, 16000)
 
 
 class TestAngleDifference:

@@ -8,7 +8,7 @@ from ssk.geometry import PairSelection, SourceDirection, circular_array, tdoa
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.spatial_features import (MultichannelSpectrogram,
                                   angle_feature, assemble_features, beam_powers,
-                                  cos_sin_ipd, das_filterbank, dpr, dpr_all, ipd,
+                                  das_filterbank, dpr, dpr_all, ipd,
                                   multichannel_stft, nearest_direction,
                                   pair_steering_phases, premask, wrap_phase)
 from ssk.spectral import StftConfig, build_kernel, stft
@@ -32,9 +32,8 @@ class TestIpd:
         pairs = PairSelection(((0, 1),))
         phi = ipd(spec, pairs)
         npt.assert_array_equal(phi, 0.0)
-        cos_map, sin_map = cos_sin_ipd(spec, pairs)
-        npt.assert_array_equal(cos_map, 1.0)
-        npt.assert_array_equal(sin_map, 0.0)
+        npt.assert_array_equal(np.cos(phi), 1.0)
+        npt.assert_array_equal(np.sin(phi), 0.0)
 
     @pytest.mark.parametrize("m0, delay", [(4, 2), (8, 1), (12, 3)])
     def test_integer_delay_tone(self, kernel_default, m0, delay):
@@ -73,10 +72,8 @@ class TestIpd:
         fwd = ipd(spec, PairSelection(((0, 1),)))[0]
         rev = ipd(spec, PairSelection(((1, 0),)))[0]
         npt.assert_allclose(wrap_phase(fwd + rev), 0.0, atol=1e-9)
-        cos_f, sin_f = cos_sin_ipd(spec, PairSelection(((0, 1),)))
-        cos_r, sin_r = cos_sin_ipd(spec, PairSelection(((1, 0),)))
-        npt.assert_allclose(cos_f, cos_r, atol=1e-9)
-        npt.assert_allclose(sin_f, -sin_r, atol=1e-9)
+        npt.assert_allclose(np.cos(fwd), np.cos(rev), atol=1e-9)
+        npt.assert_allclose(np.sin(fwd), -np.sin(rev), atol=1e-9)
 
     def test_pair_out_of_range(self, kernel_default, rng):
         spec = multichannel_stft(rng.standard_normal((2, 500)), kernel_default)
@@ -186,6 +183,31 @@ class TestDpr:
         bank = das_filterbank(array6, grid36, cfg_default)
         with pytest.raises(ValueError):
             dpr(spec, bank, 36)
+
+
+class TestPairSteeringPhases:
+    PAIR03 = PairSelection(((0, 3),))
+
+    def test_zero_frequency(self, array6, cfg_default):
+        steer = pair_steering_phases(array6, 77.0, self.PAIR03, cfg_default)
+        assert steer[0, 0] == 0.0
+
+    def test_equal_delays_give_zero(self, array6, cfg_default):
+        # Broadside direction makes the (1,4) pair delays equal.
+        steer = pair_steering_phases(array6, 90.0, self.PAIR03, cfg_default)
+        npt.assert_allclose(steer[0, 16], 0.0, atol=1e-12)
+
+    def test_frozen_regression_pair14_azimuth0(self, array6, cfg_default):
+        # Brute force from coordinates: delay difference 0.07/343 s at
+        # f = 16*16000/64 = 4000 Hz -> 2*pi*4000*0.07/343 rad.
+        expected = 2.0 * np.pi * 4000.0 * (0.07 / 343.0)
+        val = pair_steering_phases(array6, 0.0, self.PAIR03, cfg_default)[0, 16]
+        npt.assert_allclose(val, expected, rtol=1e-12)
+        npt.assert_allclose(val, 5.129130863003744, rtol=1e-12)
+
+    def test_linear_in_band_index(self, array6, cfg_default):
+        steer = pair_steering_phases(array6, 40.0, PairSelection(((0, 1),)), cfg_default)
+        npt.assert_allclose(np.diff(steer[0], 2), 0.0, atol=1e-12)
 
 
 class TestPairContrast:

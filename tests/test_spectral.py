@@ -7,7 +7,7 @@ from scipy.signal import check_COLA
 from ssk.spectral import (ComplexSpectrogram, StftConfig, StftConfigError,
                           build_kernel, hann_periodic, istft, lps, stft)
 
-from oracles import naive_stft
+from oracles import loop_istft, naive_stft
 
 
 class TestConfig:
@@ -55,11 +55,18 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("window, hop, fft_size",
                              [(hann_periodic(40), h, 64) for h in range(1, 41)]
-                             + [(np.ones(40), 40, 64), (hann_periodic(256), 128, 256)])
-    def test_cola_check_agrees_with_scipy(self, window, hop, fft_size):
+                             + [(np.ones(40), 40, 64), (hann_periodic(256), 128, 256),
+                                # COLA with a hop that does not divide the length.
+                                (np.r_[np.ones(30), np.zeros(15)], 10, 64)])
+    def test_cola_check_agrees_with_scipy(self, window, hop, fft_size, rng):
         cfg = StftConfig(window=window, hop=hop, fft_size=fft_size)
         if check_COLA(window, window.size, window.size - hop):
-            build_kernel(cfg)
+            kernel = build_kernel(cfg)
+            # The blockwise overlap-add sums in the per-frame loop's order.
+            shape = (45, cfg.num_bins)
+            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            npt.assert_array_equal(istft(ComplexSpectrogram(data, cfg), kernel),
+                                   loop_istft(data, window, fft_size, hop))
         else:
             with pytest.raises(StftConfigError, match="COLA"):
                 build_kernel(cfg)
