@@ -29,14 +29,16 @@ class DataFormatError(ValueError):
     """Malformed or unsupported on-disk data."""
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write ``chunks`` (bytes-like, in order) via a temp file in the same
+    directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,11 +78,12 @@ def write_wav(path, waveform: np.ndarray, sample_rate: int,
         data = wav.T
     else:
         raise ValueError("waveform must be 1-D or (channels, samples)")
+    # C order: frames interleave channels, and ``payload`` is written as is.
     if encoding == "float32":
-        payload, tag = data.astype("<f4"), 3
+        payload, tag = data.astype("<f4", order="C"), 3
     elif encoding == "pcm16":
         clipped = np.clip(np.round(data * 32768.0), -32768, 32767)
-        payload, tag = clipped.astype("<i2"), 1
+        payload, tag = clipped.astype("<i2", order="C"), 1
     else:
         raise DataFormatError(f"unsupported encoding {encoding!r}")
     frames, channels = payload.shape
@@ -88,8 +91,9 @@ def write_wav(path, waveform: np.ndarray, sample_rate: int,
     fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * payload.itemsize)
     header = _chunk(b"fmt ", fmt) if tag == 1 else (
         _chunk(b"fmt ", fmt + b"\0\0") + _chunk(b"fact", struct.pack("<I", frames)))
-    body = b"WAVE" + header + _chunk(b"data", payload.tobytes())
-    atomic_write_bytes(path, _chunk(b"RIFF", body))
+    head = b"WAVE" + header + b"data" + struct.pack("<I", payload.nbytes)
+    atomic_write_bytes(path, b"RIFF" + struct.pack("<I", len(head) + payload.nbytes) + head,
+                       payload)
 
 
 def _riff_chunks(raw: bytes, path) -> dict[bytes, memoryview]:

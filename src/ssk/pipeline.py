@@ -257,8 +257,9 @@ class UtteranceAnalysis:
 
     Each part is computed on first use, so a method pays only for what it
     reads: the mixture, the reference-channel source images, the
-    multichannel spectrogram, the pair IPDs, the premask and the grid beam
-    powers. AF and DPR for any azimuth come from the last three.
+    multichannel spectrogram, the pair IPDs, the premask, the grid beam
+    powers and their sum over directions. AF and DPR for any azimuth come
+    from the last four.
     """
 
     entry: UtteranceEntry
@@ -291,13 +292,18 @@ class UtteranceAnalysis:
         cfg = self.cfg
         return beam_powers(self.spec, das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg))
 
+    @_computed_once
+    def beam_total(self) -> np.ndarray:
+        return self.beam_powers.sum(axis=0)
+
     def angle_feature(self, azimuth: float) -> np.ndarray:
         cfg = self.cfg
         steer = pair_steering_phases(cfg.array, azimuth, cfg.require_pairs(), cfg.stft_cfg)
         return angle_feature_from_ipd(self.pair_ipds, steer, self.premask)
 
     def dpr(self, azimuth: float) -> np.ndarray:
-        return dpr_from_powers(self.beam_powers, nearest_direction(self.cfg.grid, azimuth))
+        return dpr_from_powers(self.beam_powers, nearest_direction(self.cfg.grid, azimuth),
+                               self.beam_total)
 
 
 def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
@@ -432,30 +438,44 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
 # Evaluation
 
 
+def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]],
+                  ref_index: int = 0) -> list[tuple[EvalReport, list[EvalRecord], list[str]]]:
+    """Score the estimates of every ``(estimates_dir, method)`` run against
+    the reverberant reference images, in one pass over the utterances:
+    each mixture and reference image is read once, and the mixture's
+    SI-SDR computed once per target, for all runs. Returns per run
+    (report, records, missing-estimate names)."""
+    records: list[list[EvalRecord]] = [[] for _ in runs]
+    missing: list[list[str]] = [[] for _ in runs]
+    for entry in manifest.utterances:
+        mixture = _read(manifest, entry.mixture)
+        for target, src in enumerate(entry.sources):
+            reference = si_sdr_mix = None
+            for (est_dir, method), run_records, run_missing in zip(runs, records, missing):
+                est_path = est_dir / f"{entry.id}_tgt{target}.wav"
+                if not est_path.exists():
+                    run_missing.append(str(est_path))
+                    continue
+                est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
+                if reference is None:
+                    reference = _read(manifest, src.image)[ref_index]
+                    si_sdr_mix = si_sdr(mixture[ref_index], reference)
+                run_records.append(EvalRecord(
+                    utterance_id=f"{entry.id}_tgt{target}",
+                    target_azimuth=src.azimuth_deg,
+                    angle_difference=src.angle_difference_deg,
+                    si_sdr_est=si_sdr(est[0], reference),
+                    si_sdr_mix=si_sdr_mix,
+                    method=method))
+    return [(aggregate(run_records, method=method), run_records, run_missing)
+            for (_, method), run_records, run_missing in zip(runs, records, missing)]
+
+
 def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = "",
                      ref_index: int = 0) -> tuple[EvalReport, list[EvalRecord], list[str]]:
     """Score every (utterance, target) estimate against its reverberant
     reference image. Returns (report, records, missing-estimate names)."""
-    est_dir = Path(estimates_dir)
-    records: list[EvalRecord] = []
-    missing: list[str] = []
-    for entry in manifest.utterances:
-        mixture = _read(manifest, entry.mixture)
-        for target, src in enumerate(entry.sources):
-            est_path = est_dir / f"{entry.id}_tgt{target}.wav"
-            if not est_path.exists():
-                missing.append(str(est_path))
-                continue
-            est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
-            reference = _read(manifest, src.image)[ref_index]
-            records.append(EvalRecord(
-                utterance_id=f"{entry.id}_tgt{target}",
-                target_azimuth=src.azimuth_deg,
-                angle_difference=src.angle_difference_deg,
-                si_sdr_est=si_sdr(est[0], reference),
-                si_sdr_mix=si_sdr(mixture[ref_index], reference),
-                method=method))
-    return aggregate(records, method=method), records, missing
+    return evaluate_runs(manifest, [(Path(estimates_dir), method)], ref_index)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +492,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
     make one run, whose estimates and sidecars go to ``<variant>/errNN``.
     One :func:`separate_dataset` pass writes all runs from a single analysis of
-    each mixture; :func:`evaluate_dataset` then scores each run. The error
+    each mixture; one :func:`evaluate_runs` pass then scores them all. The error
     sign is random per (utterance, target), drawn from a dedicated seeded
     stream, and is the same for every magnitude.
     """
@@ -489,6 +509,8 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
             for name, error in dirs.items()}
     separate_dataset(manifest, list(runs.values()), "heuristic", cfg, cond=cond,
                      error_seed=seed, jobs=jobs)
+    scores = dict(zip(runs, evaluate_runs(
+        manifest, [(run.out_dir, f"heuristic/{variant}") for (variant, _), run in runs.items()])))
     sweep: dict = {"seed": seed, "cond": cond,
                    "errors_deg": [float(e) for e in errors], "variants": {},
                    "note": ("single-target separators have no output-permutation "
@@ -497,9 +519,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     for variant in PERTURB_VARIANTS:
         rows = []
         for error in errors:
-            est_dir = runs[variant, float(error)].out_dir
-            report, _, missing = evaluate_dataset(
-                manifest, est_dir, method=f"heuristic/{variant}")
+            report, _, missing = scores[variant, float(error)]
             if missing:
                 raise RuntimeError(f"missing estimates during sweep: {missing}")
             count_gt15 = sum(b.count for b in report.bins if b.lo >= 15.0)

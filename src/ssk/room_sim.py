@@ -3,7 +3,9 @@
 Room walls share a single frequency-independent reflection coefficient
 derived from the requested T60 by Eyring inversion. Fractional-sample
 arrivals are placed with a Hann-windowed sinc (+-4 samples) so sub-sample
-inter-mic delays survive into the rendered channels.
+inter-mic delays survive into the rendered channels; window x sinc is
+evaluated once per image source, through exact trigonometric identities,
+rather than once per tap (see :func:`_windowed_sinc_rir`).
 """
 
 from __future__ import annotations
@@ -140,22 +142,50 @@ def calibrated_reflection_coefficient(room: "RoomConfig") -> float:
 
 def _windowed_sinc_rir(distances: np.ndarray, amplitudes: np.ndarray,
                        npts: int, fs: float, c: float) -> np.ndarray:
-    """Scatter fractional-delay impulses into an RIR buffer."""
+    """Scatter fractional-delay impulses into an RIR buffer.
+
+    An impulse of amplitude a at delay d samples lands on the 2W+1 samples
+    round(d) + o, o in [-W, W], as a * hann(o - f) * sinc(o - f) with
+    f = d - round(d) and W = ``SINC_HALF_WIDTH``; the Hann window is zero
+    beyond |o - f| = W. Window and sinc are evaluated per impulse, not per
+    tap, through the exact identities sin(pi (o - f)) = -(-1)**o sin(pi f)
+    and cos(pi (o - f) / W) = cos(pi o / W) cos(pi f / W)
+    + sin(pi o / W) sin(pi f / W): three sines and cosines per impulse,
+    then one product and one division per tap.
+    """
+    w = SINC_HALF_WIDTH
     delays = distances / c * fs
-    keep = delays < npts + SINC_HALF_WIDTH
+    keep = delays < npts + w
     delays = delays[keep]
     amplitudes = amplitudes[keep]
-    centers = np.round(delays).astype(np.int64)
-    offsets = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
-    idx = centers[:, None] + offsets[None, :]
-    u = idx - delays[:, None]
-    win = np.where(np.abs(u) <= SINC_HALF_WIDTH,
-                   0.5 * (1.0 + np.cos(np.pi * u / SINC_HALF_WIDTH)), 0.0)
-    vals = amplitudes[:, None] * win * np.sinc(u)
-    flat_idx = idx.ravel()
-    flat_vals = vals.ravel()
-    ok = (flat_idx >= 0) & (flat_idx < npts)
-    return np.bincount(flat_idx[ok], weights=flat_vals[ok], minlength=npts)
+    centers = np.round(delays)
+    frac = delays - centers          # in [-0.5, 0.5]: np.round halves to even
+    centers = centers.astype(np.int64)
+    # Below 1e-9 window and sinc round to 1 at the centre tap, and sin(pi f)
+    # may be subnormal, so those impulses take their amplitude there.
+    exact = np.abs(frac) < 1e-9
+    # a * hann(o - f) * sinc(o - f)
+    #   = (-1)**o * (1 + cos(pi o/W) cf + sin(pi o/W) sf) * g / (o - f).
+    g = amplitudes * np.sin(np.pi * frac) * (-0.5 / np.pi)
+    cf = np.cos(np.pi * frac / w)
+    sf = np.sin(np.pi * frac / w)
+    # Buffer index i holds sample i - W; centers reach npts + W.
+    length = npts + w + 1
+    buf = np.zeros(npts + 3 * w + 1)
+    for o in range(-w, w + 1):
+        sign = -1.0 if o % 2 else 1.0
+        co, so = sign * np.cos(np.pi * o / w), sign * np.sin(np.pi * o / w)
+        num = (sign + co * cf + so * sf) * g
+        if o == 0:
+            tap = np.divide(num, -frac, out=amplitudes.copy(), where=~exact)
+        else:
+            tap = num / (o - frac)
+        if o == w:
+            tap = np.where(frac < 0.0, 0.0, tap)
+        elif o == -w:
+            tap = np.where(frac > 0.0, 0.0, tap)
+        buf[w + o:w + o + length] += np.bincount(centers, weights=tap, minlength=length)
+    return buf[w:w + npts]
 
 
 def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
@@ -167,6 +197,9 @@ def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
     else:
         orders = (np.ceil(max_dist / (2.0 * dims)) + 1).astype(int)
     grids = [np.arange(-o, o + 1) for o in orders]
+    # An axis with images -o..o reflects at most 2*o + 1 times (r = o, p = 1).
+    # beta**0 == 1 covers the direct path, also at beta == 0.
+    gain = beta ** np.arange(int(np.sum(2 * orders + 1)) + 1)
     h = np.zeros(npts)
     for px in (0, 1):
         for py in (0, 1):
@@ -188,8 +221,7 @@ def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
                 near = d <= max_dist
                 d = d[near]
                 total_refl = total_refl[near]
-                # beta**0 == 1 covers the direct path, also at beta == 0.
-                amp = (beta ** total_refl) / (4.0 * np.pi * d)
+                amp = gain[total_refl] / (4.0 * np.pi * d)
                 h += _windowed_sinc_rir(d, amp, npts, fs, c)
     return h
 

@@ -203,9 +203,12 @@ def dpr_all(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
     return dpr_from_powers(beam_powers(spec, bank), slice(None))
 
 
-def dpr_from_powers(powers: np.ndarray, p: int | slice) -> np.ndarray:
-    """DPR toward direction(s) ``p`` from grid beam powers (P, T, F)."""
-    total = powers.sum(axis=0)
+def dpr_from_powers(powers: np.ndarray, p: int | slice,
+                    total: np.ndarray | None = None) -> np.ndarray:
+    """DPR toward direction(s) ``p`` from grid beam powers (P, T, F);
+    ``total`` is ``powers.sum(axis=0)``, computed here unless given."""
+    if total is None:
+        total = powers.sum(axis=0)
     uniform = 1.0 / powers.shape[0]
     out = powers[p] / np.maximum(total, DPR_POWER_FLOOR)
     return np.where(total < DPR_POWER_FLOOR, uniform, out)

@@ -268,3 +268,32 @@ def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
         calls.clear()
         assert main([*argv, "--manifest", m, "--out", str(tmp_path / argv[0])]) == 0
         assert len(calls) == len(manifest.utterances), argv[0]
+
+
+def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
+    # Separation reads each mixture; scoring reads it again, each reference
+    # image once for all runs, and every run's estimate.
+    out, manifest = dataset
+    reads = []
+    read = pipeline.read_wav
+    monkeypatch.setattr(pipeline, "read_wav",
+                        lambda path, **k: reads.append(Path(path).name) or read(path, **k))
+    assert main(["perturb", "--manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "sweep"), "--direction-error-deg", "0,4"]) == 0
+    runs = 2 * 2
+    expected = sum(2 + len(u.sources) * (1 + runs) for u in manifest.utterances)
+    assert len(reads) == expected
+    for u in manifest.utterances:
+        assert reads.count(Path(u.mixture).name) == 2
+        for src in u.sources:
+            assert reads.count(Path(src.image).name) == 1
+
+
+def test_cached_dpr_total_is_bit_identical(dataset):
+    out, manifest = dataset
+    cfg = pipeline.PipelineConfig.default()
+    analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
+    for p, azimuth in enumerate(cfg.grid.azimuths):
+        npt.assert_array_equal(analysis.dpr(azimuth),
+                               pipeline.dpr_from_powers(analysis.beam_powers, p))
+    assert "beam_total" in vars(analysis)

@@ -1,17 +1,20 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from ssk import synth
-from ssk.geometry import SourceDirection, angle_difference, tdoa
+from ssk.geometry import SourceDirection, angle_difference, circular_array, tdoa
 from ssk.metrics import bin_index
-from ssk.room_sim import (RoomConfig, SceneGenerationError, _convolve_rows,
-                          _fast_rfft_length, estimate_t60, render_mixture,
-                          sample_scene, simulate_rir, simulate_rirs)
+from ssk.room_sim import (SINC_HALF_WIDTH, RoomConfig, SceneGenerationError,
+                          _convolve_rows, _fast_rfft_length, _windowed_sinc_rir,
+                          calibrated_reflection_coefficient, estimate_t60,
+                          mic_positions_in_room, render_mixture, sample_scene,
+                          simulate_rir, simulate_rirs)
 
-from oracles import xcorr_peak_lag
+from oracles import image_method_rir, per_tap_windowed_sinc_rir, xcorr_peak_lag
 
 FS = 16000
 C = 343.0
@@ -78,6 +81,59 @@ class TestSimulateRir:
         room = _room([5, 6, 3], 0.2, [2.5, 3, 1.5], [[1.5, 2, 1.5]])
         with pytest.raises(ValueError):
             simulate_rir(room, 1, [2.5, 3, 1.5])
+
+
+def _delays(npts):
+    """Delays in samples: anywhere in reach, exact integers, halves (np.round
+    takes them to the even neighbour) and the last W samples before npts."""
+    w = SINC_HALF_WIDTH
+    anywhere = st.floats(0.0, npts + w + 2.0)
+    exact = st.integers(0, npts + w).map(float)
+    halves = st.integers(0, npts + w).map(lambda k: k + 0.5)
+    near_end = st.floats(max(npts - w - 1.0, 0.0), npts + w + 1.0)
+    return st.lists(st.one_of(anywhere, exact, halves, near_end), min_size=1, max_size=40)
+
+
+class TestWindowedSincKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), npts=st.integers(1, 120))
+    def test_matches_per_tap_oracle(self, data, npts):
+        delays = np.array(data.draw(_delays(npts)))
+        amps = np.array(data.draw(st.lists(
+            st.floats(1e-3, 1e3).flatmap(lambda a: st.sampled_from([a, -a])),
+            min_size=delays.size, max_size=delays.size)))
+        # fs = c = 1: distances are delays in samples, so integers and halves
+        # stay exact.
+        h = _windowed_sinc_rir(delays, amps, npts, 1.0, 1.0)
+        ref = per_tap_windowed_sinc_rir(delays, amps, npts, 1.0, 1.0, SINC_HALF_WIDTH)
+        # Each tap rounds at the scale of its impulse's amplitude, also where
+        # the tap itself is near zero (window edge, sinc zero, or impulses of
+        # opposite sign cancelling); in an RIR the largest amplitude is the
+        # peak.
+        assert h.shape == (npts,)
+        npt.assert_allclose(h, ref, rtol=0.0, atol=1e-13 * np.abs(amps).max())
+
+
+@pytest.mark.parametrize("dims,t60", [
+    # Small and reverberant: image orders near 30 per axis, and reflection
+    # counts past 100 (a 100-entry gain table would be overrun).
+    ([3.0, 3.2, 2.5], 0.5),
+    # Anechoic: the direct path alone, with beta == 0.
+    ([5.0, 6.0, 3.0], 0.0),
+])
+def test_simulate_rirs_matches_image_method_oracle(dims, t60):
+    center = np.array([1.4, 1.7, 1.2])
+    room = _room(dims, t60, center, [[0.6, 0.5, 1.2]])
+    array = circular_array(2, 0.07)
+    beta = calibrated_reflection_coefficient(room)
+    rirs = simulate_rirs(room, array).rirs[0]
+    for h, mic in zip(rirs, mic_positions_in_room(room, array)):
+        direct = np.linalg.norm(room.source_positions[0] - mic)
+        npts = int(np.ceil((t60 + direct / C) * FS)) + SINC_HALF_WIDTH + 1
+        ref = image_method_rir(room.source_positions[0], mic, room.dimensions, beta,
+                               npts, FS, C, SINC_HALF_WIDTH)
+        npt.assert_allclose(h[:npts], ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+        assert not np.any(h[npts:])
 
 
 class TestRenderMixture:
