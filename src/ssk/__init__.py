@@ -11,8 +11,8 @@ from .geometry import (DirectionGrid, MicArray, PairSelection, SourceDirection,
 from .metrics import EvalRecord, EvalReport, aggregate, si_sdr, si_sdri
 from .room_sim import (MixtureScene, RIRSet, RoomConfig, estimate_t60,
                        render_mixture, sample_scene, simulate_rir, simulate_rirs)
-from .separation import (Mask, MaskKind, SeparationResult, apply_mask,
-                         das_beamform, directional_mask, oracle_mask)
+from .separation import (Mask, MaskKind, apply_mask, das_beamform,
+                         directional_mask, oracle_mask)
 from .spatial_features import (DasFilterbank, FeatureStack,
                                MultichannelSpectrogram, angle_feature,
                                assemble_features, das_filterbank, dpr, dpr_all,

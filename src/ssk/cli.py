@@ -12,7 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset_io import atomic_write_bytes, read_manifest
+from .dataset_io import Manifest, atomic_write_bytes, read_manifest
+from .geometry import MicArray, circular_array
 from .pipeline import (METHODS, FeatureSelection, PipelineConfig, Run,
                        angle_difference_histogram, build_features,
                        evaluate_dataset, perturb_sweep, separate_dataset,
@@ -28,22 +29,23 @@ def _setup_logging() -> None:
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--array-diameter", type=float, default=0.07,
-                   help="circular array diameter in meters")
-    p.add_argument("--num-mics", type=int, default=6, help="microphone count")
     p.add_argument("--fft-size", type=int, default=64, help="FFT length for features")
     p.add_argument("--win-len", type=int, default=40, help="analysis window length, samples")
     p.add_argument("--hop", type=int, default=20, help="hop size, samples")
     p.add_argument("--grid-step", type=float, default=10.0,
                    help="direction grid spacing in degrees")
-    p.add_argument("--sample-rate", type=int, default=16000, help="sample rate, Hz")
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _pipeline_config(args, array: MicArray, sample_rate: int) -> PipelineConfig:
     return PipelineConfig.default(
-        sample_rate=args.sample_rate, num_mics=args.num_mics,
-        array_diameter=args.array_diameter, grid_step=args.grid_step,
+        sample_rate=sample_rate, array=array, grid_step=args.grid_step,
         fft_size=args.fft_size, win_len=args.win_len, hop=args.hop)
+
+
+def _read_dataset(args) -> tuple[Manifest, PipelineConfig]:
+    """The manifest, and a config with the manifest's array and sample rate."""
+    manifest = read_manifest(args.manifest, validate_files=True)
+    return manifest, _pipeline_config(args, manifest.mic_array(), manifest.sample_rate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,6 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("speech", "noise", "am", "chirp"),
                        help="builtin synthetic source type (used without --source-dir)")
     p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--array-diameter", type=float, default=0.07,
+                       help="circular array diameter in meters")
+    p_sim.add_argument("--num-mics", type=int, default=6, help="microphone count")
+    p_sim.add_argument("--sample-rate", type=int, default=16000, help="sample rate, Hz")
     _add_analysis_flags(p_sim)
 
     p_feat = sub.add_parser("features", help="extract feature files per utterance/target")
@@ -109,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = _pipeline_config(args, circular_array(args.num_mics, args.array_diameter),
+                           args.sample_rate)
     manifest = simulate_dataset(
         args.out, args.num_scenes, args.num_speakers, args.seed, cfg,
         duration=args.duration, synth_kind=args.synth_kind,
@@ -122,8 +129,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = _pipeline_config(args)
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest, cfg = _read_dataset(args)
     selection = FeatureSelection.from_csv(args.features, cond=args.cond)
     paths = build_features(manifest, args.out, cfg, selection, jobs=args.jobs)
     print(f"wrote {len(paths)} feature files to {args.out}")
@@ -131,8 +137,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    cfg = _pipeline_config(args)
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest, cfg = _read_dataset(args)
     run = Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
     paths = separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
                              error_seed=args.seed, jobs=args.jobs)
@@ -159,8 +164,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    cfg = _pipeline_config(args)
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest, cfg = _read_dataset(args)
     errors = [float(tok) for tok in str(args.direction_error_deg).split(",") if tok.strip()]
     sweep = perturb_sweep(manifest, args.out, errors, args.seed, cfg,
                           cond=args.cond, jobs=args.jobs)

@@ -12,6 +12,7 @@ little-endian TSNF1 container laid out in the comment above
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 import tempfile
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+
+from .geometry import MicArray
 
 MANIFEST_SCHEMA_VERSION = 1
 FEATURE_MAGIC = b"TSNF1"
@@ -182,11 +185,23 @@ class UtteranceEntry:
 @dataclass(frozen=True)
 class Manifest:
     sample_rate: int
-    array: dict
+    array: dict | None
     utterances: tuple[UtteranceEntry, ...]
     schema_version: int = MANIFEST_SCHEMA_VERSION
     # Absolute location of the manifest file, set on load, never serialized.
     base_dir: Path | None = field(default=None, compare=False)
+
+    def mic_array(self) -> MicArray:
+        """The array the dataset was rendered with; :class:`DataFormatError`
+        when ``array`` is missing or malformed."""
+        try:
+            positions = np.asarray(self.array["positions"], dtype=float)
+            if self.array.get("num_mics", len(positions)) != len(positions):
+                raise ValueError(f"num_mics {self.array['num_mics']} for "
+                                 f"{len(positions)} positions")
+            return MicArray(positions, ref_index=operator.index(self.array["ref_index"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"manifest array is missing or malformed: {exc!r}") from exc
 
     def resolve(self, relative: str) -> Path:
         if self.base_dir is None:
@@ -248,7 +263,7 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
             sources=tuple(sources), t60=float(u["t60"]),
             room_dimensions=tuple(u["room_dimensions"]),
             array_center=tuple(u["array_center"])))
-    manifest = Manifest(sample_rate=int(doc["sample_rate"]), array=doc["array"],
+    manifest = Manifest(sample_rate=int(doc["sample_rate"]), array=doc.get("array"),
                         utterances=tuple(utterances), schema_version=version,
                         base_dir=path.parent.resolve())
     if validate_files:

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import synth
-from .dataset_io import (Manifest, SourceEntry, UtteranceEntry, atomic_write_bytes,
-                         read_manifest, read_wav, write_features, write_manifest,
-                         write_wav)
+from .dataset_io import (DataFormatError, Manifest, SourceEntry, UtteranceEntry,
+                         atomic_write_bytes, read_manifest, read_wav, write_features,
+                         write_manifest, write_wav)
 from .geometry import (DirectionGrid, MicArray, PairSelection, angle_difference,
                        circular_array, min_angle_difference)
 from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, si_sdr
@@ -31,7 +31,8 @@ from .spatial_features import (FeatureStack, MultichannelSpectrogram,
                                beam_powers, das_filterbank, dpr_from_powers, ipd,
                                multichannel_stft, nearest_direction,
                                pair_steering_phases, premask)
-from .spectral import StftConfig, build_kernel, hann_periodic, lps
+from .spectral import (ComplexSpectrogram, StftConfig, build_kernel, hann_periodic,
+                       lps, stft)
 
 ORACLE_METHODS = {"ibm": MaskKind.IBM, "irm": MaskKind.IRM, "ipsm": MaskKind.IPSM}
 METHODS = tuple(ORACLE_METHODS) + ("heuristic", "das")
@@ -50,14 +51,16 @@ class PipelineConfig:
     oracle_cfg: StftConfig
 
     @classmethod
-    def default(cls, sample_rate: int = 16000, num_mics: int = 6,
-                array_diameter: float = 0.07, grid_step: float = 10.0,
-                fft_size: int = 64, win_len: int = 40, hop: int = 20) -> "PipelineConfig":
-        array = circular_array(num_mics, array_diameter)
-        if num_mics == 6:
+    def default(cls, sample_rate: int = 16000, array: MicArray | None = None,
+                grid_step: float = 10.0, fft_size: int = 64, win_len: int = 40,
+                hop: int = 20) -> "PipelineConfig":
+        """Config for ``array``, by default the 6-mic 0.07 m circle. Six mics
+        use the default pairs; other counts pair every mic with mic 0."""
+        array = array if array is not None else circular_array(6, 0.07)
+        if array.num_mics == 6:
             pairs = PairSelection.default_six()
-        elif num_mics > 1:
-            pairs = PairSelection(tuple((0, j) for j in range(1, num_mics)))
+        elif array.num_mics > 1:
+            pairs = PairSelection(tuple((0, j) for j in range(1, array.num_mics)))
         else:
             pairs = None
         cfg = StftConfig(window=hann_periodic(win_len), fft_size=fft_size,
@@ -253,13 +256,14 @@ def _read(manifest: Manifest, relative: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UtteranceAnalysis:
-    """One utterance's mixture and the analysis every target and run shares.
+    """One utterance's mixture and the analysis every target, method and run
+    shares; it alone turns waveforms into spectrograms.
 
     Each part is computed on first use, so a method pays only for what it
-    reads: the mixture, the reference-channel source images, the
-    multichannel spectrogram, the pair IPDs, the premask, the grid beam
-    powers and their sum over directions. AF and DPR for any azimuth come
-    from the last four.
+    reads: the mixture, its multichannel spectrogram, the oracle-config
+    spectrograms of the reference-channel mixture and source images, the
+    pair IPDs, the premask, the grid beam powers and their sum over
+    directions. AF and DPR for any azimuth come from the last four.
     """
 
     entry: UtteranceEntry
@@ -268,12 +272,21 @@ class UtteranceAnalysis:
 
     @_computed_once
     def mixture(self) -> np.ndarray:
-        return _read(self.manifest, self.entry.mixture)
+        wav = _read(self.manifest, self.entry.mixture)
+        if wav.shape[0] != self.cfg.array.num_mics:
+            raise DataFormatError(f"{self.entry.mixture}: {wav.shape[0]} channels, the "
+                                  f"manifest array has {self.cfg.array.num_mics} microphones")
+        return wav
 
     @_computed_once
-    def ref_images(self) -> list[np.ndarray]:
+    def ref_specs(self) -> tuple[ComplexSpectrogram, list[ComplexSpectrogram]]:
+        """Oracle-config spectrograms of the reference-channel mixture and of
+        each reference-channel source image."""
         ref = self.cfg.array.ref_index
-        return [_read(self.manifest, src.image)[ref] for src in self.entry.sources]
+        kernel = build_kernel(self.cfg.oracle_cfg)
+        images = [stft(_read(self.manifest, src.image)[ref], kernel)
+                  for src in self.entry.sources]
+        return stft(self.mixture[ref], kernel), images
 
     @_computed_once
     def spec(self) -> MultichannelSpectrogram:
@@ -363,13 +376,12 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
     """Run one separation method for one utterance/target steered at
     ``azimuth``, returning the estimated reference-channel waveform."""
     cfg = analysis.cfg
-    ref = cfg.array.ref_index
+    length = analysis.mixture.shape[1]
     if method in ORACLE_METHODS:
-        images = analysis.ref_images
+        mixture, images = analysis.ref_specs
         others = [img for c, img in enumerate(images) if c != target]
-        mask = oracle_mask(images[target], others, ORACLE_METHODS[method],
-                           oracle_cfg=cfg.oracle_cfg)
-        return apply_mask(analysis.mixture[ref], mask, cfg.oracle_cfg).estimate
+        mask = oracle_mask(images[target], others, ORACLE_METHODS[method])
+        return apply_mask(mixture, mask, length)
     if method == "heuristic":
         entry = analysis.entry
         af_intf = dpr_intf = None
@@ -379,9 +391,9 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
         mask = directional_mask(analysis.angle_feature(azimuth), analysis.dpr(azimuth),
                                 af_intf, dpr_intf, alpha=alpha, beta=beta,
                                 cfg=cfg.stft_cfg)
-        return apply_mask(analysis.mixture[ref], mask, cfg.stft_cfg).estimate
+        return apply_mask(analysis.spec.channel(cfg.array.ref_index), mask, length)
     if method == "das":
-        return das_beamform(analysis.mixture, azimuth, cfg.array, cfg.stft_cfg).estimate
+        return das_beamform(analysis.spec, azimuth, cfg.array, length)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
@@ -438,15 +450,17 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
 # Evaluation
 
 
-def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]],
-                  ref_index: int = 0) -> list[tuple[EvalReport, list[EvalRecord], list[str]]]:
+def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]]
+                  ) -> list[tuple[EvalReport, list[EvalRecord], list[str]]]:
     """Score the estimates of every ``(estimates_dir, method)`` run against
-    the reverberant reference images, in one pass over the utterances:
+    the reverberant images at the manifest array's reference mic, in one
+    pass over the utterances:
     each mixture and reference image is read once, and the mixture's
     SI-SDR computed once per target, for all runs. Returns per run
     (report, records, missing-estimate names)."""
     records: list[list[EvalRecord]] = [[] for _ in runs]
     missing: list[list[str]] = [[] for _ in runs]
+    ref_index = manifest.mic_array().ref_index
     for entry in manifest.utterances:
         mixture = _read(manifest, entry.mixture)
         for target, src in enumerate(entry.sources):
@@ -471,11 +485,11 @@ def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]],
             for (_, method), run_records, run_missing in zip(runs, records, missing)]
 
 
-def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = "",
-                     ref_index: int = 0) -> tuple[EvalReport, list[EvalRecord], list[str]]:
+def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
+                     ) -> tuple[EvalReport, list[EvalRecord], list[str]]:
     """Score every (utterance, target) estimate against its reverberant
     reference image. Returns (report, records, missing-estimate names)."""
-    return evaluate_runs(manifest, [(Path(estimates_dir), method)], ref_index)[0]
+    return evaluate_runs(manifest, [(Path(estimates_dir), method)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Oracle T-F masks, a directional heuristic mask, mask application and a
 delay-and-sum beamforming baseline.
 
-Oracle masks (IBM/IRM/IPSM) are computed from ground-truth source images at
-their own analysis configuration (16 ms Hann, 256-point FFT by default) and
-applied with the mixture phase. The directional heuristic is a non-neural
+Every function here works in the T-F domain and runs no analysis of its
+own: it takes spectrograms built once per utterance by
+``pipeline.UtteranceAnalysis`` (or by :func:`~ssk.spectral.stft` directly)
+and returns masks or reference-channel waveforms. Oracle masks (IBM/IRM/IPSM)
+are computed from ground-truth source-image spectrograms at their own
+analysis configuration (16 ms Hann, 256-point FFT by default) and applied
+with the mixture phase. The directional heuristic is a non-neural
 stand-in that turns AF/DPR evidence into a soft mask; its numbers are this
 toolkit's own, not a published reference.
 """
@@ -17,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import MicArray, SourceDirection, tdoa
-from .spectral import ComplexSpectrogram, StftConfig, build_kernel, istft, stft
-from .spatial_features import multichannel_stft
+from .spectral import ComplexSpectrogram, StftConfig, istft
+from .spatial_features import MultichannelSpectrogram
 
 MASK_EPS = 1e-12
 
@@ -43,21 +47,10 @@ class Mask:
             raise ValueError("mask must be (frames, bins)")
 
 
-@dataclass(frozen=True, eq=False)
-class SeparationResult:
-    """Estimated reference-channel waveform plus method metadata."""
-
-    estimate: np.ndarray
-    sample_rate: int
-    method: str
-    azimuth: float | None = None
-
-
-def oracle_mask(target_image_ref: np.ndarray,
-                other_images_ref: Sequence[np.ndarray],
-                kind: MaskKind,
-                oracle_cfg: StftConfig | None = None) -> Mask:
-    """Ideal mask from ground-truth reference-channel images.
+def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram],
+                kind: MaskKind) -> Mask:
+    """Ideal mask from the spectrograms of ground-truth reference-channel
+    images; every interferer must share the target's analysis config.
 
     With S the target spectrum, I_c the interference spectra and
     Y = S + sum(I_c):
@@ -68,21 +61,22 @@ def oracle_mask(target_image_ref: np.ndarray,
     """
     if kind not in (MaskKind.IBM, MaskKind.IRM, MaskKind.IPSM):
         raise ValueError(f"{kind} is not an oracle mask kind")
-    cfg = oracle_cfg if oracle_cfg is not None else StftConfig.oracle_mask_default()
-    kernel = build_kernel(cfg)
-    tgt = stft(target_image_ref, kernel).data
-    others = [stft(o, kernel).data for o in other_images_ref]
-    mix = tgt + sum(others) if others else tgt.copy()
+    cfg = target.config
+    if not all(o.config.matches(cfg) for o in others):
+        raise ValueError("interference spectrogram config differs from the target's")
+    tgt = target.data
+    intf = [o.data for o in others]
+    mix = tgt + sum(intf) if intf else tgt.copy()
 
     tgt_mag = np.abs(tgt)
     if kind is MaskKind.IBM:
-        if others:
-            strongest = np.max(np.stack([np.abs(o) for o in others]), axis=0)
+        if intf:
+            strongest = np.max(np.stack([np.abs(o) for o in intf]), axis=0)
         else:
             strongest = np.zeros_like(tgt_mag)
         values = (tgt_mag > strongest).astype(float)
     elif kind is MaskKind.IRM:
-        interf = sum(np.abs(o) for o in others) if others else 0.0
+        interf = sum(np.abs(o) for o in intf) if intf else 0.0
         values = tgt_mag / (tgt_mag + interf + MASK_EPS)
     else:
         cos_term = np.cos(np.angle(tgt) - np.angle(mix))
@@ -123,48 +117,33 @@ def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
     return Mask(values=values, config=cfg, kind=MaskKind.DIRECTIONAL_HEURISTIC)
 
 
-def apply_mask(mixture_ref: np.ndarray, mask: Mask, cfg: StftConfig) -> SeparationResult:
-    """Reconstruct with the mixture phase: istft(mask * stft(mixture)).
-
-    Output is padded/trimmed to the mixture length; the trailing partial
-    frame and boundary windows carry reconstruction error as usual.
-    """
-    if not mask.config.matches(cfg):
-        raise ValueError("mask config does not match the application config")
-    if mask.values.shape[1] != cfg.num_bins:
-        raise ValueError("mask bin count does not match config")
-    kernel = build_kernel(cfg)
-    mix = np.asarray(mixture_ref, dtype=float).ravel()
-    spec = stft(mix, kernel)
-    if mask.values.shape[0] != spec.num_frames:
-        raise ValueError(
-            f"mask has {mask.values.shape[0]} frames, mixture analyzes to {spec.num_frames}")
-    masked = ComplexSpectrogram(data=spec.data * mask.values, config=cfg)
-    est = istft(masked, kernel)
-    out = np.zeros(mix.size)
-    n = min(mix.size, est.size)
-    out[:n] = est[:n]
-    return SeparationResult(estimate=out, sample_rate=cfg.sample_rate,
-                            method=mask.kind.value)
+def _fit(signal: np.ndarray, length: int) -> np.ndarray:
+    """``signal`` zero-padded or trimmed to ``length`` samples."""
+    return np.pad(signal[:length], (0, max(0, length - signal.size)))
 
 
-def das_beamform(mixture: np.ndarray, azimuth: float, array: MicArray,
-                 cfg: StftConfig | None = None) -> SeparationResult:
+def apply_mask(mixture: ComplexSpectrogram, mask: Mask, length: int) -> np.ndarray:
+    """Reconstruct with the mixture phase: istft(mask * mixture), padded or
+    trimmed to the mixture's ``length`` samples. The trailing partial frame
+    and boundary windows carry reconstruction error as usual."""
+    if not mask.config.matches(mixture.config):
+        raise ValueError("mask config does not match the mixture spectrogram config")
+    if mask.values.shape != mixture.data.shape:
+        raise ValueError(f"mask has {mask.values.shape} (frames, bins), the mixture "
+                         f"spectrogram {mixture.data.shape}")
+    masked = ComplexSpectrogram(data=mixture.data * mask.values, config=mixture.config)
+    return _fit(istft(masked), length)
+
+
+def das_beamform(spec: MultichannelSpectrogram, azimuth: float, array: MicArray,
+                 length: int) -> np.ndarray:
     """Delay-and-sum beamformer steered at ``azimuth``: per-bin w^H Y with
-    w_j = exp(-i*2*pi*f*delay_j)/J, inverted by overlap-add."""
-    cfg = cfg if cfg is not None else StftConfig.default()
-    wav = np.atleast_2d(np.asarray(mixture, dtype=float))
-    if wav.shape[0] != array.num_mics:
-        raise ValueError(f"{wav.shape[0]} channels for a {array.num_mics}-mic array")
-    kernel = build_kernel(cfg)
-    spec = multichannel_stft(wav, kernel)
+    w_j = exp(-i*2*pi*f*delay_j)/J, inverted by overlap-add to ``length``
+    samples."""
+    if spec.num_channels != array.num_mics:
+        raise ValueError(f"{spec.num_channels} channels for a {array.num_mics}-mic array")
+    cfg = spec.config
     delays = tdoa(array, SourceDirection(azimuth))
     weights = np.exp(-2.0j * np.pi * cfg.freqs[:, None] * delays[None, :]) / array.num_mics
     beamformed = np.einsum("fj,jtf->tf", np.conj(weights), spec.data)
-    est = istft(ComplexSpectrogram(data=beamformed, config=cfg), kernel)
-    n = wav.shape[1]
-    out = np.zeros(n)
-    m = min(n, est.size)
-    out[:m] = est[:m]
-    return SeparationResult(estimate=out, sample_rate=cfg.sample_rate,
-                            method="das", azimuth=float(azimuth))
+    return _fit(istft(ComplexSpectrogram(data=beamformed, config=cfg)), length)

@@ -51,18 +51,13 @@ class MultichannelSpectrogram:
     def channel(self, j: int) -> ComplexSpectrogram:
         return ComplexSpectrogram(data=self.data[j], config=self.config)
 
-    @classmethod
-    def from_channels(cls, specs: Sequence[ComplexSpectrogram]) -> "MultichannelSpectrogram":
-        shapes = {s.data.shape for s in specs}
-        if len(shapes) != 1:
-            raise ValueError("channels disagree in frames/bins")
-        return cls(data=np.stack([s.data for s in specs]), config=specs[0].config)
-
 
 def multichannel_stft(waveform: np.ndarray, kernel: StftKernel) -> MultichannelSpectrogram:
-    """Analyze a (J, n) waveform channel by channel."""
+    """Analyze a (J, n) waveform channel by channel; channel j is bit-equal
+    to ``stft`` of row j."""
     wav = np.atleast_2d(np.asarray(waveform, dtype=float))
-    return MultichannelSpectrogram.from_channels([stft(ch, kernel) for ch in wav])
+    return MultichannelSpectrogram(data=np.stack([stft(ch, kernel).data for ch in wav]),
+                                   config=kernel.config)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,10 +28,20 @@ def hann_periodic(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
 
 
+def _hop_folded(x: np.ndarray, hop: int) -> np.ndarray:
+    """One period of the overlap-add of ``x`` at hop ``hop``, summed in the
+    order :func:`istft` accumulates, so it matches its interior bit for bit."""
+    rows = np.pad(x, (0, -x.size % hop)).reshape(-1, hop)
+    return np.ascontiguousarray(rows[::-1]).sum(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class StftConfig:
     """Analysis window, FFT size and hop. Defaults follow the 2.5 ms / 1.25 ms
-    kernel: 40-sample periodic Hann, hop 20, 64-point FFT, 33 bins."""
+    kernel: 40-sample periodic Hann, hop 20, 64-point FFT, 33 bins.
+
+    The window must satisfy constant overlap-add at the hop, so every config
+    can be inverted by :func:`istft`."""
 
     window: np.ndarray
     fft_size: int = 64
@@ -50,6 +60,10 @@ class StftConfig:
             raise StftConfigError(f"fft_size {self.fft_size} < window length {win.size}")
         if self.sample_rate <= 0:
             raise StftConfigError("sample_rate must be positive")
+        folded = _hop_folded(win, self.hop)
+        if np.max(np.abs(folded - np.median(folded))) >= 1e-10:
+            raise StftConfigError(
+                f"window of length {win.size} violates COLA at hop {self.hop}")
         object.__setattr__(self, "window", win)
 
     @classmethod
@@ -106,29 +120,9 @@ class ComplexSpectrogram:
     def num_frames(self) -> int:
         return int(self.data.shape[0])
 
-    @property
-    def num_bins(self) -> int:
-        return int(self.data.shape[1])
-
-
-def _hop_folded(x: np.ndarray, hop: int) -> np.ndarray:
-    """One period of the overlap-add of ``x`` at hop ``hop``, summed in the
-    order :func:`istft` accumulates, so it matches its interior bit for bit."""
-    rows = np.pad(x, (0, -x.size % hop)).reshape(-1, hop)
-    return np.ascontiguousarray(rows[::-1]).sum(axis=0)
-
 
 def build_kernel(cfg: StftConfig) -> StftKernel:
-    """Build the analysis kernels for ``cfg``.
-
-    Raises :class:`StftConfigError` when the window does not satisfy
-    constant overlap-add at the configured hop, since such configurations
-    cannot be inverted by overlap-add.
-    """
-    folded = _hop_folded(cfg.window, cfg.hop)
-    if np.max(np.abs(folded - np.median(folded))) >= 1e-10:
-        raise StftConfigError(
-            f"window of length {cfg.win_len} violates COLA at hop {cfg.hop}")
+    """Build the real/imaginary analysis kernels for ``cfg``."""
     n = np.arange(cfg.win_len)
     m = np.arange(cfg.num_bins)
     phase = 2.0 * np.pi * np.outer(m, n) / cfg.fft_size
@@ -155,15 +149,13 @@ def stft(signal: np.ndarray, kernel: StftKernel) -> ComplexSpectrogram:
     return ComplexSpectrogram(data=real + 1j * imag, config=cfg)
 
 
-def istft(spec: ComplexSpectrogram, kernel: StftKernel) -> np.ndarray:
+def istft(spec: ComplexSpectrogram) -> np.ndarray:
     """Weighted overlap-add inverse; reproduces interior samples of the
     analyzed signal (the first/last window length is boundary-distorted).
     The normaliser is floored at its fully overlapped minimum: at the ends it
     falls to one tapered window square (2e-8 at sample 1 of a 256-point
     Hann), which would blow masked edge samples up."""
-    cfg = kernel.config
-    if not spec.config.matches(cfg):
-        raise ValueError("spectrogram config does not match kernel config")
+    cfg = spec.config
     num_frames = spec.num_frames
     out_len = (num_frames - 1) * cfg.hop + cfg.win_len if num_frames else 0
     # Frame waveforms via the inverse rfft of the zero-padded spectrum.

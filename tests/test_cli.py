@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,10 @@ import numpy.testing as npt
 import pytest
 
 import ssk
-from ssk import pipeline
+from ssk import pipeline, spectral
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
+from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
 
 
@@ -147,8 +149,7 @@ class TestSeparate:
         manifest = simulate(out, seed=3, n=1, speakers=1,
                             extra=["--num-mics", "1"])
         rc = main(["separate", "--manifest", str(out / "manifest.json"),
-                   "--out", str(tmp_path / "est"), "--method", "das",
-                   "--num-mics", "1"])
+                   "--out", str(tmp_path / "est"), "--method", "das"])
         assert rc == 0
         u = manifest.utterances[0]
         est, _ = read_wav(tmp_path / "est" / f"{u.id}_tgt0.wav")
@@ -156,6 +157,17 @@ class TestSeparate:
         lo, hi = 40, est.shape[1] - 80
         err = np.linalg.norm(est[0, lo:hi] - mix[0, lo:hi]) / np.linalg.norm(mix[0, lo:hi])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("flag, value", [("--array-diameter", "0.2"),
+                                             ("--num-mics", "4"), ("--sample-rate", "8000")])
+    def test_geometry_flags_usage_error(self, dataset, tmp_path, flag, value):
+        # The manifest decides geometry and sample rate; a flag that could
+        # contradict it is not accepted.
+        out, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["separate", "--manifest", str(out / "manifest.json"),
+                  "--out", str(tmp_path / "x"), "--method", "das", flag, value])
+        assert exc.value.code == 2
 
     def test_unknown_method_usage_error(self, dataset, tmp_path):
         out, _ = dataset
@@ -255,19 +267,38 @@ class TestPerturb:
 
 
 def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
-    # Every target and run of an utterance shares one spectrogram.
+    # Every target, method and run of an utterance shares one analysis: one
+    # STFT of each of the J mixture channels, or for the oracle masks one of
+    # the reference-channel mixture and of each source image.
     out, manifest = dataset
-    calls = []
-    stft = pipeline.multichannel_stft
+    analyses, stfts = [], []
+    multichannel = pipeline.multichannel_stft
     monkeypatch.setattr(pipeline, "multichannel_stft",
-                        lambda *a, **k: calls.append(1) or stft(*a, **k))
+                        lambda *a, **k: analyses.append(1) or multichannel(*a, **k))
+    original = spectral.stft
+
+    def counted(*args, **kwargs):
+        stfts.append(1)
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ssk"]:
+        if getattr(module, "stft", None) is original:
+            monkeypatch.setattr(module, "stft", counted)
     m = str(out / "manifest.json")
-    for argv in (["features", "--cond", "tgt+intf"],
-                 ["separate", "--method", "heuristic", "--cond", "tgt+intf"],
-                 ["perturb", "--direction-error-deg", "0,4"]):
-        calls.clear()
-        assert main([*argv, "--manifest", m, "--out", str(tmp_path / argv[0])]) == 0
-        assert len(calls) == len(manifest.utterances), argv[0]
+    mics = manifest.mic_array().num_mics
+    for argv, per_utterance, multichannel_calls in (
+            (["features", "--cond", "tgt+intf"], lambda u: mics, 1),
+            (["separate", "--method", "heuristic", "--cond", "tgt+intf"], lambda u: mics, 1),
+            (["separate", "--method", "das"], lambda u: mics, 1),
+            (["separate", "--method", "ibm"], lambda u: 1 + len(u.sources), 0),
+            (["separate", "--method", "irm"], lambda u: 1 + len(u.sources), 0),
+            (["separate", "--method", "ipsm"], lambda u: 1 + len(u.sources), 0),
+            (["perturb", "--direction-error-deg", "0,4"], lambda u: mics, 1)):
+        analyses.clear()
+        stfts.clear()
+        assert main([*argv, "--manifest", m, "--out", str(tmp_path / "-".join(argv))]) == 0
+        assert len(analyses) == multichannel_calls * len(manifest.utterances), argv
+        assert len(stfts) == sum(per_utterance(u) for u in manifest.utterances), argv
 
 
 def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
@@ -297,3 +328,80 @@ def test_cached_dpr_total_is_bit_identical(dataset):
         npt.assert_array_equal(analysis.dpr(azimuth),
                                pipeline.dpr_from_powers(analysis.beam_powers, p))
     assert "beam_total" in vars(analysis)
+
+
+class TestManifestDecides:
+    def test_geometry_and_rate_come_from_the_manifest(self, tmp_path):
+        out = tmp_path / "data"
+        manifest = simulate(out, seed=4, n=1, duration=0.5,
+                            extra=["--array-diameter", "0.1", "--num-mics", "4",
+                                   "--sample-rate", "8000"])
+        rc = main(["features", "--manifest", str(out / "manifest.json"),
+                   "--out", str(tmp_path / "feat"), "--cond", "tgt+intf"])
+        assert rc == 0
+        expected = pipeline.PipelineConfig.default(sample_rate=8000,
+                                                   array=circular_array(4, 0.1))
+        pipeline.build_features(manifest, tmp_path / "ref", expected,
+                                pipeline.FeatureSelection(cond="tgt+intf"))
+        assert tree_hash(tmp_path / "feat") == tree_hash(tmp_path / "ref")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("array"),
+        lambda doc: doc["array"].pop("positions"),
+        lambda doc: doc["array"].update(positions=[[0.0, 0.0]] * 6),
+        lambda doc: doc["array"].update(ref_index=9),
+        lambda doc: doc["array"].update(ref_index=0.5),
+        lambda doc: doc["array"].update(num_mics=4),
+    ], ids=["no-array", "no-positions", "2-d-positions", "ref-index-out-of-range",
+            "fractional-ref-index", "num-mics-mismatch"])
+    def test_missing_or_malformed_array_exits_1(self, dataset, edit, capsys):
+        out, _ = dataset
+        doc = json.loads((out / "manifest.json").read_text())
+        edit(doc)
+        bad = out / "bad_array.json"
+        bad.write_text(json.dumps(doc))
+        try:
+            rc = main(["separate", "--manifest", str(bad), "--out", str(out / "never"),
+                       "--method", "das"])
+        finally:
+            bad.unlink()
+        assert rc == 1
+        assert "manifest array is missing or malformed" in capsys.readouterr().err
+        assert not (out / "never").exists()
+
+    def test_evaluate_scores_at_the_manifest_reference_mic(self, dataset, tmp_path):
+        out, _ = dataset
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["array"]["ref_index"] = 1
+        (data / "manifest.json").write_text(json.dumps(doc))
+        manifest = read_manifest(data / "manifest.json")
+        est_dir = tmp_path / "refs"
+        est_dir.mkdir()
+        expected = []
+        for u in manifest.utterances:
+            mix, _ = read_wav(data / u.mixture)
+            for t, s in enumerate(u.sources):
+                img, _ = read_wav(data / s.image)
+                write_wav(est_dir / f"{u.id}_tgt{t}.wav", img[1], 16000)
+                expected.append(SI_SDR_CAP_DB - si_sdr(mix[1], img[1]))
+        rc = main(["evaluate", "--manifest", str(data / "manifest.json"),
+                   "--estimates", str(est_dir), "--out", str(tmp_path / "rep")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        npt.assert_allclose(doc["overall"]["mean_si_sdri"], np.mean(expected), atol=1e-6)
+
+    def test_mixture_with_more_channels_than_the_array_rejected(self, dataset, tmp_path,
+                                                                 capsys):
+        out, _ = dataset
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        eight = doc["utterances"][0]["mixture"]
+        write_wav(data / eight, np.random.default_rng(0).standard_normal((8, 12800)), 16000)
+        rc = main(["features", "--manifest", str(data / "manifest.json"),
+                   "--out", str(tmp_path / "feat"), "--features", "lps,cosipd"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert Path(eight).name in err and "8 channels" in err
