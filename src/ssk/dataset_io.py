@@ -12,6 +12,7 @@ little-endian TSNF1 container laid out in the comment above
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import struct
@@ -156,10 +157,28 @@ def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # Manifest
 
-_SOURCE_FIELDS = {"azimuth_deg", "angle_difference_deg", "gain_db", "image", "dry"}
-_UTT_FIELDS = {"id", "seed", "mixture", "sources", "t60", "room_dimensions",
-               "array_center"}
-_TOP_FIELDS = {"schema_version", "sample_rate", "array", "utterances"}
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# Kinds of manifest field: (check, what a value must be, conversion on read).
+_KINDS = {
+    "string": (lambda v: isinstance(v, str), "a string", str),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "number": (_is_number, "a finite number", float),
+    "point": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+              "a list of 3 finite numbers", lambda v: tuple(map(float, v))),
+    "list": (lambda v: isinstance(v, list), "a list", list),
+}
+# Required fields and their kinds. ``schema_version`` is checked first, on
+# its own; ``array`` is optional and checked by :meth:`Manifest.mic_array`.
+_SOURCE_FIELDS = {"azimuth_deg": "number", "angle_difference_deg": "number",
+                  "gain_db": "number", "image": "string", "dry": "string"}
+_UTT_FIELDS = {"id": "string", "seed": "integer", "mixture": "string", "sources": "list",
+               "t60": "number", "room_dimensions": "point", "array_center": "point"}
+_TOP_FIELDS = {"sample_rate": "integer", "utterances": "list"}
+_TOP_OPTIONAL = ("schema_version", "array")
 
 
 @dataclass(frozen=True)
@@ -234,7 +253,9 @@ def write_manifest(path, manifest: Manifest) -> None:
 
 
 def read_manifest(path, validate_files: bool = False) -> Manifest:
-    """Load a manifest; unknown fields and schema mismatches are rejected.
+    """Load a manifest. A schema mismatch, an unknown field, or a missing or
+    mistyped required field raises :class:`DataFormatError` that names the
+    field and its utterance.
 
     With ``validate_files`` every referenced WAV must exist.
     """
@@ -246,24 +267,21 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: manifest must be a JSON object")
     version = doc.get("schema_version")
-    if version != MANIFEST_SCHEMA_VERSION:
+    if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
         raise DataFormatError(
-            f"{path}: unsupported manifest schema_version {version!r}, "
+            f"{path}: unsupported manifest 'schema_version' {version!r}, "
             f"this reader supports {MANIFEST_SCHEMA_VERSION}")
-    _reject_unknown(doc, _TOP_FIELDS, path, "manifest")
+    top = _fields(doc, _TOP_FIELDS, path, "manifest", optional=_TOP_OPTIONAL)
     utterances = []
-    for u in doc.get("utterances", []):
-        _reject_unknown(u, _UTT_FIELDS, path, f"utterance {u.get('id')!r}")
-        sources = []
-        for s in u["sources"]:
-            _reject_unknown(s, _SOURCE_FIELDS, path, f"source in {u.get('id')!r}")
-            sources.append(SourceEntry(**s))
-        utterances.append(UtteranceEntry(
-            id=u["id"], seed=int(u["seed"]), mixture=u["mixture"],
-            sources=tuple(sources), t60=float(u["t60"]),
-            room_dimensions=tuple(u["room_dimensions"]),
-            array_center=tuple(u["array_center"])))
-    manifest = Manifest(sample_rate=int(doc["sample_rate"]), array=doc.get("array"),
+    for i, u in enumerate(top["utterances"]):
+        where = (f"utterance {u['id']!r}" if isinstance(u, dict) and isinstance(u.get("id"), str)
+                 else f"utterance #{i}")
+        fields = _fields(u, _UTT_FIELDS, path, where)
+        fields["sources"] = tuple(
+            SourceEntry(**_fields(src, _SOURCE_FIELDS, path, f"source {k} of {where}"))
+            for k, src in enumerate(fields["sources"]))
+        utterances.append(UtteranceEntry(**fields))
+    manifest = Manifest(sample_rate=top["sample_rate"], array=doc.get("array"),
                         utterances=tuple(utterances), schema_version=version,
                         base_dir=path.parent.resolve())
     if validate_files:
@@ -276,12 +294,28 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
     return manifest
 
 
-def _reject_unknown(mapping: dict, allowed: set, path, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _fields(mapping, kinds: dict, path, where: str, optional=()) -> dict:
+    """The required fields of one manifest object, each checked against its
+    kind in ``kinds`` and converted. A missing or mistyped field, or one that
+    is neither required nor ``optional``, raises :class:`DataFormatError`
+    naming it and ``where`` it sits."""
+    if not isinstance(mapping, dict):
+        raise DataFormatError(f"{path}: {where} must be a JSON object, got {mapping!r}")
+    unknown = set(mapping) - set(kinds) - set(optional)
     if unknown:
         raise DataFormatError(
             f"{path}: unknown fields {sorted(unknown)} in {where} "
             f"(schema_version {MANIFEST_SCHEMA_VERSION})")
+    out = {}
+    for name, kind in kinds.items():
+        if name not in mapping:
+            raise DataFormatError(f"{path}: {where} lacks required field {name!r}")
+        check, what, convert = _KINDS[kind]
+        if not check(mapping[name]):
+            raise DataFormatError(
+                f"{path}: field {name!r} of {where} must be {what}, got {mapping[name]!r}")
+        out[name] = convert(mapping[name])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -26,10 +26,10 @@ from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, s
 from .room_sim import render_mixture, sample_scene
 from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
                          oracle_mask)
-from .spatial_features import (FeatureStack, MultichannelSpectrogram,
+from .spatial_features import (DasFilterbank, FeatureStack, MultichannelSpectrogram,
                                angle_feature_from_ipd, assemble_features,
-                               beam_powers, das_filterbank, dpr_from_powers, ipd,
-                               multichannel_stft, nearest_direction,
+                               beam_power, beam_power_total, das_filterbank,
+                               dpr_ratio, ipd, multichannel_stft, nearest_direction,
                                pair_steering_phases, premask)
 from .spectral import (ComplexSpectrogram, StftConfig, build_kernel, hann_periodic,
                        lps, stft)
@@ -262,13 +262,19 @@ class UtteranceAnalysis:
     Each part is computed on first use, so a method pays only for what it
     reads: the mixture, its multichannel spectrogram, the oracle-config
     spectrograms of the reference-channel mixture and source images, the
-    pair IPDs, the premask, the grid beam powers and their sum over
-    directions. AF and DPR for any azimuth come from the last four.
+    cosine and sine of the pair IPDs, the premask, the delay-and-sum grid
+    filterbank and its total beam power per bin. AF is computed from the IPD
+    cosines and sines once per azimuth, and DPR from one beam and the total
+    once per grid index (:func:`~ssk.spatial_features.nearest_direction` of
+    the azimuth); both are kept for the utterance's lifetime, so every
+    target, variant and sweep run that steers the same way shares them.
     """
 
     entry: UtteranceEntry
     manifest: Manifest
     cfg: PipelineConfig
+    _af: dict = field(default_factory=dict, init=False, repr=False)
+    _dpr: dict = field(default_factory=dict, init=False, repr=False)
 
     @_computed_once
     def mixture(self) -> np.ndarray:
@@ -293,30 +299,38 @@ class UtteranceAnalysis:
         return multichannel_stft(self.mixture, build_kernel(self.cfg.stft_cfg))
 
     @_computed_once
-    def pair_ipds(self) -> np.ndarray:
-        return ipd(self.spec, self.cfg.require_pairs())
+    def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine of the pair IPDs, each (U, T, F)."""
+        phi = ipd(self.spec, self.cfg.require_pairs())
+        return np.cos(phi), np.sin(phi)
 
     @_computed_once
     def premask(self) -> np.ndarray:
         return premask(self.spec, self.cfg.array.ref_index)
 
     @_computed_once
-    def beam_powers(self) -> np.ndarray:
+    def filterbank(self) -> DasFilterbank:
         cfg = self.cfg
-        return beam_powers(self.spec, das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg))
+        return das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
 
     @_computed_once
     def beam_total(self) -> np.ndarray:
-        return self.beam_powers.sum(axis=0)
+        return beam_power_total(self.spec, self.filterbank)
 
     def angle_feature(self, azimuth: float) -> np.ndarray:
-        cfg = self.cfg
-        steer = pair_steering_phases(cfg.array, azimuth, cfg.require_pairs(), cfg.stft_cfg)
-        return angle_feature_from_ipd(self.pair_ipds, steer, self.premask)
+        if azimuth not in self._af:
+            cfg = self.cfg
+            steer = pair_steering_phases(cfg.array, azimuth, cfg.require_pairs(), cfg.stft_cfg)
+            self._af[azimuth] = angle_feature_from_ipd(*self.pair_cos_sin, steer, self.premask)
+        return self._af[azimuth]
 
     def dpr(self, azimuth: float) -> np.ndarray:
-        return dpr_from_powers(self.beam_powers, nearest_direction(self.cfg.grid, azimuth),
-                               self.beam_total)
+        p = nearest_direction(self.cfg.grid, azimuth)
+        if p not in self._dpr:
+            bank = self.filterbank
+            self._dpr[p] = dpr_ratio(beam_power(self.spec, bank, p), self.beam_total,
+                                     bank.num_directions)
+        return self._dpr[p]
 
 
 def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
@@ -331,9 +345,9 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
     if selection.lps:
         blocks.append(("lps", lps(analysis.spec.channel(analysis.cfg.array.ref_index))))
     if selection.cosipd:
-        blocks.append(("cosipd", np.cos(analysis.pair_ipds)))
+        blocks.append(("cosipd", analysis.pair_cos_sin[0]))
     if selection.sinipd:
-        blocks.append(("sinipd", np.sin(analysis.pair_ipds)))
+        blocks.append(("sinipd", analysis.pair_cos_sin[1]))
     if selection.af:
         blocks += [(f"af:{who}", analysis.angle_feature(az)) for who, az in directions]
     if selection.dpr:
@@ -456,8 +470,9 @@ def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]]
     the reverberant images at the manifest array's reference mic, in one
     pass over the utterances:
     each mixture and reference image is read once, and the mixture's
-    SI-SDR computed once per target, for all runs. Returns per run
-    (report, records, missing-estimate names)."""
+    SI-SDR computed once per target, for all runs. An estimate that is not
+    mono or not as long as the mixture raises :class:`DataFormatError`.
+    Returns per run (report, records, missing-estimate names)."""
     records: list[list[EvalRecord]] = [[] for _ in runs]
     missing: list[list[str]] = [[] for _ in runs]
     ref_index = manifest.mic_array().ref_index
@@ -471,6 +486,11 @@ def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]]
                     run_missing.append(str(est_path))
                     continue
                 est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
+                if est.shape != (1, mixture.shape[1]):
+                    raise DataFormatError(
+                        f"{est_path}: estimate has {est.shape[0]} channel(s) of "
+                        f"{est.shape[1]} samples; expected 1 channel of "
+                        f"{mixture.shape[1]}, the mixture's length")
                 if reference is None:
                     reference = _read(manifest, src.image)[ref_index]
                     si_sdr_mix = si_sdr(mixture[ref_index], reference)

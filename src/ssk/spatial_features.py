@@ -5,9 +5,16 @@
   direction, which is what every feature below exploits.
 * AF (angle feature): mean cosine similarity between the observed IPDs and
   the steering phases of a hypothesized azimuth; near 1 in bins dominated by
-  a source from that azimuth.
+  a source from that azimuth. It is evaluated as
+  cos(phi - s) = cos(phi) cos(s) + sin(phi) sin(s), so the cosine and sine
+  of the IPDs, computed once, serve every azimuth through two weighted sums
+  over pairs.
 * DPR (directional power ratio): per-bin share of delay-and-sum beam output
-  power attributable to one direction of a fixed grid.
+  power attributable to one direction of a fixed grid. The grid total
+  sum_p |w_p^H y|^2 is the quadratic form y^H R y with R = sum_p w_p w_p^H,
+  a J x J matrix per bin; it is evaluated as |A y|^2 with A the triangular
+  factor of the stacked beam weights (R = A^H A), J squares in place of P
+  beams and as accurate as summing the beams.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .geometry import DirectionGrid, MicArray, PairSelection, SourceDirection, \
     angle_difference, tdoa
-from .spectral import ComplexSpectrogram, StftConfig, StftKernel, stft
+from .spectral import ComplexSpectrogram, StftConfig, StftKernel, rfft_frames
 
 DPR_POWER_FLOOR = 1e-12
 PREMASK_DB = 40.0
@@ -53,11 +60,10 @@ class MultichannelSpectrogram:
 
 
 def multichannel_stft(waveform: np.ndarray, kernel: StftKernel) -> MultichannelSpectrogram:
-    """Analyze a (J, n) waveform channel by channel; channel j is bit-equal
-    to ``stft`` of row j."""
-    wav = np.atleast_2d(np.asarray(waveform, dtype=float))
-    return MultichannelSpectrogram(data=np.stack([stft(ch, kernel).data for ch in wav]),
-                                   config=kernel.config)
+    """Analyze a (J, n) waveform in one transform of all channels' frames;
+    channel j is bit-equal to ``stft`` of row j."""
+    wav = np.atleast_2d(waveform)
+    return MultichannelSpectrogram(data=rfft_frames(wav, kernel.config), config=kernel.config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,16 +158,19 @@ def angle_feature(spec: MultichannelSpectrogram, azimuth: float, array: MicArray
     inter-channel phasors. Bins more than ``PREMASK_DB`` below the
     utterance's reference-channel peak are zeroed.
     """
-    return angle_feature_from_ipd(ipd(spec, pairs),
+    phi = ipd(spec, pairs)
+    return angle_feature_from_ipd(np.cos(phi), np.sin(phi),
                                   pair_steering_phases(array, azimuth, pairs, spec.config),
                                   premask(spec, array.ref_index))
 
 
-def angle_feature_from_ipd(phi: np.ndarray, steer: np.ndarray,
+def angle_feature_from_ipd(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.ndarray,
                            keep: np.ndarray) -> np.ndarray:
-    """AF from pair IPDs (U, T, F), steering phases (U, F) and a premask
-    (T, F); bins outside the premask are zero."""
-    af = np.cos(phi - steer[:, None, :]).mean(axis=0)
+    """AF from the cosine and sine of the pair IPDs (U, T, F), steering
+    phases (U, F) and a premask (T, F); bins outside the premask are zero.
+    mean_u cos(phi - s) is expanded into cos(phi)cos(s) + sin(phi)sin(s)."""
+    af = (np.einsum("utf,uf->tf", cos_ipd, np.cos(steer))
+          + np.einsum("utf,uf->tf", sin_ipd, np.sin(steer))) / steer.shape[0]
     return np.where(keep, af, 0.0)
 
 
@@ -174,12 +183,40 @@ def das_filterbank(array: MicArray, grid: DirectionGrid, cfg: StftConfig) -> Das
     return DasFilterbank(weights=np.exp(phase) / array.num_mics, grid=grid, config=cfg)
 
 
-def beam_powers(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
-    """|w_p^H Y|^2 for every direction, (P, T, F)."""
+def _check_channels(spec: MultichannelSpectrogram, bank: DasFilterbank) -> None:
     if spec.num_channels != bank.weights.shape[2]:
         raise ValueError("filterbank channel count does not match spectrogram")
+
+
+def beam_powers(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
+    """|w_p^H Y|^2 for every direction, (P, T, F)."""
+    _check_channels(spec, bank)
     outputs = np.einsum("pfj,jtf->ptf", np.conj(bank.weights), spec.data)
     return np.abs(outputs) ** 2
+
+
+def beam_power(spec: MultichannelSpectrogram, bank: DasFilterbank,
+               direction_index: int) -> np.ndarray:
+    """|w_p^H Y|^2 toward one grid direction, (T, F): row ``direction_index``
+    of :func:`beam_powers`."""
+    _check_channels(spec, bank)
+    output = np.einsum("fj,jtf->tf", np.conj(bank.weights[direction_index]), spec.data)
+    return np.abs(output) ** 2
+
+
+def beam_power_total(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
+    """Grid total of the beam powers, ``beam_powers(spec, bank).sum(0)``,
+    (T, F), without forming any beam.
+
+    Per bin, R = sum_p w_p w_p^H = A^H A with A the triangular factor of the
+    (P, J) stack of conjugated weights, so the total y^H R y is |A y|^2. Unlike
+    the expanded quadratic form, whose rounding error grows with the square of
+    the bin's conditioning, this sum of squares is as accurate as the beams."""
+    _check_channels(spec, bank)
+    factor = np.linalg.qr(np.conj(bank.weights).transpose(1, 0, 2), mode="r")  # (F, J, J)
+    y = spec.data.transpose(2, 0, 1)  # (F, J, T)
+    ay = factor @ y
+    return (ay.real ** 2 + ay.imag ** 2).sum(axis=1).T
 
 
 def dpr(spec: MultichannelSpectrogram, bank: DasFilterbank, direction_index: int) -> np.ndarray:
@@ -204,9 +241,15 @@ def dpr_from_powers(powers: np.ndarray, p: int | slice,
     ``total`` is ``powers.sum(axis=0)``, computed here unless given."""
     if total is None:
         total = powers.sum(axis=0)
-    uniform = 1.0 / powers.shape[0]
-    out = powers[p] / np.maximum(total, DPR_POWER_FLOOR)
-    return np.where(total < DPR_POWER_FLOOR, uniform, out)
+    return dpr_ratio(powers[p], total, powers.shape[0])
+
+
+def dpr_ratio(power: np.ndarray, total: np.ndarray, num_directions: int) -> np.ndarray:
+    """DPR from the beam power(s) toward the wanted direction(s) and the grid
+    total over ``num_directions`` beams; bins whose total falls below the
+    floor get the uniform value 1/P."""
+    out = power / np.maximum(total, DPR_POWER_FLOOR)
+    return np.where(total < DPR_POWER_FLOOR, 1.0 / num_directions, out)
 
 
 def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:

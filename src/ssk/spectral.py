@@ -1,12 +1,15 @@
-"""STFT realized as real/imaginary convolution kernels, its inverse, and LPS.
+"""STFT of the paper's real/imaginary convolution kernels, its inverse, and LPS.
 
-The analysis step is a plain frame/matmul formulation of
+The paper realizes the analysis as convolution with the kernels
 
     K_real[m, n] = w[n] * cos(2*pi*n*m / N)
     K_imag[m, n] = -w[n] * sin(2*pi*n*m / N)
 
-so ``frames @ K.T`` equals the windowed, zero-padded N-point DFT of each
-frame. The constant per-frame phase factor of the convolutional STFT is
+(:func:`build_kernel`), so frame t of bin m is ``frames @ K.T``: the
+windowed, zero-padded N-point DFT of the frame. :func:`stft` computes that
+DFT as one ``rfft`` of all windowed frames at once, which agrees with the
+kernel product to rounding (about 1e-14 of the peak) at a fraction of the
+cost. The constant per-frame phase factor of the convolutional STFT is
 omitted throughout: it has unit magnitude and cancels in every inter-channel
 phase difference, which is all the downstream features consume.
 """
@@ -102,7 +105,8 @@ class StftConfig:
 
 @dataclass(frozen=True, eq=False)
 class StftKernel:
-    """Real/imaginary analysis kernels, each (num_bins, win_len)."""
+    """Real/imaginary analysis kernels, each (num_bins, win_len): the paper's
+    convolutional form of the transform :func:`stft` computes for ``config``."""
 
     real: np.ndarray
     imag: np.ndarray
@@ -131,22 +135,25 @@ def build_kernel(cfg: StftConfig) -> StftKernel:
     return StftKernel(real=real, imag=imag, config=cfg)
 
 
-def _frame(signal: np.ndarray, win_len: int, hop: int) -> np.ndarray:
-    frames = np.lib.stride_tricks.sliding_window_view(signal, win_len)[::hop]
-    return np.ascontiguousarray(frames)
+def rfft_frames(waveform: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Spectra of the frames along the last axis of ``waveform``,
+    (..., n) -> (..., frames, bins): frame t covers samples
+    [t*hop, t*hop + win_len), no boundary padding. Each row along the leading
+    axes is transformed as if alone, bit for bit."""
+    x = np.asarray(waveform, dtype=float)
+    if x.shape[-1] < cfg.win_len:
+        raise ValueError(
+            f"signal of {x.shape[-1]} samples is shorter than one frame ({cfg.win_len})")
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.win_len, axis=-1)[..., ::cfg.hop, :]
+    return np.fft.rfft(frames * cfg.window, n=cfg.fft_size)
 
 
 def stft(signal: np.ndarray, kernel: StftKernel) -> ComplexSpectrogram:
-    """Analyze a single-channel waveform; frame t covers samples
-    [t*hop, t*hop + win_len), no boundary padding."""
-    x = np.asarray(signal, dtype=float).ravel()
+    """Analyze a single-channel waveform at ``kernel.config`` (see
+    :func:`rfft_frames`); equal to ``frames @ (kernel.real + 1j*kernel.imag).T``
+    up to rounding."""
     cfg = kernel.config
-    if x.size < cfg.win_len:
-        raise ValueError(f"signal of {x.size} samples is shorter than one frame ({cfg.win_len})")
-    frames = _frame(x, cfg.win_len, cfg.hop)
-    real = frames @ kernel.real.T
-    imag = frames @ kernel.imag.T
-    return ComplexSpectrogram(data=real + 1j * imag, config=cfg)
+    return ComplexSpectrogram(data=rfft_frames(np.ravel(signal), cfg), config=cfg)
 
 
 def istft(spec: ComplexSpectrogram) -> np.ndarray:

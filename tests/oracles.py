@@ -113,3 +113,29 @@ def image_method_rir(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
         gains = np.power(beta, reflections.astype(float)) / (4.0 * np.pi * distances)
         h += per_tap_windowed_sinc_rir(distances, gains, npts, fs, c, half_width)
     return h
+
+
+def kernel_stft(x: np.ndarray, kernel) -> np.ndarray:
+    """STFT in the paper's convolutional form: every frame times the
+    real/imaginary kernels of ``spectral.build_kernel``."""
+    cfg = kernel.config
+    x = np.asarray(x, dtype=float)
+    num_frames = 1 + (x.size - cfg.win_len) // cfg.hop
+    frames = np.stack([x[t * cfg.hop:t * cfg.hop + cfg.win_len] for t in range(num_frames)])
+    return frames @ kernel.real.T + 1j * (frames @ kernel.imag.T)
+
+
+def direct_angle_feature(phi: np.ndarray, steer: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """AF by its definition: the mean over pairs of cos(IPD - steering
+    phase), zero outside the premask."""
+    return np.where(keep, np.cos(phi - steer[:, None, :]).mean(axis=0), 0.0)
+
+
+def grid_dpr(data: np.ndarray, weights: np.ndarray, p: int, floor: float) -> np.ndarray:
+    """DPR by its definition: the power of beam ``p`` over the summed power
+    of every grid beam, from a (J, T, F) spectrum and (P, F, J) weights;
+    1/P where the total is below ``floor``."""
+    powers = np.abs(np.einsum("pfj,jtf->ptf", np.conj(weights), data)) ** 2
+    total = powers.sum(axis=0)
+    return np.where(total < floor, 1.0 / powers.shape[0],
+                    powers[p] / np.maximum(total, floor))

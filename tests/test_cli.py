@@ -16,6 +16,7 @@ from ssk.cli import main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
+from ssk.spatial_features import das_filterbank, dpr
 
 
 def tree_hash(root):
@@ -212,6 +213,29 @@ class TestEvaluate:
         doc = json.loads((tmp_path / "rep2.json").read_text())
         npt.assert_allclose(doc["overall"]["mean_si_sdri"], np.mean(expected), atol=1e-6)
 
+    @pytest.mark.parametrize("shape", ["two-channel", "short", "long"])
+    def test_estimate_not_mono_at_mixture_length_rejected(self, dataset, tmp_path, capsys,
+                                                           shape):
+        # A 2-channel estimate whose channel 0 is the reference image would
+        # score the SI-SDR cap if only channel 0 were read.
+        out, manifest = dataset
+        est_dir = tmp_path / "est"
+        est_dir.mkdir()
+        for u in manifest.utterances:
+            for t, s in enumerate(u.sources):
+                img, _ = read_wav(out / s.image)
+                write_wav(est_dir / f"{u.id}_tgt{t}.wav", img[0], 16000)
+        u = manifest.utterances[1]
+        ref, mix = read_wav(out / u.sources[1].image)[0][0], read_wav(out / u.mixture)[0]
+        est = {"two-channel": np.stack([ref, mix[1]]), "short": ref[:-1],
+               "long": np.r_[ref, 0.0]}[shape]
+        write_wav(est_dir / "utt_00001_tgt1.wav", est, 16000)
+        rc = main(["evaluate", "--manifest", str(out / "manifest.json"),
+                   "--estimates", str(est_dir), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert "utt_00001_tgt1.wav" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_missing_estimates_listed_nonzero_exit(self, dataset, tmp_path, capsys):
         out, _ = dataset
         empty = tmp_path / "none"
@@ -269,21 +293,22 @@ class TestPerturb:
 def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
     # Every target, method and run of an utterance shares one analysis: one
     # STFT of each of the J mixture channels, or for the oracle masks one of
-    # the reference-channel mixture and of each source image.
+    # the reference-channel mixture and of each source image. A transform of
+    # a (J, n) waveform counts as J channel STFTs.
     out, manifest = dataset
     analyses, stfts = [], []
     multichannel = pipeline.multichannel_stft
     monkeypatch.setattr(pipeline, "multichannel_stft",
                         lambda *a, **k: analyses.append(1) or multichannel(*a, **k))
-    original = spectral.stft
+    original = spectral.rfft_frames
 
-    def counted(*args, **kwargs):
-        stfts.append(1)
-        return original(*args, **kwargs)
+    def counted(waveform, cfg):
+        stfts.extend([1] * int(np.prod(np.shape(waveform)[:-1])))
+        return original(waveform, cfg)
 
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ssk"]:
-        if getattr(module, "stft", None) is original:
-            monkeypatch.setattr(module, "stft", counted)
+        if getattr(module, "rfft_frames", None) is original:
+            monkeypatch.setattr(module, "rfft_frames", counted)
     m = str(out / "manifest.json")
     mics = manifest.mic_array().num_mics
     for argv, per_utterance, multichannel_calls in (
@@ -299,6 +324,38 @@ def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
         assert main([*argv, "--manifest", m, "--out", str(tmp_path / "-".join(argv))]) == 0
         assert len(analyses) == multichannel_calls * len(manifest.utterances), argv
         assert len(stfts) == sum(per_utterance(u) for u in manifest.utterances), argv
+
+
+def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
+    # The af and af_dpr variants steer alike, and small errors often keep the
+    # grid direction: each (utterance, azimuth) AF, each (utterance, grid
+    # index) beam and each utterance's grid total is computed exactly once.
+    out, manifest = dataset
+    afs, beams, totals = [], [], []
+    af, beam, total = (pipeline.angle_feature_from_ipd, pipeline.beam_power,
+                       pipeline.beam_power_total)
+    monkeypatch.setattr(pipeline, "angle_feature_from_ipd", lambda cos_ipd, sin_ipd, steer, keep:
+                        afs.append((cos_ipd, steer)) or af(cos_ipd, sin_ipd, steer, keep))
+    monkeypatch.setattr(pipeline, "beam_power", lambda spec, bank, p:
+                        beams.append((spec, p)) or beam(spec, bank, p))
+    monkeypatch.setattr(pipeline, "beam_power_total", lambda spec, bank:
+                        totals.append(spec) or total(spec, bank))
+    sweep = tmp_path / "sweep"
+    assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out", str(sweep),
+                 "--direction-error-deg", "0,4"]) == 0
+    used = {}
+    for sidecar in sweep.rglob("*.json"):
+        if sidecar.name != "sweep.json":
+            doc = json.loads(sidecar.read_text())
+            used.setdefault(doc["utterance"], set()).add(doc["azimuth_used_deg"])
+    grid = pipeline.PipelineConfig.default().grid
+    assert len(used) == len(manifest.utterances) == len(totals) == len(set(map(id, totals)))
+    # The recorded arrays stay referenced, so their ids identify them.
+    assert len({(id(cos_ipd), steer.tobytes()) for cos_ipd, steer in afs}) == len(afs)
+    assert len(afs) == sum(map(len, used.values()))
+    assert len({(id(spec), p) for spec, p in beams}) == len(beams)
+    assert len(beams) == sum(len({pipeline.nearest_direction(grid, az) for az in azimuths})
+                             for azimuths in used.values())
 
 
 def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
@@ -320,14 +377,16 @@ def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
             assert reads.count(Path(src.image).name) == 1
 
 
-def test_cached_dpr_total_is_bit_identical(dataset):
+def test_cached_dpr_matches_grid_dpr(dataset):
+    # The analysis takes DPR from one beam and the closed-form grid total;
+    # the free dpr sums all P beams. They agree to rounding in every direction.
     out, manifest = dataset
     cfg = pipeline.PipelineConfig.default()
     analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
+    bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
-        npt.assert_array_equal(analysis.dpr(azimuth),
-                               pipeline.dpr_from_powers(analysis.beam_powers, p))
-    assert "beam_total" in vars(analysis)
+        npt.assert_allclose(analysis.dpr(azimuth), dpr(analysis.spec, bank, p),
+                            rtol=1e-12, atol=0)
 
 
 class TestManifestDecides:
@@ -368,6 +427,31 @@ class TestManifestDecides:
         assert rc == 1
         assert "manifest array is missing or malformed" in capsys.readouterr().err
         assert not (out / "never").exists()
+
+    @pytest.mark.parametrize("edit, field, where", [
+        (lambda doc: doc["utterances"][1].pop("t60"), "t60", "utterance 'utt_00001'"),
+        (lambda doc: doc.pop("sample_rate"), "sample_rate", "manifest"),
+        (lambda doc: doc["utterances"][0]["sources"][1].update(image=3), "image",
+         "source 1 of utterance 'utt_00000'"),
+        (lambda doc: doc["utterances"][1].update(room_dimensions=[5.0, 6.0]),
+         "room_dimensions", "utterance 'utt_00001'"),
+    ], ids=["no-t60", "no-sample-rate", "numeric-image", "2-d-room"])
+    def test_missing_or_mistyped_field_exits_1(self, dataset, tmp_path, edit, field, where,
+                                               capsys):
+        out, _ = dataset
+        doc = json.loads((out / "manifest.json").read_text())
+        edit(doc)
+        bad = out / "bad_fields.json"
+        bad.write_text(json.dumps(doc))
+        try:
+            rc = main(["separate", "--manifest", str(bad), "--out", str(tmp_path / "never"),
+                       "--method", "das"])
+        finally:
+            bad.unlink()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field) in err and where in err
+        assert not (tmp_path / "never").exists()
 
     def test_evaluate_scores_at_the_manifest_reference_mic(self, dataset, tmp_path):
         out, _ = dataset

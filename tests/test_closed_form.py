@@ -1,0 +1,171 @@
+"""The closed forms the analysis uses (rfft STFT, AF from IPD cosines and
+sines, DPR from one beam and a factored grid total) against the definitions
+in ``oracles``: formula by formula, and end to end through the CLI."""
+
+import csv
+import json
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import given, settings, strategies as st
+
+from ssk import pipeline
+from ssk.cli import main
+from ssk.dataset_io import read_features, read_wav
+from ssk.geometry import DirectionGrid, circular_array
+from ssk.spatial_features import (DPR_POWER_FLOOR, MultichannelSpectrogram,
+                                  angle_feature_from_ipd, beam_power, beam_power_total,
+                                  beam_powers, das_filterbank, ipd, nearest_direction,
+                                  pair_steering_phases)
+from ssk.spectral import ComplexSpectrogram, StftConfig, build_kernel, hann_periodic, stft
+
+import oracles
+
+# Output contract against the reference formulas: float32 samples within
+# 2^-23 of their file's (or feature block's) peak, report means within 1e-6 dB.
+SAMPLE_TOL = 2.0 ** -23
+REPORT_TOL_DB = 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 64), st.integers(0, 300), st.integers(0, 2 ** 31 - 1))
+def test_stft_matches_kernel_matmul(half_window, pad, extra, seed):
+    cfg = StftConfig(window=hann_periodic(2 * half_window), hop=half_window,
+                     fft_size=2 * half_window + pad)
+    kernel = build_kernel(cfg)
+    x = np.random.default_rng(seed).standard_normal(cfg.win_len + extra)
+    ours, ref = stft(x, kernel).data, oracles.kernel_stft(x, kernel)
+    assert ours.shape == ref.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 30), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
+def test_angle_feature_matches_definition(pairs, frames, bins, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-np.pi, np.pi, (pairs, frames, bins))
+    steer = rng.uniform(-60.0, 60.0, (pairs, bins))
+    keep = rng.random((frames, bins)) < 0.7
+    ours = angle_feature_from_ipd(np.cos(phi), np.sin(phi), steer, keep)
+    npt.assert_allclose(ours, oracles.direct_angle_feature(phi, steer, keep), rtol=0,
+                        atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.floats(0.02, 0.3), st.sampled_from([5.0, 10.0, 30.0, 90.0]),
+       st.sampled_from([(40, 20, 64), (256, 128, 256)]), st.integers(0, 2 ** 31 - 1))
+def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
+    win_len, hop, fft_size = shape
+    cfg = StftConfig(window=hann_periodic(win_len), hop=hop, fft_size=fft_size)
+    rng = np.random.default_rng(seed)
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, (mics, 1, 1))
+    data = gains * (rng.standard_normal((mics, 12, cfg.num_bins))
+                    + 1j * rng.standard_normal((mics, 12, cfg.num_bins)))
+    spec = MultichannelSpectrogram(data=data, config=cfg)
+    bank = das_filterbank(circular_array(mics, diameter), DirectionGrid.uniform(step), cfg)
+    powers = beam_powers(spec, bank)
+    # Rounding in any evaluation of a beam scales with the beam of |y_j|,
+    # which equals the beam itself unless the channels cancel in it.
+    scale = bank.num_directions * (np.abs(data).sum(axis=0) / mics) ** 2
+    assert np.all(np.abs(beam_power_total(spec, bank) - powers.sum(axis=0)) <= 1e-12 * scale)
+    p = int(rng.integers(bank.num_directions))
+    assert np.all(np.abs(beam_power(spec, bank, p) - powers[p]) <= 1e-12 * scale)
+
+
+def _reference_formulas(monkeypatch) -> None:
+    """Put the definitions from ``oracles`` in place of the closed forms
+    behind every spectrogram, AF and DPR the analysis hands out."""
+    def one(x, kernel):
+        return ComplexSpectrogram(data=oracles.kernel_stft(x, kernel), config=kernel.config)
+
+    def multichannel(wav, kernel):
+        return MultichannelSpectrogram(
+            data=np.stack([oracles.kernel_stft(ch, kernel) for ch in wav]), config=kernel.config)
+
+    def angle_feature(self, azimuth):
+        pairs = self.cfg.require_pairs()
+        steer = pair_steering_phases(self.cfg.array, azimuth, pairs, self.cfg.stft_cfg)
+        return oracles.direct_angle_feature(ipd(self.spec, pairs), steer, self.premask)
+
+    def dpr(self, azimuth):
+        bank = das_filterbank(self.cfg.array, self.cfg.grid, self.cfg.stft_cfg)
+        return oracles.grid_dpr(self.spec.data, bank.weights,
+                                nearest_direction(self.cfg.grid, azimuth), DPR_POWER_FLOOR)
+
+    monkeypatch.setattr(pipeline, "stft", one)
+    monkeypatch.setattr(pipeline, "multichannel_stft", multichannel)
+    monkeypatch.setattr(pipeline.UtteranceAnalysis, "angle_feature", angle_feature)
+    monkeypatch.setattr(pipeline.UtteranceAnalysis, "dpr", dpr)
+
+
+def _run_all(manifest, out) -> None:
+    m = str(manifest)
+    assert main(["features", "--manifest", m, "--out", str(out / "features"),
+                 "--features", "lps,cosipd,sinipd,af,dpr", "--cond", "tgt+intf"]) == 0
+    for method in pipeline.METHODS:
+        assert main(["separate", "--manifest", m, "--out", str(out / method),
+                     "--method", method, "--cond", "tgt+intf"]) == 0
+        assert main(["evaluate", "--manifest", m, "--estimates", str(out / method),
+                     "--out", str(out / "reports" / method)]) == 0
+    assert main(["perturb", "--manifest", m, "--out", str(out / "sweep"), "--seed", "3",
+                 "--direction-error-deg", "0,1,4,10"]) == 0
+
+
+def _within(ours, ref, where) -> None:
+    assert ours.shape == ref.shape, where
+    assert np.max(np.abs(ours - ref)) <= SAMPLE_TOL * np.max(np.abs(ref)), where
+
+
+def _close_values(ours, ref, tol, where) -> None:
+    if isinstance(ref, dict):
+        assert ours.keys() == ref.keys(), where
+        for key in ref:
+            _close_values(ours[key], ref[key], tol, f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert len(ours) == len(ref), where
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            _close_values(a, b, tol, f"{where}[{k}]")
+    elif isinstance(ref, float):
+        assert abs(ours - ref) <= tol, where
+    else:
+        assert ours == ref, where
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def test_outputs_match_reference_formulas(tmp_path, monkeypatch):
+    assert main(["simulate", "--out", str(tmp_path / "data"), "--seed", "7",
+                 "--num-scenes", "2", "--num-speakers", "3", "--duration", "0.8"]) == 0
+    manifest = tmp_path / "data" / "manifest.json"
+    with monkeypatch.context() as patched:
+        _reference_formulas(patched)
+        _run_all(manifest, tmp_path / "ref")
+    _run_all(manifest, tmp_path / "ours")
+
+    ref_root, our_root = tmp_path / "ref", tmp_path / "ours"
+    files = sorted(p.relative_to(ref_root) for p in ref_root.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(our_root) for p in our_root.rglob("*") if p.is_file())
+    for rel in files:
+        ref, ours = ref_root / rel, our_root / rel
+        if rel.suffix == ".wav":
+            _within(read_wav(ours)[0], read_wav(ref)[0], rel)
+        elif rel.suffix == ".tsnf":
+            a, b = read_features(ours), read_features(ref)
+            assert a.layout == b.layout, rel
+            for name, _ in b.layout:
+                _within(a.block(name), b.block(name), (rel, name))
+        elif rel.suffix == ".json":
+            _close_values(json.loads(ours.read_text()), json.loads(ref.read_text()),
+                          REPORT_TOL_DB, rel)
+        else:
+            # CSV reports print the same means to 6 decimals.
+            rows = [[_number(c) for c in row] for row in csv.reader(ours.read_text().splitlines())]
+            ref_rows = [[_number(c) for c in row] for row in csv.reader(ref.read_text().splitlines())]
+            _close_values(rows, ref_rows, REPORT_TOL_DB + 1e-6, rel)
+    assert any(rel.suffix == ".tsnf" for rel in files)
+    assert sum(rel.suffix == ".wav" for rel in files) == 6 * (len(pipeline.METHODS) + 8)

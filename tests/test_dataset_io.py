@@ -218,6 +218,70 @@ class TestManifest:
         assert read_manifest(path).utterances == ()
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_sources = st.builds(SourceEntry, azimuth_deg=_finite, angle_difference_deg=_finite,
+                     gain_db=_finite, image=st.text(), dry=st.text())
+_utterances = st.builds(UtteranceEntry, id=st.text(), seed=st.integers(0, 2 ** 31 - 1),
+                        mixture=st.text(), sources=st.lists(_sources, min_size=1,
+                                                            max_size=3).map(tuple),
+                        t60=_finite, room_dimensions=st.tuples(_finite, _finite, _finite),
+                        array_center=st.tuples(_finite, _finite, _finite))
+_manifests = st.builds(Manifest, sample_rate=st.integers(1, 192_000),
+                       array=st.none() | st.just({"num_mics": 2, "ref_index": 0,
+                                                  "positions": [[0.0, 0.0, 0.0],
+                                                                [0.1, 0.0, 0.0]]}),
+                       utterances=st.lists(_utterances, min_size=1, max_size=3).map(tuple))
+# Values of the wrong kind for each kind of required field.
+_DELETE = object()
+_WRONG = {
+    "string": [None, 3, 1.5, True, [], {}],
+    "integer": [None, "7", 7.5, True, [], {}],
+    "number": [None, "1.0", True, [], {}, float("nan"), float("inf")],
+    "point": [None, "x", 1.0, [], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, "2", 3.0],
+              [1.0, None, 3.0], [1.0, float("nan"), 3.0]],
+    "list": [None, "x", 3, {}],
+}
+_TOP = {"schema_version": "integer", "sample_rate": "integer", "utterances": "list"}
+_UTT = {"id": "string", "seed": "integer", "mixture": "string", "sources": "list",
+        "t60": "number", "room_dimensions": "point", "array_center": "point"}
+_SRC = {"azimuth_deg": "number", "angle_difference_deg": "number", "gain_db": "number",
+        "image": "string", "dry": "string"}
+
+
+class TestManifestProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(_manifests)
+    def test_write_read_round_trip(self, manifest):
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "manifest.json"
+            write_manifest(path, manifest)
+            assert read_manifest(path) == manifest
+
+    @settings(max_examples=200, deadline=None)
+    @given(_manifests, st.data())
+    def test_deleted_or_retyped_field_is_a_format_error(self, manifest, data):
+        doc = manifest.to_dict()
+        level = data.draw(st.sampled_from(["top", "utterance", "source"]))
+        if level == "top":
+            obj, kinds = doc, _TOP
+        else:
+            utt = data.draw(st.sampled_from(doc["utterances"]))
+            obj, kinds = utt, _UTT
+            if level == "source":
+                obj, kinds = data.draw(st.sampled_from(utt["sources"])), _SRC
+        name = data.draw(st.sampled_from(sorted(kinds)))
+        wrong = data.draw(st.sampled_from([_DELETE] + _WRONG[kinds[name]]))
+        if wrong is _DELETE:
+            del obj[name]
+        else:
+            obj[name] = wrong
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "manifest.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataFormatError, match=f"'{name}'"):
+                read_manifest(path)
+
+
 class TestFeatures:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         data = rng.standard_normal((100, 297)).astype(np.float32)
