@@ -13,11 +13,10 @@ from .room_sim import (MixtureScene, RIRSet, RoomConfig, estimate_t60,
                        render_mixture, sample_scene, simulate_rir, simulate_rirs)
 from .separation import (Mask, MaskKind, apply_mask, das_beamform,
                          directional_mask, oracle_mask)
-from .spatial_features import (DasFilterbank, FeatureStack,
-                               MultichannelSpectrogram, angle_feature,
+from .spatial_features import (DasFilterbank, FeatureStack, angle_feature,
                                assemble_features, das_filterbank, dpr, dpr_all,
                                ipd, multichannel_stft, nearest_direction)
-from .spectral import (ComplexSpectrogram, StftConfig, StftKernel, build_kernel,
-                       istft, lps, stft)
+from .spectral import (ComplexSpectrogram, StftConfig, build_kernel, istft, lps,
+                       stft)
 
 __version__ = "0.1.0"

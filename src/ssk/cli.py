@@ -45,7 +45,7 @@ def _pipeline_config(args, array: MicArray, sample_rate: int) -> PipelineConfig:
 def _read_dataset(args) -> tuple[Manifest, PipelineConfig]:
     """The manifest, and a config with the manifest's array and sample rate."""
     manifest = read_manifest(args.manifest, validate_files=True)
-    return manifest, _pipeline_config(args, manifest.mic_array(), manifest.sample_rate)
+    return manifest, _pipeline_config(args, manifest.array, manifest.sample_rate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="circular array diameter in meters")
     p_sim.add_argument("--num-mics", type=int, default=6, help="microphone count")
     p_sim.add_argument("--sample-rate", type=int, default=16000, help="sample rate, Hz")
-    _add_analysis_flags(p_sim)
 
     p_feat = sub.add_parser("features", help="extract feature files per utterance/target")
     p_feat.add_argument("--manifest", required=True)
@@ -115,10 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _pipeline_config(args, circular_array(args.num_mics, args.array_diameter),
-                           args.sample_rate)
     manifest = simulate_dataset(
-        args.out, args.num_scenes, args.num_speakers, args.seed, cfg,
+        args.out, args.num_scenes, args.num_speakers, args.seed,
+        circular_array(args.num_mics, args.array_diameter), args.sample_rate,
         duration=args.duration, synth_kind=args.synth_kind,
         source_dir=args.source_dir, jobs=args.jobs)
     hist = angle_difference_histogram(manifest)

@@ -171,14 +171,14 @@ _KINDS = {
               "a list of 3 finite numbers", lambda v: tuple(map(float, v))),
     "list": (lambda v: isinstance(v, list), "a list", list),
 }
-# Required fields and their kinds. ``schema_version`` is checked first, on
-# its own; ``array`` is optional and checked by :meth:`Manifest.mic_array`.
+# Required fields and their kinds. ``schema_version`` is checked first and
+# ``array`` by :func:`_mic_array`, each on its own.
 _SOURCE_FIELDS = {"azimuth_deg": "number", "angle_difference_deg": "number",
                   "gain_db": "number", "image": "string", "dry": "string"}
 _UTT_FIELDS = {"id": "string", "seed": "integer", "mixture": "string", "sources": "list",
                "t60": "number", "room_dimensions": "point", "array_center": "point"}
 _TOP_FIELDS = {"sample_rate": "integer", "utterances": "list"}
-_TOP_OPTIONAL = ("schema_version", "array")
+_TOP_APART = ("schema_version", "array")
 
 
 @dataclass(frozen=True)
@@ -204,23 +204,11 @@ class UtteranceEntry:
 @dataclass(frozen=True)
 class Manifest:
     sample_rate: int
-    array: dict | None
+    array: MicArray
     utterances: tuple[UtteranceEntry, ...]
     schema_version: int = MANIFEST_SCHEMA_VERSION
     # Absolute location of the manifest file, set on load, never serialized.
     base_dir: Path | None = field(default=None, compare=False)
-
-    def mic_array(self) -> MicArray:
-        """The array the dataset was rendered with; :class:`DataFormatError`
-        when ``array`` is missing or malformed."""
-        try:
-            positions = np.asarray(self.array["positions"], dtype=float)
-            if self.array.get("num_mics", len(positions)) != len(positions):
-                raise ValueError(f"num_mics {self.array['num_mics']} for "
-                                 f"{len(positions)} positions")
-            return MicArray(positions, ref_index=operator.index(self.array["ref_index"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"manifest array is missing or malformed: {exc!r}") from exc
 
     def resolve(self, relative: str) -> Path:
         if self.base_dir is None:
@@ -231,7 +219,8 @@ class Manifest:
         return {
             "schema_version": self.schema_version,
             "sample_rate": self.sample_rate,
-            "array": self.array,
+            "array": {"num_mics": self.array.num_mics, "ref_index": self.array.ref_index,
+                      "positions": self.array.positions.tolist()},
             "utterances": [
                 {
                     "id": u.id,
@@ -255,7 +244,7 @@ def write_manifest(path, manifest: Manifest) -> None:
 def read_manifest(path, validate_files: bool = False) -> Manifest:
     """Load a manifest. A schema mismatch, an unknown field, or a missing or
     mistyped required field raises :class:`DataFormatError` that names the
-    field and its utterance.
+    field and its utterance; so does a missing or malformed ``array``.
 
     With ``validate_files`` every referenced WAV must exist.
     """
@@ -271,7 +260,7 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
         raise DataFormatError(
             f"{path}: unsupported manifest 'schema_version' {version!r}, "
             f"this reader supports {MANIFEST_SCHEMA_VERSION}")
-    top = _fields(doc, _TOP_FIELDS, path, "manifest", optional=_TOP_OPTIONAL)
+    top = _fields(doc, _TOP_FIELDS, path, "manifest", optional=_TOP_APART)
     utterances = []
     for i, u in enumerate(top["utterances"]):
         where = (f"utterance {u['id']!r}" if isinstance(u, dict) and isinstance(u.get("id"), str)
@@ -281,7 +270,7 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
             SourceEntry(**_fields(src, _SOURCE_FIELDS, path, f"source {k} of {where}"))
             for k, src in enumerate(fields["sources"]))
         utterances.append(UtteranceEntry(**fields))
-    manifest = Manifest(sample_rate=top["sample_rate"], array=doc.get("array"),
+    manifest = Manifest(sample_rate=top["sample_rate"], array=_mic_array(doc.get("array"), path),
                         utterances=tuple(utterances), schema_version=version,
                         base_dir=path.parent.resolve())
     if validate_files:
@@ -292,6 +281,20 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
                     raise DataFormatError(
                         f"{path}: utterance {u.id!r} references missing file {ref}")
     return manifest
+
+
+def _mic_array(array, path) -> MicArray:
+    """The manifest's ``array`` object, ``{"num_mics": J, "ref_index": r,
+    "positions": [[x, y, z], ...]}`` (``num_mics`` optional), as the array the
+    dataset was rendered with; :class:`DataFormatError` when it is missing or
+    malformed."""
+    try:
+        positions = np.asarray(array["positions"], dtype=float)
+        if array.get("num_mics", len(positions)) != len(positions):
+            raise ValueError(f"num_mics {array['num_mics']} for {len(positions)} positions")
+        return MicArray(positions, ref_index=operator.index(array["ref_index"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: manifest array is missing or malformed: {exc!r}") from exc
 
 
 def _fields(mapping, kinds: dict, path, where: str, optional=()) -> dict:

@@ -26,13 +26,11 @@ from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, s
 from .room_sim import render_mixture, sample_scene
 from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
                          oracle_mask)
-from .spatial_features import (DasFilterbank, FeatureStack, MultichannelSpectrogram,
-                               angle_feature_from_ipd, assemble_features,
-                               beam_power, beam_power_total, das_filterbank,
-                               dpr_ratio, ipd, multichannel_stft, nearest_direction,
-                               pair_steering_phases, premask)
-from .spectral import (ComplexSpectrogram, StftConfig, build_kernel, hann_periodic,
-                       lps, stft)
+from .spatial_features import (DasFilterbank, FeatureStack, angle_feature_from_ipd,
+                               assemble_features, beam_power, beam_power_total,
+                               das_filterbank, dpr_ratio, ipd, multichannel_stft,
+                               nearest_direction, pair_steering_phases, premask)
+from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 
 ORACLE_METHODS = {"ibm": MaskKind.IBM, "irm": MaskKind.IRM, "ipsm": MaskKind.IPSM}
 METHODS = tuple(ORACLE_METHODS) + ("heuristic", "das")
@@ -134,15 +132,15 @@ def _scene_gains(rng: np.random.Generator, n_sources: int) -> list[float]:
 
 
 def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
-                     cfg: PipelineConfig, duration: float = 2.0,
+                     array: MicArray, sample_rate: int, duration: float = 2.0,
                      synth_kind: str = "speech", source_dir=None,
                      jobs: int = 1) -> Manifest:
-    """Render ``num_scenes`` reverberant scenes to ``out_dir`` and write a
-    manifest. Deterministic (byte-identical) for a fixed seed."""
+    """Render ``num_scenes`` reverberant scenes recorded by ``array`` at
+    ``sample_rate`` to ``out_dir`` and write a manifest. Deterministic
+    (byte-identical) for a fixed seed."""
     out = Path(out_dir)
     wav_dir = out / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
-    sample_rate = cfg.stft_cfg.sample_rate
     seed_rng = np.random.default_rng(seed)
     scene_seeds = seed_rng.integers(0, 2 ** 31 - 1, size=num_scenes)
 
@@ -162,7 +160,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
         dry = [_draw_source(rng, duration, sample_rate, synth_kind, source_pool)
                for _ in range(num_speakers)]
         gains = _scene_gains(rng, num_speakers)
-        scene = render_mixture(dry, room, cfg.array, mixing_gains_db=gains)
+        scene = render_mixture(dry, room, array, mixing_gains_db=gains)
         mix_rel = f"wav/{utt_id}_mix.wav"
         write_wav(out / mix_rel, scene.mixture, sample_rate)
         ads = _angle_differences(scene.azimuths)
@@ -184,12 +182,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
 
     utterances = _map(render_one, range(num_scenes), jobs)
 
-    manifest = Manifest(
-        sample_rate=sample_rate,
-        array={"num_mics": cfg.array.num_mics,
-               "ref_index": cfg.array.ref_index,
-               "positions": [[float(x) for x in p] for p in cfg.array.positions]},
-        utterances=tuple(utterances))
+    manifest = Manifest(sample_rate=sample_rate, array=array, utterances=tuple(utterances))
     write_manifest(out / "manifest.json", manifest)
     return read_manifest(out / "manifest.json")
 
@@ -257,17 +250,20 @@ def _read(manifest: Manifest, relative: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class UtteranceAnalysis:
     """One utterance's mixture and the analysis every target, method and run
-    shares; it alone turns waveforms into spectrograms.
+    shares; it alone turns waveforms into spectrograms, straight from the
+    configs in ``cfg`` (no analysis kernels are built).
 
     Each part is computed on first use, so a method pays only for what it
-    reads: the mixture, its multichannel spectrogram, the oracle-config
-    spectrograms of the reference-channel mixture and source images, the
-    cosine and sine of the pair IPDs, the premask, the delay-and-sum grid
-    filterbank and its total beam power per bin. AF is computed from the IPD
-    cosines and sines once per azimuth, and DPR from one beam and the total
-    once per grid index (:func:`~ssk.spatial_features.nearest_direction` of
-    the azimuth); both are kept for the utterance's lifetime, so every
-    target, variant and sweep run that steers the same way shares them.
+    reads: the mixture, its (J, T, F) spectrogram at ``cfg.stft_cfg``, the
+    ``cfg.oracle_cfg`` spectrograms of the reference-channel mixture and
+    source images, the cosine and sine of the pair IPDs, the premask, the
+    delay-and-sum grid filterbank and its total beam power per bin. AF is
+    computed from the IPD cosines and sines once per azimuth, and DPR
+    (:func:`~ssk.spatial_features.dpr_ratio` of one beam and the total, the
+    formula of the free ``dpr``) once per grid index
+    (:func:`~ssk.spatial_features.nearest_direction` of the azimuth); both
+    are kept for the utterance's lifetime, so every target, variant and
+    sweep run that steers the same way shares them.
     """
 
     entry: UtteranceEntry
@@ -288,15 +284,14 @@ class UtteranceAnalysis:
     def ref_specs(self) -> tuple[ComplexSpectrogram, list[ComplexSpectrogram]]:
         """Oracle-config spectrograms of the reference-channel mixture and of
         each reference-channel source image."""
-        ref = self.cfg.array.ref_index
-        kernel = build_kernel(self.cfg.oracle_cfg)
-        images = [stft(_read(self.manifest, src.image)[ref], kernel)
+        ref, oracle_cfg = self.cfg.array.ref_index, self.cfg.oracle_cfg
+        images = [stft(_read(self.manifest, src.image)[ref], oracle_cfg)
                   for src in self.entry.sources]
-        return stft(self.mixture[ref], kernel), images
+        return stft(self.mixture[ref], oracle_cfg), images
 
     @_computed_once
-    def spec(self) -> MultichannelSpectrogram:
-        return multichannel_stft(self.mixture, build_kernel(self.cfg.stft_cfg))
+    def spec(self) -> ComplexSpectrogram:
+        return multichannel_stft(self.mixture, self.cfg.stft_cfg)
 
     @_computed_once
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
@@ -475,7 +470,7 @@ def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]]
     Returns per run (report, records, missing-estimate names)."""
     records: list[list[EvalRecord]] = [[] for _ in runs]
     missing: list[list[str]] = [[] for _ in runs]
-    ref_index = manifest.mic_array().ref_index
+    ref_index = manifest.array.ref_index
     for entry in manifest.utterances:
         mixture = _read(manifest, entry.mixture)
         for target, src in enumerate(entry.sources):

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MicArray, SourceDirection, tdoa
+from .geometry import MicArray
 from .spectral import ComplexSpectrogram, StftConfig, istft
-from .spatial_features import MultichannelSpectrogram
+from .spatial_features import beam, das_weights
 
 MASK_EPS = 1e-12
 
@@ -135,15 +135,9 @@ def apply_mask(mixture: ComplexSpectrogram, mask: Mask, length: int) -> np.ndarr
     return _fit(istft(masked), length)
 
 
-def das_beamform(spec: MultichannelSpectrogram, azimuth: float, array: MicArray,
+def das_beamform(spec: ComplexSpectrogram, azimuth: float, array: MicArray,
                  length: int) -> np.ndarray:
-    """Delay-and-sum beamformer steered at ``azimuth``: per-bin w^H Y with
-    w_j = exp(-i*2*pi*f*delay_j)/J, inverted by overlap-add to ``length``
-    samples."""
-    if spec.num_channels != array.num_mics:
-        raise ValueError(f"{spec.num_channels} channels for a {array.num_mics}-mic array")
-    cfg = spec.config
-    delays = tdoa(array, SourceDirection(azimuth))
-    weights = np.exp(-2.0j * np.pi * cfg.freqs[:, None] * delays[None, :]) / array.num_mics
-    beamformed = np.einsum("fj,jtf->tf", np.conj(weights), spec.data)
-    return _fit(istft(ComplexSpectrogram(data=beamformed, config=cfg)), length)
+    """Delay-and-sum beamformer steered at ``azimuth`` (the :func:`beam` of
+    its :func:`das_weights`), inverted by overlap-add to ``length`` samples."""
+    weights = das_weights(array, [azimuth], spec.config)[0]
+    return _fit(istft(ComplexSpectrogram(data=beam(spec, weights), config=spec.config)), length)

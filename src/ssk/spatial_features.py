@@ -10,11 +10,16 @@
   of the IPDs, computed once, serve every azimuth through two weighted sums
   over pairs.
 * DPR (directional power ratio): per-bin share of delay-and-sum beam output
-  power attributable to one direction of a fixed grid. The grid total
+  power attributable to one direction of a fixed grid, always
+  :func:`dpr_ratio` of the beam power(s) and the grid total. The grid total
   sum_p |w_p^H y|^2 is the quadratic form y^H R y with R = sum_p w_p w_p^H,
   a J x J matrix per bin; it is evaluated as |A y|^2 with A the triangular
   factor of the stacked beam weights (R = A^H A), J squares in place of P
   beams and as accurate as summing the beams.
+
+Every spectrogram here is a :class:`~ssk.spectral.ComplexSpectrogram` of
+(J, T, F) data. Delay-and-sum weights come from :func:`das_weights` alone
+and are applied by :func:`beam` alone.
 """
 
 from __future__ import annotations
@@ -25,45 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import DirectionGrid, MicArray, PairSelection, SourceDirection, \
-    angle_difference, tdoa
-from .spectral import ComplexSpectrogram, StftConfig, StftKernel, rfft_frames
+    normalize_azimuth, tdoa
+from .spectral import ComplexSpectrogram, StftConfig, rfft_frames
 
 DPR_POWER_FLOOR = 1e-12
 PREMASK_DB = 40.0
 
 
-@dataclass(frozen=True, eq=False)
-class MultichannelSpectrogram:
-    """J-channel complex spectrogram, (J, T, F), one shared config."""
-
-    data: np.ndarray
-    config: StftConfig
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 3:
-            raise ValueError("expected (channels, frames, bins)")
-
-    @property
-    def num_channels(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def num_frames(self) -> int:
-        return int(self.data.shape[1])
-
-    @property
-    def num_bins(self) -> int:
-        return int(self.data.shape[2])
-
-    def channel(self, j: int) -> ComplexSpectrogram:
-        return ComplexSpectrogram(data=self.data[j], config=self.config)
-
-
-def multichannel_stft(waveform: np.ndarray, kernel: StftKernel) -> MultichannelSpectrogram:
-    """Analyze a (J, n) waveform in one transform of all channels' frames;
-    channel j is bit-equal to ``stft`` of row j."""
-    wav = np.atleast_2d(waveform)
-    return MultichannelSpectrogram(data=rfft_frames(wav, kernel.config), config=kernel.config)
+def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
+    """Analyze a (J, n) waveform in one transform of all channels' frames,
+    (J, T, F); channel j is bit-equal to ``stft`` of row j."""
+    return ComplexSpectrogram(data=rfft_frames(np.atleast_2d(waveform), cfg), config=cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +91,14 @@ def wrap_phase(phi: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(phi), np.cos(phi))
 
 
-def ipd(spec: MultichannelSpectrogram, pairs: PairSelection) -> np.ndarray:
+def ipd(spec: ComplexSpectrogram, pairs: PairSelection) -> np.ndarray:
     """Per-pair inter-channel phase difference, shape (U, T, F), wrapped.
 
     IPD(u) = angle(Y[u1]) - angle(Y[u2]); zero bins contribute angle 0.
     """
-    pairs.validate_for(spec.num_channels)
+    pairs.validate_for(spec.data.shape[0])
     angles = np.angle(spec.data)
-    out = np.empty((pairs.num_pairs, spec.num_frames, spec.num_bins))
+    out = np.empty((pairs.num_pairs,) + angles.shape[1:])
     for u, (a, b) in enumerate(pairs.pairs):
         out[u] = wrap_phase(angles[a] - angles[b])
     return out
@@ -139,7 +116,7 @@ def pair_steering_phases(array: MicArray, azimuth: float, pairs: PairSelection,
     return out
 
 
-def premask(spec: MultichannelSpectrogram, ref_index: int) -> np.ndarray:
+def premask(spec: ComplexSpectrogram, ref_index: int) -> np.ndarray:
     """Boolean (T, F) map of bins within ``PREMASK_DB`` of the utterance's
     reference-channel magnitude maximum. A silent utterance masks everything."""
     mag = np.abs(spec.data[ref_index])
@@ -149,7 +126,7 @@ def premask(spec: MultichannelSpectrogram, ref_index: int) -> np.ndarray:
     return mag >= peak * 10.0 ** (-PREMASK_DB / 20.0)
 
 
-def angle_feature(spec: MultichannelSpectrogram, azimuth: float, array: MicArray,
+def angle_feature(spec: ComplexSpectrogram, azimuth: float, array: MicArray,
                   pairs: PairSelection) -> np.ndarray:
     """Angle feature for a hypothesized azimuth, (T, F) in [-1, 1].
 
@@ -174,37 +151,40 @@ def angle_feature_from_ipd(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.n
     return np.where(keep, af, 0.0)
 
 
-def das_filterbank(array: MicArray, grid: DirectionGrid, cfg: StftConfig) -> DasFilterbank:
-    """Delay-and-sum beamformers steered at every grid direction:
+def das_weights(array: MicArray, azimuths: Sequence[float], cfg: StftConfig) -> np.ndarray:
+    """Delay-and-sum weights steered at each azimuth, (P, F, J):
     w[p, m, j] = exp(-i*2*pi*f_m*delay[p, j]) / J."""
-    delays = np.stack([tdoa(array, SourceDirection(az)) for az in grid.azimuths])
-    freqs = cfg.freqs
-    phase = -2.0j * np.pi * freqs[None, :, None] * delays[:, None, :]
-    return DasFilterbank(weights=np.exp(phase) / array.num_mics, grid=grid, config=cfg)
+    delays = np.stack([tdoa(array, SourceDirection(az)) for az in azimuths])
+    phase = -2.0j * np.pi * cfg.freqs[None, :, None] * delays[:, None, :]
+    return np.exp(phase) / array.num_mics
 
 
-def _check_channels(spec: MultichannelSpectrogram, bank: DasFilterbank) -> None:
-    if spec.num_channels != bank.weights.shape[2]:
-        raise ValueError("filterbank channel count does not match spectrogram")
+def das_filterbank(array: MicArray, grid: DirectionGrid, cfg: StftConfig) -> DasFilterbank:
+    """Delay-and-sum beamformers steered at every grid direction."""
+    return DasFilterbank(weights=das_weights(array, grid.azimuths, cfg), grid=grid, config=cfg)
 
 
-def beam_powers(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
+def beam(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
+    """Beamformer output w^H Y per bin, (..., T, F), for (..., F, J) weights."""
+    if spec.data.shape[0] != weights.shape[-1]:
+        raise ValueError(f"{spec.data.shape[0]} spectrogram channels for beam weights "
+                         f"of {weights.shape[-1]} microphones")
+    return np.einsum("...fj,jtf->...tf", np.conj(weights), spec.data)
+
+
+def beam_powers(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarray:
     """|w_p^H Y|^2 for every direction, (P, T, F)."""
-    _check_channels(spec, bank)
-    outputs = np.einsum("pfj,jtf->ptf", np.conj(bank.weights), spec.data)
-    return np.abs(outputs) ** 2
+    return np.abs(beam(spec, bank.weights)) ** 2
 
 
-def beam_power(spec: MultichannelSpectrogram, bank: DasFilterbank,
+def beam_power(spec: ComplexSpectrogram, bank: DasFilterbank,
                direction_index: int) -> np.ndarray:
     """|w_p^H Y|^2 toward one grid direction, (T, F): row ``direction_index``
     of :func:`beam_powers`."""
-    _check_channels(spec, bank)
-    output = np.einsum("fj,jtf->tf", np.conj(bank.weights[direction_index]), spec.data)
-    return np.abs(output) ** 2
+    return np.abs(beam(spec, bank.weights[direction_index])) ** 2
 
 
-def beam_power_total(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
+def beam_power_total(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarray:
     """Grid total of the beam powers, ``beam_powers(spec, bank).sum(0)``,
     (T, F), without forming any beam.
 
@@ -212,36 +192,25 @@ def beam_power_total(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.n
     (P, J) stack of conjugated weights, so the total y^H R y is |A y|^2. Unlike
     the expanded quadratic form, whose rounding error grows with the square of
     the bin's conditioning, this sum of squares is as accurate as the beams."""
-    _check_channels(spec, bank)
     factor = np.linalg.qr(np.conj(bank.weights).transpose(1, 0, 2), mode="r")  # (F, J, J)
     y = spec.data.transpose(2, 0, 1)  # (F, J, T)
     ay = factor @ y
     return (ay.real ** 2 + ay.imag ** 2).sum(axis=1).T
 
 
-def dpr(spec: MultichannelSpectrogram, bank: DasFilterbank, direction_index: int) -> np.ndarray:
-    """Directional power ratio toward one grid direction, (T, F) in [0, 1].
-
-    Bins whose total beam power falls below the floor are reported as the
-    uninformative uniform value 1/P.
-    """
+def dpr(spec: ComplexSpectrogram, bank: DasFilterbank, direction_index: int) -> np.ndarray:
+    """Directional power ratio toward one grid direction, (T, F) in [0, 1];
+    silent bins get 1/P (:func:`dpr_ratio`)."""
     if not 0 <= direction_index < bank.num_directions:
         raise ValueError(f"direction index {direction_index} out of range")
-    return dpr_from_powers(beam_powers(spec, bank), direction_index)
+    return dpr_ratio(beam_power(spec, bank, direction_index), beam_power_total(spec, bank),
+                     bank.num_directions)
 
 
-def dpr_all(spec: MultichannelSpectrogram, bank: DasFilterbank) -> np.ndarray:
+def dpr_all(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarray:
     """DPR for every grid direction at once, (P, T, F)."""
-    return dpr_from_powers(beam_powers(spec, bank), slice(None))
-
-
-def dpr_from_powers(powers: np.ndarray, p: int | slice,
-                    total: np.ndarray | None = None) -> np.ndarray:
-    """DPR toward direction(s) ``p`` from grid beam powers (P, T, F);
-    ``total`` is ``powers.sum(axis=0)``, computed here unless given."""
-    if total is None:
-        total = powers.sum(axis=0)
-    return dpr_ratio(powers[p], total, powers.shape[0])
+    return dpr_ratio(beam_powers(spec, bank), beam_power_total(spec, bank),
+                     bank.num_directions)
 
 
 def dpr_ratio(power: np.ndarray, total: np.ndarray, num_directions: int) -> np.ndarray:
@@ -253,9 +222,10 @@ def dpr_ratio(power: np.ndarray, total: np.ndarray, num_directions: int) -> np.n
 
 
 def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:
-    """Grid index closest to ``azimuth``; ties go to the lower index."""
-    diffs = [angle_difference(az, azimuth) for az in grid.azimuths]
-    return int(np.argmin(diffs))
+    """Grid index closest to ``azimuth`` in circular distance; ties go to the
+    lower index."""
+    d = np.abs(grid.azimuths - normalize_azimuth(azimuth))
+    return int(np.argmin(np.minimum(d, 360.0 - d)))
 
 
 def assemble_features(blocks: Sequence[tuple[str, np.ndarray]]) -> FeatureStack:

@@ -9,9 +9,12 @@ The paper realizes the analysis as convolution with the kernels
 windowed, zero-padded N-point DFT of the frame. :func:`stft` computes that
 DFT as one ``rfft`` of all windowed frames at once, which agrees with the
 kernel product to rounding (about 1e-14 of the peak) at a fraction of the
-cost. The constant per-frame phase factor of the convolutional STFT is
-omitted throughout: it has unit magnitude and cancels in every inter-channel
-phase difference, which is all the downstream features consume.
+cost; the kernels themselves are built only as the reference form. Every
+transform is described by its :class:`StftConfig` alone, and every
+spectrogram, one channel or many, is a :class:`ComplexSpectrogram`. The
+constant per-frame phase factor of the convolutional STFT is omitted
+throughout: it has unit magnitude and cancels in every inter-channel phase
+difference, which is all the downstream features consume.
 """
 
 from __future__ import annotations
@@ -104,35 +107,28 @@ class StftConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class StftKernel:
-    """Real/imaginary analysis kernels, each (num_bins, win_len): the paper's
-    convolutional form of the transform :func:`stft` computes for ``config``."""
-
-    real: np.ndarray
-    imag: np.ndarray
-    config: StftConfig
-
-
-@dataclass(frozen=True, eq=False)
 class ComplexSpectrogram:
-    """Frames x bins complex T-F representation of one channel."""
+    """Complex T-F data at one analysis config: (T, F) for one channel,
+    (J, T, F) for J channels."""
 
     data: np.ndarray
     config: StftConfig
 
     @property
     def num_frames(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.data.shape[-2])
+
+    def channel(self, j: int) -> "ComplexSpectrogram":
+        return ComplexSpectrogram(data=self.data[j], config=self.config)
 
 
-def build_kernel(cfg: StftConfig) -> StftKernel:
-    """Build the real/imaginary analysis kernels for ``cfg``."""
+def build_kernel(cfg: StftConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's real and imaginary analysis kernels for ``cfg``, each
+    (num_bins, win_len): the convolutional form of :func:`stft`."""
     n = np.arange(cfg.win_len)
     m = np.arange(cfg.num_bins)
     phase = 2.0 * np.pi * np.outer(m, n) / cfg.fft_size
-    real = cfg.window[None, :] * np.cos(phase)
-    imag = -cfg.window[None, :] * np.sin(phase)
-    return StftKernel(real=real, imag=imag, config=cfg)
+    return cfg.window[None, :] * np.cos(phase), -cfg.window[None, :] * np.sin(phase)
 
 
 def rfft_frames(waveform: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -148,11 +144,10 @@ def rfft_frames(waveform: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return np.fft.rfft(frames * cfg.window, n=cfg.fft_size)
 
 
-def stft(signal: np.ndarray, kernel: StftKernel) -> ComplexSpectrogram:
-    """Analyze a single-channel waveform at ``kernel.config`` (see
-    :func:`rfft_frames`); equal to ``frames @ (kernel.real + 1j*kernel.imag).T``
-    up to rounding."""
-    cfg = kernel.config
+def stft(signal: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
+    """Analyze a single-channel waveform at ``cfg`` (see :func:`rfft_frames`);
+    equal to ``frames @ (real + 1j*imag).T`` of :func:`build_kernel` up to
+    rounding."""
     return ComplexSpectrogram(data=rfft_frames(np.ravel(signal), cfg), config=cfg)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssk.geometry import DirectionGrid, PairSelection, circular_array
-from ssk.spectral import StftConfig, build_kernel
+from ssk.spectral import StftConfig
 
 
 @pytest.fixture(scope="session")
@@ -23,11 +23,6 @@ def grid36():
 @pytest.fixture(scope="session")
 def cfg_default():
     return StftConfig.default()
-
-
-@pytest.fixture(scope="session")
-def kernel_default(cfg_default):
-    return build_kernel(cfg_default)
 
 
 @pytest.fixture

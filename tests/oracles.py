@@ -5,6 +5,9 @@ import itertools
 
 import numpy as np
 
+from ssk.geometry import angle_difference
+from ssk.spectral import build_kernel
+
 
 def naive_stft(x: np.ndarray, window: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     """Windowed, zero-padded DFT of each frame, written straight from the
@@ -115,14 +118,14 @@ def image_method_rir(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
     return h
 
 
-def kernel_stft(x: np.ndarray, kernel) -> np.ndarray:
+def kernel_stft(x: np.ndarray, cfg) -> np.ndarray:
     """STFT in the paper's convolutional form: every frame times the
     real/imaginary kernels of ``spectral.build_kernel``."""
-    cfg = kernel.config
+    real, imag = build_kernel(cfg)
     x = np.asarray(x, dtype=float)
     num_frames = 1 + (x.size - cfg.win_len) // cfg.hop
     frames = np.stack([x[t * cfg.hop:t * cfg.hop + cfg.win_len] for t in range(num_frames)])
-    return frames @ kernel.real.T + 1j * (frames @ kernel.imag.T)
+    return frames @ real.T + 1j * (frames @ imag.T)
 
 
 def direct_angle_feature(phi: np.ndarray, steer: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -139,3 +142,13 @@ def grid_dpr(data: np.ndarray, weights: np.ndarray, p: int, floor: float) -> np.
     total = powers.sum(axis=0)
     return np.where(total < floor, 1.0 / powers.shape[0],
                     powers[p] / np.maximum(total, floor))
+
+
+def nearest_direction(azimuths, azimuth: float) -> int:
+    """Index of the grid azimuth closest to ``azimuth``, one
+    :func:`~ssk.geometry.angle_difference` at a time; the first of equals wins."""
+    best = 0
+    for p, az in enumerate(azimuths):
+        if angle_difference(az, azimuth) < angle_difference(azimuths[best], azimuth):
+            best = p
+    return best

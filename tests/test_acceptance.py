@@ -20,10 +20,9 @@ from ssk.pipeline import PipelineConfig, perturb_sweep, simulate_dataset
 from ssk.room_sim import RoomConfig, render_mixture, sample_scene, simulate_rir, \
     estimate_t60
 from ssk.separation import MaskKind, apply_mask, oracle_mask
-from ssk.spatial_features import (MultichannelSpectrogram, angle_feature,
-                                  das_filterbank, dpr_all, multichannel_stft,
-                                  nearest_direction, premask)
-from ssk.spectral import build_kernel, istft, stft
+from ssk.spatial_features import (angle_feature, das_filterbank, dpr_all,
+                                  multichannel_stft, nearest_direction, premask)
+from ssk.spectral import ComplexSpectrogram, istft, stft
 
 from oracles import naive_stft, xcorr_peak_lag
 from test_cli import tree_hash
@@ -61,7 +60,7 @@ def _anechoic_scene(seed, azimuths, duration=0.8):
 
 
 def test_c01_stft_equivalence(cfg):
-    kernel = build_kernel(cfg.stft_cfg)
+    kernel = cfg.stft_cfg
     rng = np.random.default_rng(101)
     start = time.monotonic()
     worst = 0.0
@@ -79,7 +78,7 @@ def test_c01_stft_equivalence(cfg):
 
 
 def test_c02_istft_round_trip(cfg):
-    kernel = build_kernel(cfg.stft_cfg)
+    kernel = cfg.stft_cfg
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(10):
@@ -96,11 +95,11 @@ def test_c03_dpr_normalization(cfg):
     rng = np.random.default_rng(303)
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
-    spec = MultichannelSpectrogram(data=data, config=cfg.stft_cfg)
+    spec = ComplexSpectrogram(data=data, config=cfg.stft_cfg)
     sums = dpr_all(spec, bank).sum(axis=0)
     sum_err = float(np.abs(sums - 1.0).max())
-    silent = MultichannelSpectrogram(data=np.zeros((6, 4, 33), dtype=complex),
-                                     config=cfg.stft_cfg)
+    silent = ComplexSpectrogram(data=np.zeros((6, 4, 33), dtype=complex),
+                                config=cfg.stft_cfg)
     silent_vals = dpr_all(silent, bank)
     silent_exact = bool((silent_vals == 1.0 / 36.0).all())
     report(3, "DPR sums to one; silent bins exactly 1/P",
@@ -163,7 +162,7 @@ def test_c06_rir_fidelity():
 
 
 def test_c07_af_discrimination(cfg):
-    kernel = build_kernel(cfg.stft_cfg)
+    kernel = cfg.stft_cfg
     true_means, off_means = [], []
     for seed in range(50):
         rng = np.random.default_rng(7000 + seed)
@@ -179,7 +178,7 @@ def test_c07_af_discrimination(cfg):
 
 
 def test_c08_dpr_localization(cfg):
-    kernel = build_kernel(cfg.stft_cfg)
+    kernel = cfg.stft_cfg
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     high = cfg.stft_cfg.freqs > 1000.0
     hits = 0
@@ -198,7 +197,7 @@ def test_c08_dpr_localization(cfg):
 
 
 def test_c09_oracle_mask_ordering(cfg):
-    kernel = build_kernel(cfg.oracle_cfg)
+    kernel = cfg.oracle_cfg
     start = time.monotonic()
     means = {"ibm": [], "irm": [], "ipsm": []}
     for seed in range(100):
@@ -224,7 +223,7 @@ def test_c09_oracle_mask_ordering(cfg):
 
 
 def test_c10_direction_error_robustness(cfg, tmp_path):
-    manifest = simulate_dataset(tmp_path / "data", 20, 2, 424242, cfg, duration=1.2)
+    manifest = simulate_dataset(tmp_path / "data", 20, 2, 424242, cfg.array, FS, duration=1.2)
     sweep = perturb_sweep(manifest, tmp_path / "sweep", [0.0, 10.0], 77, cfg)
     drops = {}
     for variant, rows in sweep["variants"].items():

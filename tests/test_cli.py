@@ -12,11 +12,13 @@ import pytest
 
 import ssk
 from ssk import pipeline, spectral
-from ssk.cli import main
+from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
-from ssk.spatial_features import das_filterbank, dpr
+from ssk.spatial_features import DPR_POWER_FLOOR, das_filterbank
+
+import oracles
 
 
 def tree_hash(root):
@@ -87,6 +89,19 @@ class TestSimulate:
         simulate(tmp_path / "h", seed=1, n=2)
         out = capsys.readouterr().out
         assert "angle-difference bins" in out
+
+    @pytest.mark.parametrize("flag, value", [("--fft-size", "32"), ("--win-len", "50"),
+                                             ("--hop", "13"), ("--grid-step", "5")])
+    def test_analysis_flags_usage_error(self, tmp_path, flag, value, capsys):
+        # simulate analyses nothing; the STFT and grid flags belong to the
+        # stages that read a dataset, and only those accept them.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path / "x"), "--num-scenes", "1", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        for command in (["features"], ["separate", "--method", "das"], ["perturb"]):
+            build_parser().parse_args([*command, "--manifest", "m", "--out", "o", flag, value])
 
 
 class TestFeatures:
@@ -310,7 +325,7 @@ def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
         if getattr(module, "rfft_frames", None) is original:
             monkeypatch.setattr(module, "rfft_frames", counted)
     m = str(out / "manifest.json")
-    mics = manifest.mic_array().num_mics
+    mics = manifest.array.num_mics
     for argv, per_utterance, multichannel_calls in (
             (["features", "--cond", "tgt+intf"], lambda u: mics, 1),
             (["separate", "--method", "heuristic", "--cond", "tgt+intf"], lambda u: mics, 1),
@@ -379,14 +394,37 @@ def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
 
 def test_cached_dpr_matches_grid_dpr(dataset):
     # The analysis takes DPR from one beam and the closed-form grid total;
-    # the free dpr sums all P beams. They agree to rounding in every direction.
+    # the definition sums all P beams. They agree to rounding in every direction.
     out, manifest = dataset
     cfg = pipeline.PipelineConfig.default()
     analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
-        npt.assert_allclose(analysis.dpr(azimuth), dpr(analysis.spec, bank, p),
+        npt.assert_allclose(analysis.dpr(azimuth),
+                            oracles.grid_dpr(analysis.spec.data, bank.weights, p,
+                                             DPR_POWER_FLOOR),
                             rtol=1e-12, atol=0)
+
+
+def test_run_paths_build_no_kernels(dataset, tmp_path, monkeypatch):
+    # The analysis kernels are the paper's reference form; every run path
+    # transforms straight from the configs and never builds them.
+    out, _ = dataset
+    original = spectral.build_kernel
+
+    def refuse(cfg):
+        raise AssertionError("a run path built analysis kernels")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ssk"]:
+        if getattr(module, "build_kernel", None) is original:
+            monkeypatch.setattr(module, "build_kernel", refuse)
+    m = str(out / "manifest.json")
+    for argv in (["features", "--features", "lps,cosipd,sinipd,af,dpr", "--cond", "tgt+intf"],
+                 ["separate", "--method", "ibm"],
+                 ["separate", "--method", "das"],
+                 ["separate", "--method", "heuristic", "--cond", "tgt+intf"],
+                 ["perturb", "--direction-error-deg", "0,4"]):
+        assert main([*argv, "--manifest", m, "--out", str(tmp_path / "-".join(argv))]) == 0, argv
 
 
 class TestManifestDecides:

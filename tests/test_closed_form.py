@@ -13,11 +13,10 @@ from ssk import pipeline
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_wav
 from ssk.geometry import DirectionGrid, circular_array
-from ssk.spatial_features import (DPR_POWER_FLOOR, MultichannelSpectrogram,
-                                  angle_feature_from_ipd, beam_power, beam_power_total,
-                                  beam_powers, das_filterbank, ipd, nearest_direction,
+from ssk.spatial_features import (DPR_POWER_FLOOR, angle_feature_from_ipd, beam_power,
+                                  beam_power_total, beam_powers, das_filterbank, ipd,
                                   pair_steering_phases)
-from ssk.spectral import ComplexSpectrogram, StftConfig, build_kernel, hann_periodic, stft
+from ssk.spectral import ComplexSpectrogram, StftConfig, hann_periodic, stft
 
 import oracles
 
@@ -32,9 +31,8 @@ REPORT_TOL_DB = 1e-6
 def test_stft_matches_kernel_matmul(half_window, pad, extra, seed):
     cfg = StftConfig(window=hann_periodic(2 * half_window), hop=half_window,
                      fft_size=2 * half_window + pad)
-    kernel = build_kernel(cfg)
     x = np.random.default_rng(seed).standard_normal(cfg.win_len + extra)
-    ours, ref = stft(x, kernel).data, oracles.kernel_stft(x, kernel)
+    ours, ref = stft(x, cfg).data, oracles.kernel_stft(x, cfg)
     assert ours.shape == ref.shape
     assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -61,7 +59,7 @@ def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
     gains = 10.0 ** rng.uniform(-3.0, 3.0, (mics, 1, 1))
     data = gains * (rng.standard_normal((mics, 12, cfg.num_bins))
                     + 1j * rng.standard_normal((mics, 12, cfg.num_bins)))
-    spec = MultichannelSpectrogram(data=data, config=cfg)
+    spec = ComplexSpectrogram(data=data, config=cfg)
     bank = das_filterbank(circular_array(mics, diameter), DirectionGrid.uniform(step), cfg)
     powers = beam_powers(spec, bank)
     # Rounding in any evaluation of a beam scales with the beam of |y_j|,
@@ -75,12 +73,12 @@ def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
 def _reference_formulas(monkeypatch) -> None:
     """Put the definitions from ``oracles`` in place of the closed forms
     behind every spectrogram, AF and DPR the analysis hands out."""
-    def one(x, kernel):
-        return ComplexSpectrogram(data=oracles.kernel_stft(x, kernel), config=kernel.config)
+    def one(x, cfg):
+        return ComplexSpectrogram(data=oracles.kernel_stft(x, cfg), config=cfg)
 
-    def multichannel(wav, kernel):
-        return MultichannelSpectrogram(
-            data=np.stack([oracles.kernel_stft(ch, kernel) for ch in wav]), config=kernel.config)
+    def multichannel(wav, cfg):
+        return ComplexSpectrogram(
+            data=np.stack([oracles.kernel_stft(ch, cfg) for ch in wav]), config=cfg)
 
     def angle_feature(self, azimuth):
         pairs = self.cfg.require_pairs()
@@ -90,7 +88,8 @@ def _reference_formulas(monkeypatch) -> None:
     def dpr(self, azimuth):
         bank = das_filterbank(self.cfg.array, self.cfg.grid, self.cfg.stft_cfg)
         return oracles.grid_dpr(self.spec.data, bank.weights,
-                                nearest_direction(self.cfg.grid, azimuth), DPR_POWER_FLOOR)
+                                oracles.nearest_direction(self.cfg.grid.azimuths, azimuth),
+                                DPR_POWER_FLOOR)
 
     monkeypatch.setattr(pipeline, "stft", one)
     monkeypatch.setattr(pipeline, "multichannel_stft", multichannel)

@@ -14,6 +14,7 @@ from scipy.io import wavfile
 from ssk.dataset_io import (DataFormatError, Manifest, SourceEntry,
                             UtteranceEntry, read_features, read_manifest,
                             read_wav, write_features, write_manifest, write_wav)
+from ssk.geometry import circular_array
 from ssk.spatial_features import FeatureStack
 
 
@@ -173,8 +174,7 @@ def _manifest(tmp_path, with_files=True):
     utt = UtteranceEntry(id="utt_00000", seed=7, mixture="mix.wav", sources=sources,
                          t60=0.21, room_dimensions=(5.0, 6.0, 3.0),
                          array_center=(2.0, 2.5, 1.4))
-    return Manifest(sample_rate=16000, array={"num_mics": 6, "ref_index": 0},
-                    utterances=(utt,))
+    return Manifest(sample_rate=16000, array=circular_array(6, 0.07), utterances=(utt,))
 
 
 class TestManifest:
@@ -184,8 +184,11 @@ class TestManifest:
         write_manifest(path, manifest)
         back = read_manifest(path)
         assert back.sample_rate == manifest.sample_rate
-        assert back.array == manifest.array
+        npt.assert_array_equal(back.array.positions, manifest.array.positions)
+        assert back.array.ref_index == manifest.array.ref_index
         assert back.utterances == manifest.utterances
+        write_manifest(tmp_path / "again.json", back)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -214,7 +217,8 @@ class TestManifest:
 
     def test_empty_utterance_list_valid(self, tmp_path):
         path = tmp_path / "manifest.json"
-        write_manifest(path, Manifest(sample_rate=16000, array={}, utterances=()))
+        write_manifest(path, Manifest(sample_rate=16000, array=circular_array(2, 0.1),
+                                      utterances=()))
         assert read_manifest(path).utterances == ()
 
 
@@ -226,10 +230,9 @@ _utterances = st.builds(UtteranceEntry, id=st.text(), seed=st.integers(0, 2 ** 3
                                                             max_size=3).map(tuple),
                         t60=_finite, room_dimensions=st.tuples(_finite, _finite, _finite),
                         array_center=st.tuples(_finite, _finite, _finite))
-_manifests = st.builds(Manifest, sample_rate=st.integers(1, 192_000),
-                       array=st.none() | st.just({"num_mics": 2, "ref_index": 0,
-                                                  "positions": [[0.0, 0.0, 0.0],
-                                                                [0.1, 0.0, 0.0]]}),
+_arrays = st.integers(1, 8).flatmap(lambda mics: st.builds(
+    circular_array, st.just(mics), st.floats(0.01, 1.0), st.integers(0, mics - 1)))
+_manifests = st.builds(Manifest, sample_rate=st.integers(1, 192_000), array=_arrays,
                        utterances=st.lists(_utterances, min_size=1, max_size=3).map(tuple))
 # Values of the wrong kind for each kind of required field.
 _DELETE = object()
@@ -255,7 +258,36 @@ class TestManifestProperties:
         with tempfile.TemporaryDirectory() as d:
             path = pathlib.Path(d) / "manifest.json"
             write_manifest(path, manifest)
-            assert read_manifest(path) == manifest
+            back = read_manifest(path)
+            assert back.to_dict() == manifest.to_dict()
+            assert back.utterances == manifest.utterances
+            npt.assert_array_equal(back.array.positions, manifest.array.positions)
+            write_manifest(pathlib.Path(d) / "again.json", back)
+            assert (pathlib.Path(d) / "again.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_manifests, st.sampled_from([
+        lambda doc: doc.pop("array"),
+        lambda doc: doc.update(array=None),
+        lambda doc: doc.update(array=[[0.0, 0.0, 0.0]]),
+        lambda doc: doc["array"].pop("positions"),
+        lambda doc: doc["array"].pop("ref_index"),
+        lambda doc: doc["array"].update(positions="x"),
+        lambda doc: doc["array"].update(positions=[[0.0, 0.0]]),
+        lambda doc: doc["array"].update(positions=[[0.0, 0.0, 0.0], [0.0, 0.0]]),
+        lambda doc: doc["array"].update(positions=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        lambda doc: doc["array"].update(ref_index=0.5),
+        lambda doc: doc["array"].update(ref_index=doc["array"]["num_mics"]),
+        lambda doc: doc["array"].update(num_mics=doc["array"]["num_mics"] + 1),
+    ]))
+    def test_missing_or_malformed_array_is_a_format_error(self, manifest, edit):
+        doc = manifest.to_dict()
+        edit(doc)
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "manifest.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataFormatError, match="manifest array is missing or malformed"):
+                read_manifest(path)
 
     @settings(max_examples=200, deadline=None)
     @given(_manifests, st.data())

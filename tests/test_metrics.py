@@ -12,7 +12,7 @@ from ssk.metrics import (SI_SDR_CAP_DB, EvalRecord, aggregate, bin_index,
                          si_sdr, si_sdri)
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.separation import MaskKind, apply_mask, oracle_mask
-from ssk.spectral import StftConfig, build_kernel, stft
+from ssk.spectral import StftConfig, stft
 
 FS = 16000
 
@@ -81,10 +81,10 @@ class TestSiSdri:
         room, _ = sample_scene(rng, 2, sample_rate=FS)
         dry = [synth.speech_like(rng, 1.0, FS) for _ in range(2)]
         scene = render_mixture(dry, room, array, mixing_gains_db=[0.0, -3.0])
-        kernel = build_kernel(StftConfig.oracle_mask_default())
-        mask = oracle_mask(stft(scene.images[0][0], kernel),
-                           [stft(scene.images[1][0], kernel)], MaskKind.IPSM)
-        est = apply_mask(stft(scene.mixture[0], kernel), mask, scene.mixture.shape[1])
+        cfg = StftConfig.oracle_mask_default()
+        mask = oracle_mask(stft(scene.images[0][0], cfg),
+                           [stft(scene.images[1][0], cfg)], MaskKind.IPSM)
+        est = apply_mask(stft(scene.mixture[0], cfg), mask, scene.mixture.shape[1])
         value = si_sdri(est, scene.images[0][0], scene.mixture[0])
         assert value > 0.0
         npt.assert_allclose(value, 15.700500730364766, atol=1e-6)

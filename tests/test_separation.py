@@ -11,22 +11,21 @@ from ssk.separation import (Mask, MaskKind, apply_mask, das_beamform,
                             directional_mask, oracle_mask)
 from ssk.spatial_features import (angle_feature, das_filterbank, dpr,
                                   multichannel_stft, nearest_direction)
-from ssk.spectral import StftConfig, build_kernel, stft
+from ssk.spectral import StftConfig, stft
 
 FS = 16000
 ORACLE_CFG = StftConfig.oracle_mask_default()
-ORACLE_KERNEL = build_kernel(ORACLE_CFG)
 
 
 def oracle(target, others, kind):
     """Oracle mask from reference-channel waveforms at the oracle config."""
-    return oracle_mask(stft(target, ORACLE_KERNEL),
-                       [stft(o, ORACLE_KERNEL) for o in others], kind)
+    return oracle_mask(stft(target, ORACLE_CFG),
+                       [stft(o, ORACLE_CFG) for o in others], kind)
 
 
-def masked(mixture, mask, kernel=ORACLE_KERNEL):
+def masked(mixture, mask, cfg=ORACLE_CFG):
     """Apply ``mask`` to the analysis of a reference-channel waveform."""
-    return apply_mask(stft(mixture, kernel), mask, mixture.size)
+    return apply_mask(stft(mixture, cfg), mask, mixture.size)
 
 
 def _reverberant_scene(seed, n_sources=2, duration=1.0, anechoic=False,
@@ -45,21 +44,21 @@ class TestOracleMask:
     def test_equal_magnitudes_give_half_irm(self, rng):
         x = synth.speech_like(rng, 0.5, FS)
         mask = oracle(x, [x.copy()], MaskKind.IRM)
-        spec = stft(x, ORACLE_KERNEL)
+        spec = stft(x, ORACLE_CFG)
         active = np.abs(spec.data) > 1e-3 * np.abs(spec.data).max()
         npt.assert_allclose(mask.values[active], 0.5, atol=1e-6)
 
     def test_no_interference_ipsm_is_one_at_active_bins(self, rng):
         x = synth.speech_like(rng, 0.5, FS)
         mask = oracle(x, [], MaskKind.IPSM)
-        spec = stft(x, ORACLE_KERNEL)
+        spec = stft(x, ORACLE_CFG)
         active = np.abs(spec.data) > 1e-3 * np.abs(spec.data).max()
         npt.assert_allclose(mask.values[active], 1.0, atol=1e-6)
 
     def test_ibm_one_where_target_dominates(self, rng):
         x = synth.speech_like(rng, 0.5, FS)
         mask = oracle(2.0 * x, [x], MaskKind.IBM)
-        spec = stft(x, ORACLE_KERNEL)
+        spec = stft(x, ORACLE_CFG)
         active = np.abs(spec.data) > 0
         npt.assert_array_equal(mask.values[active], 1.0)
 
@@ -71,7 +70,7 @@ class TestOracleMask:
     def test_ibm_without_interference_is_one_at_active_bins(self, rng):
         x = synth.speech_like(rng, 0.5, FS)
         mask = oracle(x, [], MaskKind.IBM)
-        spec = stft(x, ORACLE_KERNEL)
+        spec = stft(x, ORACLE_CFG)
         active = np.abs(spec.data) > 0
         npt.assert_array_equal(mask.values[active], 1.0)
 
@@ -79,10 +78,10 @@ class TestOracleMask:
         with pytest.raises(ValueError):
             oracle(rng.standard_normal(1000), [], MaskKind.DIRECTIONAL_HEURISTIC)
 
-    def test_interferer_at_other_config_rejected(self, kernel_default, rng):
+    def test_interferer_at_other_config_rejected(self, cfg_default, rng):
         x = rng.standard_normal(4000)
         with pytest.raises(ValueError, match="config"):
-            oracle_mask(stft(x, ORACLE_KERNEL), [stft(x, kernel_default)], MaskKind.IRM)
+            oracle_mask(stft(x, ORACLE_CFG), [stft(x, cfg_default)], MaskKind.IRM)
 
     @pytest.mark.parametrize("kind", [MaskKind.IBM, MaskKind.IRM, MaskKind.IPSM])
     def test_declared_ranges(self, rng, kind):
@@ -107,22 +106,22 @@ class TestOracleMask:
 
 
 class TestApplyMask:
-    def test_all_ones_recovers_mixture_interior(self, cfg_default, kernel_default, rng):
+    def test_all_ones_recovers_mixture_interior(self, cfg_default, rng):
         mix = rng.standard_normal(8000)
         mask = Mask(values=np.ones((cfg_default.num_frames(8000), 33)),
                     config=cfg_default, kind=MaskKind.IRM)
-        est = masked(mix, mask, kernel_default)
+        est = masked(mix, mask, cfg_default)
         lo = cfg_default.win_len
         hi = (cfg_default.num_frames(8000) - 1) * cfg_default.hop + cfg_default.win_len \
             - cfg_default.win_len
         err = np.linalg.norm(est[lo:hi] - mix[lo:hi]) / np.linalg.norm(mix[lo:hi])
         assert err < 1e-6
 
-    def test_all_zeros_gives_silence(self, cfg_default, kernel_default, rng):
+    def test_all_zeros_gives_silence(self, cfg_default, rng):
         mix = rng.standard_normal(4000)
         mask = Mask(values=np.zeros((cfg_default.num_frames(4000), 33)),
                     config=cfg_default, kind=MaskKind.IRM)
-        npt.assert_array_equal(masked(mix, mask, kernel_default), 0.0)
+        npt.assert_array_equal(masked(mix, mask, cfg_default), 0.0)
 
     def test_ipsm_improves_over_mixture(self):
         scene, az, _ = _reverberant_scene(11)
@@ -143,15 +142,15 @@ class TestApplyMask:
                                / np.sum(target[lo:hi] ** 2))
         assert err_db < -40.0
 
-    def test_config_mismatch_rejected(self, kernel_default, rng):
+    def test_config_mismatch_rejected(self, cfg_default, rng):
         mask = Mask(values=np.ones((10, 129)), config=ORACLE_CFG, kind=MaskKind.IRM)
         with pytest.raises(ValueError, match="config"):
-            masked(rng.standard_normal(4000), mask, kernel_default)
+            masked(rng.standard_normal(4000), mask, cfg_default)
 
-    def test_frame_mismatch_rejected(self, cfg_default, kernel_default, rng):
+    def test_frame_mismatch_rejected(self, cfg_default, rng):
         mask = Mask(values=np.ones((3, 33)), config=cfg_default, kind=MaskKind.IRM)
         with pytest.raises(ValueError, match="frames"):
-            masked(rng.standard_normal(4000), mask, kernel_default)
+            masked(rng.standard_normal(4000), mask, cfg_default)
 
     def test_oracle_estimates_have_no_boundary_spikes(self):
         # At the first and last samples the overlap-add normaliser is a single
@@ -201,8 +200,7 @@ class TestDirectionalMask:
         assert mask.values.min() >= 0.0 and mask.values.max() <= 1.0
 
     def test_heuristic_positive_on_wide_anechoic_mixtures(self, array6, pairs6,
-                                                          grid36, cfg_default,
-                                                          kernel_default):
+                                                          grid36, cfg_default):
         # Desk-scale check that directional evidence alone separates widely
         # spaced anechoic speakers.
         scores = []
@@ -213,7 +211,7 @@ class TestDirectionalMask:
             scene, az, _ = _reverberant_scene(2000 + seed, anechoic=True,
                                               duration=0.6, azimuths=[az1, az2])
             assert angle_difference(az[0], az[1]) > 90.0
-            spec = multichannel_stft(scene.mixture, kernel_default)
+            spec = multichannel_stft(scene.mixture, cfg_default)
             bank = das_filterbank(array6, grid36, cfg_default)
             af_t = angle_feature(spec, az[0], array6, pairs6)
             dpr_t = dpr(spec, bank, nearest_direction(grid36, az[0]))
@@ -224,24 +222,24 @@ class TestDirectionalMask:
 
 
 class TestDasBeamform:
-    def test_single_mic_passthrough(self, cfg_default, kernel_default, rng):
+    def test_single_mic_passthrough(self, cfg_default, rng):
         arr1 = circular_array(1, 0.07)
         mix = rng.standard_normal(4000)
-        est = das_beamform(multichannel_stft(mix[None, :], kernel_default), 123.0, arr1,
+        est = das_beamform(multichannel_stft(mix[None, :], cfg_default), 123.0, arr1,
                            mix.size)
         lo, hi = cfg_default.win_len, est.size - 2 * cfg_default.win_len
         err = np.linalg.norm(est[lo:hi] - mix[lo:hi]) / np.linalg.norm(mix[lo:hi])
         assert err < 1e-6
 
-    def test_steering_at_source_beats_off_steering(self, kernel_default):
+    def test_steering_at_source_beats_off_steering(self, cfg_default):
         scene, az, array = _reverberant_scene(21, n_sources=1, anechoic=True)
         ref = scene.images[0][0]
-        spec, n = multichannel_stft(scene.mixture, kernel_default), scene.mixture.shape[1]
+        spec, n = multichannel_stft(scene.mixture, cfg_default), scene.mixture.shape[1]
         on = das_beamform(spec, az[0], array, n)
         off = das_beamform(spec, az[0] + 90.0, array, n)
         assert si_sdr(on, ref) > si_sdr(off, ref)
 
-    def test_opposite_sources_positive_improvement(self, kernel_default):
+    def test_opposite_sources_positive_improvement(self, cfg_default):
         scores = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -249,12 +247,12 @@ class TestDasBeamform:
             scene, az, array = _reverberant_scene(3000 + seed, anechoic=True,
                                                   duration=0.6,
                                                   azimuths=[az1, az1 + 180.0])
-            est = das_beamform(multichannel_stft(scene.mixture, kernel_default), az[0],
+            est = das_beamform(multichannel_stft(scene.mixture, cfg_default), az[0],
                                array, scene.mixture.shape[1])
             scores.append(si_sdri(est, scene.images[0][0], scene.mixture[0]))
         assert float(np.mean(scores)) > 0.0
 
-    def test_channel_count_mismatch(self, array6, kernel_default, rng):
-        spec = multichannel_stft(rng.standard_normal((4, 2000)), kernel_default)
+    def test_channel_count_mismatch(self, array6, cfg_default, rng):
+        spec = multichannel_stft(rng.standard_normal((4, 2000)), cfg_default)
         with pytest.raises(ValueError):
             das_beamform(spec, 0.0, array6, 2000)

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssk import synth
-from ssk.geometry import PairSelection, SourceDirection, circular_array, tdoa
+from ssk.geometry import DirectionGrid, PairSelection, SourceDirection, circular_array, tdoa
 from ssk.room_sim import render_mixture, sample_scene
-from ssk.spatial_features import (MultichannelSpectrogram,
-                                  angle_feature, assemble_features, beam_powers,
+from ssk.spatial_features import (angle_feature, assemble_features, beam_powers,
                                   das_filterbank, dpr, dpr_all, ipd,
                                   multichannel_stft, nearest_direction,
                                   pair_steering_phases, premask, wrap_phase)
-from ssk.spectral import StftConfig, build_kernel, stft
+from ssk.spectral import ComplexSpectrogram, StftConfig, stft
+
+import oracles
 
 FS = 16000
 
@@ -26,9 +27,9 @@ def _anechoic_scene(seed, azimuth, array, duration=0.8):
 
 
 class TestIpd:
-    def test_identical_channels(self, kernel_default, rng):
+    def test_identical_channels(self, cfg_default, rng):
         x = rng.standard_normal(2000)
-        spec = multichannel_stft(np.stack([x, x]), kernel_default)
+        spec = multichannel_stft(np.stack([x, x]), cfg_default)
         pairs = PairSelection(((0, 1),))
         phi = ipd(spec, pairs)
         npt.assert_array_equal(phi, 0.0)
@@ -36,24 +37,23 @@ class TestIpd:
         npt.assert_array_equal(np.sin(phi), 0.0)
 
     @pytest.mark.parametrize("m0, delay", [(4, 2), (8, 1), (12, 3)])
-    def test_integer_delay_tone(self, kernel_default, m0, delay):
+    def test_integer_delay_tone(self, cfg_default, m0, delay):
         # Analytic delay-phase oracle: channel 2 lags by d samples, so the
         # pair IPD at the tone bin is wrap(2*pi*m*d/N).
         t = np.arange(4000)
         tone = np.cos(2.0 * np.pi * m0 * t / 64.0)
         ch1 = tone[delay:delay + 3000]
         ch2 = tone[:3000]
-        spec = multichannel_stft(np.stack([ch1, ch2]), kernel_default)
+        spec = multichannel_stft(np.stack([ch1, ch2]), cfg_default)
         phi = ipd(spec, PairSelection(((0, 1),)))[0]
         expected = wrap_phase(np.array(2.0 * np.pi * m0 * delay / 64.0))
         mags = np.abs(spec.data[0])
         strong = mags[:, m0] > 0.5 * mags[:, m0].max()
         npt.assert_allclose(phi[strong, m0], expected, atol=0.05)
 
-    def test_anechoic_source_matches_steering(self, array6, pairs6, cfg_default,
-                                              kernel_default):
+    def test_anechoic_source_matches_steering(self, array6, pairs6, cfg_default):
         scene, az = _anechoic_scene(3, 75.0, array6)
-        spec = multichannel_stft(scene.mixture, kernel_default)
+        spec = multichannel_stft(scene.mixture, cfg_default)
         phi = ipd(spec, pairs6)
         steer = pair_steering_phases(array6, az, pairs6, cfg_default)
         keep = premask(spec, 0)
@@ -65,18 +65,17 @@ class TestIpd:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_pair_swap_antisymmetry(self, seed):
-        kernel = build_kernel(StftConfig.default())
         r = np.random.default_rng(seed)
         wav = r.standard_normal((2, 1500))
-        spec = multichannel_stft(wav, kernel)
+        spec = multichannel_stft(wav, StftConfig.default())
         fwd = ipd(spec, PairSelection(((0, 1),)))[0]
         rev = ipd(spec, PairSelection(((1, 0),)))[0]
         npt.assert_allclose(wrap_phase(fwd + rev), 0.0, atol=1e-9)
         npt.assert_allclose(np.cos(fwd), np.cos(rev), atol=1e-9)
         npt.assert_allclose(np.sin(fwd), -np.sin(rev), atol=1e-9)
 
-    def test_pair_out_of_range(self, kernel_default, rng):
-        spec = multichannel_stft(rng.standard_normal((2, 500)), kernel_default)
+    def test_pair_out_of_range(self, cfg_default, rng):
+        spec = multichannel_stft(rng.standard_normal((2, 500)), cfg_default)
         with pytest.raises(ValueError):
             ipd(spec, PairSelection(((0, 5),)))
 
@@ -90,13 +89,13 @@ class TestAngleFeature:
         base = np.ones((12, 33), dtype=complex)
         data = np.stack([base * np.exp(-2j * np.pi * freqs * d)[None, :]
                          for d in delays])
-        spec = MultichannelSpectrogram(data=data, config=cfg_default)
+        spec = ComplexSpectrogram(data=data, config=cfg_default)
         af = angle_feature(spec, 40.0, array6, pairs6)
         npt.assert_allclose(af, 1.0, atol=1e-12)
 
-    def test_anechoic_source_discrimination(self, array6, pairs6, kernel_default):
+    def test_anechoic_source_discrimination(self, array6, pairs6, cfg_default):
         scene, az = _anechoic_scene(4, 150.0, array6)
-        spec = multichannel_stft(scene.mixture, kernel_default)
+        spec = multichannel_stft(scene.mixture, cfg_default)
         keep = premask(spec, 0)
         af_true = angle_feature(spec, az, array6, pairs6)
         af_off = angle_feature(spec, az + 90.0, array6, pairs6)
@@ -105,20 +104,20 @@ class TestAngleFeature:
 
     def test_silent_utterance_fully_masked(self, array6, pairs6, cfg_default):
         data = np.zeros((6, 10, 33), dtype=complex)
-        spec = MultichannelSpectrogram(data=data, config=cfg_default)
+        spec = ComplexSpectrogram(data=data, config=cfg_default)
         npt.assert_array_equal(angle_feature(spec, 10.0, array6, pairs6), 0.0)
 
-    def test_invariant_to_global_scaling(self, array6, pairs6, kernel_default, rng):
+    def test_invariant_to_global_scaling(self, array6, pairs6, cfg_default, rng):
         wav = rng.standard_normal((6, 2000))
-        spec1 = multichannel_stft(wav, kernel_default)
-        spec2 = multichannel_stft(0.01 * wav, kernel_default)
+        spec1 = multichannel_stft(wav, cfg_default)
+        spec2 = multichannel_stft(0.01 * wav, cfg_default)
         af1 = angle_feature(spec1, 33.0, array6, pairs6)
         af2 = angle_feature(spec2, 33.0, array6, pairs6)
         npt.assert_allclose(af1, af2, atol=1e-9)
 
-    def test_range(self, array6, pairs6, kernel_default, rng):
+    def test_range(self, array6, pairs6, cfg_default, rng):
         wav = rng.standard_normal((6, 2000))
-        af = angle_feature(multichannel_stft(wav, kernel_default), 0.0, array6, pairs6)
+        af = angle_feature(multichannel_stft(wav, cfg_default), 0.0, array6, pairs6)
         assert af.min() >= -1.0 - 1e-12 and af.max() <= 1.0 + 1e-12
 
 
@@ -148,20 +147,20 @@ class TestDasFilterbank:
 class TestDpr:
     def test_sums_to_one_at_energetic_bins(self, array6, grid36, cfg_default, rng):
         data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
-        spec = MultichannelSpectrogram(data=data, config=cfg_default)
+        spec = ComplexSpectrogram(data=data, config=cfg_default)
         bank = das_filterbank(array6, grid36, cfg_default)
         total = dpr_all(spec, bank).sum(axis=0)
         npt.assert_allclose(total, 1.0, atol=1e-6)
 
     def test_silent_bins_uniform(self, array6, grid36, cfg_default):
-        spec = MultichannelSpectrogram(data=np.zeros((6, 5, 33), dtype=complex),
-                                       config=cfg_default)
+        spec = ComplexSpectrogram(data=np.zeros((6, 5, 33), dtype=complex),
+                                  config=cfg_default)
         bank = das_filterbank(array6, grid36, cfg_default)
         npt.assert_array_equal(dpr(spec, bank, 7), 1.0 / 36.0)
 
-    def test_anechoic_source_localized(self, array6, grid36, kernel_default, cfg_default):
+    def test_anechoic_source_localized(self, array6, grid36, cfg_default):
         scene, az = _anechoic_scene(6, 130.0, array6)
-        spec = multichannel_stft(scene.mixture, kernel_default)
+        spec = multichannel_stft(scene.mixture, cfg_default)
         bank = das_filterbank(array6, grid36, cfg_default)
         powers = dpr_all(spec, bank)
         keep = premask(spec, 0)
@@ -170,15 +169,15 @@ class TestDpr:
         means = np.array([powers[p][:, high][sel].mean() for p in range(36)])
         assert int(means.argmax()) == nearest_direction(grid36, az)
 
-    def test_invariant_to_global_scaling(self, array6, grid36, kernel_default, rng):
+    def test_invariant_to_global_scaling(self, array6, grid36, cfg_default, rng):
         wav = rng.standard_normal((6, 1500))
         bank = das_filterbank(array6, grid36, StftConfig.default())
-        d1 = dpr(multichannel_stft(wav, kernel_default), bank, 3)
-        d2 = dpr(multichannel_stft(2.0 * wav, kernel_default), bank, 3)
+        d1 = dpr(multichannel_stft(wav, cfg_default), bank, 3)
+        d2 = dpr(multichannel_stft(2.0 * wav, cfg_default), bank, 3)
         npt.assert_allclose(d1, d2, atol=1e-9)
 
     def test_direction_index_out_of_range(self, array6, grid36, cfg_default, rng):
-        spec = MultichannelSpectrogram(
+        spec = ComplexSpectrogram(
             data=rng.standard_normal((6, 3, 33)) + 0j, config=cfg_default)
         bank = das_filterbank(array6, grid36, cfg_default)
         with pytest.raises(ValueError):
@@ -232,6 +231,18 @@ class TestNearestDirection:
     def test_wraparound(self, grid36):
         assert nearest_direction(grid36, 359.0) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([10.0, 7.0, 45.0, 0.5, 180.0]).map(DirectionGrid.uniform),
+                     st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=2,
+                              max_size=40, unique=True).map(sorted).map(DirectionGrid)),
+           st.data())
+    def test_matches_scan_over_the_grid(self, grid, data):
+        # Midpoints between neighbours (and their wrapped copies) are ties.
+        az = grid.azimuths
+        midpoints = [(a + b) / 2.0 + k * 360.0 for a, b in zip(az, az[1:]) for k in (-1, 0, 1)]
+        azimuth = data.draw(st.floats(-1e4, 1e4, allow_nan=False) | st.sampled_from(midpoints))
+        assert nearest_direction(grid, azimuth) == oracles.nearest_direction(az, azimuth)
+
 
 class TestAssembleFeatures:
     def test_default_tgt_dimensionality(self, rng):
@@ -275,18 +286,18 @@ class TestAssembleFeatures:
 
 class TestMultichannel:
     @pytest.mark.parametrize("num_samples", [32_000, 19_200, 31_999])
-    def test_channel_is_bit_equal_to_its_stft(self, kernel_default, rng, num_samples):
+    def test_channel_is_bit_equal_to_its_stft(self, cfg_default, rng, num_samples):
         # Separation reads the reference channel of the utterance's analysis
         # where it used to analyse the channel itself; the outputs stay equal.
         wav = rng.standard_normal((6, num_samples))
-        spec = multichannel_stft(wav, kernel_default)
+        spec = multichannel_stft(wav, cfg_default)
         for j in range(6):
-            npt.assert_array_equal(spec.channel(j).data, stft(wav[j], kernel_default).data)
+            npt.assert_array_equal(spec.channel(j).data, stft(wav[j], cfg_default).data)
 
     def test_beam_powers_channel_check(self, grid36, cfg_default, rng):
         arr4 = circular_array(4, 0.07)
         bank = das_filterbank(arr4, grid36, cfg_default)
-        spec = MultichannelSpectrogram(
+        spec = ComplexSpectrogram(
             data=rng.standard_normal((6, 3, 33)) + 0j, config=cfg_default)
         with pytest.raises(ValueError):
             beam_powers(spec, bank)

@@ -30,22 +30,22 @@ class TestConfig:
 
 class TestBuildKernel:
     def test_dc_row_is_window(self, cfg_default):
-        k = build_kernel(cfg_default)
-        npt.assert_allclose(k.real[0], cfg_default.window)
-        npt.assert_allclose(k.imag[0], 0.0)
+        real, imag = build_kernel(cfg_default)
+        npt.assert_allclose(real[0], cfg_default.window)
+        npt.assert_allclose(imag[0], 0.0)
 
     def test_default_shape_33x40(self, cfg_default):
-        k = build_kernel(cfg_default)
-        assert k.real.shape == (33, 40)
-        assert k.imag.shape == (33, 40)
+        real, imag = build_kernel(cfg_default)
+        assert real.shape == (33, 40)
+        assert imag.shape == (33, 40)
 
     def test_row_energy_equals_window_energy(self, cfg_default):
         # cos^2 + sin^2 collapses each row pair to sum(w^2), checked by
         # direct summation.
-        k = build_kernel(cfg_default)
+        real, imag = build_kernel(cfg_default)
         expected = float(np.sum(cfg_default.window ** 2))
         for m in range(1, 32):
-            row = float(np.sum(k.real[m] ** 2 + k.imag[m] ** 2))
+            row = float(np.sum(real[m] ** 2 + imag[m] ** 2))
             npt.assert_allclose(row, expected, rtol=1e-12)
 
     def test_cola_violation_rejected(self):
@@ -75,45 +75,43 @@ class TestStft:
         # Rectangular window so the only leakage is the zero-padded
         # Dirichlet kernel, whose peak stays at the tone bin.
         cfg = StftConfig(window=np.ones(40), fft_size=64, hop=40, sample_rate=16000)
-        kernel = build_kernel(cfg)
         m0 = 8
         t = np.arange(16000) / 16000.0
         tone = np.cos(2.0 * np.pi * (m0 * 16000 / 64) * t)
-        spec = stft(tone, kernel)
+        spec = stft(tone, cfg)
         assert (np.abs(spec.data).argmax(axis=1) == m0).all()
 
-    def test_zero_signal(self, kernel_default):
-        spec = stft(np.zeros(1000), kernel_default)
+    def test_zero_signal(self, cfg_default):
+        spec = stft(np.zeros(1000), cfg_default)
         npt.assert_array_equal(spec.data, 0.0)
 
-    def test_matches_naive_dft_oracle(self, cfg_default, kernel_default, rng):
+    def test_matches_naive_dft_oracle(self, cfg_default, rng):
         x = rng.standard_normal(4000)
-        ours = stft(x, kernel_default).data
+        ours = stft(x, cfg_default).data
         ref = naive_stft(x, cfg_default.window, cfg_default.fft_size, cfg_default.hop)
         npt.assert_allclose(np.abs(ours), np.abs(ref), rtol=1e-6, atol=1e-12)
 
-    def test_short_signal_rejected(self, kernel_default):
+    def test_short_signal_rejected(self, cfg_default):
         with pytest.raises(ValueError):
-            stft(np.zeros(10), kernel_default)
+            stft(np.zeros(10), cfg_default)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.integers(0, 2 ** 31 - 1))
     def test_linearity(self, a, b, seed):
-        kernel = build_kernel(StftConfig.default())
+        cfg = StftConfig.default()
         r = np.random.default_rng(seed)
         x = r.standard_normal(400)
         y = r.standard_normal(400)
-        lhs = stft(a * x + b * y, kernel).data
-        rhs = a * stft(x, kernel).data + b * stft(y, kernel).data
+        lhs = stft(a * x + b * y, cfg).data
+        rhs = a * stft(x, cfg).data + b * stft(y, cfg).data
         npt.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_parseval_rectangular_no_overlap(self, rng):
         # hop == window length, rectangular window: per-frame energy in
         # time equals the rfft-style band sum divided by N.
         cfg = StftConfig(window=np.ones(40), fft_size=64, hop=40, sample_rate=16000)
-        kernel = build_kernel(cfg)
         x = rng.standard_normal(800)
-        spec = stft(x, kernel).data
+        spec = stft(x, cfg).data
         for t in range(spec.shape[0]):
             frame = x[t * 40:(t + 1) * 40]
             time_energy = float(np.sum(frame ** 2))
@@ -123,9 +121,9 @@ class TestStft:
 
 
 class TestIstft:
-    def test_round_trip_interior(self, cfg_default, kernel_default, rng):
+    def test_round_trip_interior(self, cfg_default, rng):
         x = rng.standard_normal(16000)
-        y = istft(stft(x, kernel_default))
+        y = istft(stft(x, cfg_default))
         lo, hi = cfg_default.win_len, y.size - cfg_default.win_len
         err = np.linalg.norm(y[lo:hi] - x[lo:hi]) / np.linalg.norm(x[lo:hi])
         assert err < 1e-6
@@ -135,9 +133,9 @@ class TestIstft:
                                   config=cfg_default)
         npt.assert_array_equal(istft(spec), 0.0)
 
-    def test_all_ones_mask_is_identity(self, cfg_default, kernel_default, rng):
+    def test_all_ones_mask_is_identity(self, cfg_default, rng):
         x = rng.standard_normal(4000)
-        spec = stft(x, kernel_default)
+        spec = stft(x, cfg_default)
         masked = ComplexSpectrogram(data=spec.data * np.ones_like(spec.data.real),
                                     config=cfg_default)
         npt.assert_allclose(istft(masked), istft(spec), rtol=0, atol=1e-15)
