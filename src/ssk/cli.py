@@ -137,8 +137,8 @@ def cmd_features(args) -> int:
 def cmd_separate(args) -> int:
     manifest, cfg = _read_dataset(args)
     run = Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
-    paths = separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
-                             error_seed=args.seed, jobs=args.jobs)
+    paths, _ = separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
+                                error_seed=args.seed, jobs=args.jobs)
     print(f"wrote {len(paths)} estimates to {args.out}")
     return 0
 

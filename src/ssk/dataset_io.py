@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import struct
 import tempfile
@@ -287,13 +286,22 @@ def _mic_array(array, path) -> MicArray:
     """The manifest's ``array`` object, ``{"num_mics": J, "ref_index": r,
     "positions": [[x, y, z], ...]}`` (``num_mics`` optional), as the array the
     dataset was rendered with; :class:`DataFormatError` when it is missing or
-    malformed."""
+    malformed. Its fields take the kinds of :func:`_fields`: integers that
+    are not booleans, coordinates that are finite numbers, not strings."""
     try:
-        positions = np.asarray(array["positions"], dtype=float)
-        if array.get("num_mics", len(positions)) != len(positions):
-            raise ValueError(f"num_mics {array['num_mics']} for {len(positions)} positions")
-        return MicArray(positions, ref_index=operator.index(array["ref_index"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        kinds = {"ref_index": "integer", "positions": "list"}
+        if "num_mics" in array:
+            kinds["num_mics"] = "integer"
+        fields = _fields(array, kinds, path, "the array")
+        point, what, _ = _KINDS["point"]
+        for k, position in enumerate(fields["positions"]):
+            if not point(position):
+                raise ValueError(f"position {k} must be {what}, got {position!r}")
+        positions = np.array(fields["positions"], dtype=float)
+        if fields.get("num_mics", len(positions)) != len(positions):
+            raise ValueError(f"num_mics {fields['num_mics']} for {len(positions)} positions")
+        return MicArray(positions, ref_index=fields["ref_index"])
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: manifest array is missing or malformed: {exc!r}") from exc
 
 

@@ -4,7 +4,8 @@ separation and evaluation over a manifest.
 Features, separation and the direction-error sweep work one utterance at a
 time: an :class:`UtteranceAnalysis` reads the mixture and analyses it once,
 and every target of that utterance, under every separation :class:`Run`
-(one per sweep point), reuses it. ``jobs`` threads take whole utterances."""
+(one per sweep point), reuses it. The sweep also scores each estimate in
+the same task. ``jobs`` threads take whole utterances."""
 
 from __future__ import annotations
 
@@ -257,19 +258,26 @@ class UtteranceAnalysis:
     reads: the mixture, its (J, T, F) spectrogram at ``cfg.stft_cfg``, the
     ``cfg.oracle_cfg`` spectrograms of the reference-channel mixture and
     source images, the cosine and sine of the pair IPDs, the premask, the
-    delay-and-sum grid filterbank and its total beam power per bin. AF is
-    computed from the IPD cosines and sines once per azimuth, and DPR
+    delay-and-sum grid filterbank and its total beam power per bin.
+
+    AF is computed from the IPD cosines and sines per azimuth. The maps of
+    the utterance's source azimuths are kept for its lifetime: features,
+    unperturbed separation and every ``tgt+intf`` interferer reuse them.
+    Of any other azimuth (a perturbed target) only the latest map is kept,
+    so the analysis holds at most S + 1 AF maps for S sources, however many
+    sweep points it serves; callers that steer at the same perturbed
+    azimuth should do so consecutively. DPR
     (:func:`~ssk.spatial_features.dpr_ratio` of one beam and the total, the
-    formula of the free ``dpr``) once per grid index
-    (:func:`~ssk.spatial_features.nearest_direction` of the azimuth); both
-    are kept for the utterance's lifetime, so every target, variant and
-    sweep run that steers the same way shares them.
+    formula of the free ``dpr``) is kept per grid index
+    (:func:`~ssk.spatial_features.nearest_direction` of the azimuth), at
+    most one map per grid direction.
     """
 
     entry: UtteranceEntry
     manifest: Manifest
     cfg: PipelineConfig
     _af: dict = field(default_factory=dict, init=False, repr=False)
+    _af_latest: dict = field(default_factory=dict, init=False, repr=False)
     _dpr: dict = field(default_factory=dict, init=False, repr=False)
 
     @_computed_once
@@ -312,12 +320,19 @@ class UtteranceAnalysis:
     def beam_total(self) -> np.ndarray:
         return beam_power_total(self.spec, self.filterbank)
 
+    @_computed_once
+    def source_azimuths(self) -> frozenset[float]:
+        return frozenset(src.azimuth_deg for src in self.entry.sources)
+
     def angle_feature(self, azimuth: float) -> np.ndarray:
-        if azimuth not in self._af:
+        cache = self._af if azimuth in self.source_azimuths else self._af_latest
+        if azimuth not in cache:
+            if cache is self._af_latest:
+                cache.clear()  # before computing, so no two perturbed maps coexist
             cfg = self.cfg
             steer = pair_steering_phases(cfg.array, azimuth, cfg.require_pairs(), cfg.stft_cfg)
-            self._af[azimuth] = angle_feature_from_ipd(*self.pair_cos_sin, steer, self.premask)
-        return self._af[azimuth]
+            cache[azimuth] = angle_feature_from_ipd(*self.pair_cos_sin, steer, self.premask)
+        return cache[azimuth]
 
     def dpr(self, azimuth: float) -> np.ndarray:
         p = nearest_direction(self.cfg.grid, azimuth)
@@ -418,22 +433,40 @@ class Run:
 
 def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                      cfg: PipelineConfig, cond: str = "tgt", error_seed: int = 0,
-                     jobs: int = 1) -> list[Path]:
+                     jobs: int = 1, score: bool = False
+                     ) -> tuple[list[Path], list[list[EvalRecord]]]:
     """Separate every (utterance, target) once per run, in one pass over the
     utterances that reads and analyses each mixture once. Writes estimate
     WAVs plus JSON sidecars recording the method and the azimuth actually
-    used; the error sign is drawn per (utterance, target) from ``error_seed``."""
+    used; the error sign is drawn per (utterance, target) from ``error_seed``.
+
+    Per target, the runs go in ascending direction error, so runs that share
+    an error (the sweep's variants) steer at one perturbed azimuth in a row
+    and the analysis computes its AF once and then drops it (see
+    :class:`UtteranceAnalysis`). With ``score`` each target's reference
+    image is read once and every estimate is scored as written, rounded to
+    float32, which is bit-equal to reading it back: the records match
+    :func:`evaluate_runs` on the run's directory. Returns the written paths
+    and, per run, its records in manifest order (empty lists without
+    ``score``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
+    order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
+    ref_index = manifest.array.ref_index
 
-    def one(task) -> list[Path]:
+    def one(task) -> tuple[list[Path], list[list[EvalRecord]]]:
         index, entry = task
         analysis = UtteranceAnalysis(entry, manifest, cfg)
-        paths = []
+        paths: list[Path] = []
+        records: list[list[EvalRecord]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
-            for run in runs:
+            if score:
+                reference = _read(manifest, src.image)[ref_index]
+                si_sdr_mix = si_sdr(analysis.mixture[ref_index], reference)
+            for i in order:
+                run = runs[i]
                 azimuth = _perturbed_azimuth(src.azimuth_deg, run.direction_error_deg,
                                              [error_seed, index, target])
                 est = separate_utterance(analysis, method, target, azimuth, cond=cond,
@@ -449,10 +482,18 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                 atomic_write_bytes(path.with_suffix(".json"),
                                    (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
                 paths.append(path)
-        return paths
+                if score:
+                    records[i].append(EvalRecord(
+                        utterance_id=f"{entry.id}_tgt{target}",
+                        target_azimuth=src.azimuth_deg,
+                        angle_difference=src.angle_difference_deg,
+                        si_sdr_est=si_sdr(est.astype(np.float32).astype(float), reference),
+                        si_sdr_mix=si_sdr_mix, method=method))
+        return paths, records
 
-    tasks = list(enumerate(manifest.utterances))
-    return [p for paths in _map(one, tasks, jobs) for p in paths]
+    results = _map(one, list(enumerate(manifest.utterances)), jobs)
+    return ([p for paths, _ in results for p in paths],
+            [[rec for _, records in results for rec in records[i]] for i in range(len(runs))])
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +561,14 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
 
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
     make one run, whose estimates and sidecars go to ``<variant>/errNN``.
-    One :func:`separate_dataset` pass writes all runs from a single analysis of
-    each mixture; one :func:`evaluate_runs` pass then scores them all. The error
-    sign is random per (utterance, target), drawn from a dedicated seeded
-    stream, and is the same for every magnitude.
+    One scoring :func:`separate_dataset` pass writes and scores all runs
+    from a single analysis of each mixture, reading each mixture and
+    reference image once and no estimate. Per target it takes the errors in
+    turn and both variants at each, so each perturbed azimuth's AF is
+    computed once and dropped before the next: memory stays flat in the
+    number of errors. The error sign is random per (utterance, target),
+    drawn from a dedicated seeded stream, and is the same for every
+    magnitude.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -536,10 +581,10 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     runs = {(variant, error): Run(out / variant / name, error, alpha, beta)
             for variant, (alpha, beta) in PERTURB_VARIANTS.items()
             for name, error in dirs.items()}
-    separate_dataset(manifest, list(runs.values()), "heuristic", cfg, cond=cond,
-                     error_seed=seed, jobs=jobs)
-    scores = dict(zip(runs, evaluate_runs(
-        manifest, [(run.out_dir, f"heuristic/{variant}") for (variant, _), run in runs.items()])))
+    _, records = separate_dataset(manifest, list(runs.values()), "heuristic", cfg, cond=cond,
+                                  error_seed=seed, jobs=jobs, score=True)
+    reports = {key: aggregate(run_records, method=f"heuristic/{key[0]}")
+               for key, run_records in zip(runs, records)}
     sweep: dict = {"seed": seed, "cond": cond,
                    "errors_deg": [float(e) for e in errors], "variants": {},
                    "note": ("single-target separators have no output-permutation "
@@ -548,9 +593,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     for variant in PERTURB_VARIANTS:
         rows = []
         for error in errors:
-            report, _, missing = scores[variant, float(error)]
-            if missing:
-                raise RuntimeError(f"missing estimates during sweep: {missing}")
+            report = reports[variant, float(error)]
             count_gt15 = sum(b.count for b in report.bins if b.lo >= 15.0)
             rows.append({"error_deg": float(error), "report": report.to_dict(),
                          "mean_gt15": report.mean_above(15.0),

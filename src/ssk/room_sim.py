@@ -213,11 +213,21 @@ def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
                     refl.append(np.abs(r + p[ax]) + np.abs(r))
                 dx = coords[0] - mic[0]
                 dy = coords[1] - mic[1]
-                dz = coords[2] - mic[2]
-                d = np.sqrt(dx[:, None, None] ** 2 + dy[None, :, None] ** 2
-                            + dz[None, None, :] ** 2).ravel()
-                total_refl = (refl[0][:, None, None] + refl[1][None, :, None]
-                              + refl[2][None, None, :]).ravel()
+                dz2 = (coords[2] - mic[2]) ** 2
+                # Cull the (x, y) columns, then the z range, that lie beyond
+                # reach even at the nearest z (or column). Rounding is
+                # monotone, so a cull never drops an image the exact test
+                # below keeps; kept images stay in row-major (x, y, z) order,
+                # the order their impulses are summed in.
+                dxy2 = dx[:, None] ** 2 + dy[None, :] ** 2
+                cols = np.sqrt(dxy2 + dz2.min()) <= max_dist
+                if not cols.any():
+                    continue
+                dxy2 = dxy2[cols]
+                zs = np.sqrt(dxy2.min() + dz2) <= max_dist
+                d = np.sqrt(dxy2[:, None] + dz2[zs]).ravel()
+                total_refl = ((refl[0][:, None] + refl[1][None, :])[cols][:, None]
+                              + refl[2][zs]).ravel()
                 near = d <= max_dist
                 d = d[near]
                 total_refl = total_refl[near]

@@ -118,8 +118,13 @@ def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
 
 
 def _fit(signal: np.ndarray, length: int) -> np.ndarray:
-    """``signal`` zero-padded or trimmed to ``length`` samples."""
-    return np.pad(signal[:length], (0, max(0, length - signal.size)))
+    """``signal`` zero-padded or trimmed to ``length`` samples (a view when
+    it is long enough)."""
+    if signal.size >= length:
+        return signal[:length]
+    out = np.zeros(length)
+    out[:signal.size] = signal
+    return out
 
 
 def apply_mask(mixture: ComplexSpectrogram, mask: Mask, length: int) -> np.ndarray:

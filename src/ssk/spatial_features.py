@@ -191,11 +191,16 @@ def beam_power_total(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarra
     Per bin, R = sum_p w_p w_p^H = A^H A with A the triangular factor of the
     (P, J) stack of conjugated weights, so the total y^H R y is |A y|^2. Unlike
     the expanded quadratic form, whose rounding error grows with the square of
-    the bin's conditioning, this sum of squares is as accurate as the beams."""
+    the bin's conditioning, this sum of squares is as accurate as the beams.
+    It is formed one bin at a time, so the (J, T) transients are those of a
+    single bin."""
     factor = np.linalg.qr(np.conj(bank.weights).transpose(1, 0, 2), mode="r")  # (F, J, J)
     y = spec.data.transpose(2, 0, 1)  # (F, J, T)
-    ay = factor @ y
-    return (ay.real ** 2 + ay.imag ** 2).sum(axis=1).T
+    total = np.empty(spec.data.shape[1:])
+    for f in range(total.shape[1]):
+        ay = factor[f] @ y[f]
+        total[:, f] = (ay.real ** 2 + ay.imag ** 2).sum(axis=0)
+    return total
 
 
 def dpr(spec: ComplexSpectrogram, bank: DasFilterbank, direction_index: int) -> np.ndarray:

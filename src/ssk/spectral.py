@@ -19,6 +19,7 @@ difference, which is all the downstream features consume.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,29 +160,37 @@ def istft(spec: ComplexSpectrogram) -> np.ndarray:
     Hann), which would blow masked edge samples up."""
     cfg = spec.config
     num_frames = spec.num_frames
-    out_len = (num_frames - 1) * cfg.hop + cfg.win_len if num_frames else 0
     # Frame waveforms via the inverse rfft of the zero-padded spectrum.
     frames = np.fft.irfft(spec.data, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
-    win = cfg.window
-    win_sq = win * win
-    out = _overlap_add(frames * win, cfg.hop)[:out_len]
-    norm = _overlap_add(np.broadcast_to(win_sq, frames.shape), cfg.hop)[:out_len]
-    floor = max(float(_hop_folded(win_sq, cfg.hop).min()), 1e-10)
-    return out / np.maximum(norm, floor)
+    norm = _istft_normaliser(cfg, num_frames)
+    return _overlap_add(frames * cfg.window, cfg.hop)[:norm.size] / norm
+
+
+@functools.lru_cache(maxsize=16)
+def _istft_normaliser(cfg: StftConfig, num_frames: int) -> np.ndarray:
+    """The floored overlap-add of ``num_frames`` window squares, trimmed to
+    the output length; it depends on the config and frame count alone, so
+    it is built once per pair (configs hash by identity) and kept read-only."""
+    out_len = (num_frames - 1) * cfg.hop + cfg.win_len if num_frames else 0
+    win_sq = cfg.window * cfg.window
+    norm = _overlap_add(np.broadcast_to(win_sq, (num_frames, cfg.win_len)), cfg.hop)[:out_len]
+    norm = np.maximum(norm, max(float(_hop_folded(win_sq, cfg.hop).min()), 1e-10))
+    norm.flags.writeable = False
+    return norm
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     """Overlap-add (T, L) frames at ``hop``, one hop-wide column block per
-    step. Blocks go in descending offset, so each sample sums its frames in
-    ascending frame order, as a frame-by-frame loop does, bit for bit."""
+    step (the last one may be narrower). Blocks go in descending offset, so
+    each sample sums its frames in ascending frame order, as a
+    frame-by-frame loop does, bit for bit."""
     num_frames, length = frames.shape
     blocks = -(-length // hop)
-    cols = np.pad(frames, ((0, 0), (0, blocks * hop - length)))
-    cols = cols.reshape(num_frames, blocks, hop)
-    out = np.zeros((num_frames + blocks - 1) * hop)
+    out = np.zeros((num_frames + blocks - 1, hop))
     for r in reversed(range(blocks)):
-        out[r * hop:(r + num_frames) * hop] += cols[:, r].ravel()
-    return out
+        width = min(hop, length - r * hop)
+        out[r:r + num_frames, :width] += frames[:, r * hop:r * hop + width]
+    return out.ravel()
 
 
 LPS_FLOOR = 1e-12

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -374,8 +375,9 @@ def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
 
 
 def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
-    # Separation reads each mixture; scoring reads it again, each reference
-    # image once for all runs, and every run's estimate.
+    # The sweep scores each estimate as it separates it: each mixture and
+    # each reference image is read once for all runs, and no estimate is
+    # read back.
     out, manifest = dataset
     reads = []
     read = pipeline.read_wav
@@ -383,13 +385,52 @@ def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
                         lambda path, **k: reads.append(Path(path).name) or read(path, **k))
     assert main(["perturb", "--manifest", str(out / "manifest.json"),
                  "--out", str(tmp_path / "sweep"), "--direction-error-deg", "0,4"]) == 0
-    runs = 2 * 2
-    expected = sum(2 + len(u.sources) * (1 + runs) for u in manifest.utterances)
-    assert len(reads) == expected
-    for u in manifest.utterances:
-        assert reads.count(Path(u.mixture).name) == 2
-        for src in u.sources:
-            assert reads.count(Path(src.image).name) == 1
+    expected = [Path(u.mixture).name for u in manifest.utterances] + [
+        Path(src.image).name for u in manifest.utterances for src in u.sources]
+    assert sorted(reads) == sorted(expected)
+
+
+@pytest.mark.parametrize("errors", ["0,5,10", "0,1,2,3,4,5,6,7,8,9,10"])
+def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch, errors):
+    # However many error points the sweep has, an analysis holds the AF maps
+    # of its S source azimuths and of the one perturbed azimuth in use, so
+    # at most S + 1 maps are alive whenever a new one has just been computed.
+    out, manifest = dataset
+    sources = {len(u.sources) for u in manifest.utterances}
+    live: dict[int, list] = {}
+    most: dict[int, int] = {}
+    af = pipeline.angle_feature_from_ipd
+
+    def tracked(cos_ipd, sin_ipd, steer, keep):
+        result = af(cos_ipd, sin_ipd, steer, keep)
+        refs = live.setdefault(id(cos_ipd), [])
+        refs.append(weakref.ref(result))
+        most[id(cos_ipd)] = max(most.get(id(cos_ipd), 0), sum(r() is not None for r in refs))
+        return result
+
+    monkeypatch.setattr(pipeline, "angle_feature_from_ipd", tracked)
+    assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
+                 str(tmp_path / "sweep"), "--direction-error-deg", errors]) == 0
+    assert most and max(most.values()) <= max(sources) + 1
+
+
+@pytest.mark.parametrize("cond", ["tgt", "tgt+intf"])
+def test_sweep_reports_equal_evaluate_of_each_run(dataset, tmp_path, cond):
+    # The in-task scores are those of reading every estimate back: each
+    # run's sweep report equals what evaluate writes for its directory.
+    out, manifest = dataset
+    sweep_dir = tmp_path / "sweep"
+    assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
+                 str(sweep_dir), "--direction-error-deg", "0,3,10", "--cond", cond]) == 0
+    sweep = json.loads((sweep_dir / "sweep.json").read_text())
+    for variant, rows in sweep["variants"].items():
+        for row in rows:
+            est = sweep_dir / variant / f"err{int(row['error_deg']):02d}"
+            report = tmp_path / f"{variant}_{est.name}"
+            assert main(["evaluate", "--manifest", str(out / "manifest.json"),
+                         "--estimates", str(est), "--out", str(report),
+                         "--method", f"heuristic/{variant}"]) == 0
+            assert json.loads(report.with_suffix(".json").read_text()) == row["report"]
 
 
 def test_cached_dpr_matches_grid_dpr(dataset):

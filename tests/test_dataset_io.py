@@ -279,6 +279,16 @@ class TestManifestProperties:
         lambda doc: doc["array"].update(ref_index=0.5),
         lambda doc: doc["array"].update(ref_index=doc["array"]["num_mics"]),
         lambda doc: doc["array"].update(num_mics=doc["array"]["num_mics"] + 1),
+        # Booleans are not integers and strings are not numbers, as in _fields.
+        lambda doc: doc["array"].update(ref_index=True),
+        lambda doc: doc["array"].update(ref_index=False),
+        lambda doc: doc["array"].update(ref_index="0"),
+        lambda doc: doc["array"].update(num_mics=True),
+        lambda doc: doc["array"].update(num_mics=float(doc["array"]["num_mics"])),
+        lambda doc: doc["array"]["positions"][0].__setitem__(0, "0.0175"),
+        lambda doc: doc["array"]["positions"][-1].__setitem__(2, True),
+        lambda doc: doc["array"]["positions"][0].__setitem__(1, None),
+        lambda doc: doc["array"].update(positions=[]),
     ]))
     def test_missing_or_malformed_array_is_a_format_error(self, manifest, edit):
         doc = manifest.to_dict()

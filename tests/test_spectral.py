@@ -140,6 +140,20 @@ class TestIstft:
                                     config=cfg_default)
         npt.assert_allclose(istft(masked), istft(spec), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("window, hop, fft_size",
+                             [(hann_periodic(40), 20, 64), (hann_periodic(256), 128, 256),
+                              (np.r_[np.ones(30), np.zeros(15)], 10, 64)])
+    def test_normaliser_is_kept_per_frame_count(self, window, hop, fft_size, rng):
+        # One config inverts spectrograms of several lengths, in turn and
+        # again; each keeps its own normaliser and matches the loop inverse.
+        cfg = StftConfig(window=window, hop=hop, fft_size=fft_size)
+        for num_frames in (45, 7, 45, 120, 7):
+            data = (rng.standard_normal((num_frames, cfg.num_bins))
+                    + 1j * rng.standard_normal((num_frames, cfg.num_bins)))
+            y = istft(ComplexSpectrogram(data, cfg))
+            npt.assert_array_equal(y, loop_istft(data, window, fft_size, hop))
+            assert y.flags.writeable
+
 
 class TestLps:
     def test_unit_magnitude_is_zero_db(self, cfg_default):
