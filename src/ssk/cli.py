@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,11 +29,23 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+
+
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fft-size", type=int, default=64, help="FFT length for features")
     p.add_argument("--win-len", type=int, default=40, help="analysis window length, samples")
     p.add_argument("--hop", type=int, default=20, help="hop size, samples")
-    p.add_argument("--grid-step", type=float, default=10.0,
+    p.add_argument("--grid-step", type=_finite, default=10.0,
                    help="direction grid spacing in degrees")
 
 
@@ -59,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--num-scenes", type=int, default=50)
     p_sim.add_argument("--num-speakers", type=int, default=2, choices=(1, 2, 3))
-    p_sim.add_argument("--duration", type=float, default=2.0,
+    p_sim.add_argument("--duration", type=_finite, default=2.0,
                        help="dry source duration in seconds")
     p_sim.add_argument("--source-dir", default=None,
                        help="directory of mono WAVs to use as dry sources")
@@ -67,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("speech", "noise", "am", "chirp"),
                        help="builtin synthetic source type (used without --source-dir)")
     p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.add_argument("--array-diameter", type=float, default=0.07,
+    p_sim.add_argument("--array-diameter", type=_finite, default=0.07,
                        help="circular array diameter in meters")
     p_sim.add_argument("--num-mics", type=int, default=6, help="microphone count")
     p_sim.add_argument("--sample-rate", type=int, default=16000, help="sample rate, Hz")
@@ -86,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--out", required=True, help="estimate output directory")
     p_sep.add_argument("--method", required=True, choices=METHODS)
     p_sep.add_argument("--cond", default="tgt", choices=("tgt", "tgt+intf"))
-    p_sep.add_argument("--alpha", type=float, default=1.0, help="heuristic AF weight")
-    p_sep.add_argument("--beta", type=float, default=1.0, help="heuristic DPR weight")
-    p_sep.add_argument("--direction-error-deg", type=float, default=0.0,
+    p_sep.add_argument("--alpha", type=_finite, default=1.0, help="heuristic AF weight")
+    p_sep.add_argument("--beta", type=_finite, default=1.0, help="heuristic DPR weight")
+    p_sep.add_argument("--direction-error-deg", type=_finite, default=0.0,
                        help="perturb the target azimuth by this magnitude, random sign")
     p_sep.add_argument("--seed", type=int, default=0, help="error-sign seed")
     p_sep.add_argument("--jobs", type=int, default=1)
@@ -104,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--manifest", required=True)
     p_pert.add_argument("--out", required=True, help="sweep output directory")
     p_pert.add_argument("--direction-error-deg", default="0,1,2,3,4,5,6,7,8,9,10",
-                        help="comma list of error magnitudes in degrees")
+                        type=_finite_list, help="comma list of error magnitudes in degrees")
     p_pert.add_argument("--seed", type=int, default=0)
     p_pert.add_argument("--cond", default="tgt", choices=("tgt", "tgt+intf"))
     p_pert.add_argument("--jobs", type=int, default=1)
@@ -163,8 +176,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_perturb(args) -> int:
     manifest, cfg = _read_dataset(args)
-    errors = [float(tok) for tok in str(args.direction_error_deg).split(",") if tok.strip()]
-    sweep = perturb_sweep(manifest, args.out, errors, args.seed, cfg,
+    sweep = perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed, cfg,
                           cond=args.cond, jobs=args.jobs)
     json_path, csv_path = write_sweep_reports(sweep, args.out)
     for variant, rows in sweep["variants"].items():

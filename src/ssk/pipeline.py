@@ -29,8 +29,8 @@ from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
                          oracle_mask)
 from .spatial_features import (DasFilterbank, FeatureStack, angle_feature_from_ipd,
                                assemble_features, beam_power, beam_power_total,
-                               das_filterbank, dpr_ratio, ipd, multichannel_stft,
-                               nearest_direction, pair_steering_phases, premask)
+                               das_filterbank, dpr_ratio, multichannel_stft, nearest_direction,
+                               pair_cos_sin, pair_steering_phases, premask)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 
 ORACLE_METHODS = {"ibm": MaskKind.IBM, "irm": MaskKind.IRM, "ipsm": MaskKind.IPSM}
@@ -304,8 +304,7 @@ class UtteranceAnalysis:
     @_computed_once
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
         """Cosine and sine of the pair IPDs, each (U, T, F)."""
-        phi = ipd(self.spec, self.cfg.require_pairs())
-        return np.cos(phi), np.sin(phi)
+        return pair_cos_sin(self.spec, self.cfg.require_pairs())
 
     @_computed_once
     def premask(self) -> np.ndarray:
@@ -446,7 +445,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     :class:`UtteranceAnalysis`). With ``score`` each target's reference
     image is read once and every estimate is scored as written, rounded to
     float32, which is bit-equal to reading it back: the records match
-    :func:`evaluate_runs` on the run's directory. Returns the written paths
+    :func:`evaluate_dataset` on the run's directory. Returns the written paths
     and, per run, its records in manifest order (empty lists without
     ``score``)."""
     if method not in METHODS:
@@ -483,12 +482,8 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                                    (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
                 paths.append(path)
                 if score:
-                    records[i].append(EvalRecord(
-                        utterance_id=f"{entry.id}_tgt{target}",
-                        target_azimuth=src.azimuth_deg,
-                        angle_difference=src.angle_difference_deg,
-                        si_sdr_est=si_sdr(est.astype(np.float32).astype(float), reference),
-                        si_sdr_mix=si_sdr_mix, method=method))
+                    records[i].append(_record(entry, target, est.astype(np.float32).astype(float),
+                                              reference, si_sdr_mix, method))
         return paths, records
 
     results = _map(one, list(enumerate(manifest.utterances)), jobs)
@@ -500,52 +495,39 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
 # Evaluation
 
 
-def evaluate_runs(manifest: Manifest, runs: Sequence[tuple[Path, str]]
-                  ) -> list[tuple[EvalReport, list[EvalRecord], list[str]]]:
-    """Score the estimates of every ``(estimates_dir, method)`` run against
-    the reverberant images at the manifest array's reference mic, in one
-    pass over the utterances:
-    each mixture and reference image is read once, and the mixture's
-    SI-SDR computed once per target, for all runs. An estimate that is not
-    mono or not as long as the mixture raises :class:`DataFormatError`.
-    Returns per run (report, records, missing-estimate names)."""
-    records: list[list[EvalRecord]] = [[] for _ in runs]
-    missing: list[list[str]] = [[] for _ in runs]
-    ref_index = manifest.array.ref_index
-    for entry in manifest.utterances:
-        mixture = _read(manifest, entry.mixture)
-        for target, src in enumerate(entry.sources):
-            reference = si_sdr_mix = None
-            for (est_dir, method), run_records, run_missing in zip(runs, records, missing):
-                est_path = est_dir / f"{entry.id}_tgt{target}.wav"
-                if not est_path.exists():
-                    run_missing.append(str(est_path))
-                    continue
-                est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
-                if est.shape != (1, mixture.shape[1]):
-                    raise DataFormatError(
-                        f"{est_path}: estimate has {est.shape[0]} channel(s) of "
-                        f"{est.shape[1]} samples; expected 1 channel of "
-                        f"{mixture.shape[1]}, the mixture's length")
-                if reference is None:
-                    reference = _read(manifest, src.image)[ref_index]
-                    si_sdr_mix = si_sdr(mixture[ref_index], reference)
-                run_records.append(EvalRecord(
-                    utterance_id=f"{entry.id}_tgt{target}",
-                    target_azimuth=src.azimuth_deg,
-                    angle_difference=src.angle_difference_deg,
-                    si_sdr_est=si_sdr(est[0], reference),
-                    si_sdr_mix=si_sdr_mix,
-                    method=method))
-    return [(aggregate(run_records, method=method), run_records, run_missing)
-            for (_, method), run_records, run_missing in zip(runs, records, missing)]
+def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.ndarray,
+            si_sdr_mix: float, method: str) -> EvalRecord:
+    src = entry.sources[target]
+    return EvalRecord(utterance_id=f"{entry.id}_tgt{target}", target_azimuth=src.azimuth_deg,
+                      angle_difference=src.angle_difference_deg,
+                      si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix, method=method)
 
 
 def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
                      ) -> tuple[EvalReport, list[EvalRecord], list[str]]:
-    """Score every (utterance, target) estimate against its reverberant
-    reference image. Returns (report, records, missing-estimate names)."""
-    return evaluate_runs(manifest, [(Path(estimates_dir), method)])[0]
+    """Score every (utterance, target) estimate in ``estimates_dir`` against
+    its reverberant image at the manifest's reference mic; an estimate that is
+    not mono or not as long as the mixture raises :class:`DataFormatError`.
+    Returns (report, records, missing-estimate names)."""
+    records: list[EvalRecord] = []
+    missing: list[str] = []
+    ref_index = manifest.array.ref_index
+    for entry in manifest.utterances:
+        mixture = _read(manifest, entry.mixture)
+        for target, src in enumerate(entry.sources):
+            est_path = Path(estimates_dir) / f"{entry.id}_tgt{target}.wav"
+            if not est_path.exists():
+                missing.append(str(est_path))
+                continue
+            est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
+            if est.shape != (1, mixture.shape[1]):
+                raise DataFormatError(f"{est_path}: estimate has {est.shape[0]} channel(s) of "
+                                      f"{est.shape[1]} samples; expected 1 channel of "
+                                      f"{mixture.shape[1]}, the mixture's length")
+            reference = _read(manifest, src.image)[ref_index]
+            records.append(_record(entry, target, est[0], reference,
+                                   si_sdr(mixture[ref_index], reference), method))
+    return aggregate(records, method=method), records, missing
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram]
 
         IBM  = 1 where |S| > max_c |I_c|, else 0 (ties to 0)
         IRM  = |S| / (|S| + sum_c |I_c|)        (magnitude form)
-        IPSM = clip(|S| * cos(angle(S) - angle(Y)) / |Y|, 0, 1)
+        IPSM = clip(Re(S conj(Y)) / (|Y| (|Y| + eps)), 0, 1), 0 where Y = 0
+               (|S| cos(angle(S) - angle(Y)) / |Y|, without taking an angle)
     """
     if kind not in (MaskKind.IBM, MaskKind.IRM, MaskKind.IPSM):
         raise ValueError(f"{kind} is not an oracle mask kind")
@@ -66,7 +67,6 @@ def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram]
         raise ValueError("interference spectrogram config differs from the target's")
     tgt = target.data
     intf = [o.data for o in others]
-    mix = tgt + sum(intf) if intf else tgt.copy()
 
     tgt_mag = np.abs(tgt)
     if kind is MaskKind.IBM:
@@ -79,8 +79,11 @@ def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram]
         interf = sum(np.abs(o) for o in intf) if intf else 0.0
         values = tgt_mag / (tgt_mag + interf + MASK_EPS)
     else:
-        cos_term = np.cos(np.angle(tgt) - np.angle(mix))
-        values = np.clip(tgt_mag * cos_term / (np.abs(mix) + MASK_EPS), 0.0, 1.0)
+        mix = tgt + sum(intf)
+        mix_mag = np.abs(mix)
+        denom = mix_mag * (mix_mag + MASK_EPS)
+        proj = tgt.real * mix.real + tgt.imag * mix.imag  # 0 wherever Y = 0
+        values = np.clip(proj / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
     return Mask(values=values, config=cfg, kind=kind)
 
 

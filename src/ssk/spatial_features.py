@@ -1,14 +1,14 @@
 """Spatial and directional time-frequency features.
 
-* IPD: per-pair phase difference of the multichannel spectrogram, wrapped to
-  (-pi, pi]. Under (W-)disjoint orthogonality the IPDs cluster by source
-  direction, which is what every feature below exploits.
+* IPD: per-pair phase difference of the multichannel spectrogram, held as its
+  unit phasor, the cross-spectrum Y_a conj(Y_b) over its modulus (cos and sin
+  of the IPD), so no angle is taken. Under (W-)disjoint orthogonality the IPDs
+  cluster by source direction, which is what every feature below exploits.
 * AF (angle feature): mean cosine similarity between the observed IPDs and
   the steering phases of a hypothesized azimuth; near 1 in bins dominated by
   a source from that azimuth. It is evaluated as
-  cos(phi - s) = cos(phi) cos(s) + sin(phi) sin(s), so the cosine and sine
-  of the IPDs, computed once, serve every azimuth through two weighted sums
-  over pairs.
+  cos(phi - s) = cos(phi) cos(s) + sin(phi) sin(s), so the IPD phasors,
+  computed once, serve every azimuth through two weighted sums over pairs.
 * DPR (directional power ratio): per-bin share of delay-and-sum beam output
   power attributable to one direction of a fixed grid, always
   :func:`dpr_ratio` of the beam power(s) and the grid total. The grid total
@@ -86,34 +86,37 @@ class FeatureStack:
         raise KeyError(name)
 
 
-def wrap_phase(phi: np.ndarray) -> np.ndarray:
-    """Wrap radians into (-pi, pi]."""
-    return np.arctan2(np.sin(phi), np.cos(phi))
+def pair_cos_sin(spec: ComplexSpectrogram, pairs: PairSelection) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of the per-pair IPD, each (U, T, F): Re and Im of
+    Y_a conj(Y_b) over its modulus, 0 where either channel is 0. Real products
+    give identical channels a sine of exactly 0; pair by pair, transients are (T, F)."""
+    pairs.validate_for(spec.data.shape[0])
+    re, im = spec.data.real, spec.data.imag
+    cos, sin = np.empty((2, pairs.num_pairs) + spec.data.shape[1:])
+    for u, (a, b) in enumerate(pairs.pairs):
+        c = re[a] * re[b] + im[a] * im[b]
+        s = im[a] * re[b] - re[a] * im[b]
+        mod = np.sqrt(c * c + s * s)
+        silent = mod == 0.0
+        c[silent], s[silent], mod[silent] = 1.0, 0.0, 1.0
+        np.divide(c, mod, out=cos[u])
+        np.divide(s, mod, out=sin[u])
+    return cos, sin
 
 
 def ipd(spec: ComplexSpectrogram, pairs: PairSelection) -> np.ndarray:
-    """Per-pair inter-channel phase difference, shape (U, T, F), wrapped.
-
-    IPD(u) = angle(Y[u1]) - angle(Y[u2]); zero bins contribute angle 0.
-    """
-    pairs.validate_for(spec.data.shape[0])
-    angles = np.angle(spec.data)
-    out = np.empty((pairs.num_pairs,) + angles.shape[1:])
-    for u, (a, b) in enumerate(pairs.pairs):
-        out[u] = wrap_phase(angles[a] - angles[b])
-    return out
+    """Per-pair IPD in (-pi, pi], (U, T, F): the angle of :func:`pair_cos_sin`."""
+    cos, sin = pair_cos_sin(spec, pairs)
+    return np.arctan2(sin, cos)
 
 
 def pair_steering_phases(array: MicArray, azimuth: float, pairs: PairSelection,
                          cfg: StftConfig) -> np.ndarray:
-    """Expected anechoic IPD per pair and bin, shape (U, F)."""
-    direction = SourceDirection(azimuth)
-    delays = tdoa(array, direction)
-    freqs = cfg.freqs
-    out = np.empty((pairs.num_pairs, freqs.size))
-    for u, (a, b) in enumerate(pairs.pairs):
-        out[u] = 2.0 * np.pi * freqs * (delays[b] - delays[a])
-    return out
+    """Expected anechoic IPD per pair and bin, shape (U, F):
+    2*pi*f*(delay[b] - delay[a]) for pair (a, b)."""
+    delays = tdoa(array, SourceDirection(azimuth))
+    a, b = np.array(pairs.pairs, dtype=int).reshape(-1, 2).T
+    return 2.0 * np.pi * cfg.freqs * (delays[b] - delays[a])[:, None]
 
 
 def premask(spec: ComplexSpectrogram, ref_index: int) -> np.ndarray:
@@ -131,12 +134,11 @@ def angle_feature(spec: ComplexSpectrogram, azimuth: float, array: MicArray,
     """Angle feature for a hypothesized azimuth, (T, F) in [-1, 1].
 
     AF = mean_u cos(IPD(u) - steering_phase(u)); each summand is the real
-    part of a unit-modulus ratio between the observed and expected
-    inter-channel phasors. Bins more than ``PREMASK_DB`` below the
+    part of the product of the observed IPD phasor (:func:`pair_cos_sin`)
+    and the conjugate expected one. Bins more than ``PREMASK_DB`` below the
     utterance's reference-channel peak are zeroed.
     """
-    phi = ipd(spec, pairs)
-    return angle_feature_from_ipd(np.cos(phi), np.sin(phi),
+    return angle_feature_from_ipd(*pair_cos_sin(spec, pairs),
                                   pair_steering_phases(array, azimuth, pairs, spec.config),
                                   premask(spec, array.ref_index))
 

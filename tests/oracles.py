@@ -152,3 +152,34 @@ def nearest_direction(azimuths, azimuth: float) -> int:
         if angle_difference(az, azimuth) < angle_difference(azimuths[best], azimuth):
             best = p
     return best
+
+
+def wrap_phase(phi: np.ndarray) -> np.ndarray:
+    """Radians wrapped into (-pi, pi], as the angle of the unit phasor."""
+    return np.angle(np.exp(1j * np.asarray(phi)))
+
+
+def angle_ipd(data: np.ndarray, pairs) -> np.ndarray:
+    """IPD by its definition, (U, T, F) from a (J, T, F) spectrum: the
+    wrapped difference of the channel phase angles, 0 in bins where either
+    channel is 0."""
+    angles = np.angle(data)
+    return np.stack([np.where((data[a] == 0) | (data[b] == 0), 0.0,
+                              wrap_phase(angles[a] - angles[b]))
+                     for a, b in pairs.pairs])
+
+
+def loop_steering_phases(delays: np.ndarray, freqs: np.ndarray, pairs) -> np.ndarray:
+    """Expected IPD 2*pi*f*(delay[b] - delay[a]), one pair (a, b) at a time, (U, F)."""
+    out = np.empty((len(pairs.pairs), freqs.size))
+    for u, (a, b) in enumerate(pairs.pairs):
+        out[u] = 2.0 * np.pi * freqs * (delays[b] - delays[a])
+    return out
+
+
+def angle_ipsm(target: np.ndarray, mixture: np.ndarray, eps: float) -> np.ndarray:
+    """IPSM by its phase-angle definition,
+    clip(|S| cos(angle(S) - angle(Y)) / (|Y| + eps), 0, 1), and 0 where Y = 0."""
+    values = (np.abs(target) * np.cos(np.angle(target) - np.angle(mixture))
+              / (np.abs(mixture) + eps))
+    return np.where(mixture == 0, 0.0, np.clip(values, 0.0, 1.0))

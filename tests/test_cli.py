@@ -55,6 +55,25 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--duration", "inf"], "--duration"),
+    (["perturb", "--direction-error-deg", "0,inf"], "--direction-error-deg"),
+    (["perturb", "--direction-error-deg", "nan"], "--direction-error-deg"),
+    (["separate", "--method", "heuristic", "--alpha", "nan"], "--alpha"),
+    (["separate", "--method", "heuristic", "--direction-error-deg", "nan"],
+     "--direction-error-deg"),
+], ids=["duration-inf", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan"])
+def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag):
+    # Every float flag, and each item of perturb's error list, must be
+    # finite: a usage error names the flag before any output is made.
+    manifest = [] if argv[0] == "simulate" else ["--manifest", str(dataset[0] / "manifest.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *manifest, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 class TestSimulate:
     def test_outputs_and_determinism(self, tmp_path):
         m1 = simulate(tmp_path / "a", seed=7, n=3, duration=0.6)
@@ -447,6 +466,15 @@ def test_cached_dpr_matches_grid_dpr(dataset):
                             rtol=1e-12, atol=0)
 
 
+def _run_every_path(manifest, out) -> None:
+    m = str(manifest)
+    for argv in (["features", "--features", "lps,cosipd,sinipd,af,dpr", "--cond", "tgt+intf"],
+                 *(["separate", "--method", method, "--cond", "tgt+intf"]
+                   for method in pipeline.METHODS),
+                 ["perturb", "--direction-error-deg", "0,4"]):
+        assert main([*argv, "--manifest", m, "--out", str(out / "-".join(argv))]) == 0, argv
+
+
 def test_run_paths_build_no_kernels(dataset, tmp_path, monkeypatch):
     # The analysis kernels are the paper's reference form; every run path
     # transforms straight from the configs and never builds them.
@@ -459,13 +487,19 @@ def test_run_paths_build_no_kernels(dataset, tmp_path, monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ssk"]:
         if getattr(module, "build_kernel", None) is original:
             monkeypatch.setattr(module, "build_kernel", refuse)
-    m = str(out / "manifest.json")
-    for argv in (["features", "--features", "lps,cosipd,sinipd,af,dpr", "--cond", "tgt+intf"],
-                 ["separate", "--method", "ibm"],
-                 ["separate", "--method", "das"],
-                 ["separate", "--method", "heuristic", "--cond", "tgt+intf"],
-                 ["perturb", "--direction-error-deg", "0,4"]):
-        assert main([*argv, "--manifest", m, "--out", str(tmp_path / "-".join(argv))]) == 0, argv
+    _run_every_path(out / "manifest.json", tmp_path)
+
+
+def test_run_paths_take_no_phase_angle(dataset, tmp_path, monkeypatch):
+    # IPD phasors and the IPSM come from cross-spectra; no run path takes
+    # the phase angle of a spectrum.
+    out, _ = dataset
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run path took a phase angle")
+
+    monkeypatch.setattr(np, "angle", refuse)
+    _run_every_path(out / "manifest.json", tmp_path)
 
 
 class TestManifestDecides:

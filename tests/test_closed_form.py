@@ -1,6 +1,7 @@
-"""The closed forms the analysis uses (rfft STFT, AF from IPD cosines and
-sines, DPR from one beam and a factored grid total) against the definitions
-in ``oracles``: formula by formula, and end to end through the CLI."""
+"""The closed forms the analysis uses (rfft STFT, IPD phasors and the IPSM
+from cross-spectra, AF from IPD cosines and sines, DPR from one beam and a
+factored grid total) against the definitions in ``oracles``: formula by
+formula, and end to end through the CLI."""
 
 import csv
 import json
@@ -12,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from ssk import pipeline
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_wav
-from ssk.geometry import DirectionGrid, circular_array
+from ssk.geometry import DirectionGrid, SourceDirection, circular_array, tdoa
+from ssk.separation import MASK_EPS, Mask, MaskKind
 from ssk.spatial_features import (DPR_POWER_FLOOR, angle_feature_from_ipd, beam_power,
-                                  beam_power_total, beam_powers, das_filterbank, ipd,
-                                  pair_steering_phases)
+                                  beam_power_total, beam_powers, das_filterbank)
 from ssk.spectral import ComplexSpectrogram, StftConfig, hann_periodic, stft
 
 import oracles
@@ -72,7 +73,8 @@ def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
 
 def _reference_formulas(monkeypatch) -> None:
     """Put the definitions from ``oracles`` in place of the closed forms
-    behind every spectrogram, AF and DPR the analysis hands out."""
+    behind every spectrogram, IPD cosine and sine, AF, DPR and IPSM the
+    analysis hands out."""
     def one(x, cfg):
         return ComplexSpectrogram(data=oracles.kernel_stft(x, cfg), config=cfg)
 
@@ -80,10 +82,23 @@ def _reference_formulas(monkeypatch) -> None:
         return ComplexSpectrogram(
             data=np.stack([oracles.kernel_stft(ch, cfg) for ch in wav]), config=cfg)
 
+    def cos_sin(spec, pairs):
+        phi = oracles.angle_ipd(spec.data, pairs)
+        return np.cos(phi), np.sin(phi)
+
     def angle_feature(self, azimuth):
-        pairs = self.cfg.require_pairs()
-        steer = pair_steering_phases(self.cfg.array, azimuth, pairs, self.cfg.stft_cfg)
-        return oracles.direct_angle_feature(ipd(self.spec, pairs), steer, self.premask)
+        cfg, pairs = self.cfg, self.cfg.require_pairs()
+        steer = oracles.loop_steering_phases(tdoa(cfg.array, SourceDirection(azimuth)),
+                                             cfg.stft_cfg.freqs, pairs)
+        return oracles.direct_angle_feature(oracles.angle_ipd(self.spec.data, pairs), steer,
+                                            self.premask)
+
+    def oracle_mask(target, others, kind):
+        if kind is not MaskKind.IPSM:
+            return real_oracle_mask(target, others, kind)
+        mixture = target.data + sum(o.data for o in others)
+        return Mask(values=oracles.angle_ipsm(target.data, mixture, MASK_EPS),
+                    config=target.config, kind=kind)
 
     def dpr(self, azimuth):
         bank = das_filterbank(self.cfg.array, self.cfg.grid, self.cfg.stft_cfg)
@@ -91,8 +106,11 @@ def _reference_formulas(monkeypatch) -> None:
                                 oracles.nearest_direction(self.cfg.grid.azimuths, azimuth),
                                 DPR_POWER_FLOOR)
 
+    real_oracle_mask = pipeline.oracle_mask
     monkeypatch.setattr(pipeline, "stft", one)
     monkeypatch.setattr(pipeline, "multichannel_stft", multichannel)
+    monkeypatch.setattr(pipeline, "pair_cos_sin", cos_sin)
+    monkeypatch.setattr(pipeline, "oracle_mask", oracle_mask)
     monkeypatch.setattr(pipeline.UtteranceAnalysis, "angle_feature", angle_feature)
     monkeypatch.setattr(pipeline.UtteranceAnalysis, "dpr", dpr)
 

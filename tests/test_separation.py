@@ -7,11 +7,13 @@ from ssk import synth
 from ssk.geometry import angle_difference, circular_array
 from ssk.metrics import si_sdr, si_sdri
 from ssk.room_sim import render_mixture, sample_scene
-from ssk.separation import (Mask, MaskKind, apply_mask, das_beamform,
+from ssk.separation import (MASK_EPS, Mask, MaskKind, apply_mask, das_beamform,
                             directional_mask, oracle_mask)
 from ssk.spatial_features import (angle_feature, das_filterbank, dpr,
                                   multichannel_stft, nearest_direction)
-from ssk.spectral import StftConfig, stft
+from ssk.spectral import ComplexSpectrogram, StftConfig, stft
+
+import oracles
 
 FS = 16000
 ORACLE_CFG = StftConfig.oracle_mask_default()
@@ -54,6 +56,22 @@ class TestOracleMask:
         spec = stft(x, ORACLE_CFG)
         active = np.abs(spec.data) > 1e-3 * np.abs(spec.data).max()
         npt.assert_allclose(mask.values[active], 1.0, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 20), st.floats(0.0, 0.5),
+           st.integers(0, 2 ** 31 - 1))
+    def test_ipsm_matches_angle_definition(self, interferers, frames, zero_share, seed):
+        # Spectra over six decades with exact-zero bins: the cross-spectrum
+        # IPSM equals the phase-angle formula, 0 where the mixture is 0.
+        rng = np.random.default_rng(seed)
+        shape = (1 + interferers, frames, ORACLE_CFG.num_bins)
+        data = 10.0 ** rng.uniform(-3.0, 3.0, shape) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, shape))
+        data[rng.random(shape) < zero_share] = 0.0
+        specs = [ComplexSpectrogram(data=d, config=ORACLE_CFG) for d in data]
+        mask = oracle_mask(specs[0], specs[1:], MaskKind.IPSM)
+        npt.assert_allclose(mask.values, oracles.angle_ipsm(data[0], data.sum(axis=0), MASK_EPS),
+                            rtol=0, atol=1e-12)
 
     def test_ibm_one_where_target_dominates(self, rng):
         x = synth.speech_like(rng, 0.5, FS)

@@ -8,8 +8,8 @@ from ssk.geometry import DirectionGrid, PairSelection, SourceDirection, circular
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.spatial_features import (angle_feature, assemble_features, beam_powers,
                                   das_filterbank, dpr, dpr_all, ipd,
-                                  multichannel_stft, nearest_direction,
-                                  pair_steering_phases, premask, wrap_phase)
+                                  multichannel_stft, nearest_direction, pair_cos_sin,
+                                  pair_steering_phases, premask)
 from ssk.spectral import ComplexSpectrogram, StftConfig, stft
 
 import oracles
@@ -46,7 +46,7 @@ class TestIpd:
         ch2 = tone[:3000]
         spec = multichannel_stft(np.stack([ch1, ch2]), cfg_default)
         phi = ipd(spec, PairSelection(((0, 1),)))[0]
-        expected = wrap_phase(np.array(2.0 * np.pi * m0 * delay / 64.0))
+        expected = oracles.wrap_phase(np.array(2.0 * np.pi * m0 * delay / 64.0))
         mags = np.abs(spec.data[0])
         strong = mags[:, m0] > 0.5 * mags[:, m0].max()
         npt.assert_allclose(phi[strong, m0], expected, atol=0.05)
@@ -58,7 +58,7 @@ class TestIpd:
         steer = pair_steering_phases(array6, az, pairs6, cfg_default)
         keep = premask(spec, 0)
         mid = slice(2, 10)
-        err = np.abs(wrap_phase(phi[:, :, mid] - steer[:, None, mid]))
+        err = np.abs(oracles.wrap_phase(phi[:, :, mid] - steer[:, None, mid]))
         active = np.broadcast_to(keep[None, :, mid], err.shape)
         assert np.median(err[active]) < 0.2
 
@@ -70,7 +70,7 @@ class TestIpd:
         spec = multichannel_stft(wav, StftConfig.default())
         fwd = ipd(spec, PairSelection(((0, 1),)))[0]
         rev = ipd(spec, PairSelection(((1, 0),)))[0]
-        npt.assert_allclose(wrap_phase(fwd + rev), 0.0, atol=1e-9)
+        npt.assert_allclose(oracles.wrap_phase(fwd + rev), 0.0, atol=1e-9)
         npt.assert_allclose(np.cos(fwd), np.cos(rev), atol=1e-9)
         npt.assert_allclose(np.sin(fwd), -np.sin(rev), atol=1e-9)
 
@@ -78,6 +78,25 @@ class TestIpd:
         spec = multichannel_stft(rng.standard_normal((2, 500)), cfg_default)
         with pytest.raises(ValueError):
             ipd(spec, PairSelection(((0, 5),)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 20), st.floats(0.0, 0.5),
+           st.integers(0, 2 ** 31 - 1))
+    def test_pair_cos_sin_matches_angle_definition(self, mics, frames, zero_share, seed):
+        # Random spectra over six decades, with exact-zero bins in one or
+        # both channels of a pair: the phasor equals cos and sin of the
+        # angle-difference IPD, which is 0 wherever a channel is 0.
+        rng = np.random.default_rng(seed)
+        cfg = StftConfig.default()
+        shape = (mics, frames, cfg.num_bins)
+        data = 10.0 ** rng.uniform(-3.0, 3.0, shape) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, shape))
+        data[rng.random(shape) < zero_share] = 0.0
+        pairs = PairSelection(tuple((a, b) for a in range(mics) for b in range(mics) if a != b))
+        cos, sin = pair_cos_sin(ComplexSpectrogram(data=data, config=cfg), pairs)
+        phi = oracles.angle_ipd(data, pairs)
+        npt.assert_allclose(cos, np.cos(phi), rtol=0, atol=1e-12)
+        npt.assert_allclose(sin, np.sin(phi), rtol=0, atol=1e-12)
 
 
 class TestAngleFeature:
@@ -204,6 +223,12 @@ class TestPairSteeringPhases:
         npt.assert_allclose(val, expected, rtol=1e-12)
         npt.assert_allclose(val, 5.129130863003744, rtol=1e-12)
 
+    def test_bit_equal_to_per_pair_loop(self, array6, pairs6, cfg_default, grid36):
+        for az in grid36.azimuths:
+            delays = tdoa(array6, SourceDirection(float(az)))
+            assert np.array_equal(pair_steering_phases(array6, float(az), pairs6, cfg_default),
+                                  oracles.loop_steering_phases(delays, cfg_default.freqs, pairs6))
+
     def test_linear_in_band_index(self, array6, cfg_default):
         steer = pair_steering_phases(array6, 40.0, PairSelection(((0, 1),)), cfg_default)
         npt.assert_allclose(np.diff(steer[0], 2), 0.0, atol=1e-12)
@@ -216,7 +241,7 @@ class TestPairContrast:
         # separates them.
         steer_a = pair_steering_phases(array6, 90.0, pairs6, cfg_default)
         steer_b = pair_steering_phases(array6, 270.0, pairs6, cfg_default)
-        contrast = np.abs(wrap_phase(steer_a - steer_b)).max(axis=1)
+        contrast = np.abs(oracles.wrap_phase(steer_a - steer_b)).max(axis=1)
         assert contrast[0] < 1e-9          # pair (1,4)
         assert contrast[2] > 1.0           # pair (3,6)
 
