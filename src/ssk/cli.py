@@ -38,7 +38,11 @@ def _finite(text: str) -> float:
 
 
 def _finite_list(text: str) -> list[float]:
-    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+    """argparse type of a comma list of finite numbers; at least one."""
+    values = [_finite(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no numbers")
+    return values
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:

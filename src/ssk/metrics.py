@@ -114,12 +114,6 @@ class EvalReport:
             writer.writerow(["overall", self.overall_count,
                              "" if self.overall_mean is None else f"{self.overall_mean:.6f}"])
 
-    def bin_mean(self, label: str) -> float | None:
-        for b in self.bins:
-            if b.label == label:
-                return b.mean_si_sdri
-        raise KeyError(label)
-
     def mean_above(self, threshold_deg: float) -> float | None:
         """Count-weighted mean SI-SDRi over bins entirely above ``threshold_deg``."""
         total = 0

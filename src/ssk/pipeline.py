@@ -2,16 +2,17 @@
 separation and evaluation over a manifest.
 
 Features, separation and the direction-error sweep work one utterance at a
-time: an :class:`UtteranceAnalysis` reads the mixture and analyses it once,
-and every target of that utterance, under every separation :class:`Run`
-(one per sweep point), reuses it. The sweep also scores each estimate in
-the same task. ``jobs`` threads take whole utterances."""
+time: an :class:`UtteranceAnalysis` reads the mixture, transforms it once and
+holds its :class:`~ssk.spatial_features.SpatialAnalysis`, and every target of
+that utterance, under every separation :class:`Run` (one per sweep point),
+reuses both. The sweep also scores each estimate in the same task. ``jobs``
+threads take whole utterances."""
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,10 +28,8 @@ from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, s
 from .room_sim import render_mixture, sample_scene
 from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
                          oracle_mask)
-from .spatial_features import (DasFilterbank, FeatureStack, angle_feature_from_ipd,
-                               assemble_features, beam_power, beam_power_total,
-                               das_filterbank, dpr_ratio, multichannel_stft, nearest_direction,
-                               pair_cos_sin, pair_steering_phases, premask)
+from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
+                               computed_once, multichannel_stft)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 
 ORACLE_METHODS = {"ibm": MaskKind.IBM, "irm": MaskKind.IRM, "ipsm": MaskKind.IPSM}
@@ -66,11 +65,6 @@ class PipelineConfig:
                          hop=hop, sample_rate=sample_rate)
         return cls(array=array, pairs=pairs, grid=DirectionGrid.uniform(grid_step),
                    stft_cfg=cfg, oracle_cfg=StftConfig.oracle_mask_default(sample_rate))
-
-    def require_pairs(self) -> PairSelection:
-        if self.pairs is None:
-            raise ValueError("pairwise features need at least two microphones")
-        return self.pairs
 
 
 @dataclass(frozen=True)
@@ -227,22 +221,6 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return entry.sources[min(others)[1]].azimuth_deg
 
 
-class _computed_once:
-    """Property computed on first use and then stored on the instance. Unlike
-    ``functools.cached_property`` before Python 3.12 it takes no lock shared
-    by all instances, which would let one ``--jobs`` thread at a time
-    analyse an utterance; each analysis is used by a single thread."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
 def _read(manifest: Manifest, relative: str) -> np.ndarray:
     wav, _ = read_wav(manifest.resolve(relative), expected_rate=manifest.sample_rate)
     return wav
@@ -255,32 +233,18 @@ class UtteranceAnalysis:
     configs in ``cfg`` (no analysis kernels are built).
 
     Each part is computed on first use, so a method pays only for what it
-    reads: the mixture, its (J, T, F) spectrogram at ``cfg.stft_cfg``, the
-    ``cfg.oracle_cfg`` spectrograms of the reference-channel mixture and
-    source images, the cosine and sine of the pair IPDs, the premask, the
-    delay-and-sum grid filterbank and its total beam power per bin.
-
-    AF is computed from the IPD cosines and sines per azimuth. The maps of
-    the utterance's source azimuths are kept for its lifetime: features,
-    unperturbed separation and every ``tgt+intf`` interferer reuse them.
-    Of any other azimuth (a perturbed target) only the latest map is kept,
-    so the analysis holds at most S + 1 AF maps for S sources, however many
-    sweep points it serves; callers that steer at the same perturbed
-    azimuth should do so consecutively. DPR
-    (:func:`~ssk.spatial_features.dpr_ratio` of one beam and the total, the
-    formula of the free ``dpr``) is kept per grid index
-    (:func:`~ssk.spatial_features.nearest_direction` of the azimuth), at
-    most one map per grid direction.
+    reads: the mixture (checked against the manifest array), its (J, T, F)
+    spectrogram at ``cfg.stft_cfg``, the ``cfg.oracle_cfg`` spectrograms of
+    the reference-channel mixture and source images, and the
+    :class:`~ssk.spatial_features.SpatialAnalysis` of the spectrogram, which
+    keeps the AF maps of the utterance's source azimuths.
     """
 
     entry: UtteranceEntry
     manifest: Manifest
     cfg: PipelineConfig
-    _af: dict = field(default_factory=dict, init=False, repr=False)
-    _af_latest: dict = field(default_factory=dict, init=False, repr=False)
-    _dpr: dict = field(default_factory=dict, init=False, repr=False)
 
-    @_computed_once
+    @computed_once
     def mixture(self) -> np.ndarray:
         wav = _read(self.manifest, self.entry.mixture)
         if wav.shape[0] != self.cfg.array.num_mics:
@@ -288,7 +252,7 @@ class UtteranceAnalysis:
                                   f"manifest array has {self.cfg.array.num_mics} microphones")
         return wav
 
-    @_computed_once
+    @computed_once
     def ref_specs(self) -> tuple[ComplexSpectrogram, list[ComplexSpectrogram]]:
         """Oracle-config spectrograms of the reference-channel mixture and of
         each reference-channel source image."""
@@ -297,49 +261,15 @@ class UtteranceAnalysis:
                   for src in self.entry.sources]
         return stft(self.mixture[ref], oracle_cfg), images
 
-    @_computed_once
+    @computed_once
     def spec(self) -> ComplexSpectrogram:
         return multichannel_stft(self.mixture, self.cfg.stft_cfg)
 
-    @_computed_once
-    def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cosine and sine of the pair IPDs, each (U, T, F)."""
-        return pair_cos_sin(self.spec, self.cfg.require_pairs())
-
-    @_computed_once
-    def premask(self) -> np.ndarray:
-        return premask(self.spec, self.cfg.array.ref_index)
-
-    @_computed_once
-    def filterbank(self) -> DasFilterbank:
+    @computed_once
+    def spatial(self) -> SpatialAnalysis:
         cfg = self.cfg
-        return das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
-
-    @_computed_once
-    def beam_total(self) -> np.ndarray:
-        return beam_power_total(self.spec, self.filterbank)
-
-    @_computed_once
-    def source_azimuths(self) -> frozenset[float]:
-        return frozenset(src.azimuth_deg for src in self.entry.sources)
-
-    def angle_feature(self, azimuth: float) -> np.ndarray:
-        cache = self._af if azimuth in self.source_azimuths else self._af_latest
-        if azimuth not in cache:
-            if cache is self._af_latest:
-                cache.clear()  # before computing, so no two perturbed maps coexist
-            cfg = self.cfg
-            steer = pair_steering_phases(cfg.array, azimuth, cfg.require_pairs(), cfg.stft_cfg)
-            cache[azimuth] = angle_feature_from_ipd(*self.pair_cos_sin, steer, self.premask)
-        return cache[azimuth]
-
-    def dpr(self, azimuth: float) -> np.ndarray:
-        p = nearest_direction(self.cfg.grid, azimuth)
-        if p not in self._dpr:
-            bank = self.filterbank
-            self._dpr[p] = dpr_ratio(beam_power(self.spec, bank, p), self.beam_total,
-                                     bank.num_directions)
-        return self._dpr[p]
+        return SpatialAnalysis(self.spec, cfg.array, cfg.pairs, cfg.grid,
+                               frozenset(src.azimuth_deg for src in self.entry.sources))
 
 
 def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
@@ -353,14 +283,15 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
     blocks: list[tuple[str, np.ndarray]] = []
     if selection.lps:
         blocks.append(("lps", lps(analysis.spec.channel(analysis.cfg.array.ref_index))))
+    spatial = analysis.spatial
     if selection.cosipd:
-        blocks.append(("cosipd", analysis.pair_cos_sin[0]))
+        blocks.append(("cosipd", spatial.pair_cos_sin[0]))
     if selection.sinipd:
-        blocks.append(("sinipd", analysis.pair_cos_sin[1]))
+        blocks.append(("sinipd", spatial.pair_cos_sin[1]))
     if selection.af:
-        blocks += [(f"af:{who}", analysis.angle_feature(az)) for who, az in directions]
+        blocks += [(f"af:{who}", spatial.angle_feature(az)) for who, az in directions]
     if selection.dpr:
-        blocks += [(f"dpr:{who}", analysis.dpr(az)) for who, az in directions]
+        blocks += [(f"dpr:{who}", spatial.dpr(az)) for who, az in directions]
     return assemble_features(blocks)
 
 
@@ -385,14 +316,6 @@ def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig,
 # Separation
 
 
-def _perturbed_azimuth(azimuth: float, error_deg: float, seed_parts) -> float:
-    if error_deg == 0.0:
-        return azimuth
-    rng = np.random.default_rng(seed_parts)
-    sign = 1.0 if rng.integers(2) else -1.0
-    return azimuth + sign * error_deg
-
-
 def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
                        azimuth: float, cond: str = "tgt", alpha: float = 1.0,
                        beta: float = 1.0) -> np.ndarray:
@@ -406,12 +329,12 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
         mask = oracle_mask(images[target], others, ORACLE_METHODS[method])
         return apply_mask(mixture, mask, length)
     if method == "heuristic":
-        entry = analysis.entry
+        entry, spatial = analysis.entry, analysis.spatial
         af_intf = dpr_intf = None
         if cond == "tgt+intf" and len(entry.sources) > 1:
             intf_az = _interferer_azimuth(entry, target)
-            af_intf, dpr_intf = analysis.angle_feature(intf_az), analysis.dpr(intf_az)
-        mask = directional_mask(analysis.angle_feature(azimuth), analysis.dpr(azimuth),
+            af_intf, dpr_intf = spatial.angle_feature(intf_az), spatial.dpr(intf_az)
+        mask = directional_mask(spatial.angle_feature(azimuth), spatial.dpr(azimuth),
                                 af_intf, dpr_intf, alpha=alpha, beta=beta,
                                 cfg=cfg.stft_cfg)
         return apply_mask(analysis.spec.channel(cfg.array.ref_index), mask, length)
@@ -437,22 +360,27 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     """Separate every (utterance, target) once per run, in one pass over the
     utterances that reads and analyses each mixture once. Writes estimate
     WAVs plus JSON sidecars recording the method and the azimuth actually
-    used; the error sign is drawn per (utterance, target) from ``error_seed``.
+    used; the error sign is drawn once per (utterance, target) from
+    ``error_seed`` and serves every run.
 
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
     and the analysis computes its AF once and then drops it (see
-    :class:`UtteranceAnalysis`). With ``score`` each target's reference
-    image is read once and every estimate is scored as written, rounded to
-    float32, which is bit-equal to reading it back: the records match
-    :func:`evaluate_dataset` on the run's directory. Returns the written paths
-    and, per run, its records in manifest order (empty lists without
-    ``score``)."""
+    :class:`~ssk.spatial_features.SpatialAnalysis`). With ``score`` each
+    target's reference image is read once and every estimate is scored as
+    written, rounded to float32, which is bit-equal to reading it back: the
+    records match :func:`evaluate_dataset` on the run's directory. Returns
+    the written paths and, per run, its records in manifest order (empty
+    lists without ``score``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
+    # Without a perturbed run no generator is built: its small allocations
+    # between an utterance's large arrays raised the peak RSS of a
+    # 6-utterance heuristic ``separate`` by 5 MB.
+    perturbed = any(run.direction_error_deg != 0.0 for run in runs)
     ref_index = manifest.array.ref_index
 
     def one(task) -> tuple[list[Path], list[list[EvalRecord]]]:
@@ -464,10 +392,11 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
             if score:
                 reference = _read(manifest, src.image)[ref_index]
                 si_sdr_mix = si_sdr(analysis.mixture[ref_index], reference)
+            sign = -1.0 if perturbed and not np.random.default_rng(
+                [error_seed, index, target]).integers(2) else 1.0
             for i in order:
                 run = runs[i]
-                azimuth = _perturbed_azimuth(src.azimuth_deg, run.direction_error_deg,
-                                             [error_seed, index, target])
+                azimuth = src.azimuth_deg + sign * run.direction_error_deg
                 est = separate_utterance(analysis, method, target, azimuth, cond=cond,
                                          alpha=run.alpha, beta=run.beta)
                 path = run.out_dir / f"{entry.id}_tgt{target}.wav"

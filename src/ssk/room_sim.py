@@ -75,14 +75,6 @@ class RoomConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class RIRSet:
-    """Per-source (J, length) impulse responses."""
-
-    rirs: tuple
-    sample_rate: int
-
-
-@dataclass(frozen=True, eq=False)
 class MixtureScene:
     """Rendered scene: mixture is the sample-wise sum of per-source images."""
 
@@ -263,7 +255,7 @@ def mic_positions_in_room(room: RoomConfig, array: MicArray) -> np.ndarray:
     return array.positions + room.array_center[None, :]
 
 
-def simulate_rirs(room: RoomConfig, array: MicArray) -> RIRSet:
+def simulate_rirs(room: RoomConfig, array: MicArray) -> tuple[np.ndarray, ...]:
     """All source-to-mic RIRs; per source a (J, length) array.
 
     One calibrated reflection coefficient is shared by every path in the
@@ -279,7 +271,7 @@ def simulate_rirs(room: RoomConfig, array: MicArray) -> RIRSet:
         for j, r in enumerate(rirs):
             stacked[j, :r.size] = r
         per_source.append(stacked)
-    return RIRSet(rirs=tuple(per_source), sample_rate=room.sample_rate)
+    return tuple(per_source)
 
 
 def _fast_rfft_length(n: int) -> int:
@@ -327,8 +319,7 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
     if gains.size != len(dry):
         raise ValueError("one gain per source expected")
 
-    rir_set = simulate_rirs(room, array)
-    images = [_convolve_rows(s, rirs) for s, rirs in zip(dry, rir_set.rirs)]
+    images = [_convolve_rows(s, rirs) for s, rirs in zip(dry, simulate_rirs(room, array))]
     length = max(img.shape[1] for img in images)
     images = [np.pad(img, ((0, 0), (0, length - img.shape[1]))) for img in images]
 

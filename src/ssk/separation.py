@@ -2,14 +2,15 @@
 delay-and-sum beamforming baseline.
 
 Every function here works in the T-F domain and runs no analysis of its
-own: it takes spectrograms built once per utterance by
-``pipeline.UtteranceAnalysis`` (or by :func:`~ssk.spectral.stft` directly)
-and returns masks or reference-channel waveforms. Oracle masks (IBM/IRM/IPSM)
-are computed from ground-truth source-image spectrograms at their own
-analysis configuration (16 ms Hann, 256-point FFT by default) and applied
-with the mixture phase. The directional heuristic is a non-neural
-stand-in that turns AF/DPR evidence into a soft mask; its numbers are this
-toolkit's own, not a published reference.
+own: it takes spectrograms (and AF/DPR maps) built once per utterance by
+``pipeline.UtteranceAnalysis`` and its ``spatial_features.SpatialAnalysis``
+(or by :func:`~ssk.spectral.stft` directly) and returns masks or
+reference-channel waveforms. Oracle masks (IBM/IRM/IPSM) are computed from
+ground-truth source-image spectrograms at their own analysis configuration
+(16 ms Hann, 256-point FFT by default) and applied with the mixture phase.
+The directional heuristic is a non-neural stand-in that turns AF/DPR
+evidence into a soft mask; its numbers are this toolkit's own, not a
+published reference.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class MaskKind(enum.Enum):
     IBM = "ibm"
     IRM = "irm"
     IPSM = "ipsm"
-    DIRECTIONAL_HEURISTIC = "heuristic"
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,6 @@ class Mask:
 
     values: np.ndarray
     config: StftConfig
-    kind: MaskKind
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -60,8 +59,6 @@ def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram]
         IPSM = clip(Re(S conj(Y)) / (|Y| (|Y| + eps)), 0, 1), 0 where Y = 0
                (|S| cos(angle(S) - angle(Y)) / |Y|, without taking an angle)
     """
-    if kind not in (MaskKind.IBM, MaskKind.IRM, MaskKind.IPSM):
-        raise ValueError(f"{kind} is not an oracle mask kind")
     cfg = target.config
     if not all(o.config.matches(cfg) for o in others):
         raise ValueError("interference spectrogram config differs from the target's")
@@ -84,7 +81,7 @@ def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram]
         denom = mix_mag * (mix_mag + MASK_EPS)
         proj = tgt.real * mix.real + tgt.imag * mix.imag  # 0 wherever Y = 0
         values = np.clip(proj / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
-    return Mask(values=values, config=cfg, kind=kind)
+    return Mask(values=values, config=cfg)
 
 
 def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
@@ -117,7 +114,7 @@ def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
         score = score * contrast
     values = np.clip(score, 0.0, 1.0)
     cfg = cfg if cfg is not None else StftConfig.default()
-    return Mask(values=values, config=cfg, kind=MaskKind.DIRECTIONAL_HEURISTIC)
+    return Mask(values=values, config=cfg)
 
 
 def _fit(signal: np.ndarray, length: int) -> np.ndarray:

@@ -6,25 +6,28 @@
   cluster by source direction, which is what every feature below exploits.
 * AF (angle feature): mean cosine similarity between the observed IPDs and
   the steering phases of a hypothesized azimuth; near 1 in bins dominated by
-  a source from that azimuth. It is evaluated as
+  a source from that azimuth. :func:`angle_feature` evaluates it as
   cos(phi - s) = cos(phi) cos(s) + sin(phi) sin(s), so the IPD phasors,
   computed once, serve every azimuth through two weighted sums over pairs.
 * DPR (directional power ratio): per-bin share of delay-and-sum beam output
-  power attributable to one direction of a fixed grid, always
-  :func:`dpr_ratio` of the beam power(s) and the grid total. The grid total
-  sum_p |w_p^H y|^2 is the quadratic form y^H R y with R = sum_p w_p w_p^H,
-  a J x J matrix per bin; it is evaluated as |A y|^2 with A the triangular
-  factor of the stacked beam weights (R = A^H A), J squares in place of P
-  beams and as accurate as summing the beams.
+  power attributable to one direction of a fixed grid, always :func:`dpr` of
+  the beam(s) and the grid total. The grid total sum_p |w_p^H y|^2 is the
+  quadratic form y^H R y with R = sum_p w_p w_p^H, a J x J matrix per bin; it
+  is evaluated as |A y|^2 with A the triangular factor of the stacked beam
+  weights (R = A^H A), J squares in place of P beams and as accurate as
+  summing the beams.
 
-Every spectrogram here is a :class:`~ssk.spectral.ComplexSpectrogram` of
-(J, T, F) data. Delay-and-sum weights come from :func:`das_weights` alone
-and are applied by :func:`beam` alone.
+:class:`SpatialAnalysis` is the one composition of these formulas from a
+spectrogram: it holds the IPD phasors, premask, grid weights and grid total
+of one utterance and memoises AF and DPR per direction. Every spectrogram
+here is a :class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F) data.
+Delay-and-sum weights come from :func:`das_weights` alone and are applied by
+:func:`beam` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,20 +44,6 @@ def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogr
     """Analyze a (J, n) waveform in one transform of all channels' frames,
     (J, T, F); channel j is bit-equal to ``stft`` of row j."""
     return ComplexSpectrogram(data=rfft_frames(np.atleast_2d(waveform), cfg), config=cfg)
-
-
-@dataclass(frozen=True, eq=False)
-class DasFilterbank:
-    """Delay-and-sum weights for a direction grid, (P, F, J) complex,
-    every entry of magnitude 1/J."""
-
-    weights: np.ndarray
-    grid: DirectionGrid
-    config: StftConfig
-
-    @property
-    def num_directions(self) -> int:
-        return int(self.weights.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,25 +118,14 @@ def premask(spec: ComplexSpectrogram, ref_index: int) -> np.ndarray:
     return mag >= peak * 10.0 ** (-PREMASK_DB / 20.0)
 
 
-def angle_feature(spec: ComplexSpectrogram, azimuth: float, array: MicArray,
-                  pairs: PairSelection) -> np.ndarray:
-    """Angle feature for a hypothesized azimuth, (T, F) in [-1, 1].
+def angle_feature(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.ndarray,
+                  keep: np.ndarray) -> np.ndarray:
+    """Angle feature, (T, F) in [-1, 1], from the cosine and sine of the pair
+    IPDs (U, T, F), the steering phases of one azimuth (U, F) and a premask
+    (T, F); bins outside the premask are zero.
 
-    AF = mean_u cos(IPD(u) - steering_phase(u)); each summand is the real
-    part of the product of the observed IPD phasor (:func:`pair_cos_sin`)
-    and the conjugate expected one. Bins more than ``PREMASK_DB`` below the
-    utterance's reference-channel peak are zeroed.
-    """
-    return angle_feature_from_ipd(*pair_cos_sin(spec, pairs),
-                                  pair_steering_phases(array, azimuth, pairs, spec.config),
-                                  premask(spec, array.ref_index))
-
-
-def angle_feature_from_ipd(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.ndarray,
-                           keep: np.ndarray) -> np.ndarray:
-    """AF from the cosine and sine of the pair IPDs (U, T, F), steering
-    phases (U, F) and a premask (T, F); bins outside the premask are zero.
-    mean_u cos(phi - s) is expanded into cos(phi)cos(s) + sin(phi)sin(s)."""
+    AF = mean_u cos(IPD(u) - steering_phase(u)), each summand expanded into
+    cos(phi)cos(s) + sin(phi)sin(s)."""
     af = (np.einsum("utf,uf->tf", cos_ipd, np.cos(steer))
           + np.einsum("utf,uf->tf", sin_ipd, np.sin(steer))) / steer.shape[0]
     return np.where(keep, af, 0.0)
@@ -161,9 +139,10 @@ def das_weights(array: MicArray, azimuths: Sequence[float], cfg: StftConfig) -> 
     return np.exp(phase) / array.num_mics
 
 
-def das_filterbank(array: MicArray, grid: DirectionGrid, cfg: StftConfig) -> DasFilterbank:
-    """Delay-and-sum beamformers steered at every grid direction."""
-    return DasFilterbank(weights=das_weights(array, grid.azimuths, cfg), grid=grid, config=cfg)
+def das_filterbank(array: MicArray, grid: DirectionGrid, cfg: StftConfig) -> np.ndarray:
+    """Delay-and-sum weights steered at every grid direction, (P, F, J),
+    every entry of magnitude 1/J."""
+    return das_weights(array, grid.azimuths, cfg)
 
 
 def beam(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
@@ -174,21 +153,9 @@ def beam(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...fj,jtf->...tf", np.conj(weights), spec.data)
 
 
-def beam_powers(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarray:
-    """|w_p^H Y|^2 for every direction, (P, T, F)."""
-    return np.abs(beam(spec, bank.weights)) ** 2
-
-
-def beam_power(spec: ComplexSpectrogram, bank: DasFilterbank,
-               direction_index: int) -> np.ndarray:
-    """|w_p^H Y|^2 toward one grid direction, (T, F): row ``direction_index``
-    of :func:`beam_powers`."""
-    return np.abs(beam(spec, bank.weights[direction_index])) ** 2
-
-
-def beam_power_total(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarray:
-    """Grid total of the beam powers, ``beam_powers(spec, bank).sum(0)``,
-    (T, F), without forming any beam.
+def beam_power_total(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
+    """Grid total of the beam powers, sum_p |w_p^H Y|^2 over (P, F, J)
+    ``weights``, (T, F), without forming any beam.
 
     Per bin, R = sum_p w_p w_p^H = A^H A with A the triangular factor of the
     (P, J) stack of conjugated weights, so the total y^H R y is |A y|^2. Unlike
@@ -196,7 +163,7 @@ def beam_power_total(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarra
     the bin's conditioning, this sum of squares is as accurate as the beams.
     It is formed one bin at a time, so the (J, T) transients are those of a
     single bin."""
-    factor = np.linalg.qr(np.conj(bank.weights).transpose(1, 0, 2), mode="r")  # (F, J, J)
+    factor = np.linalg.qr(np.conj(weights).transpose(1, 0, 2), mode="r")  # (F, J, J)
     y = spec.data.transpose(2, 0, 1)  # (F, J, T)
     total = np.empty(spec.data.shape[1:])
     for f in range(total.shape[1]):
@@ -205,25 +172,13 @@ def beam_power_total(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarra
     return total
 
 
-def dpr(spec: ComplexSpectrogram, bank: DasFilterbank, direction_index: int) -> np.ndarray:
-    """Directional power ratio toward one grid direction, (T, F) in [0, 1];
-    silent bins get 1/P (:func:`dpr_ratio`)."""
-    if not 0 <= direction_index < bank.num_directions:
-        raise ValueError(f"direction index {direction_index} out of range")
-    return dpr_ratio(beam_power(spec, bank, direction_index), beam_power_total(spec, bank),
-                     bank.num_directions)
-
-
-def dpr_all(spec: ComplexSpectrogram, bank: DasFilterbank) -> np.ndarray:
-    """DPR for every grid direction at once, (P, T, F)."""
-    return dpr_ratio(beam_powers(spec, bank), beam_power_total(spec, bank),
-                     bank.num_directions)
-
-
-def dpr_ratio(power: np.ndarray, total: np.ndarray, num_directions: int) -> np.ndarray:
-    """DPR from the beam power(s) toward the wanted direction(s) and the grid
-    total over ``num_directions`` beams; bins whose total falls below the
-    floor get the uniform value 1/P."""
+def dpr(spec: ComplexSpectrogram, weights: np.ndarray, total: np.ndarray,
+        num_directions: int) -> np.ndarray:
+    """Directional power ratio |w^H Y|^2 / total, in [0, 1]: (T, F) toward one
+    direction for (F, J) weights, (P, T, F) toward each of (P, F, J). ``total``
+    is the :func:`beam_power_total` of the ``num_directions`` grid beams;
+    bins whose total falls below the floor get the uniform value 1/P."""
+    power = np.abs(beam(spec, weights)) ** 2
     out = power / np.maximum(total, DPR_POWER_FLOOR)
     return np.where(total < DPR_POWER_FLOOR, 1.0 / num_directions, out)
 
@@ -233,6 +188,90 @@ def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:
     lower index."""
     d = np.abs(grid.azimuths - normalize_azimuth(azimuth))
     return int(np.argmin(np.minimum(d, 360.0 - d)))
+
+
+class computed_once:
+    """Property computed on first use and then stored on the instance. Unlike
+    ``functools.cached_property`` before Python 3.12 it takes no lock shared
+    by all instances, which would let one ``--jobs`` thread at a time
+    analyse an utterance; each analysis is used by a single thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
+class SpatialAnalysis:
+    """The spatial analysis of one utterance's (J, T, F) spectrogram, shared
+    by every target, method and run; the only place AF and DPR are formed
+    from a spectrogram.
+
+    Each part is computed on first use, so a caller pays only for what it
+    reads: the cosine and sine of the pair IPDs, the premask at the array's
+    reference mic, the delay-and-sum grid weights and the grid total.
+
+    AF (:func:`angle_feature`) is computed from the IPD phasors per azimuth.
+    The maps of the ``pinned`` azimuths (the utterance's sources) are kept
+    for the analysis's lifetime: features, unperturbed separation and every
+    ``tgt+intf`` interferer reuse them. Of any other azimuth (a perturbed
+    target) only the latest map is kept, so the analysis holds at most S + 1
+    AF maps for S pinned azimuths, however many sweep points it serves;
+    callers that steer at the same perturbed azimuth should do so
+    consecutively. DPR (:func:`dpr` of one beam and the grid total) is kept
+    per grid index (:func:`nearest_direction` of the azimuth), at most one
+    map per grid direction.
+    """
+
+    spec: ComplexSpectrogram
+    array: MicArray
+    pairs: PairSelection | None
+    grid: DirectionGrid
+    pinned: frozenset[float] = frozenset()
+    _af: dict = field(default_factory=dict, init=False, repr=False)
+    _af_latest: dict = field(default_factory=dict, init=False, repr=False)
+    _dpr: dict = field(default_factory=dict, init=False, repr=False)
+
+    @computed_once
+    def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine of the pair IPDs, each (U, T, F)."""
+        if self.pairs is None:
+            raise ValueError("pairwise features need at least two microphones")
+        return pair_cos_sin(self.spec, self.pairs)
+
+    @computed_once
+    def premask(self) -> np.ndarray:
+        return premask(self.spec, self.array.ref_index)
+
+    @computed_once
+    def weights(self) -> np.ndarray:
+        return das_filterbank(self.array, self.grid, self.spec.config)
+
+    @computed_once
+    def total(self) -> np.ndarray:
+        return beam_power_total(self.spec, self.weights)
+
+    def angle_feature(self, azimuth: float) -> np.ndarray:
+        cache = self._af if azimuth in self.pinned else self._af_latest
+        if azimuth not in cache:
+            cos_ipd, sin_ipd = self.pair_cos_sin  # first: it checks that there are pairs
+            if cache is self._af_latest:
+                cache.clear()  # before computing, so no two perturbed maps coexist
+            steer = pair_steering_phases(self.array, azimuth, self.pairs, self.spec.config)
+            cache[azimuth] = angle_feature(cos_ipd, sin_ipd, steer, self.premask)
+        return cache[azimuth]
+
+    def dpr(self, azimuth: float) -> np.ndarray:
+        p = nearest_direction(self.grid, azimuth)
+        if p not in self._dpr:
+            self._dpr[p] = dpr(self.spec, self.weights[p], self.total,
+                               self.grid.num_directions)
+        return self._dpr[p]
 
 
 def assemble_features(blocks: Sequence[tuple[str, np.ndarray]]) -> FeatureStack:

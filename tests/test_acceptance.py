@@ -20,8 +20,7 @@ from ssk.pipeline import PipelineConfig, perturb_sweep, simulate_dataset
 from ssk.room_sim import RoomConfig, render_mixture, sample_scene, simulate_rir, \
     estimate_t60
 from ssk.separation import MaskKind, apply_mask, oracle_mask
-from ssk.spatial_features import (angle_feature, das_filterbank, dpr_all,
-                                  multichannel_stft, nearest_direction, premask)
+from ssk.spatial_features import SpatialAnalysis, multichannel_stft, nearest_direction
 from ssk.spectral import ComplexSpectrogram, istft, stft
 
 from oracles import naive_stft, xcorr_peak_lag
@@ -59,6 +58,11 @@ def _anechoic_scene(seed, azimuths, duration=0.8):
     return render_mixture(dry, room, array, mixing_gains_db=[0.0] * len(azimuths)), az, array
 
 
+def _grid_dpr(spatial: SpatialAnalysis) -> np.ndarray:
+    """DPR toward every grid direction, (P, T, F), one run-path call each."""
+    return np.stack([spatial.dpr(az) for az in spatial.grid.azimuths])
+
+
 def test_c01_stft_equivalence(cfg):
     kernel = cfg.stft_cfg
     rng = np.random.default_rng(101)
@@ -93,14 +97,13 @@ def test_c02_istft_round_trip(cfg):
 
 def test_c03_dpr_normalization(cfg):
     rng = np.random.default_rng(303)
-    bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
     spec = ComplexSpectrogram(data=data, config=cfg.stft_cfg)
-    sums = dpr_all(spec, bank).sum(axis=0)
+    sums = _grid_dpr(SpatialAnalysis(spec, cfg.array, cfg.pairs, cfg.grid)).sum(axis=0)
     sum_err = float(np.abs(sums - 1.0).max())
     silent = ComplexSpectrogram(data=np.zeros((6, 4, 33), dtype=complex),
                                 config=cfg.stft_cfg)
-    silent_vals = dpr_all(silent, bank)
+    silent_vals = _grid_dpr(SpatialAnalysis(silent, cfg.array, cfg.pairs, cfg.grid))
     silent_exact = bool((silent_vals == 1.0 / 36.0).all())
     report(3, "DPR sums to one; silent bins exactly 1/P",
            sum_err < 1e-6 and silent_vals.size > 0 and silent_exact,
@@ -168,10 +171,11 @@ def test_c07_af_discrimination(cfg):
         rng = np.random.default_rng(7000 + seed)
         azimuth = float(rng.uniform(0.0, 360.0))
         scene, az, array = _anechoic_scene(7000 + seed, [azimuth], duration=0.6)
-        spec = multichannel_stft(scene.mixture, kernel)
-        keep = premask(spec, array.ref_index)
-        true_means.append(float(angle_feature(spec, az[0], array, cfg.pairs)[keep].mean()))
-        off_means.append(float(angle_feature(spec, az[0] + 90.0, array, cfg.pairs)[keep].mean()))
+        spatial = SpatialAnalysis(multichannel_stft(scene.mixture, kernel), array, cfg.pairs,
+                                  cfg.grid, frozenset(az))
+        keep = spatial.premask
+        true_means.append(float(spatial.angle_feature(az[0])[keep].mean()))
+        off_means.append(float(spatial.angle_feature(az[0] + 90.0)[keep].mean()))
     gap = float(np.mean(true_means) - np.mean(off_means))
     report(7, "AF at true azimuth beats azimuth+90 by > 0.5", gap > 0.5,
            f"mean AF true {np.mean(true_means):.3f}, +90deg {np.mean(off_means):.3f}")
@@ -179,16 +183,16 @@ def test_c07_af_discrimination(cfg):
 
 def test_c08_dpr_localization(cfg):
     kernel = cfg.stft_cfg
-    bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     high = cfg.stft_cfg.freqs > 1000.0
     hits = 0
     for seed in range(50):
         grid_index = seed % 36
         azimuth = float(cfg.grid.azimuths[grid_index])
         scene, az, array = _anechoic_scene(8000 + seed, [azimuth], duration=0.6)
-        spec = multichannel_stft(scene.mixture, kernel)
-        keep = premask(spec, array.ref_index)[:, high]
-        powers = dpr_all(spec, bank)
+        spatial = SpatialAnalysis(multichannel_stft(scene.mixture, kernel), array, cfg.pairs,
+                                  cfg.grid, frozenset(az))
+        keep = spatial.premask[:, high]
+        powers = _grid_dpr(spatial)
         means = np.array([powers[p][:, high][keep].mean() for p in range(36)])
         if int(means.argmax()) == nearest_direction(cfg.grid, az[0]):
             hits += 1

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import ssk
-from ssk import pipeline, spectral
+from ssk import pipeline, spatial_features, spectral
 from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
@@ -72,6 +72,18 @@ def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("errors", [",", "", " , ,"])
+def test_empty_error_list_usage_error(dataset, tmp_path, capsys, errors):
+    # An error list with no numbers would make a sweep with no rows that
+    # passes for a finished one; it is a usage error and writes nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "--manifest", str(dataset[0] / "manifest.json"),
+              "--out", str(tmp_path / "sweep"), "--direction-error-deg", errors])
+    assert exc.value.code == 2
+    assert "argument --direction-error-deg: " in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.json").exists()
 
 
 class TestSimulate:
@@ -367,14 +379,15 @@ def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
     # index) beam and each utterance's grid total is computed exactly once.
     out, manifest = dataset
     afs, beams, totals = [], [], []
-    af, beam, total = (pipeline.angle_feature_from_ipd, pipeline.beam_power,
-                       pipeline.beam_power_total)
-    monkeypatch.setattr(pipeline, "angle_feature_from_ipd", lambda cos_ipd, sin_ipd, steer, keep:
+    af, dpr, total = (spatial_features.angle_feature, spatial_features.dpr,
+                      spatial_features.beam_power_total)
+    monkeypatch.setattr(spatial_features, "angle_feature", lambda cos_ipd, sin_ipd, steer, keep:
                         afs.append((cos_ipd, steer)) or af(cos_ipd, sin_ipd, steer, keep))
-    monkeypatch.setattr(pipeline, "beam_power", lambda spec, bank, p:
-                        beams.append((spec, p)) or beam(spec, bank, p))
-    monkeypatch.setattr(pipeline, "beam_power_total", lambda spec, bank:
-                        totals.append(spec) or total(spec, bank))
+    monkeypatch.setattr(spatial_features, "dpr", lambda spec, weights, grid_total, n:
+                        beams.append((spec, weights.tobytes()))
+                        or dpr(spec, weights, grid_total, n))
+    monkeypatch.setattr(spatial_features, "beam_power_total", lambda spec, weights:
+                        totals.append(spec) or total(spec, weights))
     sweep = tmp_path / "sweep"
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out", str(sweep),
                  "--direction-error-deg", "0,4"]) == 0
@@ -388,8 +401,8 @@ def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
     # The recorded arrays stay referenced, so their ids identify them.
     assert len({(id(cos_ipd), steer.tobytes()) for cos_ipd, steer in afs}) == len(afs)
     assert len(afs) == sum(map(len, used.values()))
-    assert len({(id(spec), p) for spec, p in beams}) == len(beams)
-    assert len(beams) == sum(len({pipeline.nearest_direction(grid, az) for az in azimuths})
+    assert len({(id(spec), weights) for spec, weights in beams}) == len(beams)
+    assert len(beams) == sum(len({spatial_features.nearest_direction(grid, az) for az in azimuths})
                              for azimuths in used.values())
 
 
@@ -418,7 +431,7 @@ def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch
     sources = {len(u.sources) for u in manifest.utterances}
     live: dict[int, list] = {}
     most: dict[int, int] = {}
-    af = pipeline.angle_feature_from_ipd
+    af = spatial_features.angle_feature
 
     def tracked(cos_ipd, sin_ipd, steer, keep):
         result = af(cos_ipd, sin_ipd, steer, keep)
@@ -427,7 +440,7 @@ def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch
         most[id(cos_ipd)] = max(most.get(id(cos_ipd), 0), sum(r() is not None for r in refs))
         return result
 
-    monkeypatch.setattr(pipeline, "angle_feature_from_ipd", tracked)
+    monkeypatch.setattr(spatial_features, "angle_feature", tracked)
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
                  str(tmp_path / "sweep"), "--direction-error-deg", errors]) == 0
     assert most and max(most.values()) <= max(sources) + 1
@@ -460,8 +473,8 @@ def test_cached_dpr_matches_grid_dpr(dataset):
     analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
-        npt.assert_allclose(analysis.dpr(azimuth),
-                            oracles.grid_dpr(analysis.spec.data, bank.weights, p,
+        npt.assert_allclose(analysis.spatial.dpr(azimuth),
+                            oracles.grid_dpr(analysis.spec.data, bank, p,
                                              DPR_POWER_FLOOR),
                             rtol=1e-12, atol=0)
 

@@ -10,13 +10,13 @@ import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings, strategies as st
 
-from ssk import pipeline
+from ssk import pipeline, spatial_features
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_wav
 from ssk.geometry import DirectionGrid, SourceDirection, circular_array, tdoa
 from ssk.separation import MASK_EPS, Mask, MaskKind
-from ssk.spatial_features import (DPR_POWER_FLOOR, angle_feature_from_ipd, beam_power,
-                                  beam_power_total, beam_powers, das_filterbank)
+from ssk.spatial_features import (DPR_POWER_FLOOR, SpatialAnalysis, angle_feature, beam,
+                                  beam_power_total, das_filterbank)
 from ssk.spectral import ComplexSpectrogram, StftConfig, hann_periodic, stft
 
 import oracles
@@ -45,7 +45,7 @@ def test_angle_feature_matches_definition(pairs, frames, bins, seed):
     phi = rng.uniform(-np.pi, np.pi, (pairs, frames, bins))
     steer = rng.uniform(-60.0, 60.0, (pairs, bins))
     keep = rng.random((frames, bins)) < 0.7
-    ours = angle_feature_from_ipd(np.cos(phi), np.sin(phi), steer, keep)
+    ours = angle_feature(np.cos(phi), np.sin(phi), steer, keep)
     npt.assert_allclose(ours, oracles.direct_angle_feature(phi, steer, keep), rtol=0,
                         atol=1e-12)
 
@@ -62,13 +62,13 @@ def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
                     + 1j * rng.standard_normal((mics, 12, cfg.num_bins)))
     spec = ComplexSpectrogram(data=data, config=cfg)
     bank = das_filterbank(circular_array(mics, diameter), DirectionGrid.uniform(step), cfg)
-    powers = beam_powers(spec, bank)
+    powers = np.abs(beam(spec, bank)) ** 2
     # Rounding in any evaluation of a beam scales with the beam of |y_j|,
     # which equals the beam itself unless the channels cancel in it.
-    scale = bank.num_directions * (np.abs(data).sum(axis=0) / mics) ** 2
+    scale = bank.shape[0] * (np.abs(data).sum(axis=0) / mics) ** 2
     assert np.all(np.abs(beam_power_total(spec, bank) - powers.sum(axis=0)) <= 1e-12 * scale)
-    p = int(rng.integers(bank.num_directions))
-    assert np.all(np.abs(beam_power(spec, bank, p) - powers[p]) <= 1e-12 * scale)
+    p = int(rng.integers(bank.shape[0]))
+    assert np.all(np.abs(np.abs(beam(spec, bank[p])) ** 2 - powers[p]) <= 1e-12 * scale)
 
 
 def _reference_formulas(monkeypatch) -> None:
@@ -87,32 +87,31 @@ def _reference_formulas(monkeypatch) -> None:
         return np.cos(phi), np.sin(phi)
 
     def angle_feature(self, azimuth):
-        cfg, pairs = self.cfg, self.cfg.require_pairs()
-        steer = oracles.loop_steering_phases(tdoa(cfg.array, SourceDirection(azimuth)),
-                                             cfg.stft_cfg.freqs, pairs)
-        return oracles.direct_angle_feature(oracles.angle_ipd(self.spec.data, pairs), steer,
-                                            self.premask)
+        steer = oracles.loop_steering_phases(tdoa(self.array, SourceDirection(azimuth)),
+                                             self.spec.config.freqs, self.pairs)
+        return oracles.direct_angle_feature(oracles.angle_ipd(self.spec.data, self.pairs),
+                                            steer, self.premask)
 
     def oracle_mask(target, others, kind):
         if kind is not MaskKind.IPSM:
             return real_oracle_mask(target, others, kind)
         mixture = target.data + sum(o.data for o in others)
         return Mask(values=oracles.angle_ipsm(target.data, mixture, MASK_EPS),
-                    config=target.config, kind=kind)
+                    config=target.config)
 
     def dpr(self, azimuth):
-        bank = das_filterbank(self.cfg.array, self.cfg.grid, self.cfg.stft_cfg)
-        return oracles.grid_dpr(self.spec.data, bank.weights,
-                                oracles.nearest_direction(self.cfg.grid.azimuths, azimuth),
+        bank = das_filterbank(self.array, self.grid, self.spec.config)
+        return oracles.grid_dpr(self.spec.data, bank,
+                                oracles.nearest_direction(self.grid.azimuths, azimuth),
                                 DPR_POWER_FLOOR)
 
     real_oracle_mask = pipeline.oracle_mask
     monkeypatch.setattr(pipeline, "stft", one)
     monkeypatch.setattr(pipeline, "multichannel_stft", multichannel)
-    monkeypatch.setattr(pipeline, "pair_cos_sin", cos_sin)
+    monkeypatch.setattr(spatial_features, "pair_cos_sin", cos_sin)
     monkeypatch.setattr(pipeline, "oracle_mask", oracle_mask)
-    monkeypatch.setattr(pipeline.UtteranceAnalysis, "angle_feature", angle_feature)
-    monkeypatch.setattr(pipeline.UtteranceAnalysis, "dpr", dpr)
+    monkeypatch.setattr(SpatialAnalysis, "angle_feature", angle_feature)
+    monkeypatch.setattr(SpatialAnalysis, "dpr", dpr)
 
 
 def _run_all(manifest, out) -> None:

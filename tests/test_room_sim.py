@@ -126,7 +126,7 @@ def test_simulate_rirs_matches_image_method_oracle(dims, t60):
     room = _room(dims, t60, center, [[0.6, 0.5, 1.2]])
     array = circular_array(2, 0.07)
     beta = calibrated_reflection_coefficient(room)
-    rirs = simulate_rirs(room, array).rirs[0]
+    rirs = simulate_rirs(room, array)[0]
     for h, mic in zip(rirs, mic_positions_in_room(room, array)):
         direct = np.linalg.norm(room.source_positions[0] - mic)
         npts = int(np.ceil((t60 + direct / C) * FS)) + SINC_HALF_WIDTH + 1
@@ -167,7 +167,7 @@ class TestRenderMixture:
         n = scene.mixture.shape[1]
         manual = np.zeros(n)
         for c in range(2):
-            conv = np.convolve(dry[c], rirs.rirs[c][0])
+            conv = np.convolve(dry[c], rirs[c][0])
             conv = np.pad(conv, (0, max(0, n - conv.size)))[:n]
             scale = np.sqrt(np.mean(scene.images[c][0] ** 2) / np.mean(conv ** 2))
             manual += conv * scale
@@ -176,7 +176,7 @@ class TestRenderMixture:
     def test_convolution_matches_fftconvolve_bit_for_bit(self, array6):
         rng = np.random.default_rng(45)
         room, _ = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.45, 0.45))
-        rirs = simulate_rirs(room, array6).rirs[0]
+        rirs = simulate_rirs(room, array6)[0]
         dry = synth.speech_like(rng, 1.0, FS)
         expected = np.stack([fftconvolve(dry, h) for h in rirs])
         npt.assert_array_equal(_convolve_rows(dry, rirs), expected)

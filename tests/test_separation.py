@@ -9,8 +9,7 @@ from ssk.metrics import si_sdr, si_sdri
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.separation import (MASK_EPS, Mask, MaskKind, apply_mask, das_beamform,
                             directional_mask, oracle_mask)
-from ssk.spatial_features import (angle_feature, das_filterbank, dpr,
-                                  multichannel_stft, nearest_direction)
+from ssk.spatial_features import SpatialAnalysis, multichannel_stft
 from ssk.spectral import ComplexSpectrogram, StftConfig, stft
 
 import oracles
@@ -92,10 +91,6 @@ class TestOracleMask:
         active = np.abs(spec.data) > 0
         npt.assert_array_equal(mask.values[active], 1.0)
 
-    def test_heuristic_kind_rejected(self, rng):
-        with pytest.raises(ValueError):
-            oracle(rng.standard_normal(1000), [], MaskKind.DIRECTIONAL_HEURISTIC)
-
     def test_interferer_at_other_config_rejected(self, cfg_default, rng):
         x = rng.standard_normal(4000)
         with pytest.raises(ValueError, match="config"):
@@ -127,7 +122,7 @@ class TestApplyMask:
     def test_all_ones_recovers_mixture_interior(self, cfg_default, rng):
         mix = rng.standard_normal(8000)
         mask = Mask(values=np.ones((cfg_default.num_frames(8000), 33)),
-                    config=cfg_default, kind=MaskKind.IRM)
+                    config=cfg_default)
         est = masked(mix, mask, cfg_default)
         lo = cfg_default.win_len
         hi = (cfg_default.num_frames(8000) - 1) * cfg_default.hop + cfg_default.win_len \
@@ -138,7 +133,7 @@ class TestApplyMask:
     def test_all_zeros_gives_silence(self, cfg_default, rng):
         mix = rng.standard_normal(4000)
         mask = Mask(values=np.zeros((cfg_default.num_frames(4000), 33)),
-                    config=cfg_default, kind=MaskKind.IRM)
+                    config=cfg_default)
         npt.assert_array_equal(masked(mix, mask, cfg_default), 0.0)
 
     def test_ipsm_improves_over_mixture(self):
@@ -161,12 +156,12 @@ class TestApplyMask:
         assert err_db < -40.0
 
     def test_config_mismatch_rejected(self, cfg_default, rng):
-        mask = Mask(values=np.ones((10, 129)), config=ORACLE_CFG, kind=MaskKind.IRM)
+        mask = Mask(values=np.ones((10, 129)), config=ORACLE_CFG)
         with pytest.raises(ValueError, match="config"):
             masked(rng.standard_normal(4000), mask, cfg_default)
 
     def test_frame_mismatch_rejected(self, cfg_default, rng):
-        mask = Mask(values=np.ones((3, 33)), config=cfg_default, kind=MaskKind.IRM)
+        mask = Mask(values=np.ones((3, 33)), config=cfg_default)
         with pytest.raises(ValueError, match="frames"):
             masked(rng.standard_normal(4000), mask, cfg_default)
 
@@ -230,10 +225,9 @@ class TestDirectionalMask:
                                               duration=0.6, azimuths=[az1, az2])
             assert angle_difference(az[0], az[1]) > 90.0
             spec = multichannel_stft(scene.mixture, cfg_default)
-            bank = das_filterbank(array6, grid36, cfg_default)
-            af_t = angle_feature(spec, az[0], array6, pairs6)
-            dpr_t = dpr(spec, bank, nearest_direction(grid36, az[0]))
-            mask = directional_mask(af_t, dpr_t, cfg=cfg_default)
+            spatial = SpatialAnalysis(spec, array6, pairs6, grid36, frozenset(az))
+            mask = directional_mask(spatial.angle_feature(az[0]), spatial.dpr(az[0]),
+                                    cfg=cfg_default)
             est = apply_mask(spec.channel(0), mask, scene.mixture.shape[1])
             scores.append(si_sdri(est, scene.images[0][0], scene.mixture[0]))
         assert float(np.mean(scores)) > 0.0

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from ssk import synth
 from ssk.geometry import DirectionGrid, PairSelection, SourceDirection, circular_array, tdoa
 from ssk.room_sim import render_mixture, sample_scene
-from ssk.spatial_features import (angle_feature, assemble_features, beam_powers,
-                                  das_filterbank, dpr, dpr_all, ipd,
-                                  multichannel_stft, nearest_direction, pair_cos_sin,
-                                  pair_steering_phases, premask)
+from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power_total,
+                                  das_filterbank, dpr, ipd, multichannel_stft,
+                                  nearest_direction, pair_cos_sin, pair_steering_phases,
+                                  premask)
 from ssk.spectral import ComplexSpectrogram, StftConfig, stft
 
 import oracles
@@ -24,6 +26,17 @@ def _anechoic_scene(seed, azimuth, array, duration=0.8):
     dry = [synth.speech_like(rng, duration, FS)]
     scene = render_mixture(dry, room, array)
     return scene, az[0]
+
+
+def _angle_feature(spec, azimuth, array, pairs):
+    """AF toward ``azimuth`` as the run paths form it."""
+    return SpatialAnalysis(spec, array, pairs, DirectionGrid.uniform(10.0)).angle_feature(azimuth)
+
+
+def _grid_dpr(spec, array, grid):
+    """DPR toward every grid direction, (P, T, F), one run-path call each."""
+    analysis = SpatialAnalysis(spec, array, None, grid)
+    return np.stack([analysis.dpr(az) for az in grid.azimuths])
 
 
 class TestIpd:
@@ -109,45 +122,45 @@ class TestAngleFeature:
         data = np.stack([base * np.exp(-2j * np.pi * freqs * d)[None, :]
                          for d in delays])
         spec = ComplexSpectrogram(data=data, config=cfg_default)
-        af = angle_feature(spec, 40.0, array6, pairs6)
+        af = _angle_feature(spec, 40.0, array6, pairs6)
         npt.assert_allclose(af, 1.0, atol=1e-12)
 
     def test_anechoic_source_discrimination(self, array6, pairs6, cfg_default):
         scene, az = _anechoic_scene(4, 150.0, array6)
         spec = multichannel_stft(scene.mixture, cfg_default)
         keep = premask(spec, 0)
-        af_true = angle_feature(spec, az, array6, pairs6)
-        af_off = angle_feature(spec, az + 90.0, array6, pairs6)
+        af_true = _angle_feature(spec, az, array6, pairs6)
+        af_off = _angle_feature(spec, az + 90.0, array6, pairs6)
         assert af_true[keep].mean() > 0.9
         assert af_true[keep].mean() - af_off[keep].mean() > 0.5
 
     def test_silent_utterance_fully_masked(self, array6, pairs6, cfg_default):
         data = np.zeros((6, 10, 33), dtype=complex)
         spec = ComplexSpectrogram(data=data, config=cfg_default)
-        npt.assert_array_equal(angle_feature(spec, 10.0, array6, pairs6), 0.0)
+        npt.assert_array_equal(_angle_feature(spec, 10.0, array6, pairs6), 0.0)
 
     def test_invariant_to_global_scaling(self, array6, pairs6, cfg_default, rng):
         wav = rng.standard_normal((6, 2000))
         spec1 = multichannel_stft(wav, cfg_default)
         spec2 = multichannel_stft(0.01 * wav, cfg_default)
-        af1 = angle_feature(spec1, 33.0, array6, pairs6)
-        af2 = angle_feature(spec2, 33.0, array6, pairs6)
+        af1 = _angle_feature(spec1, 33.0, array6, pairs6)
+        af2 = _angle_feature(spec2, 33.0, array6, pairs6)
         npt.assert_allclose(af1, af2, atol=1e-9)
 
     def test_range(self, array6, pairs6, cfg_default, rng):
         wav = rng.standard_normal((6, 2000))
-        af = angle_feature(multichannel_stft(wav, cfg_default), 0.0, array6, pairs6)
+        af = _angle_feature(multichannel_stft(wav, cfg_default), 0.0, array6, pairs6)
         assert af.min() >= -1.0 - 1e-12 and af.max() <= 1.0 + 1e-12
 
 
 class TestDasFilterbank:
     def test_dc_weights(self, array6, grid36, cfg_default):
         bank = das_filterbank(array6, grid36, cfg_default)
-        npt.assert_allclose(bank.weights[:, 0, :], 1.0 / 6.0)
+        npt.assert_allclose(bank[:, 0, :], 1.0 / 6.0)
 
     def test_unit_modulus_over_j(self, array6, grid36, cfg_default):
         bank = das_filterbank(array6, grid36, cfg_default)
-        npt.assert_allclose(np.abs(bank.weights), 1.0 / 6.0, rtol=1e-12)
+        npt.assert_allclose(np.abs(bank), 1.0 / 6.0, rtol=1e-12)
 
     def test_beampattern_prefers_steered_direction(self, array6, grid36, cfg_default):
         # Narrowband oracle: a unit plane wave from grid direction p gives
@@ -157,7 +170,7 @@ class TestDasFilterbank:
         bank = das_filterbank(array6, grid36, cfg_default)
         for m in (16, 24, 32):
             y = np.exp(-2j * np.pi * cfg_default.freqs[m] * delays)
-            responses = np.abs(bank.weights[:, m, :].conj() @ y)
+            responses = np.abs(bank[:, m, :].conj() @ y)
             assert responses[p] == pytest.approx(1.0, abs=1e-12)
             antipodal = (p + 18) % 36
             assert responses[p] > responses[antipodal]
@@ -167,21 +180,26 @@ class TestDpr:
     def test_sums_to_one_at_energetic_bins(self, array6, grid36, cfg_default, rng):
         data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
         spec = ComplexSpectrogram(data=data, config=cfg_default)
-        bank = das_filterbank(array6, grid36, cfg_default)
-        total = dpr_all(spec, bank).sum(axis=0)
+        total = _grid_dpr(spec, array6, grid36).sum(axis=0)
         npt.assert_allclose(total, 1.0, atol=1e-6)
+
+    def test_bank_form_matches_one_direction_at_a_time(self, array6, grid36, cfg_default, rng):
+        data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
+        spec = ComplexSpectrogram(data=data, config=cfg_default)
+        bank = das_filterbank(array6, grid36, cfg_default)
+        every = dpr(spec, bank, beam_power_total(spec, bank), 36)
+        npt.assert_allclose(every, _grid_dpr(spec, array6, grid36), rtol=1e-12, atol=0)
 
     def test_silent_bins_uniform(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.zeros((6, 5, 33), dtype=complex),
                                   config=cfg_default)
-        bank = das_filterbank(array6, grid36, cfg_default)
-        npt.assert_array_equal(dpr(spec, bank, 7), 1.0 / 36.0)
+        analysis = SpatialAnalysis(spec, array6, None, grid36)
+        npt.assert_array_equal(analysis.dpr(70.0), 1.0 / 36.0)
 
     def test_anechoic_source_localized(self, array6, grid36, cfg_default):
         scene, az = _anechoic_scene(6, 130.0, array6)
         spec = multichannel_stft(scene.mixture, cfg_default)
-        bank = das_filterbank(array6, grid36, cfg_default)
-        powers = dpr_all(spec, bank)
+        powers = _grid_dpr(spec, array6, grid36)
         keep = premask(spec, 0)
         high = cfg_default.freqs > 1000.0
         sel = keep[:, high]
@@ -190,17 +208,17 @@ class TestDpr:
 
     def test_invariant_to_global_scaling(self, array6, grid36, cfg_default, rng):
         wav = rng.standard_normal((6, 1500))
-        bank = das_filterbank(array6, grid36, StftConfig.default())
-        d1 = dpr(multichannel_stft(wav, cfg_default), bank, 3)
-        d2 = dpr(multichannel_stft(2.0 * wav, cfg_default), bank, 3)
+        d1 = SpatialAnalysis(multichannel_stft(wav, cfg_default), array6, None, grid36).dpr(30.0)
+        d2 = SpatialAnalysis(multichannel_stft(2.0 * wav, cfg_default), array6, None,
+                             grid36).dpr(30.0)
         npt.assert_allclose(d1, d2, atol=1e-9)
 
-    def test_direction_index_out_of_range(self, array6, grid36, cfg_default, rng):
+    def test_spectrogram_channel_check(self, grid36, cfg_default, rng):
+        bank = das_filterbank(circular_array(4, 0.07), grid36, cfg_default)
         spec = ComplexSpectrogram(
             data=rng.standard_normal((6, 3, 33)) + 0j, config=cfg_default)
-        bank = das_filterbank(array6, grid36, cfg_default)
-        with pytest.raises(ValueError):
-            dpr(spec, bank, 36)
+        with pytest.raises(ValueError, match="6 spectrogram channels"):
+            dpr(spec, bank, np.ones((3, 33)), 36)
 
 
 class TestPairSteeringPhases:
@@ -319,10 +337,41 @@ class TestMultichannel:
         for j in range(6):
             npt.assert_array_equal(spec.channel(j).data, stft(wav[j], cfg_default).data)
 
-    def test_beam_powers_channel_check(self, grid36, cfg_default, rng):
-        arr4 = circular_array(4, 0.07)
-        bank = das_filterbank(arr4, grid36, cfg_default)
-        spec = ComplexSpectrogram(
-            data=rng.standard_normal((6, 3, 33)) + 0j, config=cfg_default)
-        with pytest.raises(ValueError):
-            beam_powers(spec, bank)
+
+class TestSpatialAnalysis:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.data())
+    def test_memo_matches_a_fresh_analysis(self, num_sources, seed, data):
+        # Any sequence of pinned (source) azimuths, perturbed azimuths and
+        # repeats: every AF and DPR equals the same call on a fresh analysis,
+        # and at most S + 1 AF maps are alive after each call.
+        array, pairs, grid = circular_array(6, 0.07), PairSelection.default_six(), \
+            DirectionGrid.uniform(10.0)
+        rng = np.random.default_rng(seed)
+        shape = (6, 6, 33)
+        spec = ComplexSpectrogram(data=rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape), config=StftConfig.default())
+        azimuth = st.floats(0.0, 360.0, exclude_max=True)
+        pinned = data.draw(st.lists(azimuth, min_size=num_sources, max_size=num_sources,
+                                    unique=True), label="pinned")
+        perturbed = data.draw(st.lists(st.builds(lambda az, err: az + err, st.sampled_from(pinned),
+                                                 st.floats(-10.0, 10.0)),
+                                       min_size=1, max_size=4), label="perturbed")
+        calls = data.draw(st.lists(st.tuples(st.sampled_from(["angle_feature", "dpr"]),
+                                             st.sampled_from(pinned + perturbed)),
+                                   min_size=1, max_size=25), label="calls")
+        analysis = SpatialAnalysis(spec, array, pairs, grid, frozenset(pinned))
+        af_maps = []
+        for name, az in calls:
+            got = getattr(analysis, name)(az)
+            fresh = getattr(SpatialAnalysis(spec, array, pairs, grid, frozenset(pinned)), name)(az)
+            assert np.array_equal(got, fresh), (name, az)
+            if name == "angle_feature":
+                af_maps.append(weakref.ref(got))
+            del got, fresh
+            assert len({id(ref()) for ref in af_maps if ref() is not None}) <= num_sources + 1
+
+    def test_af_needs_pairs(self, array6, grid36, cfg_default):
+        spec = ComplexSpectrogram(data=np.ones((6, 4, 33), dtype=complex), config=cfg_default)
+        with pytest.raises(ValueError, match="two microphones"):
+            SpatialAnalysis(spec, array6, None, grid36).angle_feature(0.0)
