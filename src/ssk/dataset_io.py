@@ -333,7 +333,8 @@ def _fields(mapping, kinds: dict, path, where: str, optional=()) -> dict:
 # Feature files (TSNF1)
 #
 # magic "TSNF1" | version u16 | T u32 | D u32 | layout-length u32 |
-# layout JSON (utf-8) | T*D float32 row-major, all little-endian.
+# layout JSON (utf-8) | T*D float32 row-major, all little-endian. The payload
+# is the FeatureStack's own float32 buffer, written and read in place.
 
 
 def write_features(path, stack) -> None:
@@ -345,33 +346,35 @@ def write_features(path, stack) -> None:
     layout_bytes = json.dumps([[name, int(width)] for name, width in layout]).encode("utf-8")
     header = FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, frames, dim,
                                          len(layout_bytes))
-    atomic_write_bytes(path, header + layout_bytes + data.tobytes())
+    atomic_write_bytes(path, header + layout_bytes, data)
 
 
 def read_features(path):
-    """Read a TSNF1 file back into a FeatureStack (float32 data)."""
+    """Read a TSNF1 file back into a FeatureStack (float32 data); the payload
+    is read straight into the returned array."""
     from .spatial_features import FeatureStack
 
-    raw = Path(path).read_bytes()
-    if len(raw) < len(FEATURE_MAGIC) + struct.calcsize("<HIII"):
-        raise DataFormatError(f"{path}: truncated header")
-    if raw[:len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:5]!r}, expected {FEATURE_MAGIC!r}")
-    offset = len(FEATURE_MAGIC)
-    version, frames, dim, layout_len = struct.unpack_from("<HIII", raw, offset)
-    if version != FEATURE_VERSION:
-        raise DataFormatError(f"{path}: unsupported feature version {version}")
-    offset += struct.calcsize("<HIII")
-    try:
-        layout_doc = json.loads(raw[offset:offset + layout_len].decode("utf-8"))
-        layout = tuple((str(name), int(width)) for name, width in layout_doc)
-    except Exception as exc:
-        raise DataFormatError(f"{path}: bad layout descriptor: {exc}") from exc
-    offset += layout_len
-    expected = 4 * frames * dim
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(frames, dim)
-    return FeatureStack(data=np.array(data), layout=layout)
+    with open(path, "rb") as fh:
+        size = len(FEATURE_MAGIC) + struct.calcsize("<HIII")
+        raw = fh.read(size)
+        if len(raw) < size:
+            raise DataFormatError(f"{path}: truncated header")
+        if raw[:len(FEATURE_MAGIC)] != FEATURE_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {raw[:5]!r}, expected {FEATURE_MAGIC!r}")
+        version, frames, dim, layout_len = struct.unpack_from("<HIII", raw, len(FEATURE_MAGIC))
+        if version != FEATURE_VERSION:
+            raise DataFormatError(f"{path}: unsupported feature version {version}")
+        try:
+            layout_doc = json.loads(fh.read(layout_len).decode("utf-8"))
+            layout = tuple((str(name), int(width)) for name, width in layout_doc)
+        except Exception as exc:
+            raise DataFormatError(f"{path}: bad layout descriptor: {exc}") from exc
+        expected = 4 * frames * dim
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise DataFormatError(
+                f"{path}: payload is {payload} bytes, expected {expected}")
+        data = np.empty((frames, dim), dtype="<f4")
+        if fh.readinto(data) != expected:
+            raise DataFormatError(f"{path}: payload shorter than {expected} bytes")
+    return FeatureStack(data=data, layout=layout)

@@ -471,7 +471,9 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     """Heuristic separation under direction estimation error.
 
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
-    make one run, whose estimates and sidecars go to ``<variant>/errNN``.
+    make one run, whose estimates and sidecars go to ``<variant>/errNN``;
+    two errors that would share an ``errNN``, equal ones included, raise
+    :class:`ValueError`.
     One scoring :func:`separate_dataset` pass writes and scores all runs
     from a single analysis of each mixture, reading each mixture and
     reference image once and no estimate. Per target it takes the errors in
@@ -486,9 +488,10 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     dirs: dict[str, float] = {}
     for error in errors:
         name = f"err{int(round(error)):02d}"
-        if dirs.setdefault(name, float(error)) != float(error):
+        if name in dirs:
             raise ValueError(f"direction errors {dirs[name]:g} and {error:g} "
                              f"would share the output directory {name}")
+        dirs[name] = float(error)
     runs = {(variant, error): Run(out / variant / name, error, alpha, beta)
             for variant, (alpha, beta) in PERTURB_VARIANTS.items()
             for name, error in dirs.items()}

@@ -48,7 +48,8 @@ def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogr
 
 @dataclass(frozen=True, eq=False)
 class FeatureStack:
-    """Frames x D feature matrix with a recorded block layout."""
+    """Frames x D float32 feature matrix with a recorded block layout: in
+    memory exactly what a TSNF1 file holds."""
 
     data: np.ndarray
     layout: tuple[tuple[str, int], ...]
@@ -57,6 +58,8 @@ class FeatureStack:
         widths = sum(w for _, w in self.layout)
         if self.data.ndim != 2 or self.data.shape[1] != widths:
             raise ValueError(f"layout widths sum to {widths}, data has {self.data.shape}")
+        if self.data.dtype != np.float32:
+            raise ValueError(f"feature data must be float32, got {self.data.dtype}")
 
     @property
     def num_frames(self) -> int:
@@ -275,27 +278,30 @@ class SpatialAnalysis:
 
 
 def assemble_features(blocks: Sequence[tuple[str, np.ndarray]]) -> FeatureStack:
-    """Concatenate named (T, width) feature maps along the feature axis.
+    """Write named (T, width) feature maps side by side into one float32
+    (T, D) matrix, each straight into its columns.
 
-    Pair-indexed maps of shape (U, T, F) are flattened pair-major. All
-    blocks must agree on the frame count.
+    Pair-indexed maps of shape (U, T, F) fill U*F columns pair-major. Each
+    value is rounded to float32 as it is written, exactly as a float64
+    stack cast afterwards would be. All blocks must agree on the frame count.
     """
     if not blocks:
         raise ValueError("no feature blocks given")
-    mats = []
-    layout = []
-    frames = None
+    arrays, layout = [], []
     for name, arr in blocks:
-        a = np.asarray(arr, dtype=float)
-        if a.ndim == 3:
-            a = np.concatenate([a[u] for u in range(a.shape[0])], axis=1)
-        if a.ndim != 2:
+        a = np.asarray(arr)
+        if a.ndim not in (2, 3):
             raise ValueError(f"block {name!r} must be 2-D or 3-D")
-        if frames is None:
-            frames = a.shape[0]
-        elif a.shape[0] != frames:
+        if arrays and a.shape[-2] != arrays[0].shape[0]:
             raise ValueError(
-                f"block {name!r} has {a.shape[0]} frames, expected {frames}")
-        mats.append(a)
-        layout.append((name, a.shape[1]))
-    return FeatureStack(data=np.concatenate(mats, axis=1), layout=tuple(layout))
+                f"block {name!r} has {a.shape[-2]} frames, expected {arrays[0].shape[0]}")
+        layout.append((name, a.shape[-1] * (a.shape[0] if a.ndim == 3 else 1)))
+        arrays.append(a.transpose(1, 0, 2) if a.ndim == 3 else a)
+    data = np.empty((arrays[0].shape[0], sum(w for _, w in layout)), dtype="<f4")
+    start = 0
+    for a, (_, width) in zip(arrays, layout):
+        # A (U, T, F) map goes in through a (T, U, F) view of its columns:
+        # pair u owns columns u*F to u*F + F - 1.
+        data[:, start:start + width].reshape(a.shape)[...] = a
+        start += width
+    return FeatureStack(data=data, layout=tuple(layout))

@@ -2,6 +2,8 @@
 deliberately separate from the library code paths they check."""
 
 import itertools
+import json
+import struct
 
 import numpy as np
 
@@ -183,3 +185,26 @@ def angle_ipsm(target: np.ndarray, mixture: np.ndarray, eps: float) -> np.ndarra
     values = (np.abs(target) * np.cos(np.angle(target) - np.angle(mixture))
               / (np.abs(mixture) + eps))
     return np.where(mixture == 0, 0.0, np.clip(values, 0.0, 1.0))
+
+
+def concat_features(blocks) -> tuple[np.ndarray, tuple]:
+    """A feature stack built by two float64 concatenations, the pairs of each
+    (U, T, F) block side by side and then all blocks, cast to float32 at the
+    end: ``(data, layout)``."""
+    mats, layout = [], []
+    for name, arr in blocks:
+        a = np.asarray(arr, dtype=float)
+        if a.ndim == 3:
+            a = np.concatenate([a[u] for u in range(a.shape[0])], axis=1)
+        mats.append(a)
+        layout.append((name, a.shape[1]))
+    return np.concatenate(mats, axis=1).astype("<f4"), tuple(layout)
+
+
+def tsnf1_bytes(data: np.ndarray, layout) -> bytes:
+    """A TSNF1 file as one bytes object: magic, version 1, T, D, layout
+    length, layout JSON and the float32 payload, all little-endian."""
+    layout_bytes = json.dumps([[name, int(width)] for name, width in layout]).encode("utf-8")
+    payload = np.ascontiguousarray(data, dtype="<f4")
+    header = b"TSNF1" + struct.pack("<HIII", 1, *payload.shape, len(layout_bytes))
+    return header + layout_bytes + payload.tobytes()

@@ -17,7 +17,7 @@ from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
-from ssk.spatial_features import DPR_POWER_FLOOR, das_filterbank
+from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
 
 import oracles
 
@@ -170,6 +170,22 @@ class TestFeatures:
         main(args + ["--out", str(tmp_path / "f1")])
         main(args + ["--out", str(tmp_path / "f2")])
         assert tree_hash(tmp_path / "f1") == tree_hash(tmp_path / "f2")
+
+    @pytest.mark.parametrize("cond, jobs", [("tgt", 1), ("tgt", 2), ("tgt+intf", 1),
+                                            ("tgt+intf", 2)])
+    def test_matches_concatenation_oracle(self, dataset, tmp_path, monkeypatch, cond, jobs):
+        # Every TSNF1 byte equals what stacking in float64, casting to float32
+        # and writing the file as one bytes object gives.
+        out, _ = dataset
+        args = ["features", "--manifest", str(out / "manifest.json"), "--cond", cond,
+                "--features", "lps,cosipd,sinipd,af,dpr", "--jobs", str(jobs)]
+        assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setattr(pipeline, "assemble_features",
+                            lambda blocks: FeatureStack(*oracles.concat_features(blocks)))
+        monkeypatch.setattr(pipeline, "write_features", lambda path, stack: Path(path).write_bytes(
+            oracles.tsnf1_bytes(stack.data, stack.layout)))
+        assert main(args + ["--out", str(tmp_path / "oracle")]) == 0
+        assert tree_hash(tmp_path / "plain") == tree_hash(tmp_path / "oracle")
 
     def test_unknown_feature_name(self, dataset, tmp_path):
         out, _ = dataset
@@ -327,6 +343,16 @@ class TestPerturb:
                    "--out", str(tmp_path / "s"), "--direction-error-deg", "0,0.4"])
         assert rc == 1
         assert "err00" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("errors, name", [("4,4,4.0", "err04"), ("3,3", "err03")])
+    def test_repeated_error_rejected(self, dataset, tmp_path, capsys, errors, name):
+        # A repeated magnitude would be one run reported as several sweep points.
+        out, _ = dataset
+        rc = main(["perturb", "--manifest", str(out / "manifest.json"),
+                   "--out", str(tmp_path / "s"), "--direction-error-deg", errors])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.json").exists()
 
     def test_sweep_deterministic(self, dataset, tmp_path):
         out, _ = dataset

@@ -3,6 +3,7 @@ import json
 import pathlib
 import struct
 import tempfile
+import tracemalloc
 import wave
 
 import numpy as np
@@ -366,6 +367,24 @@ class TestFeatures:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
             read_features(path)
+
+    def test_stack_holds_float32_only(self, rng):
+        # A stack holds what its file holds, so reading back is bit-equal.
+        with pytest.raises(ValueError, match="float32"):
+            FeatureStack(data=rng.standard_normal((4, 5)), layout=(("x", 5),))
+
+    def test_write_copies_no_payload(self, tmp_path, rng):
+        # The stack's float32 buffer is written as it is: no byte copy of the
+        # payload, nor a file image assembled in memory.
+        stack = FeatureStack(data=rng.standard_normal((2000, 363)).astype(np.float32),
+                             layout=(("x", 363),))
+        tracemalloc.start()
+        try:
+            write_features(tmp_path / "f.tsnf", stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * stack.data.nbytes
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 50), st.integers(1, 20), st.integers(0, 2 ** 31 - 1))

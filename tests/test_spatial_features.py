@@ -1,3 +1,6 @@
+import pathlib
+import tempfile
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssk import synth
+from ssk.dataset_io import read_features, write_features
 from ssk.geometry import DirectionGrid, PairSelection, SourceDirection, circular_array, tdoa
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power_total,
@@ -311,7 +315,8 @@ class TestAssembleFeatures:
     def test_single_block_passthrough(self, rng):
         block = rng.standard_normal((4, 10))
         stack = assemble_features([("lps", block)])
-        npt.assert_array_equal(stack.data, block)
+        assert stack.data.dtype == np.float32
+        npt.assert_array_equal(stack.data, block.astype(np.float32))
 
     def test_frame_count_mismatch(self, rng):
         with pytest.raises(ValueError, match="frames"):
@@ -322,9 +327,54 @@ class TestAssembleFeatures:
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((4, 2))
         stack = assemble_features([("a", a), ("b", b)])
-        npt.assert_array_equal(stack.block("b"), b)
+        assert stack.data.dtype == np.float32
+        npt.assert_array_equal(stack.block("b"), b.astype(np.float32))
         with pytest.raises(KeyError):
             stack.block("missing")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12),
+           st.lists(st.tuples(st.integers(1, 9)) | st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                    min_size=1, max_size=6),
+           st.integers(-140, 120), st.integers(0, 2 ** 32 - 1))
+    def test_matches_concatenation_oracle(self, frames, shapes, exponent, seed):
+        # Each block is written into its columns of one float32 matrix; the
+        # stack, its file and the file read back are bit-equal to stacking
+        # in float64, casting, and writing one bytes object.
+        r = np.random.default_rng(seed)
+        blocks = [(f"b{k}", r.standard_normal((frames, *shape) if len(shape) == 1
+                                              else (shape[0], frames, shape[1])) * 2.0 ** exponent)
+                  for k, shape in enumerate(shapes)]
+        stack = assemble_features(blocks)
+        data, layout = oracles.concat_features(blocks)
+        assert stack.layout == layout
+        assert stack.data.dtype == data.dtype and stack.data.shape == data.shape
+        assert stack.data.tobytes() == data.tobytes()
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "f.tsnf"
+            write_features(path, stack)
+            assert path.read_bytes() == oracles.tsnf1_bytes(data, layout)
+            back = read_features(path)
+        assert back.layout == stack.layout
+        assert back.data.dtype == stack.data.dtype and back.data.shape == stack.data.shape
+        assert back.data.tobytes() == stack.data.tobytes()
+
+    def test_allocates_only_its_output(self, rng):
+        # The 363-wide tgt+intf stack of a 2000-frame utterance: no block is
+        # copied or concatenated on the way into the float32 matrix.
+        frames = 2000
+        blocks = [("lps", rng.standard_normal((frames, 33))),
+                  ("cosipd", rng.standard_normal((6, frames, 33)))]
+        blocks += [(name, rng.standard_normal((frames, 33)))
+                   for name in ("af:tgt", "af:intf", "dpr:tgt", "dpr:intf")]
+        tracemalloc.start()
+        try:
+            stack = assemble_features(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.dim == 363
+        assert peak <= stack.data.nbytes + 64 * 1024
 
 
 class TestMultichannel:
