@@ -220,18 +220,7 @@ class Manifest:
             "sample_rate": self.sample_rate,
             "array": {"num_mics": self.array.num_mics, "ref_index": self.array.ref_index,
                       "positions": self.array.positions.tolist()},
-            "utterances": [
-                {
-                    "id": u.id,
-                    "seed": u.seed,
-                    "mixture": u.mixture,
-                    "sources": [asdict(s) for s in u.sources],
-                    "t60": u.t60,
-                    "room_dimensions": list(u.room_dimensions),
-                    "array_center": list(u.array_center),
-                }
-                for u in self.utterances
-            ],
+            "utterances": [asdict(u) for u in self.utterances],
         }
 
 

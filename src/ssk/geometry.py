@@ -1,13 +1,15 @@
 """Microphone-array geometry: TDOAs and azimuth arithmetic.
 
-All directional math assumes a far-field plane wave travelling in the
-horizontal plane of the array. Azimuths are degrees counter-clockwise,
-with 0 degrees along the +x axis.
+The one statement of scene geometry: a far-field plane wave travelling in
+the horizontal plane of the array at :data:`SOUND_SPEED`, the only speed of
+sound, which the room simulation uses too. Azimuths are plain floats, degrees
+counter-clockwise from the +x axis, folded into [0, 360) where they are used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +27,6 @@ class MicArray:
 
     positions: np.ndarray
     ref_index: int = 0
-    sound_speed: float = SOUND_SPEED
 
     def __post_init__(self) -> None:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -47,20 +48,6 @@ class MicArray:
     @property
     def num_mics(self) -> int:
         return int(self.positions.shape[0])
-
-
-@dataclass(frozen=True)
-class SourceDirection:
-    """Source azimuth in degrees; ``distance`` is only meaningful for room
-    simulation, the feature math treats every direction as far-field."""
-
-    azimuth: float
-    distance: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "azimuth", normalize_azimuth(self.azimuth))
-        if self.distance is not None and not self.distance > 0.0:
-            raise ValueError("distance must be positive when given")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +108,7 @@ class PairSelection:
         return len(self.pairs)
 
 
-def circular_array(num_mics: int, diameter: float, ref_index: int = 0,
-                   sound_speed: float = SOUND_SPEED) -> MicArray:
+def circular_array(num_mics: int, diameter: float, ref_index: int = 0) -> MicArray:
     """Uniform circular array in the horizontal plane.
 
     Mic 0 sits at azimuth 0 degrees at radius ``diameter / 2``; the remaining
@@ -137,20 +123,21 @@ def circular_array(num_mics: int, diameter: float, ref_index: int = 0,
     pos = np.stack([radius * np.cos(angles),
                     radius * np.sin(angles),
                     np.zeros(num_mics)], axis=1)
-    return MicArray(pos, ref_index=ref_index, sound_speed=sound_speed)
+    return MicArray(pos, ref_index=ref_index)
 
 
-def tdoa(array: MicArray, direction: SourceDirection) -> np.ndarray:
+def tdoa(array: MicArray, azimuth_deg: float) -> np.ndarray:
     """Per-mic arrival delay in seconds relative to the reference mic.
 
     Plane-wave model: a mic farther from the source (smaller projection on
     the source bearing) receives the wavefront later and gets a positive
-    delay. ``delay[ref] == 0`` always.
+    delay. ``delay[ref] == 0`` always. The azimuth is folded into [0, 360)
+    first, so az and az + 360 give bit-equal delays.
     """
-    az = np.deg2rad(direction.azimuth)
+    az = np.deg2rad(normalize_azimuth(azimuth_deg))
     toward = np.array([np.cos(az), np.sin(az), 0.0])
     rel = array.positions - array.positions[array.ref_index]
-    return -(rel @ toward) / array.sound_speed
+    return -(rel @ toward) / SOUND_SPEED
 
 
 def angle_difference(phi1: float, phi2: float) -> float:
@@ -159,9 +146,12 @@ def angle_difference(phi1: float, phi2: float) -> float:
     return float(min(d, 360.0 - d))
 
 
-def min_angle_difference(target: float, others) -> float:
-    """Angle difference between the target azimuth and its closest neighbour."""
-    others = list(others)
+def closest_source(azimuths: Sequence[float], target: int) -> tuple[int, float]:
+    """Index of the azimuth closest to ``azimuths[target]`` among the others,
+    and its angle difference; ties go to the lower index."""
+    others = [(angle_difference(azimuths[target], az), c)
+              for c, az in enumerate(azimuths) if c != target]
     if not others:
         raise ValueError("need at least one other azimuth")
-    return min(angle_difference(target, o) for o in others)
+    difference, index = min(others)
+    return index, difference

@@ -4,11 +4,14 @@ binned by inter-speaker angle difference."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .dataset_io import atomic_write_bytes
 
 SI_SDR_CAP_DB = 300.0
 _ZERO_ERROR_RATIO = 1e-30
@@ -105,14 +108,16 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin", "count", "mean_si_sdri"])
-            for b in self.bins:
-                writer.writerow([b.label, b.count,
-                                 "" if b.mean_si_sdri is None else f"{b.mean_si_sdri:.6f}"])
-            writer.writerow(["overall", self.overall_count,
-                             "" if self.overall_mean is None else f"{self.overall_mean:.6f}"])
+        """Write the report as ``\r\n``-terminated CSV rows, all or nothing."""
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["bin", "count", "mean_si_sdri"])
+        for b in self.bins:
+            writer.writerow([b.label, b.count,
+                             "" if b.mean_si_sdri is None else f"{b.mean_si_sdri:.6f}"])
+        writer.writerow(["overall", self.overall_count,
+                         "" if self.overall_mean is None else f"{self.overall_mean:.6f}"])
+        atomic_write_bytes(path, text.getvalue().encode("utf-8"))
 
     def mean_above(self, threshold_deg: float) -> float | None:
         """Count-weighted mean SI-SDRi over bins entirely above ``threshold_deg``."""

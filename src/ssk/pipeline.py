@@ -22,8 +22,7 @@ from . import synth
 from .dataset_io import (DataFormatError, Manifest, SourceEntry, UtteranceEntry,
                          atomic_write_bytes, read_manifest, read_wav, write_features,
                          write_manifest, write_wav)
-from .geometry import (DirectionGrid, MicArray, PairSelection, angle_difference,
-                       circular_array, min_angle_difference)
+from .geometry import DirectionGrid, MicArray, PairSelection, circular_array, closest_source
 from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, si_sdr
 from .room_sim import render_mixture, sample_scene
 from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
@@ -113,14 +112,6 @@ def _map(fn, items, jobs: int) -> list:
     return [fn(x) for x in items]
 
 
-def _angle_differences(azimuths: Sequence[float]) -> list[float]:
-    out = []
-    for i, az in enumerate(azimuths):
-        others = [a for j, a in enumerate(azimuths) if j != i]
-        out.append(min_angle_difference(az, others) if others else 180.0)
-    return out
-
-
 def _scene_gains(rng: np.random.Generator, n_sources: int) -> list[float]:
     # First source at 0 dB, others mixed in at 0..-5 dB below it.
     return [0.0] + [float(rng.uniform(-5.0, 0.0)) for _ in range(n_sources - 1)]
@@ -138,6 +129,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
     wav_dir.mkdir(parents=True, exist_ok=True)
     seed_rng = np.random.default_rng(seed)
     scene_seeds = seed_rng.integers(0, 2 ** 31 - 1, size=num_scenes)
+    array_radius = float(np.max(np.hypot(array.positions[:, 0], array.positions[:, 1])))
 
     source_pool = None
     if source_dir is not None:
@@ -151,24 +143,24 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
         utt_id = f"utt_{index:05d}"
         scene_seed = int(scene_seeds[index])
         rng = np.random.default_rng(scene_seed)
-        room, azimuths = sample_scene(rng, num_speakers, sample_rate=sample_rate)
+        room, azimuths = sample_scene(rng, num_speakers, sample_rate=sample_rate,
+                                      array_radius=array_radius)
         dry = [_draw_source(rng, duration, sample_rate, synth_kind, source_pool)
                for _ in range(num_speakers)]
         gains = _scene_gains(rng, num_speakers)
         scene = render_mixture(dry, room, array, mixing_gains_db=gains)
         mix_rel = f"wav/{utt_id}_mix.wav"
         write_wav(out / mix_rel, scene.mixture, sample_rate)
-        ads = _angle_differences(scene.azimuths)
         sources = []
         for c in range(num_speakers):
             img_rel = f"wav/{utt_id}_src{c}_img.wav"
             dry_rel = f"wav/{utt_id}_src{c}_dry.wav"
             write_wav(out / img_rel, scene.images[c], sample_rate)
-            write_wav(out / dry_rel, scene.dry_sources[c], sample_rate)
+            write_wav(out / dry_rel, dry[c], sample_rate)
+            difference = closest_source(azimuths, c)[1] if num_speakers > 1 else 180.0
             sources.append(SourceEntry(
-                azimuth_deg=float(scene.azimuths[c]),
-                angle_difference_deg=float(ads[c]),
-                gain_db=float(gains[c]), image=img_rel, dry=dry_rel))
+                azimuth_deg=azimuths[c], angle_difference_deg=difference,
+                gain_db=gains[c], image=img_rel, dry=dry_rel))
         return UtteranceEntry(
             id=utt_id, seed=scene_seed, mixture=mix_rel, sources=tuple(sources),
             t60=float(room.t60),
@@ -213,12 +205,10 @@ def angle_difference_histogram(manifest: Manifest) -> dict[str, int]:
 
 def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     """Azimuth of the source closest in angle to the target."""
-    tgt_az = entry.sources[target_index].azimuth_deg
-    others = [(angle_difference(tgt_az, s.azimuth_deg), c)
-              for c, s in enumerate(entry.sources) if c != target_index]
-    if not others:
+    if len(entry.sources) < 2:
         raise ValueError(f"utterance {entry.id} has a single source; no interferer")
-    return entry.sources[min(others)[1]].azimuth_deg
+    azimuths = [s.azimuth_deg for s in entry.sources]
+    return azimuths[closest_source(azimuths, target_index)[0]]
 
 
 def _read(manifest: Manifest, relative: str) -> np.ndarray:

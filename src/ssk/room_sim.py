@@ -1,7 +1,9 @@
 """Shoebox-room impulse responses (image method) and reverberant mixtures.
 
-Room walls share a single frequency-independent reflection coefficient
-derived from the requested T60 by Eyring inversion. Fractional-sample
+Sound travels at :data:`~ssk.geometry.SOUND_SPEED` and azimuths are plain
+floats in degrees, as in :mod:`ssk.geometry`. Room walls share a single
+frequency-independent reflection coefficient derived from the requested T60
+by Sabine inversion and calibrated on a probe RIR. Fractional-sample
 arrivals are placed with a Hann-windowed sinc (+-4 samples) so sub-sample
 inter-mic delays survive into the rendered channels; window x sinc is
 evaluated once per image source, through exact trigonometric identities,
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MicArray, normalize_azimuth
+from .geometry import SOUND_SPEED, MicArray, normalize_azimuth
 
 WALL_MARGIN = 0.3
 MIN_SOURCE_DISTANCE = 0.5
@@ -41,7 +43,6 @@ class RoomConfig:
     array_center: np.ndarray
     source_positions: np.ndarray
     sample_rate: int = 16000
-    sound_speed: float = 343.0
 
     def __post_init__(self) -> None:
         dims = np.asarray(self.dimensions, dtype=float).ravel()
@@ -80,18 +81,9 @@ class MixtureScene:
 
     mixture: np.ndarray          # (J, n)
     images: tuple                # per source, (J, n)
-    dry_sources: tuple           # per source, (n_c,)
-    azimuths: tuple              # degrees per source
-    room: RoomConfig
-    gains_db: tuple
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.images)
 
 
-def sabine_reflection_coefficient(dimensions: np.ndarray, t60: float,
-                                  sound_speed: float = 343.0) -> float:
+def sabine_reflection_coefficient(dimensions: np.ndarray, t60: float) -> float:
     """Uniform wall reflection coefficient from the Sabine inversion.
 
     alpha = 24*ln(10)*V / (c*S*t60), clamped to 1 (full absorption) when the
@@ -105,7 +97,7 @@ def sabine_reflection_coefficient(dimensions: np.ndarray, t60: float,
     lx, ly, lz = np.asarray(dimensions, dtype=float)
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    alpha = 24.0 * np.log(10.0) * volume / (sound_speed * surface * t60)
+    alpha = 24.0 * np.log(10.0) * volume / (SOUND_SPEED * surface * t60)
     return float(np.sqrt(max(1.0 - alpha, 0.0)))
 
 
@@ -117,14 +109,12 @@ def calibrated_reflection_coefficient(room: "RoomConfig") -> float:
     probe RIR (first source to array center) corrects it. Falls back to the
     seed when the probe decay cannot be measured (near-anechoic rooms).
     """
-    beta = sabine_reflection_coefficient(room.dimensions, room.t60, room.sound_speed)
+    beta = sabine_reflection_coefficient(room.dimensions, room.t60)
     if beta <= 0.0 or room.t60 <= 0.0:
         return beta
     source = room.source_positions[0]
     mic = room.array_center
-    duration = room.t60 + float(np.linalg.norm(source - mic)) / room.sound_speed
-    probe = _image_method(source, mic, room.dimensions, beta, duration,
-                          room.sample_rate, room.sound_speed)
+    probe = _image_method(source, mic, room.dimensions, beta, room.t60, room.sample_rate)
     try:
         measured = estimate_t60(probe, room.sample_rate)
     except ValueError:
@@ -181,9 +171,11 @@ def _windowed_sinc_rir(distances: np.ndarray, amplitudes: np.ndarray,
 
 
 def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
-                  beta: float, duration: float, fs: float, c: float) -> np.ndarray:
+                  beta: float, t60: float, fs: float) -> np.ndarray:
+    # The response lasts ``t60`` past the direct-path arrival.
+    duration = t60 + float(np.linalg.norm(source - mic)) / SOUND_SPEED
     npts = int(np.ceil(duration * fs)) + SINC_HALF_WIDTH + 1
-    max_dist = c * (npts + SINC_HALF_WIDTH) / fs
+    max_dist = SOUND_SPEED * (npts + SINC_HALF_WIDTH) / fs
     if beta == 0.0:
         orders = np.zeros(3, dtype=int)
     else:
@@ -224,7 +216,7 @@ def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
                 d = d[near]
                 total_refl = total_refl[near]
                 amp = gain[total_refl] / (4.0 * np.pi * d)
-                h += _windowed_sinc_rir(d, amp, npts, fs, c)
+                h += _windowed_sinc_rir(d, amp, npts, fs, SOUND_SPEED)
     return h
 
 
@@ -244,10 +236,7 @@ def simulate_rir(room: RoomConfig, source_index: int, mic_position: np.ndarray,
         raise ValueError("mic_position must be a 3-D point")
     beta = calibrated_reflection_coefficient(room) if reflection_coefficient is None \
         else float(reflection_coefficient)
-    direct = float(np.linalg.norm(source - mic))
-    duration = room.t60 + direct / room.sound_speed
-    return _image_method(source, mic, room.dimensions, beta, duration,
-                         room.sample_rate, room.sound_speed)
+    return _image_method(source, mic, room.dimensions, beta, room.t60, room.sample_rate)
 
 
 def mic_positions_in_room(room: RoomConfig, array: MicArray) -> np.ndarray:
@@ -331,17 +320,12 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
             raise ValueError(f"source {c} produced a silent reference image")
         scale = REF_IMAGE_RMS * 10.0 ** (gains[c] / 20.0) / np.sqrt(power)
         scaled.append(img * scale)
-    mixture = np.sum(scaled, axis=0)
-    azimuths = tuple(float(a) for a in room.source_azimuths())
-    return MixtureScene(mixture=mixture, images=tuple(scaled), dry_sources=tuple(dry),
-                        azimuths=azimuths, room=room, gains_db=tuple(float(g) for g in gains))
+    return MixtureScene(mixture=np.sum(scaled, axis=0), images=tuple(scaled))
 
 
-def _ray_box_range(center: np.ndarray, azimuth_deg: float,
+def _ray_box_range(center: np.ndarray, direction: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray) -> float:
-    """Largest distance from ``center`` along ``azimuth`` staying in [lo, hi] (xy)."""
-    az = np.deg2rad(azimuth_deg)
-    direction = np.array([np.cos(az), np.sin(az)])
+    """Largest distance from ``center`` along unit ``direction`` staying in [lo, hi] (xy)."""
     t_max = np.inf
     for ax in range(2):
         if abs(direction[ax]) < 1e-12:
@@ -361,9 +345,11 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
     """Sample a room, T60, array center and source positions.
 
     Rooms range from 3x3x2.5 m to 8x10x6 m, T60 uniform in ``t60_range``,
-    everything at least 0.3 m from every wall, sources and array on one
-    horizontal plane. Deterministic for a fixed seed. Optional ``azimuths``
-    pin the source bearings (used by calibration tests and demos).
+    sources and every mic of an array of horizontal ``array_radius`` at least
+    0.3 m from every wall (an attempt whose room is too small fails), sources
+    and array on one horizontal plane. Deterministic for a fixed seed.
+    Optional ``azimuths`` pin the source bearings (used by calibration tests
+    and demos).
 
     Returns the room plus the exact source azimuths in degrees.
     """
@@ -381,6 +367,8 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
         hi = dims[:2] - WALL_MARGIN
         center_lo = lo + array_radius
         center_hi = hi - array_radius
+        if np.any(center_lo >= center_hi):
+            continue
         plane_z = float(rng.uniform(WALL_MARGIN, dims[2] - WALL_MARGIN))
         center_xy = rng.uniform(center_lo, center_hi)
         center = np.array([center_xy[0], center_xy[1], plane_z])
@@ -391,13 +379,13 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
             placed = False
             for _ in range(200):
                 if azimuths is not None:
-                    az = normalize_azimuth(float(azimuths[c]))
-                    r_max = _ray_box_range(center_xy, az, lo, hi)
+                    rad = np.deg2rad(normalize_azimuth(float(azimuths[c])))
+                    direction = np.array([np.cos(rad), np.sin(rad)])
+                    r_max = _ray_box_range(center_xy, direction, lo, hi)
                     if r_max <= MIN_SOURCE_DISTANCE:
                         break
                     r = float(rng.uniform(MIN_SOURCE_DISTANCE, r_max))
-                    rad = np.deg2rad(az)
-                    xy = center_xy + r * np.array([np.cos(rad), np.sin(rad)])
+                    xy = center_xy + r * direction
                 else:
                     xy = rng.uniform(lo, hi)
                     if np.linalg.norm(xy - center_xy) < MIN_SOURCE_DISTANCE:

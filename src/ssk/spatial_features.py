@@ -32,8 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import DirectionGrid, MicArray, PairSelection, SourceDirection, \
-    normalize_azimuth, tdoa
+from .geometry import DirectionGrid, MicArray, PairSelection, normalize_azimuth, tdoa
 from .spectral import ComplexSpectrogram, StftConfig, rfft_frames
 
 DPR_POWER_FLOOR = 1e-12
@@ -106,7 +105,7 @@ def pair_steering_phases(array: MicArray, azimuth: float, pairs: PairSelection,
                          cfg: StftConfig) -> np.ndarray:
     """Expected anechoic IPD per pair and bin, shape (U, F):
     2*pi*f*(delay[b] - delay[a]) for pair (a, b)."""
-    delays = tdoa(array, SourceDirection(azimuth))
+    delays = tdoa(array, azimuth)
     a, b = np.array(pairs.pairs, dtype=int).reshape(-1, 2).T
     return 2.0 * np.pi * cfg.freqs * (delays[b] - delays[a])[:, None]
 
@@ -137,7 +136,7 @@ def angle_feature(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.ndarray,
 def das_weights(array: MicArray, azimuths: Sequence[float], cfg: StftConfig) -> np.ndarray:
     """Delay-and-sum weights steered at each azimuth, (P, F, J):
     w[p, m, j] = exp(-i*2*pi*f_m*delay[p, j]) / J."""
-    delays = np.stack([tdoa(array, SourceDirection(az)) for az in azimuths])
+    delays = np.stack([tdoa(array, az) for az in azimuths])
     phase = -2.0j * np.pi * cfg.freqs[None, :, None] * delays[:, None, :]
     return np.exp(phase) / array.num_mics
 

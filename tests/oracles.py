@@ -208,3 +208,29 @@ def tsnf1_bytes(data: np.ndarray, layout) -> bytes:
     payload = np.ascontiguousarray(data, dtype="<f4")
     header = b"TSNF1" + struct.pack("<HIII", 1, *payload.shape, len(layout_bytes))
     return header + layout_bytes + payload.tobytes()
+
+
+def manifest_doc(manifest) -> dict:
+    """A manifest's JSON document with every field of each utterance written
+    out by hand, in schema order."""
+    return {
+        "schema_version": manifest.schema_version,
+        "sample_rate": manifest.sample_rate,
+        "array": {"num_mics": manifest.array.num_mics, "ref_index": manifest.array.ref_index,
+                  "positions": manifest.array.positions.tolist()},
+        "utterances": [
+            {
+                "id": u.id,
+                "seed": u.seed,
+                "mixture": u.mixture,
+                "sources": [{"azimuth_deg": s.azimuth_deg,
+                             "angle_difference_deg": s.angle_difference_deg,
+                             "gain_db": s.gain_db, "image": s.image, "dry": s.dry}
+                            for s in u.sources],
+                "t60": u.t60,
+                "room_dimensions": list(u.room_dimensions),
+                "array_center": list(u.array_center),
+            }
+            for u in manifest.utterances
+        ],
+    }

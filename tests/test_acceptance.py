@@ -14,7 +14,7 @@ import pytest
 from ssk import synth
 from ssk.cli import main as cli_main
 from ssk.dataset_io import read_features
-from ssk.geometry import SourceDirection, circular_array, tdoa
+from ssk.geometry import circular_array, tdoa
 from ssk.metrics import si_sdr, si_sdri
 from ssk.pipeline import PipelineConfig, perturb_sweep, simulate_dataset
 from ssk.room_sim import RoomConfig, render_mixture, sample_scene, simulate_rir, \
@@ -132,7 +132,7 @@ def test_c05_geometry_consistency():
         room, az = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.3, FS)]
         scene = render_mixture(dry, room, array)
-        delays = tdoa(array, SourceDirection(az[0])) * FS
+        delays = tdoa(array, az[0]) * FS
         ref = scene.images[0][0]
         for j in range(1, 6):
             lag = xcorr_peak_lag(ref, scene.images[0][j], max_lag=8)

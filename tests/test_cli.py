@@ -17,6 +17,7 @@ from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
+from ssk.room_sim import WALL_MARGIN
 from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
 
 import oracles
@@ -116,6 +117,22 @@ class TestSimulate:
                    "--source-dir", str(pool)])
         assert rc == 1
         assert "sample rate 8000 Hz, expected 16000 Hz" in capsys.readouterr().err
+
+    def test_mics_keep_the_wall_margin(self, tmp_path):
+        # The array centre keeps the whole array clear of the walls: every
+        # mic of a 1.2 m circle stays at least WALL_MARGIN from every wall.
+        manifest = simulate(tmp_path / "wide", seed=3, n=12, duration=0.3,
+                            extra=["--array-diameter", "1.2"])
+        for u in manifest.utterances:
+            mics = manifest.array.positions + np.array(u.array_center)
+            clearance = np.minimum(mics, np.array(u.room_dimensions) - mics)
+            assert clearance.min() >= WALL_MARGIN, u.id
+
+    def test_array_larger_than_any_room_exits_1(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path / "huge"), "--num-scenes", "1",
+                   "--duration", "0.3", "--array-diameter", "12"])
+        assert rc == 1
+        assert "could not satisfy scene constraints" in capsys.readouterr().err
 
     def test_histogram_printed(self, tmp_path, capsys):
         simulate(tmp_path / "h", seed=1, n=2)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ssk import pipeline, spatial_features
 from ssk.cli import main
 from ssk.dataset_io import read_features, read_wav
-from ssk.geometry import DirectionGrid, SourceDirection, circular_array, tdoa
+from ssk.geometry import DirectionGrid, circular_array, tdoa
 from ssk.separation import MASK_EPS, Mask, MaskKind
 from ssk.spatial_features import (DPR_POWER_FLOOR, SpatialAnalysis, angle_feature, beam,
                                   beam_power_total, das_filterbank)
@@ -87,7 +87,7 @@ def _reference_formulas(monkeypatch) -> None:
         return np.cos(phi), np.sin(phi)
 
     def angle_feature(self, azimuth):
-        steer = oracles.loop_steering_phases(tdoa(self.array, SourceDirection(azimuth)),
+        steer = oracles.loop_steering_phases(tdoa(self.array, azimuth),
                                              self.spec.config.freqs, self.pairs)
         return oracles.direct_angle_feature(oracles.angle_ipd(self.spec.data, self.pairs),
                                             steer, self.premask)

@@ -18,6 +18,8 @@ from ssk.dataset_io import (DataFormatError, Manifest, SourceEntry,
 from ssk.geometry import circular_array
 from ssk.spatial_features import FeatureStack
 
+import oracles
+
 
 class TestWav:
     def test_float32_round_trip_bit_exact(self, tmp_path, rng):
@@ -265,6 +267,16 @@ class TestManifestProperties:
             npt.assert_array_equal(back.array.positions, manifest.array.positions)
             write_manifest(pathlib.Path(d) / "again.json", back)
             assert (pathlib.Path(d) / "again.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(_manifests)
+    def test_byte_layout(self, manifest):
+        # Every field of every utterance, in schema order, two-space indented.
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "manifest.json"
+            write_manifest(path, manifest)
+            expected = json.dumps(oracles.manifest_doc(manifest), indent=2) + "\n"
+            assert path.read_bytes() == expected.encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
     @given(_manifests, st.sampled_from([

@@ -163,3 +163,33 @@ class TestAggregate:
         rows = list(csv.reader(csv_path.open()))
         assert rows[0] == ["bin", "count", "mean_si_sdri"]
         assert rows[-1][0] == "overall"
+
+    def test_csv_bytes(self, tmp_path):
+        # The csv module's rows: comma separated, "\r\n" terminated, an
+        # empty mean for an empty bin.
+        report = aggregate([_rec(30.0, 5.0), _rec(120.0, 7.0)], method="irm")
+        report.write_csv(tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"bin,count,mean_si_sdri\r\n<15,0,\r\n15-45,1,5.000000\r\n45-90,0,\r\n"
+            b">90,1,7.000000\r\noverall,2,6.000000\r\n")
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # A write interrupted after the header leaves no partial report.csv
+        # (nor a temp file) next to a finished report.json.
+        real_writer = csv.writer
+
+        class Failing:
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 2:
+                    raise OSError("interrupted")
+                return self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", Failing)
+        report = aggregate([_rec(30.0, 5.0)])
+        with pytest.raises(OSError, match="interrupted"):
+            report.write_csv(tmp_path / "report.csv")
+        assert list(tmp_path.iterdir()) == []

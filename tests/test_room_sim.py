@@ -6,7 +6,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from ssk import synth
-from ssk.geometry import SourceDirection, angle_difference, circular_array, tdoa
+from ssk.geometry import angle_difference, circular_array, tdoa
 from ssk.metrics import bin_index
 from ssk.room_sim import (SINC_HALF_WIDTH, RoomConfig, SceneGenerationError,
                           _convolve_rows, _fast_rfft_length, _windowed_sinc_rir,
@@ -245,7 +245,7 @@ class TestGeometryConsistency:
         room, az = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.4, FS)]
         scene = render_mixture(dry, room, array6)
-        delays = tdoa(array6, SourceDirection(az[0])) * FS
+        delays = tdoa(array6, az[0]) * FS
         ref = scene.images[0][0]
         for j in range(1, 6):
             lag = xcorr_peak_lag(ref, scene.images[0][j], max_lag=8)

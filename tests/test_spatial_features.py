@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ssk import synth
 from ssk.dataset_io import read_features, write_features
-from ssk.geometry import DirectionGrid, PairSelection, SourceDirection, circular_array, tdoa
+from ssk.geometry import DirectionGrid, PairSelection, circular_array, tdoa
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power_total,
                                   das_filterbank, dpr, ipd, multichannel_stft,
@@ -120,7 +120,7 @@ class TestAngleFeature:
     def test_perfect_alignment_gives_one(self, array6, pairs6, cfg_default):
         # Build channel spectra whose phases are exactly the steering
         # phases of 40 degrees; AF there must be exactly 1.
-        delays = tdoa(array6, SourceDirection(40.0))
+        delays = tdoa(array6, 40.0)
         freqs = cfg_default.freqs
         base = np.ones((12, 33), dtype=complex)
         data = np.stack([base * np.exp(-2j * np.pi * freqs * d)[None, :]
@@ -170,7 +170,7 @@ class TestDasFilterbank:
         # Narrowband oracle: a unit plane wave from grid direction p gives
         # |w_p^H Y| = 1, strictly more than the antipodal beam at high bins.
         p = 9  # 90 degrees
-        delays = tdoa(array6, SourceDirection(float(grid36.azimuths[p])))
+        delays = tdoa(array6, float(grid36.azimuths[p]))
         bank = das_filterbank(array6, grid36, cfg_default)
         for m in (16, 24, 32):
             y = np.exp(-2j * np.pi * cfg_default.freqs[m] * delays)
@@ -247,7 +247,7 @@ class TestPairSteeringPhases:
 
     def test_bit_equal_to_per_pair_loop(self, array6, pairs6, cfg_default, grid36):
         for az in grid36.azimuths:
-            delays = tdoa(array6, SourceDirection(float(az)))
+            delays = tdoa(array6, float(az))
             assert np.array_equal(pair_steering_phases(array6, float(az), pairs6, cfg_default),
                                   oracles.loop_steering_phases(delays, cfg_default.freqs, pairs6))
 
