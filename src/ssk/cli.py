@@ -13,12 +13,12 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset_io import Manifest, atomic_write_bytes, read_manifest
+from .dataset_io import Manifest, read_manifest, write_json
 from .geometry import MicArray, circular_array
-from .pipeline import (METHODS, FeatureSelection, PipelineConfig, Run,
-                       angle_difference_histogram, build_features,
-                       evaluate_dataset, perturb_sweep, separate_dataset,
-                       simulate_dataset, write_sweep_reports)
+from .pipeline import (CONDS, FEATURE_BLOCKS, METHODS, SYNTH_KINDS, PipelineConfig, Run,
+                       angle_difference_histogram, build_features, evaluate_dataset,
+                       parse_features, perturb_sweep, separate_dataset, simulate_dataset,
+                       write_sweep_reports)
 
 log = logging.getLogger("ssk")
 
@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dry source duration in seconds")
     p_sim.add_argument("--source-dir", default=None,
                        help="directory of mono WAVs to use as dry sources")
-    p_sim.add_argument("--synth-kind", default="speech",
-                       choices=("speech", "noise", "am", "chirp"),
+    p_sim.add_argument("--synth-kind", default="speech", choices=tuple(SYNTH_KINDS),
                        help="builtin synthetic source type (used without --source-dir)")
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--array-diameter", type=_finite, default=0.07,
@@ -93,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--manifest", required=True)
     p_feat.add_argument("--out", required=True, help="feature output directory")
     p_feat.add_argument("--features", default="lps,cosipd,af,dpr",
-                        help="comma list from lps,cosipd,sinipd,af,dpr")
-    p_feat.add_argument("--cond", default="tgt", choices=("tgt", "tgt+intf"))
+                        help="comma list from " + ",".join(FEATURE_BLOCKS))
+    p_feat.add_argument("--cond", default="tgt", choices=CONDS)
     p_feat.add_argument("--jobs", type=int, default=1)
     _add_analysis_flags(p_feat)
 
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--manifest", required=True)
     p_sep.add_argument("--out", required=True, help="estimate output directory")
     p_sep.add_argument("--method", required=True, choices=METHODS)
-    p_sep.add_argument("--cond", default="tgt", choices=("tgt", "tgt+intf"))
+    p_sep.add_argument("--cond", default="tgt", choices=CONDS)
     p_sep.add_argument("--alpha", type=_finite, default=1.0, help="heuristic AF weight")
     p_sep.add_argument("--beta", type=_finite, default=1.0, help="heuristic DPR weight")
     p_sep.add_argument("--direction-error-deg", type=_finite, default=0.0,
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--direction-error-deg", default="0,1,2,3,4,5,6,7,8,9,10",
                         type=_finite_list, help="comma list of error magnitudes in degrees")
     p_pert.add_argument("--seed", type=int, default=0)
-    p_pert.add_argument("--cond", default="tgt", choices=("tgt", "tgt+intf"))
+    p_pert.add_argument("--cond", default="tgt", choices=CONDS)
     p_pert.add_argument("--jobs", type=int, default=1)
     _add_analysis_flags(p_pert)
 
@@ -145,8 +144,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_features(args) -> int:
     manifest, cfg = _read_dataset(args)
-    selection = FeatureSelection.from_csv(args.features, cond=args.cond)
-    paths = build_features(manifest, args.out, cfg, selection, jobs=args.jobs)
+    paths = build_features(manifest, args.out, cfg, parse_features(args.features),
+                           args.cond, jobs=args.jobs)
     print(f"wrote {len(paths)} feature files to {args.out}")
     return 0
 
@@ -168,7 +167,7 @@ def cmd_evaluate(args) -> int:
             print(f"missing estimate: {path}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    atomic_write_bytes(out.with_suffix(".json"), report.to_json().encode("utf-8"))
+    write_json(out.with_suffix(".json"), report.to_dict())
     report.write_csv(out.with_suffix(".csv"))
     for b in report.bins:
         mean = "-" if b.mean_si_sdri is None else f"{b.mean_si_sdri:.2f}"

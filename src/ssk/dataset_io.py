@@ -49,6 +49,11 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with a final newline, atomically."""
+    atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # WAV
 
@@ -225,8 +230,7 @@ class Manifest:
 
 
 def write_manifest(path, manifest: Manifest) -> None:
-    payload = json.dumps(manifest.to_dict(), indent=2) + "\n"
-    atomic_write_bytes(path, payload.encode("utf-8"))
+    write_json(path, manifest.to_dict())
 
 
 def read_manifest(path, validate_files: bool = False) -> Manifest:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,9 +102,6 @@ class EvalReport:
             ],
             "overall": {"count": self.overall_count, "mean_si_sdri": self.overall_mean},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def write_csv(self, path) -> None:
         """Write the report as ``\r\n``-terminated CSV rows, all or nothing."""

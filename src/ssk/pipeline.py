@@ -6,11 +6,12 @@ time: an :class:`UtteranceAnalysis` reads the mixture, transforms it once and
 holds its :class:`~ssk.spatial_features.SpatialAnalysis`, and every target of
 that utterance, under every separation :class:`Run` (one per sweep point),
 reuses both. The sweep also scores each estimate in the same task. ``jobs``
-threads take whole utterances."""
+threads take whole utterances. Methods, feature blocks and direction
+conditions are plain names, each set stated once (:data:`METHODS`,
+:data:`FEATURE_BLOCKS` in stack order, :data:`CONDS`); masks are (T, F) arrays."""
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,18 +22,25 @@ import numpy as np
 from . import synth
 from .dataset_io import (DataFormatError, Manifest, SourceEntry, UtteranceEntry,
                          atomic_write_bytes, read_manifest, read_wav, write_features,
-                         write_manifest, write_wav)
+                         write_json, write_manifest, write_wav)
 from .geometry import DirectionGrid, MicArray, PairSelection, circular_array, closest_source
 from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, si_sdr
 from .room_sim import render_mixture, sample_scene
-from .separation import (MaskKind, apply_mask, das_beamform, directional_mask,
+from .separation import (ORACLE_KINDS, apply_mask, das_beamform, directional_mask,
                          oracle_mask)
 from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
                                computed_once, multichannel_stft)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 
-ORACLE_METHODS = {"ibm": MaskKind.IBM, "irm": MaskKind.IRM, "ipsm": MaskKind.IPSM}
-METHODS = tuple(ORACLE_METHODS) + ("heuristic", "das")
+METHODS = ORACLE_KINDS + ("heuristic", "das")
+# Directions the AF and DPR blocks and the heuristic cover: the target, or
+# the target and the source closest to it in angle.
+CONDS = ("tgt", "tgt+intf")
+
+
+def _check_cond(cond: str) -> None:
+    if cond not in CONDS:
+        raise ValueError(f"cond must be one of {CONDS}, got {cond!r}")
 
 
 @dataclass(frozen=True)
@@ -64,34 +72,6 @@ class PipelineConfig:
                          hop=hop, sample_rate=sample_rate)
         return cls(array=array, pairs=pairs, grid=DirectionGrid.uniform(grid_step),
                    stft_cfg=cfg, oracle_cfg=StftConfig.oracle_mask_default(sample_rate))
-
-
-@dataclass(frozen=True)
-class FeatureSelection:
-    """Which feature blocks to compute and whether directional blocks cover
-    the target only or target plus closest interferer."""
-
-    lps: bool = True
-    cosipd: bool = True
-    sinipd: bool = False
-    af: bool = True
-    dpr: bool = True
-    cond: str = "tgt"
-
-    def __post_init__(self) -> None:
-        if self.cond not in ("tgt", "tgt+intf"):
-            raise ValueError(f"cond must be 'tgt' or 'tgt+intf', got {self.cond!r}")
-
-    @classmethod
-    def from_csv(cls, names: str, cond: str = "tgt") -> "FeatureSelection":
-        wanted = {n.strip() for n in names.split(",") if n.strip()}
-        known = {"lps", "cosipd", "sinipd", "af", "dpr"}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(f"unknown feature names {sorted(unknown)}; known: {sorted(known)}")
-        return cls(lps="lps" in wanted, cosipd="cosipd" in wanted,
-                   sinipd="sinipd" in wanted, af="af" in wanted,
-                   dpr="dpr" in wanted, cond=cond)
 
 
 SYNTH_KINDS = {
@@ -262,33 +242,45 @@ class UtteranceAnalysis:
                                frozenset(src.azimuth_deg for src in self.entry.sources))
 
 
-def compute_feature_stack(analysis: UtteranceAnalysis, target: int,
-                          selection: FeatureSelection) -> FeatureStack:
-    """Assemble the selected feature blocks for one target of an utterance;
-    with cond tgt+intf the AF and DPR blocks also cover the closest
-    interferer."""
+# Feature blocks by name, in stack order: each maps an analysis and the
+# (who, azimuth) directions of a target to its named maps.
+_BLOCKS = {
+    "lps": lambda a, dirs: [("lps", lps(a.spec.channel(a.cfg.array.ref_index)))],
+    "cosipd": lambda a, dirs: [("cosipd", a.spatial.pair_cos_sin[0])],
+    "sinipd": lambda a, dirs: [("sinipd", a.spatial.pair_cos_sin[1])],
+    "af": lambda a, dirs: [(f"af:{who}", a.spatial.angle_feature(az)) for who, az in dirs],
+    "dpr": lambda a, dirs: [(f"dpr:{who}", a.spatial.dpr(az)) for who, az in dirs],
+}
+FEATURE_BLOCKS = tuple(_BLOCKS)
+
+
+def parse_features(names: str) -> frozenset[str]:
+    """The feature blocks named in a comma list; an unknown name raises
+    :class:`ValueError`."""
+    wanted = frozenset(n.strip() for n in names.split(",") if n.strip())
+    unknown = wanted - set(FEATURE_BLOCKS)
+    if unknown:
+        raise ValueError(f"unknown feature names {sorted(unknown)}; known: {FEATURE_BLOCKS}")
+    return wanted
+
+
+def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: frozenset[str],
+                          cond: str) -> FeatureStack:
+    """Assemble the named feature ``blocks`` for one target of an utterance,
+    in :data:`FEATURE_BLOCKS` order; with cond tgt+intf the AF and DPR blocks
+    also cover the closest interferer."""
     directions = [("tgt", analysis.entry.sources[target].azimuth_deg)]
-    if selection.cond == "tgt+intf":
+    if cond == "tgt+intf":
         directions.append(("intf", _interferer_azimuth(analysis.entry, target)))
-    blocks: list[tuple[str, np.ndarray]] = []
-    if selection.lps:
-        blocks.append(("lps", lps(analysis.spec.channel(analysis.cfg.array.ref_index))))
-    spatial = analysis.spatial
-    if selection.cosipd:
-        blocks.append(("cosipd", spatial.pair_cos_sin[0]))
-    if selection.sinipd:
-        blocks.append(("sinipd", spatial.pair_cos_sin[1]))
-    if selection.af:
-        blocks += [(f"af:{who}", spatial.angle_feature(az)) for who, az in directions]
-    if selection.dpr:
-        blocks += [(f"dpr:{who}", spatial.dpr(az)) for who, az in directions]
-    return assemble_features(blocks)
+    return assemble_features([block for name in FEATURE_BLOCKS if name in blocks
+                              for block in _BLOCKS[name](analysis, directions)])
 
 
-def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig,
-                   selection: FeatureSelection, jobs: int = 1) -> list[Path]:
+def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig, blocks: frozenset[str],
+                   cond: str = "tgt", jobs: int = 1) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
     and analysed once for all its targets."""
+    _check_cond(cond)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -296,7 +288,7 @@ def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig,
         analysis = UtteranceAnalysis(entry, manifest, cfg)
         paths = [out / f"{entry.id}_tgt{t}.tsnf" for t in range(len(entry.sources))]
         for target, path in enumerate(paths):
-            write_features(path, compute_feature_stack(analysis, target, selection))
+            write_features(path, compute_feature_stack(analysis, target, blocks, cond))
         return paths
 
     return [p for paths in _map(one, manifest.utterances, jobs) for p in paths]
@@ -313,10 +305,10 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
     ``azimuth``, returning the estimated reference-channel waveform."""
     cfg = analysis.cfg
     length = analysis.mixture.shape[1]
-    if method in ORACLE_METHODS:
+    if method in ORACLE_KINDS:
         mixture, images = analysis.ref_specs
         others = [img for c, img in enumerate(images) if c != target]
-        mask = oracle_mask(images[target], others, ORACLE_METHODS[method])
+        mask = oracle_mask(images[target], others, method)
         return apply_mask(mixture, mask, length)
     if method == "heuristic":
         entry, spatial = analysis.entry, analysis.spatial
@@ -325,8 +317,7 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
             intf_az = _interferer_azimuth(entry, target)
             af_intf, dpr_intf = spatial.angle_feature(intf_az), spatial.dpr(intf_az)
         mask = directional_mask(spatial.angle_feature(azimuth), spatial.dpr(azimuth),
-                                af_intf, dpr_intf, alpha=alpha, beta=beta,
-                                cfg=cfg.stft_cfg)
+                                af_intf, dpr_intf, alpha=alpha, beta=beta)
         return apply_mask(analysis.spec.channel(cfg.array.ref_index), mask, length)
     if method == "das":
         return das_beamform(analysis.spec, azimuth, cfg.array, length)
@@ -364,6 +355,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     lists without ``score``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    _check_cond(cond)
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
@@ -391,14 +383,12 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                                          alpha=run.alpha, beta=run.beta)
                 path = run.out_dir / f"{entry.id}_tgt{target}.wav"
                 write_wav(path, est, manifest.sample_rate)
-                sidecar = {
+                write_json(path.with_suffix(".json"), {
                     "utterance": entry.id, "target_index": target, "method": method,
                     "cond": cond, "azimuth_used_deg": float(azimuth),
                     "direction_error_deg": float(run.direction_error_deg),
                     "alpha": run.alpha, "beta": run.beta,
-                }
-                atomic_write_bytes(path.with_suffix(".json"),
-                                   (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
+                })
                 paths.append(path)
                 if score:
                     records[i].append(_record(entry, target, est.astype(np.float32).astype(float),
@@ -511,7 +501,7 @@ def write_sweep_reports(sweep: dict, out_dir) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "sweep.json"
-    atomic_write_bytes(json_path, (json.dumps(sweep, indent=2) + "\n").encode("utf-8"))
+    write_json(json_path, sweep)
     lines = ["variant,error_deg,bin,count,mean_si_sdri"]
     for variant, rows in sweep["variants"].items():
         for row in rows:

@@ -347,9 +347,10 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
     Rooms range from 3x3x2.5 m to 8x10x6 m, T60 uniform in ``t60_range``,
     sources and every mic of an array of horizontal ``array_radius`` at least
     0.3 m from every wall (an attempt whose room is too small fails), sources
-    and array on one horizontal plane. Deterministic for a fixed seed.
+    and array on one horizontal plane, drawn sources at least
+    ``MIN_SOURCE_DISTANCE`` from every mic. Deterministic for a fixed seed.
     Optional ``azimuths`` pin the source bearings (used by calibration tests
-    and demos).
+    and demos); pinned sources keep that distance from the array center only.
 
     Returns the room plus the exact source azimuths in degrees.
     """
@@ -388,7 +389,7 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
                     xy = center_xy + r * direction
                 else:
                     xy = rng.uniform(lo, hi)
-                    if np.linalg.norm(xy - center_xy) < MIN_SOURCE_DISTANCE:
+                    if np.linalg.norm(xy - center_xy) < MIN_SOURCE_DISTANCE + array_radius:
                         continue
                 positions.append(np.array([xy[0], xy[1], plane_z]))
                 placed = True

@@ -95,12 +95,6 @@ class StftConfig:
         """Bin center frequencies in Hz."""
         return np.arange(self.num_bins) * self.sample_rate / self.fft_size
 
-    def matches(self, other: "StftConfig") -> bool:
-        return (self.fft_size == other.fft_size and self.hop == other.hop
-                and self.sample_rate == other.sample_rate
-                and self.window.size == other.window.size
-                and np.array_equal(self.window, other.window))
-
     def num_frames(self, num_samples: int) -> int:
         if num_samples < self.win_len:
             return 0

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssk
 from ssk import pipeline, spatial_features, spectral
@@ -17,7 +18,7 @@ from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
-from ssk.room_sim import WALL_MARGIN
+from ssk.room_sim import MIN_SOURCE_DISTANCE, WALL_MARGIN, sample_scene
 from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
 
 import oracles
@@ -128,6 +129,33 @@ class TestSimulate:
             clearance = np.minimum(mics, np.array(u.room_dimensions) - mics)
             assert clearance.min() >= WALL_MARGIN, u.id
 
+    def test_sources_keep_the_minimum_distance_from_every_mic(self, tmp_path, monkeypatch):
+        # Drawn sources keep MIN_SOURCE_DISTANCE from every mic, not only from
+        # the array centre, which a 1.2 m circle would put inside its rim.
+        rooms = []
+
+        def recording(*args, **kwargs):
+            room, azimuths = sample_scene(*args, **kwargs)
+            rooms.append(room)
+            return room, azimuths
+
+        monkeypatch.setattr(pipeline, "sample_scene", recording)
+        manifest = simulate(tmp_path / "wide", seed=3, n=12, duration=0.3,
+                            extra=["--array-diameter", "1.2"])
+        assert len(rooms) == 12
+        for room in rooms:
+            mics = manifest.array.positions + room.array_center
+            gaps = np.linalg.norm(room.source_positions[:, None] - mics[None], axis=-1)
+            assert gaps.min() >= MIN_SOURCE_DISTANCE
+
+    @pytest.mark.parametrize("kind", ["noise", "am", "chirp"])
+    def test_synth_kind_gives_a_valid_dataset(self, tmp_path, kind):
+        out = tmp_path / kind
+        simulate(out, seed=5, n=1, duration=0.4, extra=["--synth-kind", kind])
+        read_manifest(out / "manifest.json", validate_files=True)
+        assert main(["separate", "--manifest", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "est"), "--method", "heuristic"]) == 0
+
     def test_array_larger_than_any_room_exits_1(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "huge"), "--num-scenes", "1",
                    "--duration", "0.3", "--array-diameter", "12"])
@@ -209,6 +237,44 @@ class TestFeatures:
         rc = main(["features", "--manifest", str(out / "manifest.json"),
                    "--out", str(tmp_path / "f4"), "--features", "mel"])
         assert rc == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sets(st.sampled_from(pipeline.FEATURE_BLOCKS), min_size=1),
+           st.sampled_from(pipeline.CONDS))
+    def test_layout_follows_the_block_order(self, dataset, blocks, cond):
+        # Blocks stack in FEATURE_BLOCKS order: LPS is F wide, each IPD block
+        # U*F, AF and DPR F per direction (the target, then the interferer).
+        _, manifest = dataset
+        cfg = pipeline.PipelineConfig.default()
+        analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
+        stack = pipeline.compute_feature_stack(analysis, 0, frozenset(blocks), cond)
+        bins, pairs = cfg.stft_cfg.num_bins, len(cfg.pairs.pairs)
+        who = ["tgt", "intf"] if cond == "tgt+intf" else ["tgt"]
+        expected = []
+        for name in (n for n in pipeline.FEATURE_BLOCKS if n in blocks):
+            if name == "lps":
+                expected.append(("lps", bins))
+            elif name in ("cosipd", "sinipd"):
+                expected.append((name, pairs * bins))
+            else:
+                expected += [(f"{name}:{w}", bins) for w in who]
+        assert stack.layout == tuple(expected)
+        assert stack.data.shape == (analysis.spec.num_frames, sum(w for _, w in expected))
+
+
+@pytest.mark.parametrize("stage", ["features", "separate"])
+def test_unknown_cond_raises_and_writes_nothing(dataset, tmp_path, stage):
+    _, manifest = dataset
+    cfg = pipeline.PipelineConfig.default()
+    dest = tmp_path / "out"
+    with pytest.raises(ValueError, match="cond"):
+        if stage == "features":
+            pipeline.build_features(manifest, dest, cfg, frozenset(pipeline.FEATURE_BLOCKS),
+                                    "intf")
+        else:
+            pipeline.separate_dataset(manifest, [pipeline.Run(dest, 0.0, 1.0, 1.0)],
+                                      "heuristic", cfg, cond="intf")
+    assert not dest.exists()
 
 
 class TestSeparate:
@@ -570,7 +636,7 @@ class TestManifestDecides:
         expected = pipeline.PipelineConfig.default(sample_rate=8000,
                                                    array=circular_array(4, 0.1))
         pipeline.build_features(manifest, tmp_path / "ref", expected,
-                                pipeline.FeatureSelection(cond="tgt+intf"))
+                                frozenset({"lps", "cosipd", "af", "dpr"}), "tgt+intf")
         assert tree_hash(tmp_path / "feat") == tree_hash(tmp_path / "ref")
 
     @pytest.mark.parametrize("edit", [
