@@ -1,7 +1,10 @@
 """Command line driver: simulate | features | separate | evaluate | perturb.
 
 Every subcommand is deterministic under a fixed --seed. Log level comes
-from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR).
+from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR). A stage
+runs every utterance and writes each good one's outputs; if any failed, it
+writes no summary file (manifest, report, sweep.json) and exits 1 with one
+line that lists each failed utterance and why, in manifest order.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ import sys
 from pathlib import Path
 
 from .dataset_io import Manifest, read_manifest, write_json
-from .geometry import MicArray, circular_array
-from .pipeline import (CONDS, FEATURE_BLOCKS, METHODS, SYNTH_KINDS, PipelineConfig, Run,
-                       angle_difference_histogram, build_features, evaluate_dataset,
-                       parse_features, perturb_sweep, separate_dataset, simulate_dataset,
-                       write_sweep_reports)
+from .geometry import circular_array
+from .pipeline import (CONDS, FEATURE_BLOCKS, INPUT_ERRORS, METHODS, SYNTH_KINDS,
+                       PipelineConfig, Run, angle_difference_histogram, build_features,
+                       evaluate_dataset, parse_features, perturb_sweep, separate_dataset,
+                       simulate_dataset, write_sweep_reports)
 
 log = logging.getLogger("ssk")
 
@@ -37,6 +40,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """argparse type of an integer flag: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is less than {low}")
+        return int(text)
+    return integer
+
+
 def _finite_list(text: str) -> list[float]:
     """argparse type of a comma list of finite numbers; at least one."""
     values = [_finite(tok) for tok in text.split(",") if tok.strip()]
@@ -53,16 +65,12 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="direction grid spacing in degrees")
 
 
-def _pipeline_config(args, array: MicArray, sample_rate: int) -> PipelineConfig:
-    return PipelineConfig.default(
-        sample_rate=sample_rate, array=array, grid_step=args.grid_step,
-        fft_size=args.fft_size, win_len=args.win_len, hop=args.hop)
-
-
 def _read_dataset(args) -> tuple[Manifest, PipelineConfig]:
     """The manifest, and a config with the manifest's array and sample rate."""
     manifest = read_manifest(args.manifest, validate_files=True)
-    return manifest, _pipeline_config(args, manifest.array, manifest.sample_rate)
+    return manifest, PipelineConfig.default(
+        sample_rate=manifest.sample_rate, array=manifest.array, grid_step=args.grid_step,
+        fft_size=args.fft_size, win_len=args.win_len, hop=args.hop)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="render reverberant scenes and a manifest")
     p_sim.add_argument("--out", required=True, help="output dataset directory")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--num-scenes", type=int, default=50)
+    p_sim.add_argument("--num-scenes", type=_at_least(0), default=50)
     p_sim.add_argument("--num-speakers", type=int, default=2, choices=(1, 2, 3))
     p_sim.add_argument("--duration", type=_finite, default=2.0,
                        help="dry source duration in seconds")
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory of mono WAVs to use as dry sources")
     p_sim.add_argument("--synth-kind", default="speech", choices=tuple(SYNTH_KINDS),
                        help="builtin synthetic source type (used without --source-dir)")
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=_at_least(1), default=1)
     p_sim.add_argument("--array-diameter", type=_finite, default=0.07,
                        help="circular array diameter in meters")
     p_sim.add_argument("--num-mics", type=int, default=6, help="microphone count")
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--features", default="lps,cosipd,af,dpr",
                         help="comma list from " + ",".join(FEATURE_BLOCKS))
     p_feat.add_argument("--cond", default="tgt", choices=CONDS)
-    p_feat.add_argument("--jobs", type=int, default=1)
+    p_feat.add_argument("--jobs", type=_at_least(1), default=1)
     _add_analysis_flags(p_feat)
 
     p_sep = sub.add_parser("separate", help="run a separation method over a manifest")
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--direction-error-deg", type=_finite, default=0.0,
                        help="perturb the target azimuth by this magnitude, random sign")
     p_sep.add_argument("--seed", type=int, default=0, help="error-sign seed")
-    p_sep.add_argument("--jobs", type=int, default=1)
+    p_sep.add_argument("--jobs", type=_at_least(1), default=1)
     _add_analysis_flags(p_sep)
 
     p_eval = sub.add_parser("evaluate", help="score estimates against reference images")
@@ -123,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                         type=_finite_list, help="comma list of error magnitudes in degrees")
     p_pert.add_argument("--seed", type=int, default=0)
     p_pert.add_argument("--cond", default="tgt", choices=CONDS)
-    p_pert.add_argument("--jobs", type=int, default=1)
+    p_pert.add_argument("--jobs", type=_at_least(1), default=1)
     _add_analysis_flags(p_pert)
 
     return parser
@@ -161,11 +169,7 @@ def cmd_separate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = read_manifest(args.manifest, validate_files=True)
-    report, _, missing = evaluate_dataset(manifest, args.estimates, method=args.method)
-    if missing:
-        for path in missing:
-            print(f"missing estimate: {path}", file=sys.stderr)
-        return 1
+    report, _ = evaluate_dataset(manifest, args.estimates, method=args.method)
     out = Path(args.out)
     write_json(out.with_suffix(".json"), report.to_dict())
     report.write_csv(out.with_suffix(".csv"))
@@ -207,7 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

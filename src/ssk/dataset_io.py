@@ -204,6 +204,10 @@ class UtteranceEntry:
     room_dimensions: tuple[float, float, float]
     array_center: tuple[float, float, float]
 
+    def stem(self, target: int) -> str:
+        """File stem of one target's features, estimate and sidecar."""
+        return f"{self.id}_tgt{target}"
+
 
 @dataclass(frozen=True)
 class Manifest:

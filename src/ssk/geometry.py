@@ -103,10 +103,6 @@ class PairSelection:
             if a >= num_mics or b >= num_mics:
                 raise ValueError(f"pair ({a}, {b}) out of range for J={num_mics}")
 
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
 
 def circular_array(num_mics: int, diameter: float, ref_index: int = 0) -> MicArray:
     """Uniform circular array in the horizontal plane.

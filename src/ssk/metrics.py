@@ -117,13 +117,9 @@ class EvalReport:
 
     def mean_above(self, threshold_deg: float) -> float | None:
         """Count-weighted mean SI-SDRi over bins entirely above ``threshold_deg``."""
-        total = 0
-        acc = 0.0
-        for b in self.bins:
-            if b.lo >= threshold_deg and b.count > 0:
-                acc += b.mean_si_sdri * b.count
-                total += b.count
-        return acc / total if total else None
+        above = [b for b in self.bins if b.lo >= threshold_deg and b.count > 0]
+        total = sum(b.count for b in above)
+        return sum(b.mean_si_sdri * b.count for b in above) / total if total else None
 
 
 def bin_index(angle_difference: float) -> int:

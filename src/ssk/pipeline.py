@@ -5,10 +5,15 @@ Features, separation and the direction-error sweep work one utterance at a
 time: an :class:`UtteranceAnalysis` reads the mixture, transforms it once and
 holds its :class:`~ssk.spatial_features.SpatialAnalysis`, and every target of
 that utterance, under every separation :class:`Run` (one per sweep point),
-reuses both. The sweep also scores each estimate in the same task. ``jobs``
-threads take whole utterances. Methods, feature blocks and direction
-conditions are plain names, each set stated once (:data:`METHODS`,
-:data:`FEATURE_BLOCKS` in stack order, :data:`CONDS`); masks are (T, F) arrays."""
+reuses both. The sweep also scores each estimate in the same task. Methods,
+feature blocks and direction conditions are plain names, each set stated once
+(:data:`METHODS`, :data:`FEATURE_BLOCKS` in stack order, :data:`CONDS`); masks
+are (T, F) arrays.
+
+Each stage is one batch, on ``jobs`` threads that take whole utterances. Every
+utterance runs, and an input error (:data:`INPUT_ERRORS`) fails only its own;
+one :class:`RuntimeError` then lists each failure in manifest order, and no
+summary file (manifest, report, sweep) is written, whatever ``jobs`` is."""
 
 from __future__ import annotations
 
@@ -32,6 +37,8 @@ from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
                                computed_once, multichannel_stft)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 
+# Errors of input or run, not bugs: each fails its utterance; the CLI exits 1.
+INPUT_ERRORS = (ValueError, OSError, RuntimeError)
 METHODS = ORACLE_KINDS + ("heuristic", "das")
 # Directions the AF and DPR blocks and the heuristic cover: the target, or
 # the target and the source closest to it in angle.
@@ -82,14 +89,24 @@ SYNTH_KINDS = {
 }
 
 
-def _map(fn, items, jobs: int) -> list:
-    """``[fn(x) for x in items]``, on ``jobs`` threads when there is more
-    than one item; results keep the order of ``items``."""
-    items = list(items)
+def _each(task, items: Sequence, labels: Sequence[str], jobs: int = 1) -> list:
+    """``[task(x) for x in items]`` on ``jobs`` threads under the batch rule; a
+    failure keeps its message alone, so no traceback pins the item's arrays."""
+    def attempt(item) -> tuple[bool, object]:
+        try:
+            return True, task(item)
+        except INPUT_ERRORS as exc:
+            return False, str(exc)
+
     if jobs > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+            outcomes = list(pool.map(attempt, items))
+    else:
+        outcomes = [attempt(x) for x in items]
+    failures = [f"{label}: {out}" for label, (ok, out) in zip(labels, outcomes) if not ok]
+    if failures:
+        raise RuntimeError(f"{len(failures)} of {len(items)} failed: " + "; ".join(failures))
+    return [out for _, out in outcomes]
 
 
 def _scene_gains(rng: np.random.Generator, n_sources: int) -> list[float]:
@@ -119,8 +136,10 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
     elif synth_kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synthetic source kind {synth_kind!r}")
 
+    ids = [f"utt_{index:05d}" for index in range(num_scenes)]
+
     def render_one(index: int) -> UtteranceEntry:
-        utt_id = f"utt_{index:05d}"
+        utt_id = ids[index]
         scene_seed = int(scene_seeds[index])
         rng = np.random.default_rng(scene_seed)
         room, azimuths = sample_scene(rng, num_speakers, sample_rate=sample_rate,
@@ -147,7 +166,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
             room_dimensions=tuple(float(d) for d in room.dimensions),
             array_center=tuple(float(x) for x in room.array_center))
 
-    utterances = _map(render_one, range(num_scenes), jobs)
+    utterances = _each(render_one, range(num_scenes), ids, jobs)
 
     manifest = Manifest(sample_rate=sample_rate, array=array, utterances=tuple(utterances))
     write_manifest(out / "manifest.json", manifest)
@@ -286,12 +305,13 @@ def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig, blocks: fro
 
     def one(entry: UtteranceEntry) -> list[Path]:
         analysis = UtteranceAnalysis(entry, manifest, cfg)
-        paths = [out / f"{entry.id}_tgt{t}.tsnf" for t in range(len(entry.sources))]
+        paths = [out / f"{entry.stem(t)}.tsnf" for t in range(len(entry.sources))]
         for target, path in enumerate(paths):
             write_features(path, compute_feature_stack(analysis, target, blocks, cond))
         return paths
 
-    return [p for paths in _map(one, manifest.utterances, jobs) for p in paths]
+    entries = manifest.utterances
+    return [p for paths in _each(one, entries, [e.id for e in entries], jobs) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +333,7 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
     if method == "heuristic":
         entry, spatial = analysis.entry, analysis.spatial
         af_intf = dpr_intf = None
-        if cond == "tgt+intf" and len(entry.sources) > 1:
+        if cond == "tgt+intf":
             intf_az = _interferer_azimuth(entry, target)
             af_intf, dpr_intf = spatial.angle_feature(intf_az), spatial.dpr(intf_az)
         mask = directional_mask(spatial.angle_feature(azimuth), spatial.dpr(azimuth),
@@ -381,7 +401,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                 azimuth = src.azimuth_deg + sign * run.direction_error_deg
                 est = separate_utterance(analysis, method, target, azimuth, cond=cond,
                                          alpha=run.alpha, beta=run.beta)
-                path = run.out_dir / f"{entry.id}_tgt{target}.wav"
+                path = run.out_dir / f"{entry.stem(target)}.wav"
                 write_wav(path, est, manifest.sample_rate)
                 write_json(path.with_suffix(".json"), {
                     "utterance": entry.id, "target_index": target, "method": method,
@@ -395,7 +415,8 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                                               reference, si_sdr_mix, method))
         return paths, records
 
-    results = _map(one, list(enumerate(manifest.utterances)), jobs)
+    results = _each(one, list(enumerate(manifest.utterances)),
+                    [e.id for e in manifest.utterances], jobs)
     return ([p for paths, _ in results for p in paths],
             [[rec for _, records in results for rec in records[i]] for i in range(len(runs))])
 
@@ -407,27 +428,26 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
 def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.ndarray,
             si_sdr_mix: float, method: str) -> EvalRecord:
     src = entry.sources[target]
-    return EvalRecord(utterance_id=f"{entry.id}_tgt{target}", target_azimuth=src.azimuth_deg,
+    return EvalRecord(utterance_id=entry.stem(target), target_azimuth=src.azimuth_deg,
                       angle_difference=src.angle_difference_deg,
                       si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix, method=method)
 
 
 def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
-                     ) -> tuple[EvalReport, list[EvalRecord], list[str]]:
-    """Score every (utterance, target) estimate in ``estimates_dir`` against
-    its reverberant image at the manifest's reference mic; an estimate that is
-    not mono or not as long as the mixture raises :class:`DataFormatError`.
-    Returns (report, records, missing-estimate names)."""
-    records: list[EvalRecord] = []
-    missing: list[str] = []
+                     ) -> tuple[EvalReport, list[EvalRecord]]:
+    """Score every (utterance, target) estimate ``<utterance>_tgt<k>.wav`` in
+    ``estimates_dir`` against its reverberant image at the manifest's
+    reference mic, one utterance at a time in manifest order. An estimate
+    that is missing, unreadable, not mono or not as long as the mixture fails
+    its utterance, with a message that names the file; the batch rule of this
+    module applies. Returns (report, records in manifest order)."""
     ref_index = manifest.array.ref_index
-    for entry in manifest.utterances:
+
+    def one(entry: UtteranceEntry) -> list[EvalRecord]:
         mixture = _read(manifest, entry.mixture)
+        records = []
         for target, src in enumerate(entry.sources):
-            est_path = Path(estimates_dir) / f"{entry.id}_tgt{target}.wav"
-            if not est_path.exists():
-                missing.append(str(est_path))
-                continue
+            est_path = Path(estimates_dir) / f"{entry.stem(target)}.wav"
             est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
             if est.shape != (1, mixture.shape[1]):
                 raise DataFormatError(f"{est_path}: estimate has {est.shape[0]} channel(s) of "
@@ -436,7 +456,11 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
             reference = _read(manifest, src.image)[ref_index]
             records.append(_record(entry, target, est[0], reference,
                                    si_sdr(mixture[ref_index], reference), method))
-    return aggregate(records, method=method), records, missing
+        return records
+
+    entries = manifest.utterances
+    records = [rec for recs in _each(one, entries, [e.id for e in entries]) for rec in recs]
+    return aggregate(records, method=method), records
 
 
 # ---------------------------------------------------------------------------

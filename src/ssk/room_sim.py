@@ -256,10 +256,7 @@ def simulate_rirs(room: RoomConfig, array: MicArray) -> tuple[np.ndarray, ...]:
     for c in range(room.num_sources):
         rirs = [simulate_rir(room, c, mic, reflection_coefficient=beta) for mic in mics]
         length = max(r.size for r in rirs)
-        stacked = np.zeros((len(rirs), length))
-        for j, r in enumerate(rirs):
-            stacked[j, :r.size] = r
-        per_source.append(stacked)
+        per_source.append(np.stack([np.pad(r, (0, length - r.size)) for r in rirs]))
     return tuple(per_source)
 
 
@@ -297,8 +294,6 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
     image; relative gains are realized as exact power ratios.
     """
     dry = [np.asarray(s, dtype=float).ravel() for s in dry_sources]
-    if len(dry) < 1:
-        raise ValueError("need at least one dry source")
     if len(dry) != room.num_sources:
         raise ValueError(f"{len(dry)} dry sources but room has {room.num_sources} positions")
     for c, s in enumerate(dry):
@@ -375,9 +370,7 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
         center = np.array([center_xy[0], center_xy[1], plane_z])
 
         positions = []
-        ok = True
         for c in range(n_sources):
-            placed = False
             for _ in range(200):
                 if azimuths is not None:
                     rad = np.deg2rad(normalize_azimuth(float(azimuths[c])))
@@ -392,12 +385,10 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
                     if np.linalg.norm(xy - center_xy) < MIN_SOURCE_DISTANCE + array_radius:
                         continue
                 positions.append(np.array([xy[0], xy[1], plane_z]))
-                placed = True
                 break
-            if not placed:
-                ok = False
+            if len(positions) == c:  # source c could not be placed
                 break
-        if not ok:
+        if len(positions) < n_sources:
             continue
         room = RoomConfig(dimensions=dims, t60=t60, array_center=center,
                           source_positions=np.stack(positions), sample_rate=sample_rate)

@@ -83,7 +83,7 @@ def pair_cos_sin(spec: ComplexSpectrogram, pairs: PairSelection) -> tuple[np.nda
     give identical channels a sine of exactly 0; pair by pair, transients are (T, F)."""
     pairs.validate_for(spec.data.shape[0])
     re, im = spec.data.real, spec.data.imag
-    cos, sin = np.empty((2, pairs.num_pairs) + spec.data.shape[1:])
+    cos, sin = np.empty((2, len(pairs.pairs)) + spec.data.shape[1:])
     for u, (a, b) in enumerate(pairs.pairs):
         c = re[a] * re[b] + im[a] * im[b]
         s = im[a] * re[b] - re[a] * im[b]

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ssk
 from ssk import pipeline, spatial_features, spectral
@@ -64,10 +67,18 @@ def test_cli_import_loads_no_scipy():
     (["separate", "--method", "heuristic", "--alpha", "nan"], "--alpha"),
     (["separate", "--method", "heuristic", "--direction-error-deg", "nan"],
      "--direction-error-deg"),
-], ids=["duration-inf", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan"])
+    (["simulate", "--jobs", "0"], "--jobs"),
+    (["features", "--jobs", "-4"], "--jobs"),
+    (["separate", "--method", "das", "--jobs", "0"], "--jobs"),
+    (["perturb", "--jobs", "-4"], "--jobs"),
+    (["simulate", "--num-scenes", "-2"], "--num-scenes"),
+], ids=["duration-inf", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan",
+        "simulate-jobs-0", "features-jobs-negative", "separate-jobs-0",
+        "perturb-jobs-negative", "num-scenes-negative"])
 def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag):
     # Every float flag, and each item of perturb's error list, must be
-    # finite: a usage error names the flag before any output is made.
+    # finite, --jobs at least 1 and --num-scenes at least 0: a usage error
+    # names the flag before any output is made.
     manifest = [] if argv[0] == "simulate" else ["--manifest", str(dataset[0] / "manifest.json")]
     with pytest.raises(SystemExit) as exc:
         main([*argv, *manifest, "--out", str(tmp_path / "x")])
@@ -444,6 +455,127 @@ class TestPerturb:
         main(args + ["--out", str(tmp_path / "s1")])
         main(args + ["--out", str(tmp_path / "s2")])
         assert tree_hash(tmp_path / "s1") == tree_hash(tmp_path / "s2")
+
+
+# ---------------------------------------------------------------------------
+# Batch rule: every utterance runs, a failure ends only its own utterance,
+# and a failed batch exits 1 naming each failure and writes no summary file.
+
+CORRUPTIONS = ("not-riff", "channels", "nan", "-inf")
+BATCH_STAGES = {
+    "features": ["features", "--features", "lps,cosipd,af,dpr"],
+    "separate": ["separate", "--method", "heuristic"],
+    "perturb": ["perturb", "--direction-error-deg", "0,5"],
+}
+
+
+def tree_files(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+def corrupt(path, kind, where):
+    """Spoil one WAV: not RIFF, one channel short, or one float sample made
+    non-finite (``where`` picks it)."""
+    if kind == "not-riff":
+        path.write_bytes(b"garbage")
+    elif kind == "channels":
+        wav, rate = read_wav(path)
+        write_wav(path, wav[:-1], rate)
+    else:
+        raw = bytearray(path.read_bytes())
+        start = raw.index(b"data") + 8
+        at = start + 4 * (where % ((len(raw) - start) // 4))
+        raw[at:at + 4] = struct.pack("<f", float(kind))
+        path.write_bytes(bytes(raw))
+
+
+@pytest.fixture(scope="module")
+def batch(tmp_path_factory):
+    """A 3-scene dataset and each stage's clean outputs at --jobs 1."""
+    root = tmp_path_factory.mktemp("batch")
+    simulate(root / "data", seed=7, n=3, duration=0.3)
+    clean = {}
+    for stage, argv in BATCH_STAGES.items():
+        assert main([*argv, "--manifest", str(root / "data" / "manifest.json"),
+                     "--out", str(root / stage), "--jobs", "1"]) == 0
+        clean[stage] = tree_files(root / stage)
+    return root / "data", clean
+
+
+@settings(max_examples=10, deadline=None)
+@given(bad=st.dictionaries(st.integers(0, 2), st.sampled_from(CORRUPTIONS),
+                           min_size=1, max_size=2),
+       where=st.integers(0, 2 ** 20))
+@example(bad={0: "channels", 2: "not-riff"}, where=0)
+def test_a_failed_utterance_ends_only_itself(batch, tmp_path_factory, bad, where):
+    # Whatever --jobs is, every other utterance writes exactly its clean
+    # outputs, no summary file is written, and stderr names each corrupted
+    # utterance and its file, in manifest order.
+    source, clean = batch
+    data = tmp_path_factory.mktemp("corrupt")
+    shutil.copytree(source, data, dirs_exist_ok=True)
+    manifest = read_manifest(data / "manifest.json")
+    failed = [manifest.utterances[k] for k in sorted(bad)]
+    for k, kind in bad.items():
+        corrupt(data / manifest.utterances[k].mixture, kind, where)
+    for stage, argv in BATCH_STAGES.items():
+        expected = {rel: body for rel, body in clean[stage].items()
+                    if not rel.name.startswith(tuple(f"{u.id}_" for u in failed))
+                    and rel.name not in ("sweep.json", "sweep.csv")}
+        for jobs in ("1", "2"):
+            out = data / f"{stage}-{jobs}"
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main([*argv, "--manifest", str(data / "manifest.json"),
+                           "--out", str(out), "--jobs", jobs])
+            assert rc == 1, (stage, jobs)
+            text = err.getvalue()
+            assert f"{len(failed)} of 3 failed: " in text
+            at = [text.index(f"{u.id}: ") for u in failed]
+            assert at == sorted(at)
+            assert all(Path(u.mixture).name in text for u in failed)
+            assert tree_files(out) == expected, (stage, jobs)
+
+
+@pytest.mark.parametrize("argv", [["features"], ["separate", "--method", "heuristic"],
+                                  ["perturb", "--direction-error-deg", "0"]],
+                         ids=["features", "separate", "perturb"])
+def test_single_source_tgt_intf_fails_the_utterance(tmp_path, capsys, argv):
+    # A one-source scene has no interferer: every stage fails the utterance
+    # under tgt+intf, rather than running tgt and recording tgt+intf.
+    simulate(tmp_path / "one", seed=2, n=1, speakers=1, duration=0.3)
+    out = tmp_path / "out"
+    assert main([*argv, "--manifest", str(tmp_path / "one" / "manifest.json"),
+                 "--out", str(out), "--cond", "tgt+intf"]) == 1
+    assert "utt_00000: utterance utt_00000 has a single source" in capsys.readouterr().err
+    assert tree_files(out) == {}
+
+
+def _bug(*args, **kwargs):
+    raise TypeError("a bug")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--num-scenes", "2", "--duration", "0.3"], "render_mixture"),
+    (["features"], "compute_feature_stack"),
+    (["separate", "--method", "das"], "separate_utterance"),
+    (["perturb", "--direction-error-deg", "0"], "separate_utterance"),
+], ids=["simulate", "features", "separate", "perturb"])
+def test_a_bug_propagates_as_itself(dataset, tmp_path, monkeypatch, argv, name, jobs):
+    # Only input errors fail an utterance; any other exception is a bug and
+    # is raised as itself, not reported as exit 1.
+    monkeypatch.setattr(pipeline, name, _bug)
+    manifest = [] if argv[0] == "simulate" else ["--manifest", str(dataset[0] / "manifest.json")]
+    with pytest.raises(TypeError, match="a bug"):
+        main([*argv, *manifest, "--out", str(tmp_path / "out"), "--jobs", jobs])
+
+
+def test_a_bug_in_evaluate_propagates_as_itself(dataset, tmp_path, monkeypatch):
+    # evaluate has no --jobs; its task reads the mixture first.
+    monkeypatch.setattr(pipeline, "_read", _bug)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["evaluate", "--manifest", str(dataset[0] / "manifest.json"),
+              "--estimates", str(tmp_path), "--out", str(tmp_path / "rep")])
 
 
 def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
