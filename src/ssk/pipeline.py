@@ -444,18 +444,18 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
     ref_index = manifest.array.ref_index
 
     def one(entry: UtteranceEntry) -> list[EvalRecord]:
-        mixture = _read(manifest, entry.mixture)
+        mixture = _read(manifest, entry.mixture)[ref_index].copy()  # the other mics are freed
         records = []
         for target, src in enumerate(entry.sources):
             est_path = Path(estimates_dir) / f"{entry.stem(target)}.wav"
             est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
-            if est.shape != (1, mixture.shape[1]):
+            if est.shape != (1, mixture.size):
                 raise DataFormatError(f"{est_path}: estimate has {est.shape[0]} channel(s) of "
                                       f"{est.shape[1]} samples; expected 1 channel of "
-                                      f"{mixture.shape[1]}, the mixture's length")
-            reference = _read(manifest, src.image)[ref_index]
+                                      f"{mixture.size}, the mixture's length")
+            reference = _read(manifest, src.image)[ref_index].copy()
             records.append(_record(entry, target, est[0], reference,
-                                   si_sdr(mixture[ref_index], reference), method))
+                                   si_sdr(mixture, reference), method))
         return records
 
     entries = manifest.utterances
