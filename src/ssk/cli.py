@@ -58,9 +58,10 @@ def _finite_list(text: str) -> list[float]:
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fft-size", type=int, default=64, help="FFT length for features")
-    p.add_argument("--win-len", type=int, default=40, help="analysis window length, samples")
-    p.add_argument("--hop", type=int, default=20, help="hop size, samples")
+    p.add_argument("--fft-size", type=_at_least(1), default=64, help="FFT length for features")
+    p.add_argument("--win-len", type=_at_least(1), default=40,
+                   help="analysis window length, samples")
+    p.add_argument("--hop", type=_at_least(1), default=20, help="hop size, samples")
     p.add_argument("--grid-step", type=_finite, default=10.0,
                    help="direction grid spacing in degrees")
 
@@ -93,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--jobs", type=_at_least(1), default=1)
     p_sim.add_argument("--array-diameter", type=_finite, default=0.07,
                        help="circular array diameter in meters")
-    p_sim.add_argument("--num-mics", type=int, default=6, help="microphone count")
-    p_sim.add_argument("--sample-rate", type=int, default=16000, help="sample rate, Hz")
+    p_sim.add_argument("--num-mics", type=_at_least(1), default=6, help="microphone count")
+    p_sim.add_argument("--sample-rate", type=_at_least(1), default=16000, help="sample rate, Hz")
 
     p_feat = sub.add_parser("features", help="extract feature files per utterance/target")
     p_feat.add_argument("--manifest", required=True)

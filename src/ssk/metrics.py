@@ -38,8 +38,9 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     if ref_energy <= 0.0:
         raise ValueError("reference is zero (or constant) after zero-mean normalization")
     scale = float(est @ ref) / ref_energy
-    target = scale * ref
-    noise = est - target
+    # The scaled reference and the residual overwrite the zero-mean copies.
+    target = np.multiply(ref, scale, out=ref)
+    noise = np.subtract(est, target, out=est)
     target_energy = float(target @ target)
     noise_energy = float(noise @ noise)
     if noise_energy < _ZERO_ERROR_RATIO * target_energy:

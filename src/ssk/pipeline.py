@@ -11,8 +11,9 @@ feature blocks and direction conditions are plain names, each set stated once
 are (T, F) arrays.
 
 Each stage is one batch, on ``jobs`` threads that take whole utterances. Every
-utterance runs, and an input error (:data:`INPUT_ERRORS`) fails only its own;
-one :class:`RuntimeError` then lists each failure in manifest order, and no
+utterance runs, and an input error (:data:`INPUT_ERRORS`) fails only its own,
+which leaves none of the features or estimates it had written; one
+:class:`RuntimeError` then lists each failure in manifest order, and no
 summary file (manifest, report, sweep) is written, whatever ``jobs`` is."""
 
 from __future__ import annotations
@@ -107,6 +108,21 @@ def _each(task, items: Sequence, labels: Sequence[str], jobs: int = 1) -> list:
     if failures:
         raise RuntimeError(f"{len(failures)} of {len(items)} failed: " + "; ".join(failures))
     return [out for _, out in outcomes]
+
+
+def _unwritten_on_failure(task):
+    """``task(item, written)``, which lists in ``written`` each file it has
+    written, as a task of ``item`` that removes those files before its
+    error propagates: a failed utterance leaves none of its files."""
+    def run(item):
+        written: list[Path] = []
+        try:
+            return task(item, written)
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
+    return run
 
 
 def _scene_gains(rng: np.random.Generator, n_sources: int) -> list[float]:
@@ -217,16 +233,21 @@ def _read(manifest: Manifest, relative: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UtteranceAnalysis:
-    """One utterance's mixture and the analysis every target, method and run
-    shares; it alone turns waveforms into spectrograms, straight from the
-    configs in ``cfg`` (no analysis kernels are built).
+    """One utterance's analysis, shared by every target, method and run; it
+    alone turns the mixture into spectrograms, straight from the configs in
+    ``cfg`` (no analysis kernels are built).
 
-    Each part is computed on first use, so a method pays only for what it
-    reads: the mixture (checked against the manifest array), its (J, T, F)
-    spectrogram at ``cfg.stft_cfg``, the ``cfg.oracle_cfg`` spectrograms of
-    the reference-channel mixture and source images, and the
-    :class:`~ssk.spatial_features.SpatialAnalysis` of the spectrogram, which
-    keeps the AF maps of the utterance's source azimuths.
+    It reads the mixture once, checks its channel count against the
+    manifest array and keeps only a contiguous copy of the reference-mic row
+    (:attr:`reference`, whose size is the sample count). The (J, n) array
+    itself is held only until the (J, T, F) spectrogram at
+    ``cfg.stft_cfg`` (:attr:`spec`) is built, or until the oracle methods'
+    ``cfg.oracle_cfg`` spectrograms of the reference rows of the mixture and
+    source images (:attr:`ref_specs`) are; an analysis asked for both reads
+    the mixture again, which no stage does. It also holds the
+    :class:`~ssk.spatial_features.SpatialAnalysis` of the spectrogram, with
+    its bounded AF and DPR memos. Each part is computed on first use, so a
+    method pays only for what it reads.
     """
 
     entry: UtteranceEntry
@@ -234,25 +255,37 @@ class UtteranceAnalysis:
     cfg: PipelineConfig
 
     @computed_once
-    def mixture(self) -> np.ndarray:
+    def reference(self) -> np.ndarray:
+        """The mixture's reference-mic row, (n,), owning its data."""
         wav = _read(self.manifest, self.entry.mixture)
         if wav.shape[0] != self.cfg.array.num_mics:
             raise DataFormatError(f"{self.entry.mixture}: {wav.shape[0]} channels, the "
                                   f"manifest array has {self.cfg.array.num_mics} microphones")
-        return wav
+        self.__dict__["_mixture"] = wav  # until a spectrogram takes it
+        return wav[self.cfg.array.ref_index].copy()
+
+    def _release_mixture(self) -> np.ndarray | None:
+        """The held (J, n) mixture, which the analysis holds no longer; None
+        if it was released before."""
+        self.reference
+        return self.__dict__.pop("_mixture", None)
 
     @computed_once
     def ref_specs(self) -> tuple[ComplexSpectrogram, list[ComplexSpectrogram]]:
         """Oracle-config spectrograms of the reference-channel mixture and of
         each reference-channel source image."""
+        self._release_mixture()
         ref, oracle_cfg = self.cfg.array.ref_index, self.cfg.oracle_cfg
         images = [stft(_read(self.manifest, src.image)[ref], oracle_cfg)
                   for src in self.entry.sources]
-        return stft(self.mixture[ref], oracle_cfg), images
+        return stft(self.reference, oracle_cfg), images
 
     @computed_once
     def spec(self) -> ComplexSpectrogram:
-        return multichannel_stft(self.mixture, self.cfg.stft_cfg)
+        wav = self._release_mixture()
+        if wav is None:
+            wav = _read(self.manifest, self.entry.mixture)
+        return multichannel_stft(wav, self.cfg.stft_cfg)
 
     @computed_once
     def spatial(self) -> SpatialAnalysis:
@@ -303,15 +336,17 @@ def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig, blocks: fro
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(entry: UtteranceEntry) -> list[Path]:
+    def one(entry: UtteranceEntry, written: list[Path]) -> list[Path]:
         analysis = UtteranceAnalysis(entry, manifest, cfg)
-        paths = [out / f"{entry.stem(t)}.tsnf" for t in range(len(entry.sources))]
-        for target, path in enumerate(paths):
+        for target in range(len(entry.sources)):
+            path = out / f"{entry.stem(target)}.tsnf"
             write_features(path, compute_feature_stack(analysis, target, blocks, cond))
-        return paths
+            written.append(path)
+        return written
 
     entries = manifest.utterances
-    return [p for paths in _each(one, entries, [e.id for e in entries], jobs) for p in paths]
+    return [p for paths in _each(_unwritten_on_failure(one), entries,
+                                 [e.id for e in entries], jobs) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +359,7 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
     """Run one separation method for one utterance/target steered at
     ``azimuth``, returning the estimated reference-channel waveform."""
     cfg = analysis.cfg
-    length = analysis.mixture.shape[1]
+    length = analysis.reference.size
     if method in ORACLE_KINDS:
         mixture, images = analysis.ref_specs
         others = [img for c, img in enumerate(images) if c != target]
@@ -379,21 +414,21 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
-    # Without a perturbed run no generator is built: its small allocations
-    # between an utterance's large arrays raised the peak RSS of a
-    # 6-utterance heuristic ``separate`` by 5 MB.
+    # Without a perturbed run no generator is built: the first one imports
+    # numpy.random, whose secrets -> hmac -> _hashlib chain maps OpenSSL's
+    # libcrypto, about +6 MB of RSS and 14 ms once per process.
     perturbed = any(run.direction_error_deg != 0.0 for run in runs)
     ref_index = manifest.array.ref_index
 
-    def one(task) -> tuple[list[Path], list[list[EvalRecord]]]:
+    def one(task, written: list[Path]) -> tuple[list[Path], list[list[EvalRecord]]]:
         index, entry = task
         analysis = UtteranceAnalysis(entry, manifest, cfg)
         paths: list[Path] = []
         records: list[list[EvalRecord]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
             if score:
-                reference = _read(manifest, src.image)[ref_index]
-                si_sdr_mix = si_sdr(analysis.mixture[ref_index], reference)
+                reference = _read(manifest, src.image)[ref_index].copy()
+                si_sdr_mix = si_sdr(analysis.reference, reference)
             sign = -1.0 if perturbed and not np.random.default_rng(
                 [error_seed, index, target]).integers(2) else 1.0
             for i in order:
@@ -403,6 +438,8 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                                          alpha=run.alpha, beta=run.beta)
                 path = run.out_dir / f"{entry.stem(target)}.wav"
                 write_wav(path, est, manifest.sample_rate)
+                written.append(path)
+                written.append(path.with_suffix(".json"))
                 write_json(path.with_suffix(".json"), {
                     "utterance": entry.id, "target_index": target, "method": method,
                     "cond": cond, "azimuth_used_deg": float(azimuth),
@@ -415,7 +452,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                                               reference, si_sdr_mix, method))
         return paths, records
 
-    results = _each(one, list(enumerate(manifest.utterances)),
+    results = _each(_unwritten_on_failure(one), list(enumerate(manifest.utterances)),
                     [e.id for e in manifest.utterances], jobs)
     return ([p for paths, _ in results for p in paths],
             [[rec for _, records in results for rec in records[i]] for i in range(len(runs))])

@@ -77,6 +77,10 @@ def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
     where dpr_norm rescales the target DPR by its utterance maximum. When
     interference features are given, bins where the interferer beats the
     target on both AF and DPR are zeroed.
+
+    The score is built in its output array with one (T, F) scratch map for
+    the DPR term; that term is skipped when beta is 0 (it would add +0.0)
+    and the division when alpha + beta is 1, both exactly.
     """
     af_tgt = np.asarray(af_tgt, dtype=float)
     dpr_tgt = np.asarray(dpr_tgt, dtype=float)
@@ -88,12 +92,21 @@ def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
     if alpha < 0 or beta < 0 or alpha + beta <= 0:
         raise ValueError("weights must be non-negative and not both zero")
 
-    dpr_norm = dpr_tgt / max(float(dpr_tgt.max()), MASK_EPS)
-    score = (alpha * (af_tgt + 1.0) / 2.0 + beta * dpr_norm) / (alpha + beta)
+    score = af_tgt + 1.0
+    score *= alpha
+    score /= 2.0
+    if beta != 0.0:
+        dpr_term = np.divide(dpr_tgt, max(float(dpr_tgt.max()), MASK_EPS))
+        dpr_term *= beta
+        score += dpr_term
+        del dpr_term
+    if alpha + beta != 1.0:
+        score /= alpha + beta
     if af_intf is not None and dpr_intf is not None:
-        contrast = (af_tgt >= af_intf) | (dpr_tgt >= dpr_intf)
-        score = score * contrast
-    return np.clip(score, 0.0, 1.0)
+        contrast = np.greater_equal(af_tgt, af_intf)
+        contrast |= np.greater_equal(dpr_tgt, dpr_intf)
+        score *= contrast
+    return np.clip(score, 0.0, 1.0, out=score)
 
 
 def _fit(signal: np.ndarray, length: int) -> np.ndarray:

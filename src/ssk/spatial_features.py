@@ -80,18 +80,27 @@ class FeatureStack:
 def pair_cos_sin(spec: ComplexSpectrogram, pairs: PairSelection) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine of the per-pair IPD, each (U, T, F): Re and Im of
     Y_a conj(Y_b) over its modulus, 0 where either channel is 0. Real products
-    give identical channels a sine of exactly 0; pair by pair, transients are (T, F)."""
+    give identical channels a sine of exactly 0. Each pair's products are
+    formed straight in its output rows, and two (T, F) scratch maps and one
+    boolean map serve every pair."""
     pairs.validate_for(spec.data.shape[0])
     re, im = spec.data.real, spec.data.imag
     cos, sin = np.empty((2, len(pairs.pairs)) + spec.data.shape[1:])
+    mod, scratch = np.empty((2,) + spec.data.shape[1:])
+    silent = np.empty(spec.data.shape[1:], dtype=bool)
     for u, (a, b) in enumerate(pairs.pairs):
-        c = re[a] * re[b] + im[a] * im[b]
-        s = im[a] * re[b] - re[a] * im[b]
-        mod = np.sqrt(c * c + s * s)
-        silent = mod == 0.0
+        c, s = cos[u], sin[u]
+        np.multiply(re[a], re[b], out=c)
+        c += np.multiply(im[a], im[b], out=scratch)
+        np.multiply(im[a], re[b], out=s)
+        s -= np.multiply(re[a], im[b], out=scratch)
+        np.multiply(c, c, out=mod)
+        mod += np.multiply(s, s, out=scratch)
+        np.sqrt(mod, out=mod)
+        np.equal(mod, 0.0, out=silent)
         c[silent], s[silent], mod[silent] = 1.0, 0.0, 1.0
-        np.divide(c, mod, out=cos[u])
-        np.divide(s, mod, out=sin[u])
+        c /= mod
+        s /= mod
     return cos, sin
 
 
@@ -180,9 +189,11 @@ def dpr(spec: ComplexSpectrogram, weights: np.ndarray, total: np.ndarray,
     direction for (F, J) weights, (P, T, F) toward each of (P, F, J). ``total``
     is the :func:`beam_power_total` of the ``num_directions`` grid beams;
     bins whose total falls below the floor get the uniform value 1/P."""
-    power = np.abs(beam(spec, weights)) ** 2
-    out = power / np.maximum(total, DPR_POWER_FLOOR)
-    return np.where(total < DPR_POWER_FLOOR, 1.0 / num_directions, out)
+    out = np.abs(beam(spec, weights))
+    np.square(out, out=out)
+    out /= np.maximum(total, DPR_POWER_FLOOR)
+    np.copyto(out, 1.0 / num_directions, where=total < DPR_POWER_FLOOR)
+    return out
 
 
 def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:
@@ -214,20 +225,23 @@ class SpatialAnalysis:
     by every target, method and run; the only place AF and DPR are formed
     from a spectrogram.
 
-    Each part is computed on first use, so a caller pays only for what it
-    reads: the cosine and sine of the pair IPDs, the premask at the array's
-    reference mic, the delay-and-sum grid weights and the grid total.
+    It holds the spectrogram it was given and, each computed on first use
+    so that a caller pays only for what it reads: the cosine and sine of the
+    pair IPDs (two (U, T, F) arrays), the (T, F) premask at the array's
+    reference mic, the (P, F, J) delay-and-sum grid weights, the (T, F) grid
+    total, and the AF and DPR maps below, each (T, F).
 
-    AF (:func:`angle_feature`) is computed from the IPD phasors per azimuth.
-    The maps of the ``pinned`` azimuths (the utterance's sources) are kept
+    AF (:func:`angle_feature`) is computed from the IPD phasors per azimuth,
+    DPR (:func:`dpr` of one beam and the grid total) per grid index, the
+    :func:`nearest_direction` of the azimuth. Both memos keep the maps of the
+    ``pinned`` azimuths (the utterance's sources), or of their grid indices,
     for the analysis's lifetime: features, unperturbed separation and every
     ``tgt+intf`` interferer reuse them. Of any other azimuth (a perturbed
-    target) only the latest map is kept, so the analysis holds at most S + 1
-    AF maps for S pinned azimuths, however many sweep points it serves;
-    callers that steer at the same perturbed azimuth should do so
-    consecutively. DPR (:func:`dpr` of one beam and the grid total) is kept
-    per grid index (:func:`nearest_direction` of the azimuth), at most one
-    map per grid direction.
+    target) or grid index only the latest map is kept. So the analysis holds
+    at most S + 1 AF maps for S pinned azimuths and G + 1 DPR maps for the G
+    grid indices they round to, however many sweep points it serves and
+    however far they stray; callers that steer at the same perturbed azimuth
+    should do so consecutively.
     """
 
     spec: ComplexSpectrogram
@@ -238,6 +252,7 @@ class SpatialAnalysis:
     _af: dict = field(default_factory=dict, init=False, repr=False)
     _af_latest: dict = field(default_factory=dict, init=False, repr=False)
     _dpr: dict = field(default_factory=dict, init=False, repr=False)
+    _dpr_latest: dict = field(default_factory=dict, init=False, repr=False)
 
     @computed_once
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
@@ -258,6 +273,11 @@ class SpatialAnalysis:
     def total(self) -> np.ndarray:
         return beam_power_total(self.spec, self.weights)
 
+    @computed_once
+    def pinned_directions(self) -> frozenset[int]:
+        """Grid indices of the pinned azimuths."""
+        return frozenset(nearest_direction(self.grid, az) for az in self.pinned)
+
     def angle_feature(self, azimuth: float) -> np.ndarray:
         cache = self._af if azimuth in self.pinned else self._af_latest
         if azimuth not in cache:
@@ -270,10 +290,12 @@ class SpatialAnalysis:
 
     def dpr(self, azimuth: float) -> np.ndarray:
         p = nearest_direction(self.grid, azimuth)
-        if p not in self._dpr:
-            self._dpr[p] = dpr(self.spec, self.weights[p], self.total,
-                               self.grid.num_directions)
-        return self._dpr[p]
+        cache = self._dpr if p in self.pinned_directions else self._dpr_latest
+        if p not in cache:
+            if cache is self._dpr_latest:
+                cache.clear()  # before computing, as for AF
+            cache[p] = dpr(self.spec, self.weights[p], self.total, self.grid.num_directions)
+        return cache[p]
 
 
 def assemble_features(blocks: Sequence[tuple[str, np.ndarray]]) -> FeatureStack:

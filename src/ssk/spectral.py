@@ -151,13 +151,18 @@ def istft(spec: ComplexSpectrogram) -> np.ndarray:
     analyzed signal (the first/last window length is boundary-distorted).
     The normaliser is floored at its fully overlapped minimum: at the ends it
     falls to one tapered window square (2e-8 at sample 1 of a 256-point
-    Hann), which would blow masked edge samples up."""
+    Hann), which would blow masked edge samples up. The window and the
+    normaliser are applied in place, so besides the frames of the inverse
+    rfft only the overlap-add output is allocated."""
     cfg = spec.config
     num_frames = spec.num_frames
     # Frame waveforms via the inverse rfft of the zero-padded spectrum.
     frames = np.fft.irfft(spec.data, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
+    frames *= cfg.window
     norm = _istft_normaliser(cfg, num_frames)
-    return _overlap_add(frames * cfg.window, cfg.hop)[:norm.size] / norm
+    out = _overlap_add(frames, cfg.hop)[:norm.size]
+    out /= norm
+    return out
 
 
 @functools.lru_cache(maxsize=16)

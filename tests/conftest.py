@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,15 @@ def cfg_default():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result of ``fn()`` and the peak of the memory
+    tracemalloc traced while it ran, in bytes (its result included)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -234,3 +234,71 @@ def manifest_doc(manifest) -> dict:
             for u in manifest.utterances
         ],
     }
+
+
+# The analysis and separation kernels as each step into a fresh array: the
+# same operations in the same order as the library's in-place forms, which
+# must equal them bit for bit.
+
+
+def fresh_pair_cos_sin(data: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of the pair IPDs of a (J, T, F) spectrum, each (U, T, F)."""
+    re, im = data.real, data.imag
+    cos, sin = np.empty((2, len(pairs.pairs)) + data.shape[1:])
+    for u, (a, b) in enumerate(pairs.pairs):
+        c = re[a] * re[b] + im[a] * im[b]
+        s = im[a] * re[b] - re[a] * im[b]
+        mod = np.sqrt(c * c + s * s)
+        silent = mod == 0.0
+        c[silent], s[silent], mod[silent] = 1.0, 0.0, 1.0
+        cos[u], sin[u] = c / mod, s / mod
+    return cos, sin
+
+
+def fresh_dpr(data: np.ndarray, weights: np.ndarray, total: np.ndarray,
+              num_directions: int, floor: float) -> np.ndarray:
+    """|w^H Y|^2 / total for (F, J) or (P, F, J) ``weights``; 1/P where the
+    total is below ``floor``."""
+    power = np.abs(np.einsum("...fj,jtf->...tf", np.conj(weights), data)) ** 2
+    out = power / np.maximum(total, floor)
+    return np.where(total < floor, 1.0 / num_directions, out)
+
+
+def fresh_istft(data: np.ndarray, cfg, norm: np.ndarray) -> np.ndarray:
+    """Windowed overlap-add of the inverse rfft frames of a (T, F) spectrum,
+    in ascending frame order per sample, over the normaliser ``norm``."""
+    frames = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :cfg.win_len] * cfg.window
+    num_frames, length = frames.shape
+    blocks = -(-length // cfg.hop)
+    out = np.zeros((num_frames + blocks - 1, cfg.hop))
+    for r in reversed(range(blocks)):
+        width = min(cfg.hop, length - r * cfg.hop)
+        out[r:r + num_frames, :width] += frames[:, r * cfg.hop:r * cfg.hop + width]
+    return out.ravel()[:norm.size] / norm
+
+
+def fresh_si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float,
+                 zero_ratio: float) -> float:
+    """SI-SDR in dB of zero-mean copies, capped at +-``cap_db``; +cap when
+    the residual energy is below ``zero_ratio`` of the target's."""
+    est = estimate - estimate.mean()
+    ref = reference - reference.mean()
+    target = float(est @ ref) / float(ref @ ref) * ref
+    noise = est - target
+    target_energy, noise_energy = float(target @ target), float(noise @ noise)
+    if noise_energy < zero_ratio * target_energy:
+        return cap_db
+    if target_energy <= 0.0:
+        return -cap_db
+    return float(np.clip(10.0 * np.log10(target_energy / noise_energy), -cap_db, cap_db))
+
+
+def fresh_directional_mask(af_tgt, dpr_tgt, af_intf, dpr_intf, alpha: float, beta: float,
+                           eps: float) -> np.ndarray:
+    """clip((alpha (AF + 1)/2 + beta DPR/max DPR) / (alpha + beta), 0, 1),
+    zeroed where the interferer beats the target on both AF and DPR."""
+    dpr_norm = dpr_tgt / max(float(dpr_tgt.max()), eps)
+    score = (alpha * (af_tgt + 1.0) / 2.0 + beta * dpr_norm) / (alpha + beta)
+    if af_intf is not None:
+        score = score * ((af_tgt >= af_intf) | (dpr_tgt >= dpr_intf))
+    return np.clip(score, 0.0, 1.0)

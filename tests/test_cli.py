@@ -72,13 +72,19 @@ def test_cli_import_loads_no_scipy():
     (["separate", "--method", "das", "--jobs", "0"], "--jobs"),
     (["perturb", "--jobs", "-4"], "--jobs"),
     (["simulate", "--num-scenes", "-2"], "--num-scenes"),
+    (["simulate", "--sample-rate", "0", "--num-scenes", "1"], "--sample-rate"),
+    (["simulate", "--num-mics", "0"], "--num-mics"),
+    (["features", "--fft-size", "0"], "--fft-size"),
+    (["separate", "--method", "das", "--win-len", "-40"], "--win-len"),
+    (["perturb", "--hop", "0"], "--hop"),
 ], ids=["duration-inf", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan",
         "simulate-jobs-0", "features-jobs-negative", "separate-jobs-0",
-        "perturb-jobs-negative", "num-scenes-negative"])
+        "perturb-jobs-negative", "num-scenes-negative", "sample-rate-0", "num-mics-0",
+        "fft-size-0", "win-len-negative", "hop-0"])
 def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag):
     # Every float flag, and each item of perturb's error list, must be
-    # finite, --jobs at least 1 and --num-scenes at least 0: a usage error
-    # names the flag before any output is made.
+    # finite, --jobs and the other size flags at least 1 and --num-scenes at
+    # least 0: a usage error names the flag before any output is made.
     manifest = [] if argv[0] == "simulate" else ["--manifest", str(dataset[0] / "manifest.json")]
     with pytest.raises(SystemExit) as exc:
         main([*argv, *manifest, "--out", str(tmp_path / "x")])
@@ -550,6 +556,43 @@ def test_single_source_tgt_intf_fails_the_utterance(tmp_path, capsys, argv):
     assert tree_files(out) == {}
 
 
+def _fail_on(module, name, stem):
+    """``module.name``, a writer, made to raise OSError for a path named ``stem``."""
+    write = getattr(module, name)
+
+    def failing(path, *args, **kwargs):
+        if Path(path).stem == stem:
+            raise OSError(f"cannot write {path}")
+        return write(path, *args, **kwargs)
+    return failing
+
+
+@pytest.mark.parametrize("stage", ["features", "separate", "perturb"])
+def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, capsys, stage):
+    # An utterance that fails after its first target has written its files
+    # removes them: a corrupt second source image under perturb, or a
+    # feature file or sidecar that cannot be written.
+    manifest = simulate(tmp_path / "data", seed=7, n=2, speakers=2, duration=0.4)
+    if stage == "perturb":
+        (tmp_path / "data" / manifest.utterances[1].sources[1].image).write_bytes(b"garbage")
+        argv = ["perturb", "--direction-error-deg", "0"]
+    elif stage == "features":
+        monkeypatch.setattr(pipeline, "write_features",
+                            _fail_on(pipeline, "write_features", "utt_00001_tgt1"))
+        argv = ["features"]
+    else:
+        monkeypatch.setattr(pipeline, "write_json",
+                            _fail_on(pipeline, "write_json", "utt_00001_tgt1"))
+        argv = ["separate", "--method", "heuristic"]
+    out = tmp_path / "out"
+    assert main([*argv, "--manifest", str(tmp_path / "data" / "manifest.json"),
+                 "--out", str(out)]) == 1
+    assert "1 of 2 failed: utt_00001: " in capsys.readouterr().err
+    names = {p.name for p in out.rglob("*") if p.is_file()}
+    assert names and not {n for n in names if n.startswith("utt_00001_")}
+    assert {n for n in names if n.startswith("utt_00000_tgt1")}
+
+
 def _bug(*args, **kwargs):
     raise TypeError("a bug")
 
@@ -685,6 +728,69 @@ def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
                  str(tmp_path / "sweep"), "--direction-error-deg", errors]) == 0
     assert most and max(most.values()) <= max(sources) + 1
+
+
+def test_sweep_holds_the_dpr_maps_of_its_sources_and_one_other(dataset, tmp_path,
+                                                                monkeypatch):
+    # Errors of 0 to 180 degrees steer each target at up to 19 grid
+    # directions; an analysis keeps the DPR maps of the G grid directions of
+    # its sources and of the latest other one, so at most G + 1 are alive.
+    out, manifest = dataset
+    grid = pipeline.PipelineConfig.default().grid
+    pinned = max(len({spatial_features.nearest_direction(grid, s.azimuth_deg)
+                      for s in u.sources}) for u in manifest.utterances)
+    live: dict[int, list] = {}
+    most: dict[int, int] = {}
+    dpr = spatial_features.dpr
+
+    def tracked(spec, weights, total, num_directions):
+        result = dpr(spec, weights, total, num_directions)
+        refs = live.setdefault(id(spec), [])
+        refs.append(weakref.ref(result))
+        most[id(spec)] = max(most.get(id(spec), 0), sum(r() is not None for r in refs))
+        return result
+
+    monkeypatch.setattr(spatial_features, "dpr", tracked)
+    errors = ",".join(str(e) for e in range(0, 181, 10))
+    assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
+                 str(tmp_path / "sweep"), "--direction-error-deg", errors]) == 0
+    assert sum(map(len, live.values())) > len(manifest.utterances) * (pinned + 1)
+    assert max(most.values()) <= pinned + 1
+
+
+@pytest.mark.parametrize("argv", [["perturb", "--direction-error-deg", "0,4"],
+                                  ["separate", "--method", "heuristic", "--cond", "tgt+intf"],
+                                  ["separate", "--method", "ibm"]],
+                         ids=["perturb", "heuristic", "ibm"])
+def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monkeypatch, argv):
+    # Once an utterance's spectrogram is built (for the oracle masks, its
+    # reference-row spectrograms), no (J, n) waveform is alive: the analysis
+    # keeps the mixture's reference row and length, and the sweep a copied
+    # reference row of each source image. Every signal scored owns its data.
+    out, manifest = dataset
+    wide = []
+    read, score, write = pipeline.read_wav, pipeline.si_sdr, pipeline.write_wav
+
+    def tracked_read(path, **kwargs):
+        wav, rate = read(path, **kwargs)
+        if wav.shape[0] > 1:
+            wide.append(weakref.ref(wav))
+        return wav, rate
+
+    def checked_score(estimate, reference):
+        assert estimate.base is None and reference.base is None
+        return score(estimate, reference)
+
+    def checked_write(path, data, rate):
+        assert all(ref() is None for ref in wide)
+        return write(path, data, rate)
+
+    monkeypatch.setattr(pipeline, "read_wav", tracked_read)
+    monkeypatch.setattr(pipeline, "si_sdr", checked_score)
+    monkeypatch.setattr(pipeline, "write_wav", checked_write)
+    assert main([*argv, "--manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(wide) >= len(manifest.utterances)
 
 
 @pytest.mark.parametrize("cond", ["tgt", "tgt+intf"])

@@ -3,7 +3,6 @@ import json
 import pathlib
 import struct
 import tempfile
-import tracemalloc
 import wave
 
 import numpy as np
@@ -19,6 +18,7 @@ from ssk.geometry import circular_array
 from ssk.spatial_features import FeatureStack
 
 import oracles
+from conftest import traced_peak
 
 
 class TestWav:
@@ -390,12 +390,7 @@ class TestFeatures:
         # payload, nor a file image assembled in memory.
         stack = FeatureStack(data=rng.standard_normal((2000, 363)).astype(np.float32),
                              layout=(("x", 363),))
-        tracemalloc.start()
-        try:
-            write_features(tmp_path / "f.tsnf", stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_features(tmp_path / "f.tsnf", stack))
         assert peak < 0.1 * stack.data.nbytes
 
     @settings(max_examples=10, deadline=None)

@@ -1,6 +1,5 @@
 import pathlib
 import tempfile
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,6 +18,7 @@ from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power
 from ssk.spectral import ComplexSpectrogram, StftConfig, stft
 
 import oracles
+from conftest import traced_peak
 
 FS = 16000
 
@@ -367,12 +367,7 @@ class TestAssembleFeatures:
                   ("cosipd", rng.standard_normal((6, frames, 33)))]
         blocks += [(name, rng.standard_normal((frames, 33)))
                    for name in ("af:tgt", "af:intf", "dpr:tgt", "dpr:intf")]
-        tracemalloc.start()
-        try:
-            stack = assemble_features(blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stack, peak = traced_peak(lambda: assemble_features(blocks))
         assert stack.dim == 363
         assert peak <= stack.data.nbytes + 64 * 1024
 
@@ -394,7 +389,8 @@ class TestSpatialAnalysis:
     def test_memo_matches_a_fresh_analysis(self, num_sources, seed, data):
         # Any sequence of pinned (source) azimuths, perturbed azimuths and
         # repeats: every AF and DPR equals the same call on a fresh analysis,
-        # and at most S + 1 AF maps are alive after each call.
+        # and at most S + 1 AF maps and G + 1 DPR maps are alive after each
+        # call, for the G grid directions of the S sources.
         array, pairs, grid = circular_array(6, 0.07), PairSelection.default_six(), \
             DirectionGrid.uniform(10.0)
         rng = np.random.default_rng(seed)
@@ -411,15 +407,18 @@ class TestSpatialAnalysis:
                                              st.sampled_from(pinned + perturbed)),
                                    min_size=1, max_size=25), label="calls")
         analysis = SpatialAnalysis(spec, array, pairs, grid, frozenset(pinned))
-        af_maps = []
+        directions = len({nearest_direction(grid, az) for az in pinned})
+        maps = {"angle_feature": [], "dpr": []}
         for name, az in calls:
             got = getattr(analysis, name)(az)
             fresh = getattr(SpatialAnalysis(spec, array, pairs, grid, frozenset(pinned)), name)(az)
             assert np.array_equal(got, fresh), (name, az)
-            if name == "angle_feature":
-                af_maps.append(weakref.ref(got))
+            maps[name].append(weakref.ref(got))
             del got, fresh
-            assert len({id(ref()) for ref in af_maps if ref() is not None}) <= num_sources + 1
+            live = {key: len({id(ref()) for ref in refs if ref() is not None})
+                    for key, refs in maps.items()}
+            assert live["angle_feature"] <= num_sources + 1
+            assert live["dpr"] <= directions + 1
 
     def test_af_needs_pairs(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.ones((6, 4, 33), dtype=complex), config=cfg_default)
