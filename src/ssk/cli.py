@@ -5,6 +5,12 @@ from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR). A stage
 runs every utterance and writes each good one's outputs; if any failed, it
 writes no summary file (manifest, report, sweep.json) and exits 1 with one
 line that lists each failed utterance and why, in manifest order.
+
+The parser needs only the names in :mod:`ssk.stages`. Each subcommand
+imports its stage module when it runs and looks its stage function up
+there at call time: ``simulate`` loads :mod:`ssk.simulation`, ``evaluate``
+:mod:`ssk.evaluation`, and ``features``, ``separate`` and ``perturb``
+:mod:`ssk.pipeline`, so no process pays for the modules of another stage.
 """
 
 from __future__ import annotations
@@ -16,12 +22,9 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset_io import Manifest, read_manifest, write_json
+from .dataset_io import read_manifest, write_json
 from .geometry import circular_array
-from .pipeline import (CONDS, FEATURE_BLOCKS, INPUT_ERRORS, METHODS, SYNTH_KINDS,
-                       PipelineConfig, Run, angle_difference_histogram, build_features,
-                       evaluate_dataset, parse_features, perturb_sweep, separate_dataset,
-                       simulate_dataset, write_sweep_reports)
+from .stages import CONDS, FEATURE_BLOCKS, INPUT_ERRORS, METHODS, SYNTH_KIND_NAMES
 
 log = logging.getLogger("ssk")
 
@@ -66,10 +69,13 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="direction grid spacing in degrees")
 
 
-def _read_dataset(args) -> tuple[Manifest, PipelineConfig]:
-    """The manifest, and a config with the manifest's array and sample rate."""
+def _read_dataset(args):
+    """The manifest, and a :class:`~ssk.pipeline.PipelineConfig` with the
+    manifest's array and sample rate."""
+    from . import pipeline
+
     manifest = read_manifest(args.manifest, validate_files=True)
-    return manifest, PipelineConfig.default(
+    return manifest, pipeline.PipelineConfig.default(
         sample_rate=manifest.sample_rate, array=manifest.array, grid_step=args.grid_step,
         fft_size=args.fft_size, win_len=args.win_len, hop=args.hop)
 
@@ -89,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dry source duration in seconds")
     p_sim.add_argument("--source-dir", default=None,
                        help="directory of mono WAVs to use as dry sources")
-    p_sim.add_argument("--synth-kind", default="speech", choices=tuple(SYNTH_KINDS),
+    p_sim.add_argument("--synth-kind", default="speech", choices=SYNTH_KIND_NAMES,
                        help="builtin synthetic source type (used without --source-dir)")
     p_sim.add_argument("--jobs", type=_at_least(1), default=1)
     p_sim.add_argument("--array-diameter", type=_finite, default=0.07,
@@ -139,12 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    manifest = simulate_dataset(
+    from . import simulation
+
+    manifest = simulation.simulate_dataset(
         args.out, args.num_scenes, args.num_speakers, args.seed,
         circular_array(args.num_mics, args.array_diameter), args.sample_rate,
         duration=args.duration, synth_kind=args.synth_kind,
         source_dir=args.source_dir, jobs=args.jobs)
-    hist = angle_difference_histogram(manifest)
+    hist = simulation.angle_difference_histogram(manifest)
     print(f"wrote {len(manifest.utterances)} scenes to {args.out}")
     print("angle-difference bins: " +
           ", ".join(f"{label}: {count}" for label, count in hist.items()))
@@ -152,25 +160,32 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from . import pipeline
+
     manifest, cfg = _read_dataset(args)
-    paths = build_features(manifest, args.out, cfg, parse_features(args.features),
-                           args.cond, jobs=args.jobs)
+    paths = pipeline.build_features(manifest, args.out, cfg,
+                                    pipeline.parse_features(args.features), args.cond,
+                                    jobs=args.jobs)
     print(f"wrote {len(paths)} feature files to {args.out}")
     return 0
 
 
 def cmd_separate(args) -> int:
+    from . import pipeline
+
     manifest, cfg = _read_dataset(args)
-    run = Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
-    paths, _ = separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
-                                error_seed=args.seed, jobs=args.jobs)
+    run = pipeline.Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
+    paths, _ = pipeline.separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
+                                         error_seed=args.seed, jobs=args.jobs)
     print(f"wrote {len(paths)} estimates to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+
     manifest = read_manifest(args.manifest, validate_files=True)
-    report, _ = evaluate_dataset(manifest, args.estimates, method=args.method)
+    report, _ = evaluation.evaluate_dataset(manifest, args.estimates, method=args.method)
     out = Path(args.out)
     write_json(out.with_suffix(".json"), report.to_dict())
     report.write_csv(out.with_suffix(".csv"))
@@ -183,10 +198,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import pipeline
+
     manifest, cfg = _read_dataset(args)
-    sweep = perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed, cfg,
-                          cond=args.cond, jobs=args.jobs)
-    json_path, csv_path = write_sweep_reports(sweep, args.out)
+    sweep = pipeline.perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed,
+                                   cfg, cond=args.cond, jobs=args.jobs)
+    json_path, csv_path = pipeline.write_sweep_reports(sweep, args.out)
     for variant, rows in sweep["variants"].items():
         for row in rows:
             gt15 = "-" if row["mean_gt15"] is None else f"{row['mean_gt15']:.2f}"

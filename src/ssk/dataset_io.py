@@ -76,10 +76,10 @@ def write_wav(path, waveform: np.ndarray, sample_rate: int,
 
     PCM files carry a 16-byte ``fmt `` chunk, float files an 18-byte one
     (``cbSize`` 0) followed by a ``fact`` chunk holding the frame count.
+    A waveform that is not finite, or not finite in float32, raises
+    :class:`ValueError` and writes nothing.
     """
     wav = np.asarray(waveform)
-    if not np.all(np.isfinite(wav)):
-        raise ValueError("waveform must be finite")
     if wav.ndim == 1:
         data = wav[:, None]
     elif wav.ndim == 2:
@@ -87,9 +87,16 @@ def write_wav(path, waveform: np.ndarray, sample_rate: int,
     else:
         raise ValueError("waveform must be 1-D or (channels, samples)")
     # C order: frames interleave channels, and ``payload`` is written as is.
+    # Each encoding checks what it writes: a finite sample beyond the float32
+    # range casts to inf, and PCM16 clips every finite sample.
     if encoding == "float32":
-        payload, tag = data.astype("<f4", order="C"), 3
+        with np.errstate(over="ignore"):  # an overflow raises below
+            payload, tag = data.astype("<f4", order="C"), 3
+        if not np.all(np.isfinite(payload)):
+            raise ValueError("waveform must be finite in float32")
     elif encoding == "pcm16":
+        if not np.all(np.isfinite(data)):
+            raise ValueError("waveform must be finite")
         clipped = np.clip(np.round(data * 32768.0), -32768, 32767)
         payload, tag = clipped.astype("<i2", order="C"), 1
     else:
@@ -123,12 +130,16 @@ def _riff_chunks(raw: bytes, path) -> dict[bytes, memoryview]:
     return chunks
 
 
-def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
-    """Read a WAV file into a channels-first float array (J, n).
+def read_wav(path, expected_rate: int | None = None,
+             channel: int | None = None) -> tuple[np.ndarray, int]:
+    """Read a WAV file into a channels-first float array (J, n), or with
+    ``channel`` into that channel alone, an owned contiguous (n,) row
+    equal to ``read_wav(path)[0][channel]``; only that column is decoded.
 
     PCM16 samples are scaled to [-1, 1); float32 passes through. Other
-    encodings, malformed chunks, non-finite samples and a rate different
-    from ``expected_rate`` raise :class:`DataFormatError`.
+    encodings, malformed chunks, non-finite samples in any channel, a
+    ``channel`` the file does not have and a rate different from
+    ``expected_rate`` raise :class:`DataFormatError`.
     """
     try:
         raw = Path(path).read_bytes()
@@ -151,11 +162,17 @@ def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
     samples = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
     if dtype.kind == "f" and not np.all(np.isfinite(samples)):
         raise DataFormatError(f"{path}: non-finite samples")
-    wav = samples.astype(float) / 32768.0 if dtype.kind == "i" else samples.astype(float)
     if expected_rate is not None and rate != expected_rate:
         raise DataFormatError(
             f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
-    return wav.T, int(rate)
+    if channel is not None:
+        if not 0 <= channel < channels:
+            raise DataFormatError(f"{path}: {channels} channel(s), channel {channel} requested")
+        samples = samples[:, channel]
+    wav = samples.astype(float)
+    if dtype.kind == "i":
+        wav /= 32768.0
+    return (wav if channel is not None else wav.T), int(rate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,49 +1,54 @@
 """Batch pipeline shared by the CLI: dataset simulation, feature extraction,
 separation and evaluation over a manifest.
 
-Features, separation and the direction-error sweep work one utterance at a
-time: an :class:`UtteranceAnalysis` reads the mixture, transforms it once and
-holds its :class:`~ssk.spatial_features.SpatialAnalysis`, and every target of
-that utterance, under every separation :class:`Run` (one per sweep point),
-reuses both. The sweep also scores each estimate in the same task. Methods,
-feature blocks and direction conditions are plain names, each set stated once
-(:data:`METHODS`, :data:`FEATURE_BLOCKS` in stack order, :data:`CONDS`); masks
-are (T, F) arrays.
+This module is the analysis stage: features, separation and the
+direction-error sweep. Simulation is :mod:`ssk.simulation` and evaluation
+:mod:`ssk.evaluation`, so a stage loads only the modules it runs; the
+sweep scores with the evaluation stage's rule, and :func:`evaluate_dataset`
+is re-exported here.
 
-Each stage is one batch, on ``jobs`` threads that take whole utterances. Every
-utterance runs, and an input error (:data:`INPUT_ERRORS`) fails only its own,
-which leaves none of the features or estimates it had written; one
-:class:`RuntimeError` then lists each failure in manifest order, and no
+Features, separation and the sweep work one utterance at a time: an
+:class:`UtteranceAnalysis` reads the mixture, transforms it once and holds
+its :class:`~ssk.spatial_features.SpatialAnalysis`, and every target of that
+utterance, under every separation :class:`Run` (one per sweep point), reuses
+both. The sweep also scores each estimate in the same task. Methods, feature
+blocks and direction conditions are plain names, each set stated once in
+:mod:`ssk.stages`; masks are (T, F) arrays.
+
+Each stage is one batch under the rule of :mod:`ssk.stages`: an utterance
+that fails leaves none of the features or estimates it had written, and no
 summary file (manifest, report, sweep) is written, whatever ``jobs`` is."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import synth
-from .dataset_io import (DataFormatError, Manifest, SourceEntry, UtteranceEntry,
-                         atomic_write_bytes, read_manifest, read_wav, write_features,
-                         write_json, write_manifest, write_wav)
+from .dataset_io import (DataFormatError, Manifest, UtteranceEntry, atomic_write_bytes,
+                         read_wav, write_features, write_json, write_wav)
+from .evaluation import _record, evaluate_dataset  # noqa: F401 (re-exported)
 from .geometry import DirectionGrid, MicArray, PairSelection, circular_array, closest_source
-from .metrics import BIN_LABELS, EvalRecord, EvalReport, aggregate, bin_index, si_sdr
-from .room_sim import render_mixture, sample_scene
-from .separation import (ORACLE_KINDS, apply_mask, das_beamform, directional_mask,
-                         oracle_mask)
+from .metrics import EvalRecord, aggregate, si_sdr
+from .separation import apply_mask, das_beamform, directional_mask, oracle_mask
 from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
                                computed_once, multichannel_stft)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
+from .stages import (CONDS, FEATURE_BLOCKS, METHODS, ORACLE_KINDS, _each,
+                     _unwritten_on_failure)
 
-# Errors of input or run, not bugs: each fails its utterance; the CLI exits 1.
-INPUT_ERRORS = (ValueError, OSError, RuntimeError)
-METHODS = ORACLE_KINDS + ("heuristic", "das")
-# Directions the AF and DPR blocks and the heuristic cover: the target, or
-# the target and the source closest to it in angle.
-CONDS = ("tgt", "tgt+intf")
+
+def __getattr__(name: str):
+    # The benchmark's by-name tracer looks up every stage function on this
+    # module. ``simulate_dataset`` is imported on that first lookup, so the
+    # analysis stages never load the simulation modules; this goes away with
+    # the by-name tracer (ROADMAP item 7).
+    if name == "simulate_dataset":
+        from .simulation import simulate_dataset
+        return simulate_dataset
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_cond(cond: str) -> None:
@@ -54,8 +59,8 @@ def _check_cond(cond: str) -> None:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Array, pair selection, direction grid and analysis configs used by
-    every stage. ``pairs`` is None for single-mic arrays, where pairwise
-    features are unavailable."""
+    every analysis stage. ``pairs`` is None for single-mic arrays, where
+    pairwise features are unavailable."""
 
     array: MicArray
     pairs: PairSelection | None
@@ -82,138 +87,6 @@ class PipelineConfig:
                    stft_cfg=cfg, oracle_cfg=StftConfig.oracle_mask_default(sample_rate))
 
 
-SYNTH_KINDS = {
-    "speech": synth.speech_like,
-    "noise": synth.noise_burst,
-    "am": synth.am_tone,
-    "chirp": synth.chirp,
-}
-
-
-def _each(task, items: Sequence, labels: Sequence[str], jobs: int = 1) -> list:
-    """``[task(x) for x in items]`` on ``jobs`` threads under the batch rule; a
-    failure keeps its message alone, so no traceback pins the item's arrays."""
-    def attempt(item) -> tuple[bool, object]:
-        try:
-            return True, task(item)
-        except INPUT_ERRORS as exc:
-            return False, str(exc)
-
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(attempt, items))
-    else:
-        outcomes = [attempt(x) for x in items]
-    failures = [f"{label}: {out}" for label, (ok, out) in zip(labels, outcomes) if not ok]
-    if failures:
-        raise RuntimeError(f"{len(failures)} of {len(items)} failed: " + "; ".join(failures))
-    return [out for _, out in outcomes]
-
-
-def _unwritten_on_failure(task):
-    """``task(item, written)``, which lists in ``written`` each file it has
-    written, as a task of ``item`` that removes those files before its
-    error propagates: a failed utterance leaves none of its files."""
-    def run(item):
-        written: list[Path] = []
-        try:
-            return task(item, written)
-        except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
-    return run
-
-
-def _scene_gains(rng: np.random.Generator, n_sources: int) -> list[float]:
-    # First source at 0 dB, others mixed in at 0..-5 dB below it.
-    return [0.0] + [float(rng.uniform(-5.0, 0.0)) for _ in range(n_sources - 1)]
-
-
-def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
-                     array: MicArray, sample_rate: int, duration: float = 2.0,
-                     synth_kind: str = "speech", source_dir=None,
-                     jobs: int = 1) -> Manifest:
-    """Render ``num_scenes`` reverberant scenes recorded by ``array`` at
-    ``sample_rate`` to ``out_dir`` and write a manifest. Deterministic
-    (byte-identical) for a fixed seed."""
-    out = Path(out_dir)
-    wav_dir = out / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-    seed_rng = np.random.default_rng(seed)
-    scene_seeds = seed_rng.integers(0, 2 ** 31 - 1, size=num_scenes)
-    array_radius = float(np.max(np.hypot(array.positions[:, 0], array.positions[:, 1])))
-
-    source_pool = None
-    if source_dir is not None:
-        source_pool = sorted(Path(source_dir).glob("*.wav"))
-        if not source_pool:
-            raise FileNotFoundError(f"no WAV files in source dir {source_dir}")
-    elif synth_kind not in SYNTH_KINDS:
-        raise ValueError(f"unknown synthetic source kind {synth_kind!r}")
-
-    ids = [f"utt_{index:05d}" for index in range(num_scenes)]
-
-    def render_one(index: int) -> UtteranceEntry:
-        utt_id = ids[index]
-        scene_seed = int(scene_seeds[index])
-        rng = np.random.default_rng(scene_seed)
-        room, azimuths = sample_scene(rng, num_speakers, sample_rate=sample_rate,
-                                      array_radius=array_radius)
-        dry = [_draw_source(rng, duration, sample_rate, synth_kind, source_pool)
-               for _ in range(num_speakers)]
-        gains = _scene_gains(rng, num_speakers)
-        scene = render_mixture(dry, room, array, mixing_gains_db=gains)
-        mix_rel = f"wav/{utt_id}_mix.wav"
-        write_wav(out / mix_rel, scene.mixture, sample_rate)
-        sources = []
-        for c in range(num_speakers):
-            img_rel = f"wav/{utt_id}_src{c}_img.wav"
-            dry_rel = f"wav/{utt_id}_src{c}_dry.wav"
-            write_wav(out / img_rel, scene.images[c], sample_rate)
-            write_wav(out / dry_rel, dry[c], sample_rate)
-            difference = closest_source(azimuths, c)[1] if num_speakers > 1 else 180.0
-            sources.append(SourceEntry(
-                azimuth_deg=azimuths[c], angle_difference_deg=difference,
-                gain_db=gains[c], image=img_rel, dry=dry_rel))
-        return UtteranceEntry(
-            id=utt_id, seed=scene_seed, mixture=mix_rel, sources=tuple(sources),
-            t60=float(room.t60),
-            room_dimensions=tuple(float(d) for d in room.dimensions),
-            array_center=tuple(float(x) for x in room.array_center))
-
-    utterances = _each(render_one, range(num_scenes), ids, jobs)
-
-    manifest = Manifest(sample_rate=sample_rate, array=array, utterances=tuple(utterances))
-    write_manifest(out / "manifest.json", manifest)
-    return read_manifest(out / "manifest.json")
-
-
-def _draw_source(rng: np.random.Generator, duration: float, sample_rate: int,
-                 synth_kind: str, source_pool) -> np.ndarray:
-    if source_pool is None:
-        return SYNTH_KINDS[synth_kind](rng, duration, sample_rate)
-    path = source_pool[int(rng.integers(len(source_pool)))]
-    wav, _ = read_wav(path, expected_rate=sample_rate)
-    mono = wav[0]
-    need = int(round(duration * sample_rate))
-    if mono.size >= need:
-        start = int(rng.integers(0, mono.size - need + 1))
-        return mono[start:start + need]
-    reps = int(np.ceil(need / mono.size))
-    return np.tile(mono, reps)[:need]
-
-
-def angle_difference_histogram(manifest: Manifest) -> dict[str, int]:
-    """Scene counts per angle-difference bin (first source's difference)."""
-    counts = dict.fromkeys(BIN_LABELS, 0)
-    for u in manifest.utterances:
-        if not u.sources:
-            continue
-        counts[BIN_LABELS[bin_index(u.sources[0].angle_difference_deg)]] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Features
 
@@ -226,8 +99,10 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return azimuths[closest_source(azimuths, target_index)[0]]
 
 
-def _read(manifest: Manifest, relative: str) -> np.ndarray:
-    wav, _ = read_wav(manifest.resolve(relative), expected_rate=manifest.sample_rate)
+def _read(manifest: Manifest, relative: str, channel: int | None = None) -> np.ndarray:
+    """A manifest WAV, (J, n), or with ``channel`` that row alone, (n,)."""
+    wav, _ = read_wav(manifest.resolve(relative), expected_rate=manifest.sample_rate,
+                      channel=channel)
     return wav
 
 
@@ -276,7 +151,7 @@ class UtteranceAnalysis:
         each reference-channel source image."""
         self._release_mixture()
         ref, oracle_cfg = self.cfg.array.ref_index, self.cfg.oracle_cfg
-        images = [stft(_read(self.manifest, src.image)[ref], oracle_cfg)
+        images = [stft(_read(self.manifest, src.image, ref), oracle_cfg)
                   for src in self.entry.sources]
         return stft(self.reference, oracle_cfg), images
 
@@ -294,16 +169,15 @@ class UtteranceAnalysis:
                                frozenset(src.azimuth_deg for src in self.entry.sources))
 
 
-# Feature blocks by name, in stack order: each maps an analysis and the
+# The feature blocks, in FEATURE_BLOCKS order: each maps an analysis and the
 # (who, azimuth) directions of a target to its named maps.
-_BLOCKS = {
-    "lps": lambda a, dirs: [("lps", lps(a.spec.channel(a.cfg.array.ref_index)))],
-    "cosipd": lambda a, dirs: [("cosipd", a.spatial.pair_cos_sin[0])],
-    "sinipd": lambda a, dirs: [("sinipd", a.spatial.pair_cos_sin[1])],
-    "af": lambda a, dirs: [(f"af:{who}", a.spatial.angle_feature(az)) for who, az in dirs],
-    "dpr": lambda a, dirs: [(f"dpr:{who}", a.spatial.dpr(az)) for who, az in dirs],
-}
-FEATURE_BLOCKS = tuple(_BLOCKS)
+_BLOCKS = dict(zip(FEATURE_BLOCKS, (
+    lambda a, dirs: [("lps", lps(a.spec.channel(a.cfg.array.ref_index)))],
+    lambda a, dirs: [("cosipd", a.spatial.pair_cos_sin[0])],
+    lambda a, dirs: [("sinipd", a.spatial.pair_cos_sin[1])],
+    lambda a, dirs: [(f"af:{who}", a.spatial.angle_feature(az)) for who, az in dirs],
+    lambda a, dirs: [(f"dpr:{who}", a.spatial.dpr(az)) for who, az in dirs],
+), strict=True))
 
 
 def parse_features(names: str) -> frozenset[str]:
@@ -427,7 +301,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
         records: list[list[EvalRecord]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
             if score:
-                reference = _read(manifest, src.image)[ref_index].copy()
+                reference = _read(manifest, src.image, ref_index)
                 si_sdr_mix = si_sdr(analysis.reference, reference)
             sign = -1.0 if perturbed and not np.random.default_rng(
                 [error_seed, index, target]).integers(2) else 1.0
@@ -456,48 +330,6 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                     [e.id for e in manifest.utterances], jobs)
     return ([p for paths, _ in results for p in paths],
             [[rec for _, records in results for rec in records[i]] for i in range(len(runs))])
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
-
-def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.ndarray,
-            si_sdr_mix: float, method: str) -> EvalRecord:
-    src = entry.sources[target]
-    return EvalRecord(utterance_id=entry.stem(target), target_azimuth=src.azimuth_deg,
-                      angle_difference=src.angle_difference_deg,
-                      si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix, method=method)
-
-
-def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
-                     ) -> tuple[EvalReport, list[EvalRecord]]:
-    """Score every (utterance, target) estimate ``<utterance>_tgt<k>.wav`` in
-    ``estimates_dir`` against its reverberant image at the manifest's
-    reference mic, one utterance at a time in manifest order. An estimate
-    that is missing, unreadable, not mono or not as long as the mixture fails
-    its utterance, with a message that names the file; the batch rule of this
-    module applies. Returns (report, records in manifest order)."""
-    ref_index = manifest.array.ref_index
-
-    def one(entry: UtteranceEntry) -> list[EvalRecord]:
-        mixture = _read(manifest, entry.mixture)[ref_index].copy()  # the other mics are freed
-        records = []
-        for target, src in enumerate(entry.sources):
-            est_path = Path(estimates_dir) / f"{entry.stem(target)}.wav"
-            est, _ = read_wav(est_path, expected_rate=manifest.sample_rate)
-            if est.shape != (1, mixture.size):
-                raise DataFormatError(f"{est_path}: estimate has {est.shape[0]} channel(s) of "
-                                      f"{est.shape[1]} samples; expected 1 channel of "
-                                      f"{mixture.size}, the mixture's length")
-            reference = _read(manifest, src.image)[ref_index].copy()
-            records.append(_record(entry, target, est[0], reference,
-                                   si_sdr(mixture, reference), method))
-        return records
-
-    entries = manifest.utterances
-    records = [rec for recs in _each(one, entries, [e.id for e in entries]) for rec in recs]
-    return aggregate(records, method=method), records
 
 
 # ---------------------------------------------------------------------------

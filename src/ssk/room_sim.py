@@ -303,19 +303,32 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
     if gains.size != len(dry):
         raise ValueError("one gain per source expected")
 
-    images = [_convolve_rows(s, rirs) for s, rirs in zip(dry, simulate_rirs(room, array))]
-    length = max(img.shape[1] for img in images)
-    images = [np.pad(img, ((0, 0), (0, length - img.shape[1]))) for img in images]
-
+    # Every RIR first, so the common image length is known before any
+    # convolution: each image is then copied once into a zero-padded buffer,
+    # scaled there and summed into the mixture, with no other copy.
+    rirs = simulate_rirs(room, array)
+    length = max(s.size + h.shape[1] - 1 for s, h in zip(dry, rirs))
     ref = array.ref_index
-    scaled = []
-    for c, img in enumerate(images):
+    images, mixture = [], None
+    for c, (s, h) in enumerate(zip(dry, rirs)):
+        convolved = _convolve_rows(s, h)
+        # Allocated after the convolution, the buffer sits above the hole its
+        # freed spectra leave, which the next source's convolution reuses; a
+        # free heap top instead is trimmed and faulted in again per source.
+        img = np.zeros((h.shape[0], length))
+        img[:, :convolved.shape[1]] = convolved
+        del convolved
         power = float(np.mean(img[ref] ** 2))
         if power <= 0.0:
             raise ValueError(f"source {c} produced a silent reference image")
-        scale = REF_IMAGE_RMS * 10.0 ** (gains[c] / 20.0) / np.sqrt(power)
-        scaled.append(img * scale)
-    return MixtureScene(mixture=np.sum(scaled, axis=0), images=tuple(scaled))
+        img *= REF_IMAGE_RMS * 10.0 ** (gains[c] / 20.0) / np.sqrt(power)
+        images.append(img)
+        # Summed in source order, as np.sum over the stacked images does.
+        if mixture is None:
+            mixture = img.copy()
+        else:
+            mixture += img
+    return MixtureScene(mixture=mixture, images=tuple(images))
 
 
 def _ray_box_range(center: np.ndarray, direction: np.ndarray,

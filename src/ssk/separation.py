@@ -24,9 +24,9 @@ import numpy as np
 from .geometry import MicArray
 from .spectral import ComplexSpectrogram, istft
 from .spatial_features import beam, das_weights
+from .stages import ORACLE_KINDS
 
 MASK_EPS = 1e-12
-ORACLE_KINDS = ("ibm", "irm", "ipsm")
 
 
 def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram],

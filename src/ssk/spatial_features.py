@@ -136,10 +136,13 @@ def angle_feature(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.ndarray,
     (T, F); bins outside the premask are zero.
 
     AF = mean_u cos(IPD(u) - steering_phase(u)), each summand expanded into
-    cos(phi)cos(s) + sin(phi)sin(s)."""
-    af = (np.einsum("utf,uf->tf", cos_ipd, np.cos(steer))
-          + np.einsum("utf,uf->tf", sin_ipd, np.sin(steer))) / steer.shape[0]
-    return np.where(keep, af, 0.0)
+    cos(phi)cos(s) + sin(phi)sin(s). The sum, the mean and the premask are
+    formed in the first einsum's output; the second is the one scratch map."""
+    af = np.einsum("utf,uf->tf", cos_ipd, np.cos(steer))
+    af += np.einsum("utf,uf->tf", sin_ipd, np.sin(steer))
+    af /= steer.shape[0]
+    np.copyto(af, 0.0, where=~keep)
+    return af
 
 
 def das_weights(array: MicArray, azimuths: Sequence[float], cfg: StftConfig) -> np.ndarray:

@@ -255,6 +255,14 @@ def fresh_pair_cos_sin(data: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]
     return cos, sin
 
 
+def fresh_angle_feature(cos_ipd: np.ndarray, sin_ipd: np.ndarray, steer: np.ndarray,
+                        keep: np.ndarray) -> np.ndarray:
+    """Mean over pairs of cos(phi)cos(s) + sin(phi)sin(s), zero outside ``keep``."""
+    af = (np.einsum("utf,uf->tf", cos_ipd, np.cos(steer))
+          + np.einsum("utf,uf->tf", sin_ipd, np.sin(steer))) / steer.shape[0]
+    return np.where(keep, af, 0.0)
+
+
 def fresh_dpr(data: np.ndarray, weights: np.ndarray, total: np.ndarray,
               num_directions: int, floor: float) -> np.ndarray:
     """|w^H Y|^2 / total for (F, J) or (P, F, J) ``weights``; 1/P where the
@@ -302,3 +310,18 @@ def fresh_directional_mask(af_tgt, dpr_tgt, af_intf, dpr_intf, alpha: float, bet
     if af_intf is not None:
         score = score * ((af_tgt >= af_intf) | (dpr_tgt >= dpr_intf))
     return np.clip(score, 0.0, 1.0)
+
+
+def fresh_render_mixture(convolved, ref: int, gains_db, rms: float) -> tuple[np.ndarray, list]:
+    """Mixture and images from per-source (J, n_c) convolutions, each step
+    into a fresh array: zero-padded to the longest, each scaled to ``rms``
+    times its gain on the reference row, then summed with ``np.sum`` over
+    the stack."""
+    gains = np.asarray(gains_db, dtype=float)
+    length = max(img.shape[1] for img in convolved)
+    padded = [np.pad(img, ((0, 0), (0, length - img.shape[1]))) for img in convolved]
+    scaled = []
+    for c, img in enumerate(padded):
+        power = float(np.mean(img[ref] ** 2))
+        scaled.append(img * (rms * 10.0 ** (gains[c] / 20.0) / np.sqrt(power)))
+    return np.sum(scaled, axis=0), scaled

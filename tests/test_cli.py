@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ssk
-from ssk import pipeline, spatial_features, spectral
+from ssk import evaluation, pipeline, simulation, spatial_features, spectral
 from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
@@ -58,6 +58,40 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+# Modules a stage that does not run them must not load, at --jobs 1.
+_SIMULATION = {"ssk.room_sim", "ssk.synth", "concurrent.futures"}
+_ANALYSIS = {"ssk.separation", "ssk.spatial_features", "ssk.spectral", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("argv, stage, unloaded", [
+    (["simulate", "--num-scenes", "1", "--duration", "0.3", "--jobs", "1"], "simulation",
+     _ANALYSIS),
+    (["features", "--cond", "tgt+intf", "--jobs", "1"], "pipeline", _SIMULATION),
+    (["separate", "--method", "heuristic", "--jobs", "1"], "pipeline", _SIMULATION),
+    (["perturb", "--direction-error-deg", "0,4", "--jobs", "1"], "pipeline", _SIMULATION),
+    (["evaluate", "--estimates"], "evaluation", _SIMULATION | _ANALYSIS | {"ssk.pipeline"}),
+], ids=["simulate", "features", "separate", "perturb", "evaluate"])
+def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloaded):
+    # In a fresh interpreter, each subcommand imports the modules it runs
+    # and none of another stage's.
+    if argv[0] == "evaluate":
+        assert main(["separate", "--manifest", str(dataset[0] / "manifest.json"),
+                     "--out", str(tmp_path / "est"), "--method", "das"]) == 0
+        argv = [*argv, str(tmp_path / "est")]
+    if argv[0] != "simulate":
+        argv = [*argv, "--manifest", str(dataset[0] / "manifest.json")]
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(ssk.__file__).parents[1]))
+    code = ("import json, sys\nfrom ssk.cli import main\nrc = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    rc, loaded = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert f"ssk.{stage}" in loaded
+    assert not unloaded & set(loaded)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -156,7 +190,7 @@ class TestSimulate:
             rooms.append(room)
             return room, azimuths
 
-        monkeypatch.setattr(pipeline, "sample_scene", recording)
+        monkeypatch.setattr(simulation, "sample_scene", recording)
         manifest = simulate(tmp_path / "wide", seed=3, n=12, duration=0.3,
                             extra=["--array-diameter", "1.2"])
         assert len(rooms) == 12
@@ -598,16 +632,16 @@ def _bug(*args, **kwargs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("argv, name", [
-    (["simulate", "--num-scenes", "2", "--duration", "0.3"], "render_mixture"),
-    (["features"], "compute_feature_stack"),
-    (["separate", "--method", "das"], "separate_utterance"),
-    (["perturb", "--direction-error-deg", "0"], "separate_utterance"),
+@pytest.mark.parametrize("argv, module, name", [
+    (["simulate", "--num-scenes", "2", "--duration", "0.3"], simulation, "render_mixture"),
+    (["features"], pipeline, "compute_feature_stack"),
+    (["separate", "--method", "das"], pipeline, "separate_utterance"),
+    (["perturb", "--direction-error-deg", "0"], pipeline, "separate_utterance"),
 ], ids=["simulate", "features", "separate", "perturb"])
-def test_a_bug_propagates_as_itself(dataset, tmp_path, monkeypatch, argv, name, jobs):
+def test_a_bug_propagates_as_itself(dataset, tmp_path, monkeypatch, argv, module, name, jobs):
     # Only input errors fail an utterance; any other exception is a bug and
     # is raised as itself, not reported as exit 1.
-    monkeypatch.setattr(pipeline, name, _bug)
+    monkeypatch.setattr(module, name, _bug)
     manifest = [] if argv[0] == "simulate" else ["--manifest", str(dataset[0] / "manifest.json")]
     with pytest.raises(TypeError, match="a bug"):
         main([*argv, *manifest, "--out", str(tmp_path / "out"), "--jobs", jobs])
@@ -615,7 +649,7 @@ def test_a_bug_propagates_as_itself(dataset, tmp_path, monkeypatch, argv, name, 
 
 def test_a_bug_in_evaluate_propagates_as_itself(dataset, tmp_path, monkeypatch):
     # evaluate has no --jobs; its task reads the mixture first.
-    monkeypatch.setattr(pipeline, "_read", _bug)
+    monkeypatch.setattr(evaluation, "_read", _bug)
     with pytest.raises(TypeError, match="a bug"):
         main(["evaluate", "--manifest", str(dataset[0] / "manifest.json"),
               "--estimates", str(tmp_path), "--out", str(tmp_path / "rep")])
@@ -773,7 +807,7 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
 
     def tracked_read(path, **kwargs):
         wav, rate = read(path, **kwargs)
-        if wav.shape[0] > 1:
+        if wav.ndim == 2 and wav.shape[0] > 1:
             wide.append(weakref.ref(wav))
         return wav, rate
 
@@ -787,6 +821,7 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
 
     monkeypatch.setattr(pipeline, "read_wav", tracked_read)
     monkeypatch.setattr(pipeline, "si_sdr", checked_score)
+    monkeypatch.setattr(evaluation, "si_sdr", checked_score)
     monkeypatch.setattr(pipeline, "write_wav", checked_write)
     assert main([*argv, "--manifest", str(out / "manifest.json"),
                  "--out", str(tmp_path / "out")]) == 0

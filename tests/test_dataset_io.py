@@ -70,6 +70,80 @@ class TestWav:
         with pytest.raises(DataFormatError):
             write_wav(tmp_path / "x.wav", np.zeros(10), 16000, encoding="pcm24")
 
+    @pytest.mark.parametrize("waveform", [[0.1, 1e39], [[0.0, -4e38], [0.2, 0.3]]],
+                             ids=["mono", "stereo"])
+    def test_float32_overflow_rejected(self, tmp_path, waveform):
+        # A finite float64 sample beyond the float32 range would be written
+        # as inf, which read_wav rejects: the float32 payload is checked, and
+        # nothing is written.
+        with pytest.raises(ValueError, match="finite"):
+            write_wav(tmp_path / "o.wav", np.array(waveform), 16000)
+        assert list(tmp_path.iterdir()) == []
+        write_wav(tmp_path / "p.wav", np.array(waveform), 16000, encoding="pcm16")
+        assert np.abs(read_wav(tmp_path / "p.wav")[0]).max() <= 1.0
+
+
+def _wav_file(path, samples: np.ndarray) -> None:
+    """``samples`` (n, J), PCM16 or float32, as a WAV file written byte by byte."""
+    tag, bits = (1, 16) if samples.dtype == np.int16 else (3, 32)
+    path.write_bytes(_riff(_fmt(tag, samples.shape[1], bits),
+                           (b"data", samples.astype(samples.dtype.newbyteorder("<")).tobytes())))
+
+
+class TestWavChannel:
+    """``read_wav(path, channel=k)`` is ``read_wav(path)[0][k]``, decoded alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.integers(1, 6), frames=st.integers(1, 400),
+           pcm=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_equals_the_row_of_a_full_read(self, channels, frames, pcm, seed):
+        r = np.random.default_rng(seed)
+        samples = (r.integers(-32768, 32768, (frames, channels)).astype(np.int16) if pcm
+                   else r.uniform(-1.0, 1.0, (frames, channels)).astype(np.float32))
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "x.wav"
+            _wav_file(path, samples)
+            full, rate = read_wav(path, expected_rate=16000)
+            for k in range(channels):
+                row, row_rate = read_wav(path, expected_rate=16000, channel=k)
+                assert row_rate == rate
+                assert row.shape == (frames,) and row.dtype == np.float64
+                assert row.base is None and row.flags.c_contiguous
+                assert row.tobytes() == full[k].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_another_channel_raises(self, tmp_path, bad):
+        samples = np.zeros((50, 4), dtype=np.float32)
+        samples[17, 2] = bad
+        _wav_file(tmp_path / "n.wav", samples)
+        for k in (0, 3):
+            with pytest.raises(DataFormatError, match="non-finite"):
+                read_wav(tmp_path / "n.wav", channel=k)
+
+    def test_checks_cover_the_whole_file(self, tmp_path):
+        _wav_file(tmp_path / "r.wav", np.zeros((50, 2), dtype=np.float32))
+        with pytest.raises(DataFormatError, match="8000"):
+            read_wav(tmp_path / "r.wav", expected_rate=8000, channel=0)
+        for k in (2, -1):
+            with pytest.raises(DataFormatError, match="channel"):
+                read_wav(tmp_path / "r.wav", channel=k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16])
+    def test_no_frames(self, tmp_path, dtype):
+        _wav_file(tmp_path / "e.wav", np.zeros((0, 3), dtype=dtype))
+        assert read_wav(tmp_path / "e.wav")[0].shape == (3, 0)
+        assert read_wav(tmp_path / "e.wav", channel=2)[0].shape == (0,)
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_decodes_only_its_column(self, tmp_path, rng, encoding):
+        # A 2.45 s six-channel image: the file's bytes, the row and a
+        # one-byte finiteness flag per sample, not the (J, n) float64 array a
+        # full read builds.
+        path = tmp_path / "six.wav"
+        write_wav(path, rng.uniform(-0.5, 0.5, (6, 39_247)), 16000, encoding=encoding)
+        (row, _), peak = traced_peak(lambda: read_wav(path, channel=3))
+        assert peak <= path.stat().st_size + row.nbytes + 6 * row.size + row.nbytes // 32
+
 
 def _riff(*chunks):
     body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ssk.geometry import DirectionGrid, PairSelection, circular_array
 from ssk.metrics import SI_SDR_CAP_DB, _ZERO_ERROR_RATIO, si_sdr
 from ssk.separation import MASK_EPS, directional_mask
-from ssk.spatial_features import (DPR_POWER_FLOOR, beam_power_total, das_filterbank, dpr,
-                                  pair_cos_sin)
+from ssk.spatial_features import (DPR_POWER_FLOOR, angle_feature, beam_power_total,
+                                  das_filterbank, dpr, pair_cos_sin, pair_steering_phases)
 from ssk.spectral import (ComplexSpectrogram, StftConfig, _istft_normaliser, hann_periodic,
                           istft)
 
@@ -37,6 +37,14 @@ class TestAllocation:
         (cos, sin), peak = traced_peak(lambda: pair_cos_sin(spec, pairs6))
         # Two scratch maps and one boolean map serve every pair.
         assert peak <= cos.nbytes + sin.nbytes + 2 * MAP + MAP // 8 + MAP // 32
+
+    def test_angle_feature(self, cfg_default, array6, pairs6, rng):
+        cos, sin = rng.uniform(-1.0, 1.0, (2, len(pairs6.pairs), FRAMES, BINS))
+        steer = pair_steering_phases(array6, 40.0, pairs6, cfg_default)
+        keep = rng.random((FRAMES, BINS)) < 0.5
+        out, peak = traced_peak(lambda: angle_feature(cos, sin, steer, keep))
+        # The second einsum's map is the scratch; the premask is inverted once.
+        assert peak <= out.nbytes + MAP + MAP // 8 + MAP // 32
 
     def test_dpr(self, cfg_default, array6, grid36, rng):
         spec = ComplexSpectrogram(data=_spectrum(rng, (6, FRAMES, BINS)), config=cfg_default)
@@ -92,6 +100,18 @@ def test_pair_cos_sin_bit_equal(mics, frames, bins, zero_share, seed):
     ours = pair_cos_sin(ComplexSpectrogram(data=data, config=StftConfig.default()), pairs)
     ref = oracles.fresh_pair_cos_sin(data, pairs)
     assert _same(ours[0], ref[0]) and _same(ours[1], ref[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 15), st.integers(1, 12), st.integers(1, 9), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 31 - 1))
+def test_angle_feature_bit_equal(pairs, frames, bins, keep_share, seed):
+    rng = np.random.default_rng(seed)
+    cos, sin = rng.uniform(-1.0, 1.0, (2, pairs, frames, bins))
+    steer = rng.uniform(-np.pi, np.pi, (pairs, bins))
+    keep = rng.random((frames, bins)) < keep_share
+    ours = angle_feature(cos, sin, steer, keep)
+    assert _same(ours, oracles.fresh_angle_feature(cos, sin, steer, keep))
 
 
 @settings(max_examples=40, deadline=None)

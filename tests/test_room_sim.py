@@ -8,13 +8,15 @@ from scipy.signal import fftconvolve
 from ssk import synth
 from ssk.geometry import angle_difference, circular_array, tdoa
 from ssk.metrics import bin_index
-from ssk.room_sim import (SINC_HALF_WIDTH, RoomConfig, SceneGenerationError,
+from ssk.room_sim import (REF_IMAGE_RMS, SINC_HALF_WIDTH, RoomConfig, SceneGenerationError,
                           _convolve_rows, _fast_rfft_length, _windowed_sinc_rir,
                           calibrated_reflection_coefficient, estimate_t60,
                           mic_positions_in_room, render_mixture, sample_scene,
                           simulate_rir, simulate_rirs)
 
-from oracles import image_method_rir, per_tap_windowed_sinc_rir, xcorr_peak_lag
+from conftest import traced_peak
+from oracles import (fresh_render_mixture, image_method_rir, per_tap_windowed_sinc_rir,
+                     xcorr_peak_lag)
 
 FS = 16000
 C = 343.0
@@ -184,6 +186,38 @@ class TestRenderMixture:
     def test_fft_length_is_scipy_fast_length(self):
         for n in list(range(1, 3000)) + [38803, 65537, 100001]:
             assert _fast_rfft_length(n) == next_fast_len(n, real=True)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+    def test_equals_the_padded_scaled_sum_bit_for_bit(self, sources, seed):
+        # Sources of different lengths, so every image but the longest is
+        # padded before it is scaled and summed.
+        rng = np.random.default_rng(seed)
+        array = circular_array(4, 0.1)
+        room, _ = sample_scene(rng, sources, sample_rate=8000, t60_range=(0.05, 0.3))
+        dry = [rng.standard_normal(int(rng.integers(50, 3000))) for _ in range(sources)]
+        gains = list(rng.uniform(-5.0, 0.0, sources))
+        scene = render_mixture(dry, room, array, mixing_gains_db=gains)
+        convolved = [_convolve_rows(s, h) for s, h in zip(dry, simulate_rirs(room, array))]
+        mixture, images = fresh_render_mixture(convolved, array.ref_index, gains, REF_IMAGE_RMS)
+        assert scene.mixture.tobytes() == mixture.tobytes()
+        assert [img.tobytes() for img in scene.images] == [img.tobytes() for img in images]
+        assert all(img.shape == mixture.shape for img in scene.images)
+
+    def test_holds_the_images_the_mixture_and_one_convolution(self, array6):
+        # Each image is convolved into its padded buffer and scaled there:
+        # the peak is the S images, the mixture, the RIRs and one
+        # convolution's two (J, n_fft/2 + 1) spectra and (J, n_fft) inverse.
+        rng = np.random.default_rng(5)
+        room, _ = sample_scene(rng, 3, sample_rate=FS, t60_range=(0.1, 0.1))
+        dry = [synth.speech_like(rng, 2.0, FS) for _ in range(3)]
+        rirs = simulate_rirs(room, array6)
+        scene, peak = traced_peak(lambda: render_mixture(dry, room, array6))
+        J = array6.num_mics
+        n_fft = max(_fast_rfft_length(s.size + h.shape[1] - 1) for s, h in zip(dry, rirs))
+        convolution = 2 * J * (n_fft // 2 + 1) * 16 + J * n_fft * 8
+        held = sum(img.nbytes for img in scene.images) + scene.mixture.nbytes
+        assert peak <= held + sum(h.nbytes for h in rirs) + convolution
 
     def test_silent_source_rejected(self, array6, rng):
         room, _ = sample_scene(rng, 2, sample_rate=FS)
