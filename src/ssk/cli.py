@@ -2,9 +2,8 @@
 
 Every subcommand is deterministic under a fixed --seed. Log level comes
 from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR). A stage
-runs every utterance and writes each good one's outputs; if any failed, it
-writes no summary file (manifest, report, sweep.json) and exits 1 with one
-line that lists each failed utterance and why, in manifest order.
+runs under the batch rule of :mod:`ssk.stages`; if any utterance failed, it
+exits 1 with the rule's one line that lists each failure.
 
 The parser needs only the names in :mod:`ssk.stages`. Each subcommand
 imports its stage module when it runs and looks its stage function up

@@ -130,7 +130,7 @@ def _riff_chunks(raw: bytes, path) -> dict[bytes, memoryview]:
     return chunks
 
 
-def read_wav(path, expected_rate: int | None = None,
+def read_wav(path, expected_rate: int | None = None, expected_channels: int | None = None,
              channel: int | None = None) -> tuple[np.ndarray, int]:
     """Read a WAV file into a channels-first float array (J, n), or with
     ``channel`` into that channel alone, an owned contiguous (n,) row
@@ -138,8 +138,10 @@ def read_wav(path, expected_rate: int | None = None,
 
     PCM16 samples are scaled to [-1, 1); float32 passes through. Other
     encodings, malformed chunks, non-finite samples in any channel, a
-    ``channel`` the file does not have and a rate different from
-    ``expected_rate`` raise :class:`DataFormatError`.
+    ``channel`` the file does not have, a rate different from
+    ``expected_rate`` and a channel count different from
+    ``expected_channels`` (the microphones of a manifest's array) raise
+    :class:`DataFormatError`.
     """
     try:
         raw = Path(path).read_bytes()
@@ -165,6 +167,9 @@ def read_wav(path, expected_rate: int | None = None,
     if expected_rate is not None and rate != expected_rate:
         raise DataFormatError(
             f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
+    if expected_channels is not None and channels != expected_channels:
+        raise DataFormatError(f"{path}: {channels} channels, the manifest array has "
+                              f"{expected_channels} microphones")
     if channel is not None:
         if not 0 <= channel < channels:
             raise DataFormatError(f"{path}: {channels} channel(s), channel {channel} requested")
@@ -231,7 +236,6 @@ class Manifest:
     sample_rate: int
     array: MicArray
     utterances: tuple[UtteranceEntry, ...]
-    schema_version: int = MANIFEST_SCHEMA_VERSION
     # Absolute location of the manifest file, set on load, never serialized.
     base_dir: Path | None = field(default=None, compare=False)
 
@@ -240,9 +244,19 @@ class Manifest:
             return Path(relative)
         return self.base_dir / relative
 
+    def read(self, relative: str, ref_row: bool = False) -> np.ndarray:
+        """The dataset WAV at ``relative`` (a mixture or source image), (J, n),
+        or with ``ref_row`` its reference-mic row alone, (n,), owning its
+        data. The file must have the manifest's sample rate and one channel
+        per array microphone."""
+        wav, _ = read_wav(self.resolve(relative), expected_rate=self.sample_rate,
+                          expected_channels=self.array.num_mics,
+                          channel=self.array.ref_index if ref_row else None)
+        return wav
+
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": MANIFEST_SCHEMA_VERSION,
             "sample_rate": self.sample_rate,
             "array": {"num_mics": self.array.num_mics, "ref_index": self.array.ref_index,
                       "positions": self.array.positions.tolist()},
@@ -284,8 +298,7 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
             for k, src in enumerate(fields["sources"]))
         utterances.append(UtteranceEntry(**fields))
     manifest = Manifest(sample_rate=top["sample_rate"], array=_mic_array(doc.get("array"), path),
-                        utterances=tuple(utterances), schema_version=version,
-                        base_dir=path.parent.resolve())
+                        utterances=tuple(utterances), base_dir=path.parent.resolve())
     if validate_files:
         for u in manifest.utterances:
             refs = [u.mixture] + [s.image for s in u.sources] + [s.dry for s in u.sources]

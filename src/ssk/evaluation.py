@@ -1,9 +1,10 @@
 """The evaluation stage: SI-SDR of every estimate against its reference image.
 
-It reads only reference-mic rows (:func:`~ssk.dataset_io.read_wav` with
-``channel``) and runs under the batch rule of :mod:`ssk.stages`; it loads
-none of the analysis or simulation modules. :func:`_record` is the one
-scoring rule, shared with the direction-error sweep of :mod:`ssk.pipeline`.
+It reads only reference-mic rows of the dataset WAVs
+(:meth:`~ssk.dataset_io.Manifest.read`) and runs under the batch rule of
+:mod:`ssk.stages`; it loads none of the analysis or simulation modules.
+:func:`_record` is the one scoring rule, shared with the direction-error
+sweep of :mod:`ssk.pipeline`.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ import numpy as np
 from .dataset_io import DataFormatError, Manifest, UtteranceEntry, read_wav
 from .metrics import EvalRecord, EvalReport, aggregate, si_sdr
 from .stages import _each
-
-
-def _read(manifest: Manifest, relative: str) -> np.ndarray:
-    """The reference-mic row of a manifest WAV, (n,), owning its data."""
-    row, _ = read_wav(manifest.resolve(relative), expected_rate=manifest.sample_rate,
-                      channel=manifest.array.ref_index)
-    return row
 
 
 def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.ndarray,
@@ -41,8 +35,9 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
     its utterance, with a message that names the file; the batch rule of
     :mod:`ssk.stages` applies. Returns (report, records in manifest order)."""
 
-    def one(entry: UtteranceEntry) -> list[EvalRecord]:
-        mixture = _read(manifest, entry.mixture)
+    def one(index: int, written: list[Path]) -> list[EvalRecord]:
+        entry = manifest.utterances[index]
+        mixture = manifest.read(entry.mixture, ref_row=True)
         records = []
         for target, src in enumerate(entry.sources):
             est_path = Path(estimates_dir) / f"{entry.stem(target)}.wav"
@@ -51,11 +46,11 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
                 raise DataFormatError(f"{est_path}: estimate has {est.shape[0]} channel(s) of "
                                       f"{est.shape[1]} samples; expected 1 channel of "
                                       f"{mixture.size}, the mixture's length")
-            reference = _read(manifest, src.image)
+            reference = manifest.read(src.image, ref_row=True)
             records.append(_record(entry, target, est[0], reference,
                                    si_sdr(mixture, reference), method))
         return records
 
-    entries = manifest.utterances
-    records = [rec for recs in _each(one, entries, [e.id for e in entries]) for rec in recs]
+    labels = [e.id for e in manifest.utterances]
+    records = [rec for recs in _each(one, labels) for rec in recs]
     return aggregate(records, method=method), records

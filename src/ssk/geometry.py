@@ -104,8 +104,8 @@ class PairSelection:
                 raise ValueError(f"pair ({a}, {b}) out of range for J={num_mics}")
 
 
-def circular_array(num_mics: int, diameter: float, ref_index: int = 0) -> MicArray:
-    """Uniform circular array in the horizontal plane.
+def circular_array(num_mics: int, diameter: float) -> MicArray:
+    """Uniform circular array in the horizontal plane, referenced to mic 0.
 
     Mic 0 sits at azimuth 0 degrees at radius ``diameter / 2``; the remaining
     mics follow counter-clockwise.
@@ -119,7 +119,7 @@ def circular_array(num_mics: int, diameter: float, ref_index: int = 0) -> MicArr
     pos = np.stack([radius * np.cos(angles),
                     radius * np.sin(angles),
                     np.zeros(num_mics)], axis=1)
-    return MicArray(pos, ref_index=ref_index)
+    return MicArray(pos)
 
 
 def tdoa(array: MicArray, azimuth_deg: float) -> np.ndarray:

@@ -1,11 +1,9 @@
-"""Batch pipeline shared by the CLI: dataset simulation, feature extraction,
-separation and evaluation over a manifest.
+"""The analysis stages over a manifest: features, separation and the
+direction-error sweep.
 
-This module is the analysis stage: features, separation and the
-direction-error sweep. Simulation is :mod:`ssk.simulation` and evaluation
-:mod:`ssk.evaluation`, so a stage loads only the modules it runs; the
-sweep scores with the evaluation stage's rule, and :func:`evaluate_dataset`
-is re-exported here.
+Simulation is :mod:`ssk.simulation` and evaluation :mod:`ssk.evaluation`, so
+a stage loads only the modules it runs; the sweep scores with the evaluation
+stage's rule, and :func:`evaluate_dataset` is re-exported here.
 
 Features, separation and the sweep work one utterance at a time: an
 :class:`UtteranceAnalysis` reads the mixture, transforms it once and holds
@@ -15,9 +13,9 @@ both. The sweep also scores each estimate in the same task. Methods, feature
 blocks and direction conditions are plain names, each set stated once in
 :mod:`ssk.stages`; masks are (T, F) arrays.
 
-Each stage is one batch under the rule of :mod:`ssk.stages`: an utterance
-that fails leaves none of the features or estimates it had written, and no
-summary file (manifest, report, sweep) is written, whatever ``jobs`` is."""
+Each stage is one batch under the rule of :mod:`ssk.stages`, and checks
+first that its :class:`PipelineConfig` describes the manifest's array and
+sample rate."""
 
 from __future__ import annotations
 
@@ -27,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset_io import (DataFormatError, Manifest, UtteranceEntry, atomic_write_bytes,
-                         read_wav, write_features, write_json, write_wav)
+from .dataset_io import (Manifest, UtteranceEntry, atomic_write_bytes, write_features,
+                         write_json, write_wav)
 from .evaluation import _record, evaluate_dataset  # noqa: F401 (re-exported)
 from .geometry import DirectionGrid, MicArray, PairSelection, circular_array, closest_source
 from .metrics import EvalRecord, aggregate, si_sdr
@@ -36,8 +34,7 @@ from .separation import apply_mask, das_beamform, directional_mask, oracle_mask
 from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
                                computed_once, multichannel_stft)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
-from .stages import (CONDS, FEATURE_BLOCKS, METHODS, ORACLE_KINDS, _each,
-                     _unwritten_on_failure)
+from .stages import CONDS, FEATURE_BLOCKS, METHODS, ORACLE_KINDS, _each
 
 
 def __getattr__(name: str):
@@ -49,11 +46,6 @@ def __getattr__(name: str):
         from .simulation import simulate_dataset
         return simulate_dataset
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _check_cond(cond: str) -> None:
-    if cond not in CONDS:
-        raise ValueError(f"cond must be one of {CONDS}, got {cond!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,23 @@ class PipelineConfig:
                    stft_cfg=cfg, oracle_cfg=StftConfig.oracle_mask_default(sample_rate))
 
 
+def _check_run(manifest: Manifest, cfg: PipelineConfig, cond: str) -> None:
+    """Raise :class:`ValueError` for an unknown ``cond``, or for a ``cfg``
+    whose array or sample rate is not the manifest's: it would steer and
+    score with geometry the dataset was not recorded with."""
+    if cond not in CONDS:
+        raise ValueError(f"cond must be one of {CONDS}, got {cond!r}")
+    array = manifest.array
+    differ = [name for name, same in (
+        ("array positions", np.array_equal(cfg.array.positions, array.positions)),
+        ("reference mic", cfg.array.ref_index == array.ref_index),
+        ("sample rate", cfg.stft_cfg.sample_rate == manifest.sample_rate)) if not same]
+    if differ:
+        raise ValueError(f"the analysis config's {', '.join(differ)} differ from the "
+                         f"manifest's ({array.num_mics} mics, reference mic "
+                         f"{array.ref_index}, {manifest.sample_rate} Hz)")
+
+
 # ---------------------------------------------------------------------------
 # Features
 
@@ -99,21 +108,14 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return azimuths[closest_source(azimuths, target_index)[0]]
 
 
-def _read(manifest: Manifest, relative: str, channel: int | None = None) -> np.ndarray:
-    """A manifest WAV, (J, n), or with ``channel`` that row alone, (n,)."""
-    wav, _ = read_wav(manifest.resolve(relative), expected_rate=manifest.sample_rate,
-                      channel=channel)
-    return wav
-
-
 @dataclass(frozen=True, eq=False)
 class UtteranceAnalysis:
     """One utterance's analysis, shared by every target, method and run; it
     alone turns the mixture into spectrograms, straight from the configs in
     ``cfg`` (no analysis kernels are built).
 
-    It reads the mixture once, checks its channel count against the
-    manifest array and keeps only a contiguous copy of the reference-mic row
+    It reads the mixture once (:meth:`~ssk.dataset_io.Manifest.read`) and
+    keeps only a contiguous copy of the reference-mic row
     (:attr:`reference`, whose size is the sample count). The (J, n) array
     itself is held only until the (J, T, F) spectrogram at
     ``cfg.stft_cfg`` (:attr:`spec`) is built, or until the oracle methods'
@@ -132,10 +134,7 @@ class UtteranceAnalysis:
     @computed_once
     def reference(self) -> np.ndarray:
         """The mixture's reference-mic row, (n,), owning its data."""
-        wav = _read(self.manifest, self.entry.mixture)
-        if wav.shape[0] != self.cfg.array.num_mics:
-            raise DataFormatError(f"{self.entry.mixture}: {wav.shape[0]} channels, the "
-                                  f"manifest array has {self.cfg.array.num_mics} microphones")
+        wav = self.manifest.read(self.entry.mixture)
         self.__dict__["_mixture"] = wav  # until a spectrogram takes it
         return wav[self.cfg.array.ref_index].copy()
 
@@ -150,8 +149,8 @@ class UtteranceAnalysis:
         """Oracle-config spectrograms of the reference-channel mixture and of
         each reference-channel source image."""
         self._release_mixture()
-        ref, oracle_cfg = self.cfg.array.ref_index, self.cfg.oracle_cfg
-        images = [stft(_read(self.manifest, src.image, ref), oracle_cfg)
+        oracle_cfg = self.cfg.oracle_cfg
+        images = [stft(self.manifest.read(src.image, ref_row=True), oracle_cfg)
                   for src in self.entry.sources]
         return stft(self.reference, oracle_cfg), images
 
@@ -159,7 +158,7 @@ class UtteranceAnalysis:
     def spec(self) -> ComplexSpectrogram:
         wav = self._release_mixture()
         if wav is None:
-            wav = _read(self.manifest, self.entry.mixture)
+            wav = self.manifest.read(self.entry.mixture)
         return multichannel_stft(wav, self.cfg.stft_cfg)
 
     @computed_once
@@ -206,11 +205,12 @@ def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig, blocks: fro
                    cond: str = "tgt", jobs: int = 1) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
     and analysed once for all its targets."""
-    _check_cond(cond)
+    _check_run(manifest, cfg, cond)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(entry: UtteranceEntry, written: list[Path]) -> list[Path]:
+    def one(index: int, written: list[Path]) -> list[Path]:
+        entry = manifest.utterances[index]
         analysis = UtteranceAnalysis(entry, manifest, cfg)
         for target in range(len(entry.sources)):
             path = out / f"{entry.stem(target)}.tsnf"
@@ -218,9 +218,8 @@ def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig, blocks: fro
             written.append(path)
         return written
 
-    entries = manifest.utterances
-    return [p for paths in _each(_unwritten_on_failure(one), entries,
-                                 [e.id for e in entries], jobs) for p in paths]
+    labels = [e.id for e in manifest.utterances]
+    return [p for paths in _each(one, labels, jobs) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     lists without ``score``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    _check_cond(cond)
+    _check_run(manifest, cfg, cond)
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
@@ -292,16 +291,15 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     # numpy.random, whose secrets -> hmac -> _hashlib chain maps OpenSSL's
     # libcrypto, about +6 MB of RSS and 14 ms once per process.
     perturbed = any(run.direction_error_deg != 0.0 for run in runs)
-    ref_index = manifest.array.ref_index
 
-    def one(task, written: list[Path]) -> tuple[list[Path], list[list[EvalRecord]]]:
-        index, entry = task
+    def one(index: int, written: list[Path]) -> tuple[list[Path], list[list[EvalRecord]]]:
+        entry = manifest.utterances[index]
         analysis = UtteranceAnalysis(entry, manifest, cfg)
         paths: list[Path] = []
         records: list[list[EvalRecord]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
             if score:
-                reference = _read(manifest, src.image, ref_index)
+                reference = manifest.read(src.image, ref_row=True)
                 si_sdr_mix = si_sdr(analysis.reference, reference)
             sign = -1.0 if perturbed and not np.random.default_rng(
                 [error_seed, index, target]).integers(2) else 1.0
@@ -326,8 +324,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                                               reference, si_sdr_mix, method))
         return paths, records
 
-    results = _each(_unwritten_on_failure(one), list(enumerate(manifest.utterances)),
-                    [e.id for e in manifest.utterances], jobs)
+    results = _each(one, [e.id for e in manifest.utterances], jobs)
     return ([p for paths, _ in results for p in paths],
             [[rec for _, records in results for rec in records[i]] for i in range(len(runs))])
 
@@ -357,7 +354,6 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     magnitude.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dirs: dict[str, float] = {}
     for error in errors:
         name = f"err{int(round(error)):02d}"

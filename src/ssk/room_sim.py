@@ -410,11 +410,10 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
         f"could not satisfy scene constraints after {max_attempts} attempts")
 
 
-def estimate_t60(rir: np.ndarray, sample_rate: int,
-                 fit_range_db: tuple[float, float] = (-5.0, -25.0)) -> float:
+def estimate_t60(rir: np.ndarray, sample_rate: int) -> float:
     """Reverberation time from the Schroeder backward-integrated decay.
 
-    Fits a line to the energy-decay curve between ``fit_range_db`` and
+    Fits a line to the energy-decay curve between -5 and -25 dB and
     extrapolates to -60 dB.
     """
     h = np.asarray(rir, dtype=float).ravel()
@@ -424,7 +423,7 @@ def estimate_t60(rir: np.ndarray, sample_rate: int,
         raise ValueError("impulse response has no energy")
     edc = np.cumsum(energy[::-1])[::-1] / total
     db = 10.0 * np.log10(np.maximum(edc, 1e-30))
-    hi, lo = fit_range_db
+    hi, lo = -5.0, -25.0
     start = int(np.argmax(db <= hi))
     stop = int(np.argmax(db <= lo))
     if db[start] > hi or db[stop] > lo or stop <= start + 1:

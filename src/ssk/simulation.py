@@ -3,8 +3,8 @@
 Each scene is drawn from its own seed (room, T60, array centre, source
 positions, dry signals and mixing gains), rendered by
 :func:`~ssk.room_sim.render_mixture` and written as WAVs; one utterance per
-scene, on ``jobs`` threads under the batch rule of :mod:`ssk.stages`. The
-manifest is written only when every scene rendered.
+scene, on ``jobs`` threads under the batch rule of :mod:`ssk.stages`, whose
+summary file is the manifest.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
 
     ids = [f"utt_{index:05d}" for index in range(num_scenes)]
 
-    def render_one(index: int) -> UtteranceEntry:
+    def render_one(index: int, written: list[Path]) -> UtteranceEntry:
         utt_id = ids[index]
         scene_seed = int(scene_seeds[index])
         rng = np.random.default_rng(scene_seed)
@@ -64,14 +64,17 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
                for _ in range(num_speakers)]
         gains = _scene_gains(rng, num_speakers)
         scene = render_mixture(dry, room, array, mixing_gains_db=gains)
-        mix_rel = f"wav/{utt_id}_mix.wav"
-        write_wav(out / mix_rel, scene.mixture, sample_rate)
+
+        def write(relative: str, waveform: np.ndarray) -> str:
+            write_wav(out / relative, waveform, sample_rate)
+            written.append(out / relative)
+            return relative
+
+        mix_rel = write(f"wav/{utt_id}_mix.wav", scene.mixture)
         sources = []
         for c in range(num_speakers):
-            img_rel = f"wav/{utt_id}_src{c}_img.wav"
-            dry_rel = f"wav/{utt_id}_src{c}_dry.wav"
-            write_wav(out / img_rel, scene.images[c], sample_rate)
-            write_wav(out / dry_rel, dry[c], sample_rate)
+            img_rel = write(f"wav/{utt_id}_src{c}_img.wav", scene.images[c])
+            dry_rel = write(f"wav/{utt_id}_src{c}_dry.wav", dry[c])
             difference = closest_source(azimuths, c)[1] if num_speakers > 1 else 180.0
             sources.append(SourceEntry(
                 azimuth_deg=azimuths[c], angle_difference_deg=difference,
@@ -82,7 +85,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
             room_dimensions=tuple(float(d) for d in room.dimensions),
             array_center=tuple(float(x) for x in room.array_center))
 
-    utterances = _each(render_one, range(num_scenes), ids, jobs)
+    utterances = _each(render_one, ids, jobs)
 
     manifest = Manifest(sample_rate=sample_rate, array=array, utterances=tuple(utterances))
     write_manifest(out / "manifest.json", manifest)

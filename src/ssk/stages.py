@@ -7,8 +7,11 @@ synthetic source kinds. The parser offers them, and the stage modules key
 their implementations by them.
 
 Each stage is one batch (:func:`_each`), on ``jobs`` threads that take whole
-items. Every item runs, and an input error (:data:`INPUT_ERRORS`) fails only
-its own; one :class:`RuntimeError` then lists each failure in item order.
+utterances. Every utterance runs. One that fails leaves none of the files it
+had written, whatever the error; an input error (:data:`INPUT_ERRORS`) then
+fails only its own utterance, and one :class:`RuntimeError` lists each
+failure in manifest order, so no summary file (manifest, report, sweep) is
+written. Any other exception is a bug and propagates as itself.
 Importing this module loads no numeric ``ssk`` module, so the CLI can build
 its parser before it knows which stage to import.
 """
@@ -29,38 +32,31 @@ FEATURE_BLOCKS = ("lps", "cosipd", "sinipd", "af", "dpr")
 SYNTH_KIND_NAMES = ("speech", "noise", "am", "chirp")
 
 
-def _each(task, items: Sequence, labels: Sequence[str], jobs: int = 1) -> list:
-    """``[task(x) for x in items]`` on ``jobs`` threads under the batch rule; a
-    failure keeps its message alone, so no traceback pins the item's arrays."""
-    def attempt(item) -> tuple[bool, object]:
+def _each(task, labels: Sequence[str], jobs: int = 1) -> list:
+    """``[task(i, written) for i in range(len(labels))]`` on ``jobs`` threads
+    under the batch rule. ``task`` lists in ``written`` each file it writes;
+    if it raises, those files are removed. A failure keeps its message alone,
+    so no traceback pins the utterance's arrays."""
+    def attempt(i: int) -> tuple[bool, object]:
+        written: list[Path] = []
         try:
-            return True, task(item)
-        except INPUT_ERRORS as exc:
+            return True, task(i, written)
+        except BaseException as exc:
+            for path in written:
+                path.unlink(missing_ok=True)
+            if not isinstance(exc, INPUT_ERRORS):
+                raise
             return False, str(exc)
 
+    items = range(len(labels))
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(attempt, items))
     else:
-        outcomes = [attempt(x) for x in items]
+        outcomes = [attempt(i) for i in items]
     failures = [f"{label}: {out}" for label, (ok, out) in zip(labels, outcomes) if not ok]
     if failures:
         raise RuntimeError(f"{len(failures)} of {len(items)} failed: " + "; ".join(failures))
     return [out for _, out in outcomes]
-
-
-def _unwritten_on_failure(task):
-    """``task(item, written)``, which lists in ``written`` each file it has
-    written, as a task of ``item`` that removes those files before its
-    error propagates: a failed utterance leaves none of its files."""
-    def run(item):
-        written: list[Path] = []
-        try:
-            return task(item, written)
-        except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
-    return run

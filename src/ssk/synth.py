@@ -29,24 +29,21 @@ def noise_burst(rng_seed, duration: float, sample_rate: int = 16000,
     return _unit_rms(x)
 
 
-def am_tone(rng_seed, duration: float, sample_rate: int = 16000,
-            carrier: float | None = None, mod_rate: float | None = None) -> np.ndarray:
-    """Amplitude-modulated sinusoid."""
+def am_tone(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
+    """Amplitude-modulated sinusoid: a 300-3000 Hz carrier, 2-8 Hz modulation."""
     rng = _rng(rng_seed)
-    if carrier is None:
-        carrier = float(rng.uniform(300.0, 3000.0))
-    if mod_rate is None:
-        mod_rate = float(rng.uniform(2.0, 8.0))
+    carrier = float(rng.uniform(300.0, 3000.0))
+    mod_rate = float(rng.uniform(2.0, 8.0))
     t = np.arange(int(round(duration * sample_rate))) / sample_rate
     env = 0.5 * (1.0 + np.sin(2.0 * np.pi * mod_rate * t + rng.uniform(0, 2 * np.pi)))
     x = env * np.sin(2.0 * np.pi * carrier * t + rng.uniform(0, 2 * np.pi))
     return _unit_rms(x)
 
 
-def chirp(rng_seed, duration: float, sample_rate: int = 16000,
-          f0: float = 200.0, f1: float = 6000.0) -> np.ndarray:
-    """Linear frequency sweep."""
+def chirp(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
+    """Linear frequency sweep from 200 to 6000 Hz."""
     rng = _rng(rng_seed)
+    f0, f1 = 200.0, 6000.0
     t = np.arange(int(round(duration * sample_rate))) / sample_rate
     phase = 2.0 * np.pi * (f0 * t + 0.5 * (f1 - f0) / duration * t ** 2)
     return _unit_rms(np.sin(phase + rng.uniform(0, 2 * np.pi)))

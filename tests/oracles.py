@@ -214,7 +214,7 @@ def manifest_doc(manifest) -> dict:
     """A manifest's JSON document with every field of each utterance written
     out by hand, in schema order."""
     return {
-        "schema_version": manifest.schema_version,
+        "schema_version": 1,
         "sample_rate": manifest.sample_rate,
         "array": {"num_mics": manifest.array.num_mics, "ref_index": manifest.array.ref_index,
                   "positions": manifest.array.positions.tolist()},

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ssk
-from ssk import evaluation, pipeline, simulation, spatial_features, spectral
+from ssk import dataset_io, evaluation, pipeline, simulation, spatial_features, spectral
 from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
-from ssk.geometry import circular_array
+from ssk.geometry import MicArray, circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
 from ssk.room_sim import MIN_SOURCE_DISTANCE, WALL_MARGIN, sample_scene
 from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
@@ -601,30 +601,43 @@ def _fail_on(module, name, stem):
     return failing
 
 
-@pytest.mark.parametrize("stage", ["features", "separate", "perturb"])
+@pytest.mark.parametrize("stage", ["simulate", "features", "separate", "perturb"])
 def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, capsys, stage):
-    # An utterance that fails after its first target has written its files
-    # removes them: a corrupt second source image under perturb, or a
-    # feature file or sidecar that cannot be written.
-    manifest = simulate(tmp_path / "data", seed=7, n=2, speakers=2, duration=0.4)
+    # An utterance that fails after it has written files removes them: a
+    # scene whose second source image cannot be written, a corrupt second
+    # source image under perturb, or a feature file or sidecar that cannot
+    # be written. The other utterance keeps all of its files.
+    scenes = ["--seed", "7", "--num-scenes", "2", "--num-speakers", "2", "--duration", "0.4"]
+    if stage == "simulate":
+        assert main(["simulate", *scenes, "--out", str(tmp_path / "clean")]) == 0
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "clean").rglob("utt_00000_*")}
+        monkeypatch.setattr(simulation, "write_wav",
+                            _fail_on(simulation, "write_wav", "utt_00001_src1_img"))
+        argv = ["simulate", *scenes]
+    else:
+        manifest = simulate(tmp_path / "data", seed=7, n=2, speakers=2, duration=0.4)
+        argv = ["--manifest", str(tmp_path / "data" / "manifest.json")]
     if stage == "perturb":
         (tmp_path / "data" / manifest.utterances[1].sources[1].image).write_bytes(b"garbage")
-        argv = ["perturb", "--direction-error-deg", "0"]
+        argv = ["perturb", "--direction-error-deg", "0", *argv]
     elif stage == "features":
         monkeypatch.setattr(pipeline, "write_features",
                             _fail_on(pipeline, "write_features", "utt_00001_tgt1"))
-        argv = ["features"]
-    else:
+        argv = ["features", *argv]
+    elif stage == "separate":
         monkeypatch.setattr(pipeline, "write_json",
                             _fail_on(pipeline, "write_json", "utt_00001_tgt1"))
-        argv = ["separate", "--method", "heuristic"]
+        argv = ["separate", "--method", "heuristic", *argv]
     out = tmp_path / "out"
-    assert main([*argv, "--manifest", str(tmp_path / "data" / "manifest.json"),
-                 "--out", str(out)]) == 1
+    assert main([*argv, "--out", str(out)]) == 1
     assert "1 of 2 failed: utt_00001: " in capsys.readouterr().err
     names = {p.name for p in out.rglob("*") if p.is_file()}
     assert names and not {n for n in names if n.startswith("utt_00001_")}
-    assert {n for n in names if n.startswith("utt_00000_tgt1")}
+    if stage == "simulate":
+        assert {p.name: p.read_bytes() for p in out.rglob("utt_00000_*")} == kept
+        assert "manifest.json" not in names
+    else:
+        assert {n for n in names if n.startswith("utt_00000_tgt1")}
 
 
 def _bug(*args, **kwargs):
@@ -649,7 +662,7 @@ def test_a_bug_propagates_as_itself(dataset, tmp_path, monkeypatch, argv, module
 
 def test_a_bug_in_evaluate_propagates_as_itself(dataset, tmp_path, monkeypatch):
     # evaluate has no --jobs; its task reads the mixture first.
-    monkeypatch.setattr(evaluation, "_read", _bug)
+    monkeypatch.setattr(dataset_io, "read_wav", _bug)
     with pytest.raises(TypeError, match="a bug"):
         main(["evaluate", "--manifest", str(dataset[0] / "manifest.json"),
               "--estimates", str(tmp_path), "--out", str(tmp_path / "rep")])
@@ -730,8 +743,8 @@ def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
     # read back.
     out, manifest = dataset
     reads = []
-    read = pipeline.read_wav
-    monkeypatch.setattr(pipeline, "read_wav",
+    read = dataset_io.read_wav
+    monkeypatch.setattr(dataset_io, "read_wav",
                         lambda path, **k: reads.append(Path(path).name) or read(path, **k))
     assert main(["perturb", "--manifest", str(out / "manifest.json"),
                  "--out", str(tmp_path / "sweep"), "--direction-error-deg", "0,4"]) == 0
@@ -803,7 +816,7 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
     # reference row of each source image. Every signal scored owns its data.
     out, manifest = dataset
     wide = []
-    read, score, write = pipeline.read_wav, pipeline.si_sdr, pipeline.write_wav
+    read, score, write = dataset_io.read_wav, pipeline.si_sdr, pipeline.write_wav
 
     def tracked_read(path, **kwargs):
         wav, rate = read(path, **kwargs)
@@ -819,7 +832,7 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
         assert all(ref() is None for ref in wide)
         return write(path, data, rate)
 
-    monkeypatch.setattr(pipeline, "read_wav", tracked_read)
+    monkeypatch.setattr(dataset_io, "read_wav", tracked_read)
     monkeypatch.setattr(pipeline, "si_sdr", checked_score)
     monkeypatch.setattr(evaluation, "si_sdr", checked_score)
     monkeypatch.setattr(pipeline, "write_wav", checked_write)
@@ -997,3 +1010,61 @@ class TestManifestDecides:
         assert rc == 1
         err = capsys.readouterr().err
         assert Path(eight).name in err and "8 channels" in err
+
+    @pytest.mark.parametrize("argv, where, channels", [
+        (["separate", "--method", "ibm"], "image", 4),
+        (["perturb", "--direction-error-deg", "0"], "image", 4),
+        (["evaluate"], "image", 4),
+        (["evaluate"], "mixture", 8),
+    ], ids=["ibm-image", "perturb-image", "evaluate-image", "evaluate-mixture"])
+    def test_wrong_channel_count_fails_its_utterance(self, dataset, tmp_path, capsys, argv,
+                                                     where, channels):
+        # Every stage reads a mixture or image, whole or only its reference
+        # row, through the manifest, which checks one channel per microphone.
+        out, manifest = dataset
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        m = str(data / "manifest.json")
+        if argv[0] == "evaluate":
+            assert main(["separate", "--manifest", m, "--out", str(tmp_path / "est"),
+                         "--method", "das"]) == 0
+            argv = ["evaluate", "--estimates", str(tmp_path / "est")]
+        entry = manifest.utterances[1]
+        relative = entry.sources[1].image if where == "image" else entry.mixture
+        wav, rate = read_wav(data / relative)
+        write_wav(data / relative, np.resize(wav, (channels, wav.shape[1])), rate)
+        assert main([*argv, "--manifest", m, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"1 of 2 failed: {entry.id}: " in err
+        assert (f"{Path(relative).name}: {channels} channels, the manifest array has "
+                f"{manifest.array.num_mics} microphones") in err
+
+    def test_a_config_that_conflicts_with_the_manifest_raises(self, tmp_path):
+        # A PipelineConfig must describe the array and sample rate the
+        # dataset was recorded with; otherwise every stage raises before it
+        # writes anything, rather than steering and scoring with another.
+        manifest = simulate(tmp_path / "data", seed=3, n=1, extra=[
+            "--sample-rate", "8000", "--array-diameter", "0.1"])
+        own = pipeline.PipelineConfig.default(sample_rate=8000, array=manifest.array)
+        conflicts = {
+            "array positions differ": pipeline.PipelineConfig.default(sample_rate=8000),
+            "reference mic differ": pipeline.PipelineConfig.default(
+                sample_rate=8000, array=MicArray(manifest.array.positions, ref_index=2)),
+            "sample rate differ": pipeline.PipelineConfig.default(array=manifest.array),
+            "array positions, sample rate differ": pipeline.PipelineConfig.default(),
+        }
+        stages = {
+            "features": lambda cfg, out: pipeline.build_features(
+                manifest, out, cfg, frozenset({"lps"})),
+            "separate": lambda cfg, out: pipeline.separate_dataset(
+                manifest, [pipeline.Run(out, 0.0, 1.0, 1.0)], "heuristic", cfg, score=True),
+            "perturb": lambda cfg, out: pipeline.perturb_sweep(manifest, out, [0.0], 0, cfg),
+        }
+        for name, run in stages.items():
+            for k, (message, cfg) in enumerate(conflicts.items()):
+                out = tmp_path / f"{name}-{k}"
+                with pytest.raises(ValueError, match=f"{message} from the manifest"):
+                    run(cfg, out)
+                assert not out.exists(), (name, message)
+            run(own, tmp_path / f"{name}-own")
+            assert any((tmp_path / f"{name}-own").rglob("utt_00000_tgt1*"))

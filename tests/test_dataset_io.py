@@ -14,7 +14,7 @@ from scipy.io import wavfile
 from ssk.dataset_io import (DataFormatError, Manifest, SourceEntry,
                             UtteranceEntry, read_features, read_manifest,
                             read_wav, write_features, write_manifest, write_wav)
-from ssk.geometry import circular_array
+from ssk.geometry import MicArray, circular_array
 from ssk.spatial_features import FeatureStack
 
 import oracles
@@ -308,7 +308,8 @@ _utterances = st.builds(UtteranceEntry, id=st.text(), seed=st.integers(0, 2 ** 3
                         t60=_finite, room_dimensions=st.tuples(_finite, _finite, _finite),
                         array_center=st.tuples(_finite, _finite, _finite))
 _arrays = st.integers(1, 8).flatmap(lambda mics: st.builds(
-    circular_array, st.just(mics), st.floats(0.01, 1.0), st.integers(0, mics - 1)))
+    lambda diameter, ref: MicArray(circular_array(mics, diameter).positions, ref_index=ref),
+    st.floats(0.01, 1.0), st.integers(0, mics - 1)))
 _manifests = st.builds(Manifest, sample_rate=st.integers(1, 192_000), array=_arrays,
                        utterances=st.lists(_utterances, min_size=1, max_size=3).map(tuple))
 # Values of the wrong kind for each kind of required field.
