@@ -59,24 +59,25 @@ def _finite_list(text: str) -> list[float]:
     return values
 
 
+# Analysis flags: stage keyword -> (type, help). A flag left out is None and is
+# not passed, so its default is stated once, in PipelineConfig.default.
+_ANALYSIS_FLAGS = {
+    "fft_size": (_at_least(1), "FFT length for features"),
+    "win_len": (_at_least(1), "analysis window length, samples"),
+    "hop": (_at_least(1), "hop size, samples"),
+    "grid_step": (_finite, "direction grid spacing in degrees"),
+}
+
+
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fft-size", type=_at_least(1), default=64, help="FFT length for features")
-    p.add_argument("--win-len", type=_at_least(1), default=40,
-                   help="analysis window length, samples")
-    p.add_argument("--hop", type=_at_least(1), default=20, help="hop size, samples")
-    p.add_argument("--grid-step", type=_finite, default=10.0,
-                   help="direction grid spacing in degrees")
+    for name, (kind, text) in _ANALYSIS_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
 
 
-def _read_dataset(args):
-    """The manifest, and a :class:`~ssk.pipeline.PipelineConfig` with the
-    manifest's array and sample rate."""
-    from . import pipeline
-
-    manifest = read_manifest(args.manifest, validate_files=True)
-    return manifest, pipeline.PipelineConfig.default(
-        sample_rate=manifest.sample_rate, array=manifest.array, grid_step=args.grid_step,
-        fft_size=args.fft_size, win_len=args.win_len, hop=args.hop)
+def _analysis(args) -> dict:
+    """The analysis flags the user set, as stage keywords."""
+    return {name: getattr(args, name) for name in _ANALYSIS_FLAGS
+            if getattr(args, name) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,10 +162,9 @@ def cmd_simulate(args) -> int:
 def cmd_features(args) -> int:
     from . import pipeline
 
-    manifest, cfg = _read_dataset(args)
-    paths = pipeline.build_features(manifest, args.out, cfg,
-                                    pipeline.parse_features(args.features), args.cond,
-                                    jobs=args.jobs)
+    manifest = read_manifest(args.manifest, validate_files=True)
+    paths = pipeline.build_features(manifest, args.out, pipeline.parse_features(args.features),
+                                    cond=args.cond, jobs=args.jobs, **_analysis(args))
     print(f"wrote {len(paths)} feature files to {args.out}")
     return 0
 
@@ -172,10 +172,10 @@ def cmd_features(args) -> int:
 def cmd_separate(args) -> int:
     from . import pipeline
 
-    manifest, cfg = _read_dataset(args)
+    manifest = read_manifest(args.manifest, validate_files=True)
     run = pipeline.Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
-    paths, _ = pipeline.separate_dataset(manifest, [run], args.method, cfg, cond=args.cond,
-                                         error_seed=args.seed, jobs=args.jobs)
+    paths, _ = pipeline.separate_dataset(manifest, [run], args.method, cond=args.cond,
+                                         error_seed=args.seed, jobs=args.jobs, **_analysis(args))
     print(f"wrote {len(paths)} estimates to {args.out}")
     return 0
 
@@ -185,9 +185,8 @@ def cmd_evaluate(args) -> int:
 
     manifest = read_manifest(args.manifest, validate_files=True)
     report, _ = evaluation.evaluate_dataset(manifest, args.estimates, method=args.method)
-    out = Path(args.out)
-    write_json(out.with_suffix(".json"), report.to_dict())
-    report.write_csv(out.with_suffix(".csv"))
+    write_json(Path(f"{args.out}.json"), report.to_dict())
+    report.write_csv(Path(f"{args.out}.csv"))
     for b in report.bins:
         mean = "-" if b.mean_si_sdri is None else f"{b.mean_si_sdri:.2f}"
         print(f"bin {b.label:>6}: count {b.count:4d}  mean SI-SDRi {mean} dB")
@@ -199,9 +198,9 @@ def cmd_evaluate(args) -> int:
 def cmd_perturb(args) -> int:
     from . import pipeline
 
-    manifest, cfg = _read_dataset(args)
+    manifest = read_manifest(args.manifest, validate_files=True)
     sweep = pipeline.perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed,
-                                   cfg, cond=args.cond, jobs=args.jobs)
+                                   cond=args.cond, jobs=args.jobs, **_analysis(args))
     json_path, csv_path = pipeline.write_sweep_reports(sweep, args.out)
     for variant, rows in sweep["variants"].items():
         for row in rows:

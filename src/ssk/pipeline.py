@@ -13,9 +13,9 @@ both. The sweep also scores each estimate in the same task. Methods, feature
 blocks and direction conditions are plain names, each set stated once in
 :mod:`ssk.stages`; masks are (T, F) arrays.
 
-Each stage is one batch under the rule of :mod:`ssk.stages`, and checks
-first that its :class:`PipelineConfig` describes the manifest's array and
-sample rate."""
+Each stage is one batch under the rule of :mod:`ssk.stages`, and builds its
+:class:`PipelineConfig` once, from the manifest's array and sample rate and
+the analysis keywords ``grid_step``, ``fft_size``, ``win_len`` and ``hop``."""
 
 from __future__ import annotations
 
@@ -79,21 +79,12 @@ class PipelineConfig:
                    stft_cfg=cfg, oracle_cfg=StftConfig.oracle_mask_default(sample_rate))
 
 
-def _check_run(manifest: Manifest, cfg: PipelineConfig, cond: str) -> None:
-    """Raise :class:`ValueError` for an unknown ``cond``, or for a ``cfg``
-    whose array or sample rate is not the manifest's: it would steer and
-    score with geometry the dataset was not recorded with."""
+def _stage_config(manifest: Manifest, cond: str, analysis: dict) -> PipelineConfig:
+    """A stage's config: the manifest's array and sample rate with the
+    ``analysis`` choices. An unknown ``cond`` raises :class:`ValueError`."""
     if cond not in CONDS:
         raise ValueError(f"cond must be one of {CONDS}, got {cond!r}")
-    array = manifest.array
-    differ = [name for name, same in (
-        ("array positions", np.array_equal(cfg.array.positions, array.positions)),
-        ("reference mic", cfg.array.ref_index == array.ref_index),
-        ("sample rate", cfg.stft_cfg.sample_rate == manifest.sample_rate)) if not same]
-    if differ:
-        raise ValueError(f"the analysis config's {', '.join(differ)} differ from the "
-                         f"manifest's ({array.num_mics} mics, reference mic "
-                         f"{array.ref_index}, {manifest.sample_rate} Hz)")
+    return PipelineConfig.default(manifest.sample_rate, manifest.array, **analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +192,12 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: froz
                               for block in _BLOCKS[name](analysis, directions)])
 
 
-def build_features(manifest: Manifest, out_dir, cfg: PipelineConfig, blocks: frozenset[str],
-                   cond: str = "tgt", jobs: int = 1) -> list[Path]:
+def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: str = "tgt",
+                   jobs: int = 1, **analysis: float) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
-    and analysed once for all its targets."""
-    _check_run(manifest, cfg, cond)
+    and analysed once for all its targets. ``analysis``: ``grid_step``,
+    ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`)."""
+    cfg = _stage_config(manifest, cond, analysis)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -263,14 +255,15 @@ class Run:
 
 
 def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
-                     cfg: PipelineConfig, cond: str = "tgt", error_seed: int = 0,
-                     jobs: int = 1, score: bool = False
+                     cond: str = "tgt", error_seed: int = 0, jobs: int = 1,
+                     score: bool = False, **analysis: float
                      ) -> tuple[list[Path], list[list[EvalRecord]]]:
     """Separate every (utterance, target) once per run, in one pass over the
     utterances that reads and analyses each mixture once. Writes estimate
     WAVs plus JSON sidecars recording the method and the azimuth actually
     used; the error sign is drawn once per (utterance, target) from
-    ``error_seed`` and serves every run.
+    ``error_seed`` and serves every run. ``analysis``: ``grid_step``,
+    ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
 
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
@@ -283,7 +276,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     lists without ``score``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    _check_run(manifest, cfg, cond)
+    cfg = _stage_config(manifest, cond, analysis)
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
@@ -336,8 +329,7 @@ PERTURB_VARIANTS = {"af": (1.0, 0.0), "af_dpr": (1.0, 1.0)}
 
 
 def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: int,
-                  cfg: PipelineConfig, cond: str = "tgt",
-                  jobs: int = 1) -> dict:
+                  cond: str = "tgt", jobs: int = 1, **analysis: float) -> dict:
     """Heuristic separation under direction estimation error.
 
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
@@ -351,7 +343,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     computed once and dropped before the next: memory stays flat in the
     number of errors. The error sign is random per (utterance, target),
     drawn from a dedicated seeded stream, and is the same for every
-    magnitude.
+    magnitude. ``analysis``: ``grid_step``, ``fft_size``, ``win_len``, ``hop``.
     """
     out = Path(out_dir)
     dirs: dict[str, float] = {}
@@ -364,8 +356,8 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     runs = {(variant, error): Run(out / variant / name, error, alpha, beta)
             for variant, (alpha, beta) in PERTURB_VARIANTS.items()
             for name, error in dirs.items()}
-    _, records = separate_dataset(manifest, list(runs.values()), "heuristic", cfg, cond=cond,
-                                  error_seed=seed, jobs=jobs, score=True)
+    _, records = separate_dataset(manifest, list(runs.values()), "heuristic", cond=cond,
+                                  error_seed=seed, jobs=jobs, score=True, **analysis)
     reports = {key: aggregate(run_records, method=f"heuristic/{key[0]}")
                for key, run_records in zip(runs, records)}
     sweep: dict = {"seed": seed, "cond": cond,

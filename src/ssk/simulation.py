@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .dataset_io import (Manifest, SourceEntry, UtteranceEntry, read_manifest, read_wav,
-                         write_manifest, write_wav)
+from .dataset_io import (DataFormatError, Manifest, SourceEntry, UtteranceEntry, read_manifest,
+                         read_wav, write_manifest, write_wav)
 from .geometry import MicArray, closest_source
 from .metrics import BIN_LABELS, bin_index
 from .room_sim import render_mixture, sample_scene
@@ -98,6 +98,8 @@ def _draw_source(rng: np.random.Generator, duration: float, sample_rate: int,
         return SYNTH_KINDS[synth_kind](rng, duration, sample_rate)
     path = source_pool[int(rng.integers(len(source_pool)))]
     wav, _ = read_wav(path, expected_rate=sample_rate)
+    if wav.shape[0] != 1:
+        raise DataFormatError(f"{path}: {wav.shape[0]} channels; the pool takes mono WAVs")
     mono = wav[0]
     need = int(round(duration * sample_rate))
     if mono.size >= need:

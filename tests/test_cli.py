@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -17,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import ssk
 from ssk import dataset_io, evaluation, pipeline, simulation, spatial_features, spectral
-from ssk.cli import build_parser, main
+from ssk.cli import _ANALYSIS_FLAGS, build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
-from ssk.geometry import MicArray, circular_array
+from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
 from ssk.room_sim import MIN_SOURCE_DISTANCE, WALL_MARGIN, sample_scene
 from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
@@ -139,6 +140,30 @@ def test_empty_error_list_usage_error(dataset, tmp_path, capsys, errors):
     assert not (tmp_path / "sweep" / "sweep.json").exists()
 
 
+def test_analysis_flags_are_the_config_keywords(dataset, tmp_path):
+    # The analysis defaults are stated once, in PipelineConfig.default: each
+    # analysis stage offers exactly its analysis keywords as flags, and
+    # features with no flag writes what it writes with the defaults spelled out.
+    params = inspect.signature(pipeline.PipelineConfig.default).parameters
+    defaults = {name: p.default for name, p in params.items()
+                if name not in ("sample_rate", "array")}
+    assert set(_ANALYSIS_FLAGS) == set(defaults)
+    spelled = [tok for name, value in defaults.items()
+               for tok in ("--" + name.replace("_", "-"), str(value))]
+    parser = build_parser()
+    for stage, extra in (("features", []), ("separate", ["--method", "das"]), ("perturb", [])):
+        argv = [stage, "--manifest", "m", "--out", "o", *extra]
+        args = parser.parse_args(argv)
+        assert {name: getattr(args, name) for name in defaults} == dict.fromkeys(defaults), stage
+        args = parser.parse_args([*argv, *spelled])
+        assert {name: getattr(args, name) for name in defaults} == defaults, stage
+    m = str(dataset[0] / "manifest.json")
+    assert main(["features", "--manifest", m, "--out", str(tmp_path / "bare")]) == 0
+    assert main(["features", "--manifest", m, "--out", str(tmp_path / "spelled"),
+                 *spelled]) == 0
+    assert tree_hash(tmp_path / "bare") == tree_hash(tmp_path / "spelled")
+
+
 class TestSimulate:
     def test_outputs_and_determinism(self, tmp_path):
         m1 = simulate(tmp_path / "a", seed=7, n=3, duration=0.6)
@@ -169,6 +194,20 @@ class TestSimulate:
                    "--source-dir", str(pool)])
         assert rc == 1
         assert "sample rate 8000 Hz, expected 16000 Hz" in capsys.readouterr().err
+
+    def test_multichannel_source_rejected(self, tmp_path, capsys):
+        # The pool takes mono WAVs: a multichannel one fails its scene rather
+        # than giving up all channels but the first.
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        write_wav(pool / "mix.wav", np.random.default_rng(0).standard_normal((6, 8000)), 16000)
+        rc = main(["simulate", "--out", str(tmp_path / "d"), "--num-scenes", "1",
+                   "--duration", "0.3", "--source-dir", str(pool)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "1 of 1 failed: utt_00000: " in err
+        assert "mix.wav: 6 channels; the pool takes mono WAVs" in err
+        assert not [p for p in (tmp_path / "d").rglob("*") if p.is_file()]
 
     def test_mics_keep_the_wall_margin(self, tmp_path):
         # The array centre keeps the whole array clear of the walls: every
@@ -313,18 +352,19 @@ class TestFeatures:
         assert stack.data.shape == (analysis.spec.num_frames, sum(w for _, w in expected))
 
 
-@pytest.mark.parametrize("stage", ["features", "separate"])
+@pytest.mark.parametrize("stage", ["features", "separate", "perturb"])
 def test_unknown_cond_raises_and_writes_nothing(dataset, tmp_path, stage):
     _, manifest = dataset
-    cfg = pipeline.PipelineConfig.default()
     dest = tmp_path / "out"
     with pytest.raises(ValueError, match="cond"):
         if stage == "features":
-            pipeline.build_features(manifest, dest, cfg, frozenset(pipeline.FEATURE_BLOCKS),
-                                    "intf")
-        else:
+            pipeline.build_features(manifest, dest, frozenset(pipeline.FEATURE_BLOCKS),
+                                    cond="intf")
+        elif stage == "separate":
             pipeline.separate_dataset(manifest, [pipeline.Run(dest, 0.0, 1.0, 1.0)],
-                                      "heuristic", cfg, cond="intf")
+                                      "heuristic", cond="intf")
+        else:
+            pipeline.perturb_sweep(manifest, dest, [0.0], 0, cond="intf")
     assert not dest.exists()
 
 
@@ -392,6 +432,20 @@ class TestEvaluate:
             if b["count"]:
                 assert abs(b["mean_si_sdri"]) < 1e-9
         assert (tmp_path / "rep.csv").exists()
+
+    def test_out_prefix_keeps_its_dots(self, dataset, tmp_path):
+        # --out is a prefix: .json and .csv are appended, so prefixes that
+        # differ after a dot name different reports.
+        out, _ = dataset
+        m = str(out / "manifest.json")
+        assert main(["separate", "--manifest", m, "--out", str(tmp_path / "est"),
+                     "--method", "das"]) == 0
+        for prefix, method in (("alpha0.5", "das"), ("alpha0.7", "other")):
+            assert main(["evaluate", "--manifest", m, "--estimates", str(tmp_path / "est"),
+                         "--out", str(tmp_path / "rep" / prefix), "--method", method]) == 0
+        assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [
+            "alpha0.5.csv", "alpha0.5.json", "alpha0.7.csv", "alpha0.7.json"]
+        assert json.loads((tmp_path / "rep" / "alpha0.5.json").read_text())["method"] == "das"
 
     def test_references_as_estimates_hit_cap(self, dataset, tmp_path):
         out, manifest = dataset
@@ -912,18 +966,39 @@ def test_run_paths_take_no_phase_angle(dataset, tmp_path, monkeypatch):
 
 class TestManifestDecides:
     def test_geometry_and_rate_come_from_the_manifest(self, tmp_path):
+        # Every analysis stage takes the array and sample rate from the
+        # manifest alone: on an 8 kHz, 4-mic, 0.1 m set each CLI tree equals
+        # the API's given only the manifest.
         out = tmp_path / "data"
         manifest = simulate(out, seed=4, n=1, duration=0.5,
                             extra=["--array-diameter", "0.1", "--num-mics", "4",
                                    "--sample-rate", "8000"])
-        rc = main(["features", "--manifest", str(out / "manifest.json"),
-                   "--out", str(tmp_path / "feat"), "--cond", "tgt+intf"])
-        assert rc == 0
-        expected = pipeline.PipelineConfig.default(sample_rate=8000,
-                                                   array=circular_array(4, 0.1))
-        pipeline.build_features(manifest, tmp_path / "ref", expected,
-                                frozenset({"lps", "cosipd", "af", "dpr"}), "tgt+intf")
-        assert tree_hash(tmp_path / "feat") == tree_hash(tmp_path / "ref")
+        npt.assert_array_equal(manifest.array.positions, circular_array(4, 0.1).positions)
+        assert manifest.sample_rate == 8000
+
+        def run(dest, method, cond="tgt"):
+            return pipeline.separate_dataset(manifest, [pipeline.Run(dest, 0.0, 1.0, 1.0)],
+                                             method, cond=cond)
+
+        stages = {
+            ("features", "--cond", "tgt+intf"): lambda dest: pipeline.build_features(
+                manifest, dest, frozenset({"lps", "cosipd", "af", "dpr"}), cond="tgt+intf"),
+            ("separate", "--method", "ibm"): lambda dest: run(dest, "ibm"),
+            ("separate", "--method", "das"): lambda dest: run(dest, "das"),
+            ("separate", "--method", "heuristic", "--cond", "tgt+intf"):
+                lambda dest: run(dest, "heuristic", "tgt+intf"),
+            ("perturb", "--direction-error-deg", "0,3"): lambda dest: (
+                pipeline.write_sweep_reports(pipeline.perturb_sweep(manifest, dest, [0.0, 3.0], 0),
+                                             dest)),
+        }
+        for k, (argv, api) in enumerate(stages.items()):
+            assert main([*argv, "--manifest", str(out / "manifest.json"),
+                         "--out", str(tmp_path / f"cli{k}")]) == 0, argv
+            api(tmp_path / f"api{k}")
+            assert tree_hash(tmp_path / f"cli{k}") == tree_hash(tmp_path / f"api{k}"), argv
+        # Four mics make three pairs of 33 bins in the IPD block.
+        layout = dict(read_features(tmp_path / "cli0" / "utt_00000_tgt0.tsnf").layout)
+        assert layout["cosipd"] == 3 * 33
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("array"),
@@ -1038,33 +1113,3 @@ class TestManifestDecides:
         assert f"1 of 2 failed: {entry.id}: " in err
         assert (f"{Path(relative).name}: {channels} channels, the manifest array has "
                 f"{manifest.array.num_mics} microphones") in err
-
-    def test_a_config_that_conflicts_with_the_manifest_raises(self, tmp_path):
-        # A PipelineConfig must describe the array and sample rate the
-        # dataset was recorded with; otherwise every stage raises before it
-        # writes anything, rather than steering and scoring with another.
-        manifest = simulate(tmp_path / "data", seed=3, n=1, extra=[
-            "--sample-rate", "8000", "--array-diameter", "0.1"])
-        own = pipeline.PipelineConfig.default(sample_rate=8000, array=manifest.array)
-        conflicts = {
-            "array positions differ": pipeline.PipelineConfig.default(sample_rate=8000),
-            "reference mic differ": pipeline.PipelineConfig.default(
-                sample_rate=8000, array=MicArray(manifest.array.positions, ref_index=2)),
-            "sample rate differ": pipeline.PipelineConfig.default(array=manifest.array),
-            "array positions, sample rate differ": pipeline.PipelineConfig.default(),
-        }
-        stages = {
-            "features": lambda cfg, out: pipeline.build_features(
-                manifest, out, cfg, frozenset({"lps"})),
-            "separate": lambda cfg, out: pipeline.separate_dataset(
-                manifest, [pipeline.Run(out, 0.0, 1.0, 1.0)], "heuristic", cfg, score=True),
-            "perturb": lambda cfg, out: pipeline.perturb_sweep(manifest, out, [0.0], 0, cfg),
-        }
-        for name, run in stages.items():
-            for k, (message, cfg) in enumerate(conflicts.items()):
-                out = tmp_path / f"{name}-{k}"
-                with pytest.raises(ValueError, match=f"{message} from the manifest"):
-                    run(cfg, out)
-                assert not out.exists(), (name, message)
-            run(own, tmp_path / f"{name}-own")
-            assert any((tmp_path / f"{name}-own").rglob("utt_00000_tgt1*"))
