@@ -51,9 +51,19 @@ def _at_least(low: int):
     return integer
 
 
-def _finite_list(text: str) -> list[float]:
-    """argparse type of a comma list of finite numbers; at least one."""
-    values = [_finite(tok) for tok in text.split(",") if tok.strip()]
+def _finite_from(low: float, strict: bool):
+    """argparse type of a float flag: a finite number >= ``low``, or > with ``strict``."""
+    def number(text: str) -> float:
+        value = _finite(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {'>' if strict else '>='} {low:g}")
+        return value + 0.0  # "-0" reads as 0.0, not -0.0
+    return number
+
+
+def _magnitudes(text: str) -> list[float]:
+    """argparse type of a comma list of error magnitudes (each >= 0); at least one."""
+    values = [_finite_from(0.0, strict=False)(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"{text!r} lists no numbers")
     return values
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--num-scenes", type=_at_least(0), default=50)
     p_sim.add_argument("--num-speakers", type=int, default=2, choices=(1, 2, 3))
-    p_sim.add_argument("--duration", type=_finite, default=2.0,
+    p_sim.add_argument("--duration", type=_finite_from(0.0, strict=True), default=2.0,
                        help="dry source duration in seconds")
     p_sim.add_argument("--source-dir", default=None,
                        help="directory of mono WAVs to use as dry sources")
@@ -119,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--cond", default="tgt", choices=CONDS)
     p_sep.add_argument("--alpha", type=_finite, default=1.0, help="heuristic AF weight")
     p_sep.add_argument("--beta", type=_finite, default=1.0, help="heuristic DPR weight")
-    p_sep.add_argument("--direction-error-deg", type=_finite, default=0.0,
-                       help="perturb the target azimuth by this magnitude, random sign")
+    p_sep.add_argument("--direction-error-deg", type=_finite_from(0.0, strict=False),
+                       default=0.0, help="perturb the target azimuth by this magnitude, "
+                       "random sign")
     p_sep.add_argument("--seed", type=int, default=0, help="error-sign seed")
     p_sep.add_argument("--jobs", type=_at_least(1), default=1)
     _add_analysis_flags(p_sep)
@@ -135,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--manifest", required=True)
     p_pert.add_argument("--out", required=True, help="sweep output directory")
     p_pert.add_argument("--direction-error-deg", default="0,1,2,3,4,5,6,7,8,9,10",
-                        type=_finite_list, help="comma list of error magnitudes in degrees")
+                        type=_magnitudes, help="comma list of error magnitudes in degrees")
     p_pert.add_argument("--seed", type=int, default=0)
     p_pert.add_argument("--cond", default="tgt", choices=CONDS)
     p_pert.add_argument("--jobs", type=_at_least(1), default=1)
@@ -162,7 +173,7 @@ def cmd_simulate(args) -> int:
 def cmd_features(args) -> int:
     from . import pipeline
 
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest = read_manifest(args.manifest)
     paths = pipeline.build_features(manifest, args.out, pipeline.parse_features(args.features),
                                     cond=args.cond, jobs=args.jobs, **_analysis(args))
     print(f"wrote {len(paths)} feature files to {args.out}")
@@ -172,7 +183,7 @@ def cmd_features(args) -> int:
 def cmd_separate(args) -> int:
     from . import pipeline
 
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest = read_manifest(args.manifest)
     run = pipeline.Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
     paths, _ = pipeline.separate_dataset(manifest, [run], args.method, cond=args.cond,
                                          error_seed=args.seed, jobs=args.jobs, **_analysis(args))
@@ -183,7 +194,7 @@ def cmd_separate(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import evaluation
 
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest = read_manifest(args.manifest)
     report, _ = evaluation.evaluate_dataset(manifest, args.estimates, method=args.method)
     write_json(Path(f"{args.out}.json"), report.to_dict())
     report.write_csv(Path(f"{args.out}.csv"))
@@ -198,7 +209,7 @@ def cmd_evaluate(args) -> int:
 def cmd_perturb(args) -> int:
     from . import pipeline
 
-    manifest = read_manifest(args.manifest, validate_files=True)
+    manifest = read_manifest(args.manifest)
     sweep = pipeline.perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed,
                                    cond=args.cond, jobs=args.jobs, **_analysis(args))
     json_path, csv_path = pipeline.write_sweep_reports(sweep, args.out)

@@ -239,17 +239,13 @@ class Manifest:
     # Absolute location of the manifest file, set on load, never serialized.
     base_dir: Path | None = field(default=None, compare=False)
 
-    def resolve(self, relative: str) -> Path:
-        if self.base_dir is None:
-            return Path(relative)
-        return self.base_dir / relative
-
     def read(self, relative: str, ref_row: bool = False) -> np.ndarray:
         """The dataset WAV at ``relative`` (a mixture or source image), (J, n),
         or with ``ref_row`` its reference-mic row alone, (n,), owning its
         data. The file must have the manifest's sample rate and one channel
         per array microphone."""
-        wav, _ = read_wav(self.resolve(relative), expected_rate=self.sample_rate,
+        path = Path(relative) if self.base_dir is None else self.base_dir / relative
+        wav, _ = read_wav(path, expected_rate=self.sample_rate,
                           expected_channels=self.array.num_mics,
                           channel=self.array.ref_index if ref_row else None)
         return wav
@@ -268,12 +264,13 @@ def write_manifest(path, manifest: Manifest) -> None:
     write_json(path, manifest.to_dict())
 
 
-def read_manifest(path, validate_files: bool = False) -> Manifest:
+def read_manifest(path) -> Manifest:
     """Load a manifest. A schema mismatch, an unknown field, or a missing or
     mistyped required field raises :class:`DataFormatError` that names the
-    field and its utterance; so does a missing or malformed ``array``.
-
-    With ``validate_files`` every referenced WAV must exist.
+    field and its utterance; so does a missing or malformed ``array``, and
+    an utterance id that repeats or is not a plain file name (outputs are
+    named after it). A referenced WAV is checked only where it is read
+    (:meth:`Manifest.read`), so a missing one fails only its utterance.
     """
     path = Path(path)
     try:
@@ -288,25 +285,22 @@ def read_manifest(path, validate_files: bool = False) -> Manifest:
             f"{path}: unsupported manifest 'schema_version' {version!r}, "
             f"this reader supports {MANIFEST_SCHEMA_VERSION}")
     top = _fields(doc, _TOP_FIELDS, path, "manifest", optional=_TOP_APART)
-    utterances = []
+    utterances, ids = [], set()
     for i, u in enumerate(top["utterances"]):
         where = (f"utterance {u['id']!r}" if isinstance(u, dict) and isinstance(u.get("id"), str)
                  else f"utterance #{i}")
         fields = _fields(u, _UTT_FIELDS, path, where)
+        name = fields["id"]
+        if name in ids or name in ("", "..") or Path(name).name != name:
+            raise DataFormatError(f"{path}: field 'id' of {where} must be a plain file "
+                                  "name that no other utterance has")
+        ids.add(name)
         fields["sources"] = tuple(
             SourceEntry(**_fields(src, _SOURCE_FIELDS, path, f"source {k} of {where}"))
             for k, src in enumerate(fields["sources"]))
         utterances.append(UtteranceEntry(**fields))
-    manifest = Manifest(sample_rate=top["sample_rate"], array=_mic_array(doc.get("array"), path),
-                        utterances=tuple(utterances), base_dir=path.parent.resolve())
-    if validate_files:
-        for u in manifest.utterances:
-            refs = [u.mixture] + [s.image for s in u.sources] + [s.dry for s in u.sources]
-            for ref in refs:
-                if not manifest.resolve(ref).exists():
-                    raise DataFormatError(
-                        f"{path}: utterance {u.id!r} references missing file {ref}")
-    return manifest
+    return Manifest(sample_rate=top["sample_rate"], array=_mic_array(doc.get("array"), path),
+                    utterances=tuple(utterances), base_dir=path.parent.resolve())
 
 
 def _mic_array(array, path) -> MicArray:

@@ -67,7 +67,7 @@ class DirectionGrid:
         object.__setattr__(self, "azimuths", az)
 
     @classmethod
-    def uniform(cls, step_deg: float = 10.0) -> "DirectionGrid":
+    def uniform(cls, step_deg: float) -> "DirectionGrid":
         if not 0.0 < step_deg <= 180.0:
             raise ValueError("step must be in (0, 180]")
         return cls(np.arange(0.0, 360.0, step_deg))

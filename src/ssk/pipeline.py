@@ -28,7 +28,7 @@ import numpy as np
 from .dataset_io import (Manifest, UtteranceEntry, atomic_write_bytes, write_features,
                          write_json, write_wav)
 from .evaluation import _record, evaluate_dataset  # noqa: F401 (re-exported)
-from .geometry import DirectionGrid, MicArray, PairSelection, circular_array, closest_source
+from .geometry import DirectionGrid, MicArray, PairSelection, closest_source
 from .metrics import EvalRecord, aggregate, si_sdr
 from .separation import apply_mask, das_beamform, directional_mask, oracle_mask
 from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
@@ -61,12 +61,13 @@ class PipelineConfig:
     oracle_cfg: StftConfig
 
     @classmethod
-    def default(cls, sample_rate: int = 16000, array: MicArray | None = None,
-                grid_step: float = 10.0, fft_size: int = 64, win_len: int = 40,
-                hop: int = 20) -> "PipelineConfig":
-        """Config for ``array``, by default the 6-mic 0.07 m circle. Six mics
-        use the default pairs; other counts pair every mic with mic 0."""
-        array = array if array is not None else circular_array(6, 0.07)
+    def default(cls, sample_rate: int, array: MicArray, grid_step: float = 10.0,
+                fft_size: int = 64, win_len: int = 40, hop: int = 20) -> "PipelineConfig":
+        """Config for a recording by ``array`` at ``sample_rate``, both stated
+        by the caller. The analysis keywords default, in their one statement,
+        to the paper's 40-sample Hann at hop 20 with a 64-point FFT (2.5 ms at
+        16 kHz) and a 10-degree grid. Six mics use the default pairs; other
+        counts pair every mic with mic 0."""
         if array.num_mics == 6:
             pairs = PairSelection.default_six()
         elif array.num_mics > 1:

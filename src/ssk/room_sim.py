@@ -42,7 +42,7 @@ class RoomConfig:
     t60: float
     array_center: np.ndarray
     source_positions: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int
 
     def __post_init__(self) -> None:
         dims = np.asarray(self.dimensions, dtype=float).ravel()
@@ -221,12 +221,13 @@ def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
 
 
 def simulate_rir(room: RoomConfig, source_index: int, mic_position: np.ndarray,
-                 reflection_coefficient: float | None = None) -> np.ndarray:
-    """Image-method RIR from one source to one mic position.
+                 reflection_coefficient: float) -> np.ndarray:
+    """Image-method RIR from one source to one mic position, with walls of
+    ``reflection_coefficient`` (the room's own is
+    :func:`calibrated_reflection_coefficient`).
 
     ``t60 == 0`` yields the anechoic direct path only (amplitude
-    1/(4*pi*d) at delay d/c). The reflection coefficient is calibrated per
-    room unless given explicitly.
+    1/(4*pi*d) at delay d/c).
     """
     if not 0 <= source_index < room.num_sources:
         raise ValueError(f"source_index {source_index} out of range")
@@ -234,9 +235,8 @@ def simulate_rir(room: RoomConfig, source_index: int, mic_position: np.ndarray,
     mic = np.asarray(mic_position, dtype=float).ravel()
     if mic.shape != (3,):
         raise ValueError("mic_position must be a 3-D point")
-    beta = calibrated_reflection_coefficient(room) if reflection_coefficient is None \
-        else float(reflection_coefficient)
-    return _image_method(source, mic, room.dimensions, beta, room.t60, room.sample_rate)
+    return _image_method(source, mic, room.dimensions, float(reflection_coefficient),
+                         room.t60, room.sample_rate)
 
 
 def mic_positions_in_room(room: RoomConfig, array: MicArray) -> np.ndarray:
@@ -345,12 +345,13 @@ def _ray_box_range(center: np.ndarray, direction: np.ndarray,
     return float(t_max)
 
 
-def sample_scene(rng_seed, n_sources: int, sample_rate: int = 16000,
-                 array_radius: float = 0.035,
+def sample_scene(rng_seed, n_sources: int, sample_rate: int, array_radius: float,
                  azimuths: Sequence[float] | None = None,
                  t60_range: tuple[float, float] = T60_RANGE,
                  max_attempts: int = 50) -> tuple[RoomConfig, list[float]]:
-    """Sample a room, T60, array center and source positions.
+    """Sample a room, T60, array center and source positions for a recording
+    at ``sample_rate`` by an array of horizontal ``array_radius``, both
+    stated by the caller.
 
     Rooms range from 3x3x2.5 m to 8x10x6 m, T60 uniform in ``t60_range``,
     sources and every mic of an array of horizontal ``array_radius`` at least

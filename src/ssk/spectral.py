@@ -44,16 +44,17 @@ def _hop_folded(x: np.ndarray, hop: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StftConfig:
-    """Analysis window, FFT size and hop. Defaults follow the 2.5 ms / 1.25 ms
-    kernel: 40-sample periodic Hann, hop 20, 64-point FFT, 33 bins.
+    """Analysis window, FFT size, hop and the sample rate they apply at, all
+    stated by the caller (:meth:`ssk.pipeline.PipelineConfig.default` holds
+    the paper's 2.5 ms / 1.25 ms kernel).
 
     The window must satisfy constant overlap-add at the hop, so every config
     can be inverted by :func:`istft`."""
 
     window: np.ndarray
-    fft_size: int = 64
-    hop: int = 20
-    sample_rate: int = 16000
+    fft_size: int
+    hop: int
+    sample_rate: int
 
     def __post_init__(self) -> None:
         win = np.asarray(self.window, dtype=float).ravel()
@@ -74,11 +75,7 @@ class StftConfig:
         object.__setattr__(self, "window", win)
 
     @classmethod
-    def default(cls, sample_rate: int = 16000) -> "StftConfig":
-        return cls(window=hann_periodic(40), fft_size=64, hop=20, sample_rate=sample_rate)
-
-    @classmethod
-    def oracle_mask_default(cls, sample_rate: int = 16000) -> "StftConfig":
+    def oracle_mask_default(cls, sample_rate: int) -> "StftConfig":
         """16 ms Hann / 256-point FFT / 50% hop used for oracle masks."""
         return cls(window=hann_periodic(256), fft_size=256, hop=128, sample_rate=sample_rate)
 
@@ -94,11 +91,6 @@ class StftConfig:
     def freqs(self) -> np.ndarray:
         """Bin center frequencies in Hz."""
         return np.arange(self.num_bins) * self.sample_rate / self.fft_size
-
-    def num_frames(self, num_samples: int) -> int:
-        if num_samples < self.win_len:
-            return 0
-        return 1 + (num_samples - self.win_len) // self.hop
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def noise_burst(rng_seed, duration: float, sample_rate: int = 16000,
+def noise_burst(rng_seed, duration: float, sample_rate: int,
                 band: tuple[float, float] = (200.0, 6000.0)) -> np.ndarray:
     """Band-limited white noise with a Hann fade on both ends."""
     rng = _rng(rng_seed)
@@ -29,7 +29,7 @@ def noise_burst(rng_seed, duration: float, sample_rate: int = 16000,
     return _unit_rms(x)
 
 
-def am_tone(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
+def am_tone(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
     """Amplitude-modulated sinusoid: a 300-3000 Hz carrier, 2-8 Hz modulation."""
     rng = _rng(rng_seed)
     carrier = float(rng.uniform(300.0, 3000.0))
@@ -40,7 +40,7 @@ def am_tone(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
     return _unit_rms(x)
 
 
-def chirp(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
+def chirp(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
     """Linear frequency sweep from 200 to 6000 Hz."""
     rng = _rng(rng_seed)
     f0, f1 = 200.0, 6000.0
@@ -49,7 +49,7 @@ def chirp(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
     return _unit_rms(np.sin(phase + rng.uniform(0, 2 * np.pi)))
 
 
-def speech_like(rng_seed, duration: float, sample_rate: int = 16000) -> np.ndarray:
+def speech_like(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
     """Speech-like signal: a random sequence of harmonic (voiced), noisy
     (unvoiced) and silent segments, 50-180 ms each, with formant-shaped
     spectra, pitch vibrato and syllel-level dynamics.

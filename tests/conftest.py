@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ssk.geometry import DirectionGrid, PairSelection, circular_array
-from ssk.spectral import StftConfig
+
+from oracles import PAPER_STFT
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +25,7 @@ def grid36():
 
 @pytest.fixture(scope="session")
 def cfg_default():
-    return StftConfig.default()
+    return PAPER_STFT
 
 
 @pytest.fixture

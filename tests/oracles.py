@@ -8,7 +8,16 @@ import struct
 import numpy as np
 
 from ssk.geometry import angle_difference
-from ssk.spectral import build_kernel
+from ssk.spectral import StftConfig, build_kernel, hann_periodic
+
+# The setup the tests record and analyse at, stated here because the library
+# states none: 16 kHz, the 6-mic 0.07 m circle (0.035 m radius), the paper's
+# 2.5 ms analysis (40-sample Hann, hop 20, 64-point FFT) and the 16 ms
+# oracle-mask analysis.
+FS = 16000
+ARRAY_RADIUS = 0.035
+PAPER_STFT = StftConfig(window=hann_periodic(40), fft_size=64, hop=20, sample_rate=FS)
+ORACLE_STFT = StftConfig.oracle_mask_default(FS)
 
 
 def naive_stft(x: np.ndarray, window: np.ndarray, fft_size: int, hop: int) -> np.ndarray:

@@ -17,16 +17,14 @@ from ssk.dataset_io import read_features
 from ssk.geometry import circular_array, tdoa
 from ssk.metrics import si_sdr, si_sdri
 from ssk.pipeline import PipelineConfig, perturb_sweep, simulate_dataset
-from ssk.room_sim import RoomConfig, render_mixture, sample_scene, simulate_rir, \
-    estimate_t60
+from ssk.room_sim import RoomConfig, calibrated_reflection_coefficient, estimate_t60, \
+    render_mixture, sample_scene, simulate_rir
 from ssk.separation import apply_mask, oracle_mask
 from ssk.spatial_features import SpatialAnalysis, multichannel_stft, nearest_direction
 from ssk.spectral import ComplexSpectrogram, istft, stft
 
-from oracles import naive_stft, xcorr_peak_lag
+from oracles import ARRAY_RADIUS, FS, naive_stft, xcorr_peak_lag
 from test_cli import tree_hash
-
-FS = 16000
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -38,7 +36,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def cfg():
-    return PipelineConfig.default()
+    return PipelineConfig.default(FS, circular_array(6, 0.07))
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +50,7 @@ def small_dataset(tmp_path_factory):
 def _anechoic_scene(seed, azimuths, duration=0.8):
     rng = np.random.default_rng(seed)
     array = circular_array(6, 0.07)
-    room, az = sample_scene(rng, len(azimuths), sample_rate=FS,
+    room, az = sample_scene(rng, len(azimuths), FS, ARRAY_RADIUS,
                             azimuths=azimuths, t60_range=(0.0, 0.0))
     dry = [synth.speech_like(rng, duration, FS) for _ in azimuths]
     return render_mixture(dry, room, array, mixing_gains_db=[0.0] * len(azimuths)), az, array
@@ -129,7 +127,7 @@ def test_c05_geometry_consistency():
     failures = 0
     for seed in range(50):
         rng = np.random.default_rng(5000 + seed)
-        room, az = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.0, 0.0))
+        room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.3, FS)]
         scene = render_mixture(dry, room, array)
         delays = tdoa(array, az[0]) * FS
@@ -147,9 +145,9 @@ def test_c06_rir_fidelity():
     arrival_ok = True
     for seed in range(12):
         rng = np.random.default_rng(6000 + seed)
-        room, _ = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.0, 0.0))
+        room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         mic = room.array_center + np.array([0.02, -0.015, 0.0])
-        h = simulate_rir(room, 0, mic)
+        h = simulate_rir(room, 0, mic, calibrated_reflection_coefficient(room))
         d = float(np.linalg.norm(room.source_positions[0] - mic))
         if abs(int(np.argmax(np.abs(h))) - round(d / c * FS)) > 1:
             arrival_ok = False
@@ -157,7 +155,7 @@ def test_c06_rir_fidelity():
     for t60 in (0.15, 0.3, 0.5):
         room = RoomConfig(dimensions=[5, 6, 3], t60=t60, array_center=[2.5, 3, 1.5],
                           source_positions=[[1.5, 2.0, 1.5]], sample_rate=FS)
-        h = simulate_rir(room, 0, [2.6, 3.1, 1.5])
+        h = simulate_rir(room, 0, [2.6, 3.1, 1.5], calibrated_reflection_coefficient(room))
         t60_errs.append(abs(estimate_t60(h, FS) - t60) / t60)
     report(6, "direct path within 1 sample; Schroeder T60 within 25%",
            arrival_ok and max(t60_errs) < 0.25,
@@ -206,7 +204,7 @@ def test_c09_oracle_mask_ordering(cfg):
     means = {"ibm": [], "irm": [], "ipsm": []}
     for seed in range(100):
         rng = np.random.default_rng(50_000 + seed)
-        room, _ = sample_scene(rng, 2, sample_rate=FS)
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 1.5, FS) for _ in range(2)]
         gains = [0.0, float(rng.uniform(-5.0, 0.0))]
         scene = render_mixture(dry, room, cfg.array, mixing_gains_db=gains)

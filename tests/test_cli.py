@@ -97,6 +97,11 @@ def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloa
 
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--duration", "inf"], "--duration"),
+    (["simulate", "--duration", "0"], "--duration"),
+    (["simulate", "--duration", "-1"], "--duration"),
+    (["perturb", "--direction-error-deg=-3,3"], "--direction-error-deg"),
+    (["separate", "--method", "heuristic", "--direction-error-deg=-2"],
+     "--direction-error-deg"),
     (["perturb", "--direction-error-deg", "0,inf"], "--direction-error-deg"),
     (["perturb", "--direction-error-deg", "nan"], "--direction-error-deg"),
     (["separate", "--method", "heuristic", "--alpha", "nan"], "--alpha"),
@@ -112,14 +117,16 @@ def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloa
     (["features", "--fft-size", "0"], "--fft-size"),
     (["separate", "--method", "das", "--win-len", "-40"], "--win-len"),
     (["perturb", "--hop", "0"], "--hop"),
-], ids=["duration-inf", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan",
+], ids=["duration-inf", "duration-0", "duration-negative", "error-list-negative",
+        "error-negative", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan",
         "simulate-jobs-0", "features-jobs-negative", "separate-jobs-0",
         "perturb-jobs-negative", "num-scenes-negative", "sample-rate-0", "num-mics-0",
         "fft-size-0", "win-len-negative", "hop-0"])
 def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag):
     # Every float flag, and each item of perturb's error list, must be
-    # finite, --jobs and the other size flags at least 1 and --num-scenes at
-    # least 0: a usage error names the flag before any output is made.
+    # finite, an error magnitude at least 0, --duration above 0, --jobs and
+    # the other size flags at least 1 and --num-scenes at least 0: a usage
+    # error names the flag before any output is made.
     manifest = [] if argv[0] == "simulate" else ["--manifest", str(dataset[0] / "manifest.json")]
     with pytest.raises(SystemExit) as exc:
         main([*argv, *manifest, "--out", str(tmp_path / "x")])
@@ -138,6 +145,18 @@ def test_empty_error_list_usage_error(dataset, tmp_path, capsys, errors):
     assert exc.value.code == 2
     assert "argument --direction-error-deg: " in capsys.readouterr().err
     assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def test_negative_zero_error_reads_as_zero():
+    # "-0" names the magnitude 0, so no report writes an error of -0.
+    parser = build_parser()
+    args = parser.parse_args(["perturb", "--manifest", "m", "--out", "o",
+                              "--direction-error-deg=-0,2"])
+    assert args.direction_error_deg == [0.0, 2.0]
+    assert not np.signbit(args.direction_error_deg).any()
+    args = parser.parse_args(["separate", "--manifest", "m", "--out", "o", "--method", "das",
+                              "--direction-error-deg=-0"])
+    assert not np.signbit(args.direction_error_deg)
 
 
 def test_analysis_flags_are_the_config_keywords(dataset, tmp_path):
@@ -241,8 +260,10 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", ["noise", "am", "chirp"])
     def test_synth_kind_gives_a_valid_dataset(self, tmp_path, kind):
         out = tmp_path / kind
-        simulate(out, seed=5, n=1, duration=0.4, extra=["--synth-kind", kind])
-        read_manifest(out / "manifest.json", validate_files=True)
+        manifest = simulate(out, seed=5, n=1, duration=0.4, extra=["--synth-kind", kind])
+        for u in manifest.utterances:
+            for ref in [u.mixture, *(s.image for s in u.sources), *(s.dry for s in u.sources)]:
+                assert read_wav(out / ref)[0].size, ref
         assert main(["separate", "--manifest", str(out / "manifest.json"),
                      "--out", str(tmp_path / "est"), "--method", "heuristic"]) == 0
 
@@ -335,7 +356,7 @@ class TestFeatures:
         # Blocks stack in FEATURE_BLOCKS order: LPS is F wide, each IPD block
         # U*F, AF and DPR F per direction (the target, then the interferer).
         _, manifest = dataset
-        cfg = pipeline.PipelineConfig.default()
+        cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
         analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
         stack = pipeline.compute_feature_stack(analysis, 0, frozenset(blocks), cond)
         bins, pairs = cfg.stft_cfg.num_bins, len(cfg.pairs.pairs)
@@ -555,7 +576,7 @@ class TestPerturb:
 # Batch rule: every utterance runs, a failure ends only its own utterance,
 # and a failed batch exits 1 naming each failure and writes no summary file.
 
-CORRUPTIONS = ("not-riff", "channels", "nan", "-inf")
+CORRUPTIONS = ("missing", "not-riff", "channels", "nan", "-inf")
 BATCH_STAGES = {
     "features": ["features", "--features", "lps,cosipd,af,dpr"],
     "separate": ["separate", "--method", "heuristic"],
@@ -568,9 +589,11 @@ def tree_files(root) -> dict:
 
 
 def corrupt(path, kind, where):
-    """Spoil one WAV: not RIFF, one channel short, or one float sample made
-    non-finite (``where`` picks it)."""
-    if kind == "not-riff":
+    """Spoil one WAV: delete it, make it not RIFF, drop a channel, or make one
+    float sample non-finite (``where`` picks it)."""
+    if kind == "missing":
+        path.unlink()
+    elif kind == "not-riff":
         path.write_bytes(b"garbage")
     elif kind == "channels":
         wav, rate = read_wav(path)
@@ -601,6 +624,7 @@ def batch(tmp_path_factory):
                            min_size=1, max_size=2),
        where=st.integers(0, 2 ** 20))
 @example(bad={0: "channels", 2: "not-riff"}, where=0)
+@example(bad={1: "missing"}, where=0)
 def test_a_failed_utterance_ends_only_itself(batch, tmp_path_factory, bad, where):
     # Whatever --jobs is, every other utterance writes exactly its clean
     # outputs, no summary file is written, and stderr names each corrupted
@@ -628,6 +652,19 @@ def test_a_failed_utterance_ends_only_itself(batch, tmp_path_factory, bad, where
             assert at == sorted(at)
             assert all(Path(u.mixture).name in text for u in failed)
             assert tree_files(out) == expected, (stage, jobs)
+
+
+def test_missing_dry_wav_blocks_no_analysis(batch, tmp_path):
+    # No analysis stage reads a dry source: with one deleted, every stage
+    # runs and writes exactly its clean outputs.
+    source, clean = batch
+    data = tmp_path / "data"
+    shutil.copytree(source, data)
+    (data / read_manifest(data / "manifest.json").utterances[1].sources[0].dry).unlink()
+    for stage, argv in BATCH_STAGES.items():
+        assert main([*argv, "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / stage), "--jobs", "1"]) == 0, stage
+        assert tree_files(tmp_path / stage) == clean[stage], stage
 
 
 @pytest.mark.parametrize("argv", [["features"], ["separate", "--method", "heuristic"],
@@ -781,7 +818,7 @@ def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
         if sidecar.name != "sweep.json":
             doc = json.loads(sidecar.read_text())
             used.setdefault(doc["utterance"], set()).add(doc["azimuth_used_deg"])
-    grid = pipeline.PipelineConfig.default().grid
+    grid = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array).grid
     assert len(used) == len(manifest.utterances) == len(totals) == len(set(map(id, totals)))
     # The recorded arrays stay referenced, so their ids identify them.
     assert len({(id(cos_ipd), steer.tobytes()) for cos_ipd, steer in afs}) == len(afs)
@@ -837,7 +874,7 @@ def test_sweep_holds_the_dpr_maps_of_its_sources_and_one_other(dataset, tmp_path
     # directions; an analysis keeps the DPR maps of the G grid directions of
     # its sources and of the latest other one, so at most G + 1 are alive.
     out, manifest = dataset
-    grid = pipeline.PipelineConfig.default().grid
+    grid = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array).grid
     pinned = max(len({spatial_features.nearest_direction(grid, s.azimuth_deg)
                       for s in u.sources}) for u in manifest.utterances)
     live: dict[int, list] = {}
@@ -918,7 +955,7 @@ def test_cached_dpr_matches_grid_dpr(dataset):
     # The analysis takes DPR from one beam and the closed-form grid total;
     # the definition sums all P beams. They agree to rounding in every direction.
     out, manifest = dataset
-    cfg = pipeline.PipelineConfig.default()
+    cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
     analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
@@ -1031,7 +1068,13 @@ class TestManifestDecides:
          "source 1 of utterance 'utt_00000'"),
         (lambda doc: doc["utterances"][1].update(room_dimensions=[5.0, 6.0]),
          "room_dimensions", "utterance 'utt_00001'"),
-    ], ids=["no-t60", "no-sample-rate", "numeric-image", "2-d-room"])
+        # Outputs are named after the id: a repeated one would overwrite the
+        # other utterance's outputs, a path-like one write outside --out.
+        (lambda doc: doc["utterances"][1].update(id="utt_00000"), "id", "utterance 'utt_00000'"),
+        (lambda doc: doc["utterances"][1].update(id="../escaped"), "id",
+         "utterance '../escaped'"),
+    ], ids=["no-t60", "no-sample-rate", "numeric-image", "2-d-room", "repeated-id",
+            "path-like-id"])
     def test_missing_or_mistyped_field_exits_1(self, dataset, tmp_path, edit, field, where,
                                                capsys):
         out, _ = dataset

@@ -30,8 +30,8 @@ REPORT_TOL_DB = 1e-6
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 32), st.integers(0, 64), st.integers(0, 300), st.integers(0, 2 ** 31 - 1))
 def test_stft_matches_kernel_matmul(half_window, pad, extra, seed):
-    cfg = StftConfig(window=hann_periodic(2 * half_window), hop=half_window,
-                     fft_size=2 * half_window + pad)
+    cfg = StftConfig(window=hann_periodic(2 * half_window), fft_size=2 * half_window + pad,
+                     hop=half_window, sample_rate=oracles.FS)
     x = np.random.default_rng(seed).standard_normal(cfg.win_len + extra)
     ours, ref = stft(x, cfg).data, oracles.kernel_stft(x, cfg)
     assert ours.shape == ref.shape
@@ -55,7 +55,8 @@ def test_angle_feature_matches_definition(pairs, frames, bins, seed):
        st.sampled_from([(40, 20, 64), (256, 128, 256)]), st.integers(0, 2 ** 31 - 1))
 def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
     win_len, hop, fft_size = shape
-    cfg = StftConfig(window=hann_periodic(win_len), hop=hop, fft_size=fft_size)
+    cfg = StftConfig(window=hann_periodic(win_len), fft_size=fft_size, hop=hop,
+                     sample_rate=oracles.FS)
     rng = np.random.default_rng(seed)
     gains = 10.0 ** rng.uniform(-3.0, 3.0, (mics, 1, 1))
     data = gains * (rng.standard_normal((mics, 12, cfg.num_bins))

@@ -1,9 +1,11 @@
 import io
 import json
 import pathlib
+import re
 import struct
 import tempfile
 import wave
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -238,10 +240,7 @@ class TestWavRejects:
         self._read(tmp_path, _riff(_fmt(1, 2, 16), (b"data", b"\0" * 6)), "whole number")
 
 
-def _manifest(tmp_path, with_files=True):
-    if with_files:
-        for name in ("mix.wav", "img0.wav", "dry0.wav", "img1.wav", "dry1.wav"):
-            write_wav(tmp_path / name, np.zeros(100, dtype=np.float32) + 0.1, 16000)
+def _manifest():
     sources = (
         SourceEntry(azimuth_deg=10.0, angle_difference_deg=80.0, gain_db=0.0,
                     image="img0.wav", dry="dry0.wav"),
@@ -256,7 +255,7 @@ def _manifest(tmp_path, with_files=True):
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        manifest = _manifest(tmp_path)
+        manifest = _manifest()
         path = tmp_path / "manifest.json"
         write_manifest(path, manifest)
         back = read_manifest(path)
@@ -269,7 +268,7 @@ class TestManifest:
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
-        write_manifest(path, _manifest(tmp_path))
+        write_manifest(path, _manifest())
         doc = json.loads(path.read_text())
         doc["utterances"][0]["surprise"] = 1
         path.write_text(json.dumps(doc))
@@ -278,19 +277,28 @@ class TestManifest:
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
-        write_manifest(path, _manifest(tmp_path))
+        write_manifest(path, _manifest())
         doc = json.loads(path.read_text())
         doc["schema_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="schema_version"):
             read_manifest(path)
 
-    def test_missing_referenced_file_named(self, tmp_path):
+    @pytest.mark.parametrize("ids", [["utt_00000", "utt_00000"], ["../escaped"], ["a/b"],
+                                     ["/abs"], ["sub/"], [""], ["."], [".."]],
+                             ids=["repeated", "parent", "subdir", "absolute", "trailing-slash",
+                                  "empty", "dot", "dot-dot"])
+    def test_id_must_be_a_file_name_no_other_has(self, tmp_path, ids):
+        # Each stage names its outputs after the id: a repeated id would
+        # overwrite another utterance's outputs, and a path-like one would
+        # write outside the output directory.
         path = tmp_path / "manifest.json"
-        write_manifest(path, _manifest(tmp_path))
-        (tmp_path / "img1.wav").unlink()
-        with pytest.raises(DataFormatError, match="img1.wav"):
-            read_manifest(path, validate_files=True)
+        utt = _manifest().utterances[0]
+        write_manifest(path, Manifest(sample_rate=16000, array=circular_array(6, 0.07),
+                                      utterances=tuple(replace(utt, id=i) for i in ids)))
+        where = f"field 'id' of utterance {ids[-1]!r} "
+        with pytest.raises(DataFormatError, match=re.escape(where)):
+            read_manifest(path)
 
     def test_empty_utterance_list_valid(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -302,7 +310,9 @@ class TestManifest:
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _sources = st.builds(SourceEntry, azimuth_deg=_finite, angle_difference_deg=_finite,
                      gain_db=_finite, image=st.text(), dry=st.text())
-_utterances = st.builds(UtteranceEntry, id=st.text(), seed=st.integers(0, 2 ** 31 - 1),
+# Ids are plain file names, each used once (see test_id_must_be_a_file_name_no_other_has).
+_ids = st.text().filter(lambda i: i not in ("", "..") and pathlib.Path(i).name == i)
+_utterances = st.builds(UtteranceEntry, id=_ids, seed=st.integers(0, 2 ** 31 - 1),
                         mixture=st.text(), sources=st.lists(_sources, min_size=1,
                                                             max_size=3).map(tuple),
                         t60=_finite, room_dimensions=st.tuples(_finite, _finite, _finite),
@@ -311,7 +321,8 @@ _arrays = st.integers(1, 8).flatmap(lambda mics: st.builds(
     lambda diameter, ref: MicArray(circular_array(mics, diameter).positions, ref_index=ref),
     st.floats(0.01, 1.0), st.integers(0, mics - 1)))
 _manifests = st.builds(Manifest, sample_rate=st.integers(1, 192_000), array=_arrays,
-                       utterances=st.lists(_utterances, min_size=1, max_size=3).map(tuple))
+                       utterances=st.lists(_utterances, min_size=1, max_size=3,
+                                           unique_by=lambda u: u.id).map(tuple))
 # Values of the wrong kind for each kind of required field.
 _DELETE = object()
 _WRONG = {

@@ -55,7 +55,7 @@ class TestAllocation:
         # in the output.
         assert peak <= out.nbytes + 2 * MAP + MAP // 32
 
-    @pytest.mark.parametrize("cfg", [StftConfig.default(), StftConfig.oracle_mask_default()],
+    @pytest.mark.parametrize("cfg", [oracles.PAPER_STFT, oracles.ORACLE_STFT],
                              ids=["default", "oracle"])
     def test_istft(self, cfg, rng):
         frames = 32_000 // cfg.hop - 1
@@ -97,7 +97,7 @@ def test_pair_cos_sin_bit_equal(mics, frames, bins, zero_share, seed):
     data = 10.0 ** rng.uniform(-3.0, 3.0, shape) * _spectrum(rng, shape)
     data[rng.random(shape) < zero_share] = 0.0
     pairs = PairSelection(tuple((a, b) for a in range(mics) for b in range(mics) if a != b))
-    ours = pair_cos_sin(ComplexSpectrogram(data=data, config=StftConfig.default()), pairs)
+    ours = pair_cos_sin(ComplexSpectrogram(data=data, config=oracles.PAPER_STFT), pairs)
     ref = oracles.fresh_pair_cos_sin(data, pairs)
     assert _same(ours[0], ref[0]) and _same(ours[1], ref[1])
 
@@ -120,7 +120,7 @@ def test_angle_feature_bit_equal(pairs, frames, bins, keep_share, seed):
 def test_dpr_bit_equal(mics, frames, decade, every, seed):
     # Levels down to 1e-9 put grid totals under the power floor.
     rng = np.random.default_rng(seed)
-    cfg = StftConfig.default()
+    cfg = oracles.PAPER_STFT
     data = 10.0 ** decade * _spectrum(rng, (mics, frames, cfg.num_bins))
     data[:, rng.random((frames, cfg.num_bins)) < 0.2] = 0.0
     spec = ComplexSpectrogram(data=data, config=cfg)
@@ -134,8 +134,8 @@ def test_dpr_bit_equal(mics, frames, decade, every, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 64), st.integers(0, 32), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
 def test_istft_bit_equal(half_window, pad, frames, seed):
-    cfg = StftConfig(window=hann_periodic(2 * half_window), hop=half_window,
-                     fft_size=2 * half_window + pad)
+    cfg = StftConfig(window=hann_periodic(2 * half_window), fft_size=2 * half_window + pad,
+                     hop=half_window, sample_rate=oracles.FS)
     data = _spectrum(np.random.default_rng(seed), (frames, cfg.num_bins))
     ours = istft(ComplexSpectrogram(data=data, config=cfg))
     assert _same(ours, oracles.fresh_istft(data, cfg, _istft_normaliser(cfg, frames)))

@@ -11,9 +11,9 @@ from ssk.metrics import (SI_SDR_CAP_DB, EvalRecord, aggregate, bin_index,
                          si_sdr, si_sdri)
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.separation import apply_mask, oracle_mask
-from ssk.spectral import StftConfig, stft
+from ssk.spectral import stft
 
-FS = 16000
+from oracles import ARRAY_RADIUS, FS, ORACLE_STFT
 
 
 class TestSiSdr:
@@ -77,10 +77,10 @@ class TestSiSdri:
         # End-to-end pipeline oracle, value frozen from the first run.
         rng = np.random.default_rng(11)
         array = circular_array(6, 0.07)
-        room, _ = sample_scene(rng, 2, sample_rate=FS)
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 1.0, FS) for _ in range(2)]
         scene = render_mixture(dry, room, array, mixing_gains_db=[0.0, -3.0])
-        cfg = StftConfig.oracle_mask_default()
+        cfg = ORACLE_STFT
         mask = oracle_mask(stft(scene.images[0][0], cfg),
                            [stft(scene.images[1][0], cfg)], "ipsm")
         est = apply_mask(stft(scene.mixture[0], cfg), mask, scene.mixture.shape[1])

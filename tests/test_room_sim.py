@@ -15,16 +15,20 @@ from ssk.room_sim import (REF_IMAGE_RMS, SINC_HALF_WIDTH, RoomConfig, SceneGener
                           simulate_rir, simulate_rirs)
 
 from conftest import traced_peak
-from oracles import (fresh_render_mixture, image_method_rir, per_tap_windowed_sinc_rir,
-                     xcorr_peak_lag)
+from oracles import (ARRAY_RADIUS, FS, fresh_render_mixture, image_method_rir,
+                     per_tap_windowed_sinc_rir, xcorr_peak_lag)
 
-FS = 16000
 C = 343.0
 
 
 def _room(dims, t60, center, sources):
     return RoomConfig(dimensions=dims, t60=t60, array_center=center,
                       source_positions=sources, sample_rate=FS)
+
+
+def _rir(room, source_index, mic):
+    """The RIR with the room's calibrated walls, as :func:`simulate_rirs` has it."""
+    return simulate_rir(room, source_index, mic, calibrated_reflection_coefficient(room))
 
 
 class TestRoomConfig:
@@ -47,7 +51,7 @@ class TestSimulateRir:
         # collapses onto one tap.
         d = 100 * C / FS
         room = _room([8, 8, 4], 0.0, [2, 2, 2], [[2 + d, 2, 2]])
-        h = simulate_rir(room, 0, [2, 2, 2])
+        h = _rir(room, 0, [2, 2, 2])
         peak = int(np.argmax(np.abs(h)))
         assert peak == 100
         npt.assert_allclose(h[peak], 1.0 / (4.0 * np.pi * d), rtol=1e-9)
@@ -57,16 +61,16 @@ class TestSimulateRir:
     @pytest.mark.parametrize("seed", range(5))
     def test_direct_path_arrival_sample(self, seed):
         rng = np.random.default_rng(seed)
-        room, _ = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.0, 0.0))
+        room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         mic = room.array_center + np.array([0.01, -0.02, 0.0])
-        h = simulate_rir(room, 0, mic)
+        h = _rir(room, 0, mic)
         d = np.linalg.norm(room.source_positions[0] - mic)
         expected = round(d / C * FS)
         assert abs(int(np.argmax(np.abs(h))) - expected) <= 1
 
     def test_schroeder_t60_within_tolerance(self):
         room = _room([5, 6, 3], 0.3, [2.5, 3.0, 1.5], [[1.5, 2.0, 1.5]])
-        h = simulate_rir(room, 0, [2.6, 3.1, 1.5])
+        h = _rir(room, 0, [2.6, 3.1, 1.5])
         est = estimate_t60(h, FS)
         assert abs(est - 0.3) / 0.3 < 0.25
 
@@ -75,14 +79,14 @@ class TestSimulateRir:
         center, src = [2.5, 3.0, 1.5], [[1.5, 2.0, 1.5]]
         energies = []
         for t60 in (0.1, 0.25, 0.4):
-            h = simulate_rir(_room([5, 6, 3], t60, center, src), 0, [2.6, 3.1, 1.5])
+            h = _rir(_room([5, 6, 3], t60, center, src), 0, [2.6, 3.1, 1.5])
             energies.append(float(np.sum(h ** 2)))
         assert energies[0] < energies[1] < energies[2]
 
     def test_bad_source_index(self):
         room = _room([5, 6, 3], 0.2, [2.5, 3, 1.5], [[1.5, 2, 1.5]])
         with pytest.raises(ValueError):
-            simulate_rir(room, 1, [2.5, 3, 1.5])
+            _rir(room, 1, [2.5, 3, 1.5])
 
 
 def _delays(npts):
@@ -140,13 +144,13 @@ def test_simulate_rirs_matches_image_method_oracle(dims, t60):
 
 class TestRenderMixture:
     def test_single_source_mixture_equals_image(self, array6, rng):
-        room, _ = sample_scene(rng, 1, sample_rate=FS)
+        room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS)
         dry = [synth.noise_burst(rng, 0.4, FS)]
         scene = render_mixture(dry, room, array6)
         npt.assert_array_equal(scene.mixture, scene.images[0])
 
     def test_relative_gain_realized_on_ref_channel(self, array6, rng):
-        room, _ = sample_scene(rng, 2, sample_rate=FS)
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 0.7, FS) for _ in range(2)]
         scene = render_mixture(dry, room, array6, mixing_gains_db=[0.0, -5.0])
         p0 = np.mean(scene.images[0][0] ** 2)
@@ -154,7 +158,7 @@ class TestRenderMixture:
         assert 10.0 * np.log10(p0 / p1) == pytest.approx(5.0, abs=0.01)
 
     def test_mixture_is_sum_of_images(self, array6, rng):
-        room, _ = sample_scene(rng, 2, sample_rate=FS)
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 0.5, FS) for _ in range(2)]
         scene = render_mixture(dry, room, array6)
         npt.assert_array_equal(scene.mixture, scene.images[0] + scene.images[1])
@@ -162,7 +166,7 @@ class TestRenderMixture:
     def test_anechoic_ref_channel_is_scaled_delayed_sum(self, array6, rng):
         # Convolution oracle: convolve each dry source with its anechoic RIR
         # by hand and rescale to the realized image level.
-        room, _ = sample_scene(rng, 2, sample_rate=FS, t60_range=(0.0, 0.0))
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.4, FS) for _ in range(2)]
         scene = render_mixture(dry, room, array6)
         rirs = simulate_rirs(room, array6)
@@ -177,7 +181,7 @@ class TestRenderMixture:
 
     def test_convolution_matches_fftconvolve_bit_for_bit(self, array6):
         rng = np.random.default_rng(45)
-        room, _ = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.45, 0.45))
+        room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.45, 0.45))
         rirs = simulate_rirs(room, array6)[0]
         dry = synth.speech_like(rng, 1.0, FS)
         expected = np.stack([fftconvolve(dry, h) for h in rirs])
@@ -194,7 +198,7 @@ class TestRenderMixture:
         # padded before it is scaled and summed.
         rng = np.random.default_rng(seed)
         array = circular_array(4, 0.1)
-        room, _ = sample_scene(rng, sources, sample_rate=8000, t60_range=(0.05, 0.3))
+        room, _ = sample_scene(rng, sources, 8000, 0.05, t60_range=(0.05, 0.3))
         dry = [rng.standard_normal(int(rng.integers(50, 3000))) for _ in range(sources)]
         gains = list(rng.uniform(-5.0, 0.0, sources))
         scene = render_mixture(dry, room, array, mixing_gains_db=gains)
@@ -209,7 +213,7 @@ class TestRenderMixture:
         # the peak is the S images, the mixture, the RIRs and one
         # convolution's two (J, n_fft/2 + 1) spectra and (J, n_fft) inverse.
         rng = np.random.default_rng(5)
-        room, _ = sample_scene(rng, 3, sample_rate=FS, t60_range=(0.1, 0.1))
+        room, _ = sample_scene(rng, 3, FS, ARRAY_RADIUS, t60_range=(0.1, 0.1))
         dry = [synth.speech_like(rng, 2.0, FS) for _ in range(3)]
         rirs = simulate_rirs(room, array6)
         scene, peak = traced_peak(lambda: render_mixture(dry, room, array6))
@@ -220,20 +224,20 @@ class TestRenderMixture:
         assert peak <= held + sum(h.nbytes for h in rirs) + convolution
 
     def test_silent_source_rejected(self, array6, rng):
-        room, _ = sample_scene(rng, 2, sample_rate=FS)
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         with pytest.raises(ValueError, match="silent"):
             render_mixture([np.zeros(1000), np.ones(1000)], room, array6)
 
     def test_source_count_mismatch_rejected(self, array6, rng):
-        room, _ = sample_scene(rng, 2, sample_rate=FS)
+        room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         with pytest.raises(ValueError):
             render_mixture([synth.noise_burst(rng, 0.3, FS)], room, array6)
 
 
 class TestSampleScene:
     def test_deterministic_for_seed(self):
-        room1, az1 = sample_scene(321, 2)
-        room2, az2 = sample_scene(321, 2)
+        room1, az1 = sample_scene(321, 2, FS, ARRAY_RADIUS)
+        room2, az2 = sample_scene(321, 2, FS, ARRAY_RADIUS)
         npt.assert_array_equal(room1.source_positions, room2.source_positions)
         npt.assert_array_equal(room1.dimensions, room2.dimensions)
         assert room1.t60 == room2.t60
@@ -242,7 +246,7 @@ class TestSampleScene:
     def test_invariants_over_many_scenes(self):
         rng = np.random.default_rng(5)
         for _ in range(10_000):
-            room, _ = sample_scene(rng, 2)
+            room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
             dims = room.dimensions
             assert (dims >= [3, 3, 2.5]).all() and (dims <= [8, 10, 6]).all()
             assert 0.05 <= room.t60 <= 0.5
@@ -257,17 +261,17 @@ class TestSampleScene:
         rng = np.random.default_rng(17)
         counts = [0, 0, 0, 0]
         for _ in range(10_000):
-            _, az = sample_scene(rng, 2)
+            _, az = sample_scene(rng, 2, FS, ARRAY_RADIUS)
             counts[bin_index(angle_difference(az[0], az[1]))] += 1
         assert min(counts) > 0
 
     def test_pinned_azimuths(self):
-        room, az = sample_scene(9, 2, azimuths=[30.0, 210.0])
+        room, az = sample_scene(9, 2, FS, ARRAY_RADIUS, azimuths=[30.0, 210.0])
         npt.assert_allclose(az, [30.0, 210.0], atol=1e-9)
 
     def test_generation_error_when_unsatisfiable(self):
         with pytest.raises(SceneGenerationError):
-            sample_scene(0, 2, max_attempts=0)
+            sample_scene(0, 2, FS, ARRAY_RADIUS, max_attempts=0)
 
 
 class TestGeometryConsistency:
@@ -276,7 +280,7 @@ class TestGeometryConsistency:
         # Anechoic images cross-correlated against the reference channel
         # recover the plane-wave TDOA within one sample.
         rng = np.random.default_rng(seed)
-        room, az = sample_scene(rng, 1, sample_rate=FS, t60_range=(0.0, 0.0))
+        room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.4, FS)]
         scene = render_mixture(dry, room, array6)
         delays = tdoa(array6, az[0]) * FS

@@ -15,17 +15,17 @@ from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power
                                   das_filterbank, dpr, ipd, multichannel_stft,
                                   nearest_direction, pair_cos_sin, pair_steering_phases,
                                   premask)
-from ssk.spectral import ComplexSpectrogram, StftConfig, stft
+from ssk.spectral import ComplexSpectrogram, stft
 
 import oracles
 from conftest import traced_peak
 
-FS = 16000
+FS, ARRAY_RADIUS = oracles.FS, oracles.ARRAY_RADIUS
 
 
 def _anechoic_scene(seed, azimuth, array, duration=0.8):
     rng = np.random.default_rng(seed)
-    room, az = sample_scene(rng, 1, sample_rate=FS, azimuths=[azimuth],
+    room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, azimuths=[azimuth],
                             t60_range=(0.0, 0.0))
     dry = [synth.speech_like(rng, duration, FS)]
     scene = render_mixture(dry, room, array)
@@ -84,7 +84,7 @@ class TestIpd:
     def test_pair_swap_antisymmetry(self, seed):
         r = np.random.default_rng(seed)
         wav = r.standard_normal((2, 1500))
-        spec = multichannel_stft(wav, StftConfig.default())
+        spec = multichannel_stft(wav, oracles.PAPER_STFT)
         fwd = ipd(spec, PairSelection(((0, 1),)))[0]
         rev = ipd(spec, PairSelection(((1, 0),)))[0]
         npt.assert_allclose(oracles.wrap_phase(fwd + rev), 0.0, atol=1e-9)
@@ -104,7 +104,7 @@ class TestIpd:
         # both channels of a pair: the phasor equals cos and sin of the
         # angle-difference IPD, which is 0 wherever a channel is 0.
         rng = np.random.default_rng(seed)
-        cfg = StftConfig.default()
+        cfg = oracles.PAPER_STFT
         shape = (mics, frames, cfg.num_bins)
         data = 10.0 ** rng.uniform(-3.0, 3.0, shape) * np.exp(
             1j * rng.uniform(-np.pi, np.pi, shape))
@@ -396,7 +396,7 @@ class TestSpatialAnalysis:
         rng = np.random.default_rng(seed)
         shape = (6, 6, 33)
         spec = ComplexSpectrogram(data=rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape), config=StftConfig.default())
+                                  + 1j * rng.standard_normal(shape), config=oracles.PAPER_STFT)
         azimuth = st.floats(0.0, 360.0, exclude_max=True)
         pinned = data.draw(st.lists(azimuth, min_size=num_sources, max_size=num_sources,
                                     unique=True), label="pinned")

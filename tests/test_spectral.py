@@ -7,7 +7,7 @@ from scipy.signal import check_COLA
 from ssk.spectral import (ComplexSpectrogram, StftConfig, StftConfigError,
                           build_kernel, hann_periodic, istft, lps, stft)
 
-from oracles import loop_istft, naive_stft
+from oracles import FS, PAPER_STFT, loop_istft, naive_stft
 
 
 class TestConfig:
@@ -18,11 +18,11 @@ class TestConfig:
 
     def test_hop_bounds(self):
         with pytest.raises(StftConfigError):
-            StftConfig(window=hann_periodic(40), hop=41)
+            StftConfig(window=hann_periodic(40), fft_size=64, hop=41, sample_rate=FS)
 
     def test_fft_shorter_than_window(self):
         with pytest.raises(StftConfigError):
-            StftConfig(window=hann_periodic(40), fft_size=32)
+            StftConfig(window=hann_periodic(40), fft_size=32, hop=20, sample_rate=FS)
 
     def test_freqs(self, cfg_default):
         npt.assert_allclose(cfg_default.freqs[:3], [0.0, 250.0, 500.0])
@@ -50,7 +50,7 @@ class TestBuildKernel:
 
     def test_cola_violation_rejected(self):
         with pytest.raises(StftConfigError, match="COLA"):
-            StftConfig(window=hann_periodic(40), hop=13)
+            StftConfig(window=hann_periodic(40), fft_size=64, hop=13, sample_rate=FS)
 
     @pytest.mark.parametrize("window, hop, fft_size",
                              [(hann_periodic(40), h, 64) for h in range(1, 41)]
@@ -59,7 +59,7 @@ class TestBuildKernel:
                                 (np.r_[np.ones(30), np.zeros(15)], 10, 64)])
     def test_cola_check_agrees_with_scipy(self, window, hop, fft_size, rng):
         if check_COLA(window, window.size, window.size - hop):
-            cfg = StftConfig(window=window, hop=hop, fft_size=fft_size)
+            cfg = StftConfig(window=window, fft_size=fft_size, hop=hop, sample_rate=FS)
             # The blockwise overlap-add sums in the per-frame loop's order.
             shape = (45, cfg.num_bins)
             data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -67,14 +67,14 @@ class TestBuildKernel:
                                    loop_istft(data, window, fft_size, hop))
         else:
             with pytest.raises(StftConfigError, match="COLA"):
-                StftConfig(window=window, hop=hop, fft_size=fft_size)
+                StftConfig(window=window, fft_size=fft_size, hop=hop, sample_rate=FS)
 
 
 class TestStft:
     def test_tone_peaks_at_its_bin(self):
         # Rectangular window so the only leakage is the zero-padded
         # Dirichlet kernel, whose peak stays at the tone bin.
-        cfg = StftConfig(window=np.ones(40), fft_size=64, hop=40, sample_rate=16000)
+        cfg = StftConfig(window=np.ones(40), fft_size=64, hop=40, sample_rate=FS)
         m0 = 8
         t = np.arange(16000) / 16000.0
         tone = np.cos(2.0 * np.pi * (m0 * 16000 / 64) * t)
@@ -98,7 +98,7 @@ class TestStft:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.integers(0, 2 ** 31 - 1))
     def test_linearity(self, a, b, seed):
-        cfg = StftConfig.default()
+        cfg = PAPER_STFT
         r = np.random.default_rng(seed)
         x = r.standard_normal(400)
         y = r.standard_normal(400)
@@ -109,7 +109,7 @@ class TestStft:
     def test_parseval_rectangular_no_overlap(self, rng):
         # hop == window length, rectangular window: per-frame energy in
         # time equals the rfft-style band sum divided by N.
-        cfg = StftConfig(window=np.ones(40), fft_size=64, hop=40, sample_rate=16000)
+        cfg = StftConfig(window=np.ones(40), fft_size=64, hop=40, sample_rate=FS)
         x = rng.standard_normal(800)
         spec = stft(x, cfg).data
         for t in range(spec.shape[0]):
@@ -146,7 +146,7 @@ class TestIstft:
     def test_normaliser_is_kept_per_frame_count(self, window, hop, fft_size, rng):
         # One config inverts spectrograms of several lengths, in turn and
         # again; each keeps its own normaliser and matches the loop inverse.
-        cfg = StftConfig(window=window, hop=hop, fft_size=fft_size)
+        cfg = StftConfig(window=window, fft_size=fft_size, hop=hop, sample_rate=FS)
         for num_frames in (45, 7, 45, 120, 7):
             data = (rng.standard_normal((num_frames, cfg.num_bins))
                     + 1j * rng.standard_normal((num_frames, cfg.num_bins)))
