@@ -227,7 +227,7 @@ class UtteranceEntry:
     array_center: tuple[float, float, float]
 
     def stem(self, target: int) -> str:
-        """File stem of one target's features, estimate and sidecar."""
+        """File stem of one target's features and estimate."""
         return f"{self.id}_tgt{target}"
 
 

@@ -26,7 +26,7 @@ def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.n
                       si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix, method=method)
 
 
-def evaluate_dataset(manifest: Manifest, estimates_dir, method: str = ""
+def evaluate_dataset(manifest: Manifest, estimates_dir, method: str
                      ) -> tuple[EvalReport, list[EvalRecord]]:
     """Score every (utterance, target) estimate ``<utterance>_tgt<k>.wav`` in
     ``estimates_dir`` against its reverberant image at the manifest's

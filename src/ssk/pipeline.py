@@ -193,8 +193,8 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: froz
                               for block in _BLOCKS[name](analysis, directions)])
 
 
-def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: str = "tgt",
-                   jobs: int = 1, **analysis: float) -> list[Path]:
+def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: str,
+                   jobs: int, **analysis: float) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
     and analysed once for all its targets. ``analysis``: ``grid_step``,
     ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`)."""
@@ -220,8 +220,7 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
 
 
 def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
-                       azimuth: float, cond: str = "tgt", alpha: float = 1.0,
-                       beta: float = 1.0) -> np.ndarray:
+                       azimuth: float, cond: str, alpha: float, beta: float) -> np.ndarray:
     """Run one separation method for one utterance/target steered at
     ``azimuth``, returning the estimated reference-channel waveform."""
     cfg = analysis.cfg
@@ -255,16 +254,18 @@ class Run:
     beta: float
 
 
-def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
-                     cond: str = "tgt", error_seed: int = 0, jobs: int = 1,
-                     score: bool = False, **analysis: float
+def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond: str,
+                     error_seed: int, jobs: int, score: bool = False, **analysis: float
                      ) -> tuple[list[Path], list[list[EvalRecord]]]:
     """Separate every (utterance, target) once per run, in one pass over the
     utterances that reads and analyses each mixture once. Writes estimate
-    WAVs plus JSON sidecars recording the method and the azimuth actually
-    used; the error sign is drawn once per (utterance, target) from
-    ``error_seed`` and serves every run. ``analysis``: ``grid_step``,
-    ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
+    WAVs and then, in each run's directory, its summary file ``run.json``
+    (an earlier one is removed before the batch): the run's settings and,
+    per estimate in manifest and target order, the azimuth used; null for
+    an oracle mask, which steers at none and so takes no direction error.
+    The error sign is drawn once per (utterance, target) from ``error_seed``
+    and serves every run. ``analysis``: ``grid_step``, ``fft_size``,
+    ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
 
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
@@ -277,20 +278,24 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
     lists without ``score``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    steered = method not in ORACLE_KINDS
+    if not steered and any(run.direction_error_deg != 0.0 for run in runs):
+        raise ValueError(f"oracle masks use no direction; {method} takes no direction error")
     cfg = _stage_config(manifest, cond, analysis)
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
+        (run.out_dir / "run.json").unlink(missing_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
     # Without a perturbed run no generator is built: the first one imports
     # numpy.random, whose secrets -> hmac -> _hashlib chain maps OpenSSL's
     # libcrypto, about +6 MB of RSS and 14 ms once per process.
     perturbed = any(run.direction_error_deg != 0.0 for run in runs)
 
-    def one(index: int, written: list[Path]) -> tuple[list[Path], list[list[EvalRecord]]]:
+    def one(index: int, written: list[Path]):
         entry = manifest.utterances[index]
         analysis = UtteranceAnalysis(entry, manifest, cfg)
-        paths: list[Path] = []
         records: list[list[EvalRecord]] = [[] for _ in runs]
+        rows: list[list[tuple]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
             if score:
                 reference = manifest.read(src.image, ref_row=True)
@@ -305,22 +310,21 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str,
                 path = run.out_dir / f"{entry.stem(target)}.wav"
                 write_wav(path, est, manifest.sample_rate)
                 written.append(path)
-                written.append(path.with_suffix(".json"))
-                write_json(path.with_suffix(".json"), {
-                    "utterance": entry.id, "target_index": target, "method": method,
-                    "cond": cond, "azimuth_used_deg": float(azimuth),
-                    "direction_error_deg": float(run.direction_error_deg),
-                    "alpha": run.alpha, "beta": run.beta,
-                })
-                paths.append(path)
+                rows[i].append((entry.id, target, float(azimuth) if steered else None))
                 if score:
                     records[i].append(_record(entry, target, est.astype(np.float32).astype(float),
                                               reference, si_sdr_mix, method))
-        return paths, records
+        return written, records, rows
 
     results = _each(one, [e.id for e in manifest.utterances], jobs)
-    return ([p for paths, _ in results for p in paths],
-            [[rec for _, records in results for rec in records[i]] for i in range(len(runs))])
+    for i, run in enumerate(runs):
+        write_json(run.out_dir / "run.json", {
+            "method": method, "cond": cond, "direction_error_deg": float(run.direction_error_deg),
+            "alpha": run.alpha, "beta": run.beta, "error_seed": error_seed,
+            "estimates": [dict(zip(("utterance", "target_index", "azimuth_used_deg"), row))
+                          for _, _, rows in results for row in rows[i]]})
+    return ([p for paths, _, _ in results for p in paths],
+            [[rec for _, records, _ in results for rec in records[i]] for i in range(len(runs))])
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +334,14 @@ PERTURB_VARIANTS = {"af": (1.0, 0.0), "af_dpr": (1.0, 1.0)}
 
 
 def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: int,
-                  cond: str = "tgt", jobs: int = 1, **analysis: float) -> dict:
+                  cond: str, jobs: int, **analysis: float) -> dict:
     """Heuristic separation under direction estimation error.
 
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
-    make one run, whose estimates and sidecars go to ``<variant>/errNN``;
+    make one run, whose estimates and ``run.json`` go to ``<variant>/errNN``;
     two errors that would share an ``errNN``, equal ones included, raise
-    :class:`ValueError`.
+    :class:`ValueError`. The summary files of :func:`write_sweep_reports`
+    are removed before the batch, so a failed sweep leaves none.
     One scoring :func:`separate_dataset` pass writes and scores all runs
     from a single analysis of each mixture, reading each mixture and
     reference image once and no estimate. Per target it takes the errors in
@@ -357,6 +362,8 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     runs = {(variant, error): Run(out / variant / name, error, alpha, beta)
             for variant, (alpha, beta) in PERTURB_VARIANTS.items()
             for name, error in dirs.items()}
+    for name in ("sweep.json", "sweep.csv"):
+        (out / name).unlink(missing_ok=True)
     _, records = separate_dataset(manifest, list(runs.values()), "heuristic", cond=cond,
                                   error_seed=seed, jobs=jobs, score=True, **analysis)
     reports = {key: aggregate(run_records, method=f"heuristic/{key[0]}")

@@ -68,8 +68,8 @@ def oracle_mask(target: ComplexSpectrogram, others: Sequence[ComplexSpectrogram]
 
 def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
                      af_intf: np.ndarray | None = None,
-                     dpr_intf: np.ndarray | None = None,
-                     alpha: float = 1.0, beta: float = 1.0) -> np.ndarray:
+                     dpr_intf: np.ndarray | None = None, *,
+                     alpha: float, beta: float) -> np.ndarray:
     """Soft mask from directional evidence, values in [0, 1], with the shape
     of the feature maps.
 

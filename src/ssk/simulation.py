@@ -31,12 +31,12 @@ def _scene_gains(rng: np.random.Generator, n_sources: int) -> list[float]:
 
 
 def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
-                     array: MicArray, sample_rate: int, duration: float = 2.0,
-                     synth_kind: str = "speech", source_dir=None,
-                     jobs: int = 1) -> Manifest:
+                     array: MicArray, sample_rate: int, duration: float, synth_kind: str,
+                     source_dir, jobs: int) -> Manifest:
     """Render ``num_scenes`` reverberant scenes recorded by ``array`` at
-    ``sample_rate`` to ``out_dir`` and write a manifest. Deterministic
-    (byte-identical) for a fixed seed."""
+    ``sample_rate`` to ``out_dir``, then the manifest (an earlier one is
+    removed before the batch). Dry sources are ``synth_kind`` signals unless
+    ``source_dir`` names a pool of WAVs. Deterministic for a fixed seed."""
     out = Path(out_dir)
     wav_dir = out / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
@@ -85,6 +85,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
             room_dimensions=tuple(float(d) for d in room.dimensions),
             array_center=tuple(float(x) for x in room.array_center))
 
+    (out / "manifest.json").unlink(missing_ok=True)
     utterances = _each(render_one, ids, jobs)
 
     manifest = Manifest(sample_rate=sample_rate, array=array, utterances=tuple(utterances))

@@ -10,8 +10,11 @@ Each stage is one batch (:func:`_each`), on ``jobs`` threads that take whole
 utterances. Every utterance runs. One that fails leaves none of the files it
 had written, whatever the error; an input error (:data:`INPUT_ERRORS`) then
 fails only its own utterance, and one :class:`RuntimeError` lists each
-failure in manifest order, so no summary file (manifest, report, sweep) is
-written. Any other exception is a bug and propagates as itself.
+failure in manifest order, so no summary file (manifest, report, sweep,
+run record) is written. A stage that writes a tree removes its summary
+files from it before the batch, so a failed rerun into the same directory
+leaves none from the run before. Any other exception is a bug and
+propagates as itself.
 Importing this module loads no numeric ``ssk`` module, so the CLI can build
 its parser before it knows which stage to import.
 """

@@ -224,8 +224,9 @@ def test_c09_oracle_mask_ordering(cfg):
 
 
 def test_c10_direction_error_robustness(cfg, tmp_path):
-    manifest = simulate_dataset(tmp_path / "data", 20, 2, 424242, cfg.array, FS, duration=1.2)
-    sweep = perturb_sweep(manifest, tmp_path / "sweep", [0.0, 10.0], 77)
+    manifest = simulate_dataset(tmp_path / "data", 20, 2, 424242, cfg.array, FS, duration=1.2,
+                                synth_kind="speech", source_dir=None, jobs=1)
+    sweep = perturb_sweep(manifest, tmp_path / "sweep", [0.0, 10.0], 77, cond="tgt", jobs=1)
     drops = {}
     for variant, rows in sweep["variants"].items():
         drops[variant] = rows[0]["mean_gt15"] - rows[1]["mean_gt15"]

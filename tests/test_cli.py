@@ -380,12 +380,12 @@ def test_unknown_cond_raises_and_writes_nothing(dataset, tmp_path, stage):
     with pytest.raises(ValueError, match="cond"):
         if stage == "features":
             pipeline.build_features(manifest, dest, frozenset(pipeline.FEATURE_BLOCKS),
-                                    cond="intf")
+                                    cond="intf", jobs=1)
         elif stage == "separate":
             pipeline.separate_dataset(manifest, [pipeline.Run(dest, 0.0, 1.0, 1.0)],
-                                      "heuristic", cond="intf")
+                                      "heuristic", cond="intf", error_seed=0, jobs=1)
         else:
-            pipeline.perturb_sweep(manifest, dest, [0.0], 0, cond="intf")
+            pipeline.perturb_sweep(manifest, dest, [0.0], 0, cond="intf", jobs=1)
     assert not dest.exists()
 
 
@@ -400,8 +400,7 @@ class TestSeparate:
         mix, _ = read_wav(out / u.mixture)
         ref, _ = read_wav(out / u.sources[0].image)
         assert si_sdri(est[0], ref[0], mix[0]) > 0.0
-        sidecar = json.loads((tmp_path / "est" / f"{u.id}_tgt0.json").read_text())
-        assert sidecar["method"] == "ipsm"
+        assert json.loads((tmp_path / "est" / "run.json").read_text())["method"] == "ipsm"
 
     def test_das_single_mic_passthrough(self, tmp_path):
         out = tmp_path / "mono"
@@ -434,6 +433,45 @@ class TestSeparate:
             main(["separate", "--manifest", str(out / "manifest.json"),
                   "--out", str(tmp_path / "x"), "--method", "wishful"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("method", pipeline.METHODS)
+    def test_run_record_states_each_azimuth_used(self, dataset, tmp_path, method):
+        # One run.json per run states the settings once and, per estimate in
+        # manifest and target order, the azimuth steered at: the source's
+        # azimuth plus the error with the sign drawn per (utterance, target)
+        # from the seed. An oracle mask steers at none, so its rows are null.
+        out, manifest = dataset
+        oracle = method in pipeline.ORACLE_KINDS
+        error = 0.0 if oracle else 5.0
+        dest = tmp_path / "est"
+        assert main(["separate", "--manifest", str(out / "manifest.json"), "--out", str(dest),
+                     "--method", method, "--direction-error-deg", str(error),
+                     "--seed", "3"]) == 0
+        doc = json.loads((dest / "run.json").read_text())
+        rows = doc.pop("estimates")
+        assert doc == {"method": method, "cond": "tgt", "direction_error_deg": error,
+                       "alpha": 1.0, "beta": 1.0, "error_seed": 3}
+        expected = []
+        for index, u in enumerate(manifest.utterances):
+            for target, src in enumerate(u.sources):
+                sign = 1.0 if np.random.default_rng([3, index, target]).integers(2) else -1.0
+                expected.append({"utterance": u.id, "target_index": target,
+                                 "azimuth_used_deg": None if oracle
+                                 else src.azimuth_deg + sign * error})
+        assert rows == expected
+        assert {p.name for p in dest.iterdir()} == {"run.json"} | {
+            f"{u.stem(t)}.wav" for u in manifest.utterances for t in range(len(u.sources))}
+
+    @pytest.mark.parametrize("method", pipeline.ORACLE_KINDS)
+    def test_oracle_method_takes_no_direction_error(self, dataset, tmp_path, capsys, method):
+        # An oracle mask is not steered, so a direction error would be
+        # recorded but never used: the run is refused before it writes.
+        out, _ = dataset
+        assert main(["separate", "--manifest", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "est"), "--method", method,
+                     "--direction-error-deg", "5"]) == 1
+        assert "oracle masks use no direction" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
 
 class TestEvaluate:
@@ -639,7 +677,7 @@ def test_a_failed_utterance_ends_only_itself(batch, tmp_path_factory, bad, where
     for stage, argv in BATCH_STAGES.items():
         expected = {rel: body for rel, body in clean[stage].items()
                     if not rel.name.startswith(tuple(f"{u.id}_" for u in failed))
-                    and rel.name not in ("sweep.json", "sweep.csv")}
+                    and rel.name not in ("sweep.json", "sweep.csv", "run.json")}
         for jobs in ("1", "2"):
             out = data / f"{stage}-{jobs}"
             with contextlib.redirect_stderr(io.StringIO()) as err:
@@ -696,7 +734,7 @@ def _fail_on(module, name, stem):
 def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, capsys, stage):
     # An utterance that fails after it has written files removes them: a
     # scene whose second source image cannot be written, a corrupt second
-    # source image under perturb, or a feature file or sidecar that cannot
+    # source image under perturb, or a feature file or estimate that cannot
     # be written. The other utterance keeps all of its files.
     scenes = ["--seed", "7", "--num-scenes", "2", "--num-speakers", "2", "--duration", "0.4"]
     if stage == "simulate":
@@ -716,8 +754,8 @@ def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, caps
                             _fail_on(pipeline, "write_features", "utt_00001_tgt1"))
         argv = ["features", *argv]
     elif stage == "separate":
-        monkeypatch.setattr(pipeline, "write_json",
-                            _fail_on(pipeline, "write_json", "utt_00001_tgt1"))
+        monkeypatch.setattr(pipeline, "write_wav",
+                            _fail_on(pipeline, "write_wav", "utt_00001_tgt1"))
         argv = ["separate", "--method", "heuristic", *argv]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
@@ -729,6 +767,40 @@ def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, caps
         assert "manifest.json" not in names
     else:
         assert {n for n in names if n.startswith("utt_00000_tgt1")}
+
+
+SUMMARY_FILES = {"simulate": {"manifest.json"}, "separate": {"run.json"},
+                 "perturb": {"sweep.json", "sweep.csv", "run.json"}}
+
+
+@pytest.mark.parametrize("stage", sorted(SUMMARY_FILES))
+def test_a_failed_rerun_leaves_no_summary_file(tmp_path, capsys, stage):
+    # A rerun into the same --out that fails on a corrupt input leaves no
+    # summary file, neither its own nor the one of the clean run before, so
+    # none sits beside a half-rewritten tree. simulate's input is its
+    # source pool, the others' the dataset's mixtures.
+    out = tmp_path / "out"
+    if stage == "simulate":
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        for k in range(2):
+            write_wav(pool / f"{k}.wav", np.random.default_rng(k).standard_normal(8000), 16000)
+        argv = ["simulate", "--num-scenes", "3", "--duration", "0.3", "--source-dir", str(pool)]
+        spoiled = pool / "1.wav"
+    else:
+        manifest = simulate(tmp_path / "data", seed=7, n=2, speakers=2, duration=0.4)
+        argv = [stage, "--manifest", str(tmp_path / "data" / "manifest.json")]
+        argv += ["--method", "heuristic"] if stage == "separate" else [
+            "--direction-error-deg", "0,4"]
+        spoiled = tmp_path / "data" / manifest.utterances[1].mixture
+    assert main([*argv, "--out", str(out)]) == 0
+    names = {p.name for p in out.rglob("*") if p.is_file()}
+    assert SUMMARY_FILES[stage] <= names
+    spoiled.write_bytes(b"garbage")
+    assert main([*argv, "--out", str(out), "--seed", "3"]) == 1
+    assert "failed: " in capsys.readouterr().err
+    names = {p.name for p in out.rglob("*") if p.is_file()}
+    assert names and not SUMMARY_FILES[stage] & names
 
 
 def _bug(*args, **kwargs):
@@ -814,10 +886,9 @@ def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out", str(sweep),
                  "--direction-error-deg", "0,4"]) == 0
     used = {}
-    for sidecar in sweep.rglob("*.json"):
-        if sidecar.name != "sweep.json":
-            doc = json.loads(sidecar.read_text())
-            used.setdefault(doc["utterance"], set()).add(doc["azimuth_used_deg"])
+    for record in sweep.rglob("run.json"):
+        for row in json.loads(record.read_text())["estimates"]:
+            used.setdefault(row["utterance"], set()).add(row["azimuth_used_deg"])
     grid = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array).grid
     assert len(used) == len(manifest.utterances) == len(totals) == len(set(map(id, totals)))
     # The recorded arrays stay referenced, so their ids identify them.
@@ -1015,18 +1086,19 @@ class TestManifestDecides:
 
         def run(dest, method, cond="tgt"):
             return pipeline.separate_dataset(manifest, [pipeline.Run(dest, 0.0, 1.0, 1.0)],
-                                             method, cond=cond)
+                                             method, cond=cond, error_seed=0, jobs=1)
 
         stages = {
             ("features", "--cond", "tgt+intf"): lambda dest: pipeline.build_features(
-                manifest, dest, frozenset({"lps", "cosipd", "af", "dpr"}), cond="tgt+intf"),
+                manifest, dest, frozenset({"lps", "cosipd", "af", "dpr"}), cond="tgt+intf",
+                jobs=1),
             ("separate", "--method", "ibm"): lambda dest: run(dest, "ibm"),
             ("separate", "--method", "das"): lambda dest: run(dest, "das"),
             ("separate", "--method", "heuristic", "--cond", "tgt+intf"):
                 lambda dest: run(dest, "heuristic", "tgt+intf"),
             ("perturb", "--direction-error-deg", "0,3"): lambda dest: (
-                pipeline.write_sweep_reports(pipeline.perturb_sweep(manifest, dest, [0.0, 3.0], 0),
-                                             dest)),
+                pipeline.write_sweep_reports(pipeline.perturb_sweep(
+                    manifest, dest, [0.0, 3.0], 0, cond="tgt", jobs=1), dest)),
         }
         for k, (argv, api) in enumerate(stages.items()):
             assert main([*argv, "--manifest", str(out / "manifest.json"),

@@ -189,12 +189,12 @@ class TestApplyMask:
 class TestDirectionalMask:
     def test_max_evidence_gives_ones(self):
         shape = (9, 33)
-        mask = directional_mask(np.ones(shape), np.ones(shape))
+        mask = directional_mask(np.ones(shape), np.ones(shape), alpha=1.0, beta=1.0)
         npt.assert_allclose(mask, 1.0)
 
     def test_min_evidence_gives_zeros(self):
         shape = (9, 33)
-        mask = directional_mask(-np.ones(shape), np.zeros(shape))
+        mask = directional_mask(-np.ones(shape), np.zeros(shape), alpha=1.0, beta=1.0)
         npt.assert_allclose(mask, 0.0)
 
     def test_contrast_zeroes_interferer_bins(self):
@@ -202,17 +202,17 @@ class TestDirectionalMask:
         dpr_t = np.full((2, 4), 0.2)
         af_i = np.full((2, 4), 0.9)
         dpr_i = np.full((2, 4), 0.9)
-        mask = directional_mask(af_t, dpr_t, af_i, dpr_i)
+        mask = directional_mask(af_t, dpr_t, af_i, dpr_i, alpha=1.0, beta=1.0)
         npt.assert_array_equal(mask, 0.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            directional_mask(np.ones((3, 4)), np.ones((4, 3)))
+            directional_mask(np.ones((3, 4)), np.ones((4, 3)), alpha=1.0, beta=1.0)
 
     def test_range_for_random_inputs(self, rng):
         af = rng.uniform(-1, 1, (20, 33))
         d = rng.uniform(0, 1, (20, 33))
-        mask = directional_mask(af, d)
+        mask = directional_mask(af, d, alpha=1.0, beta=1.0)
         assert mask.min() >= 0.0 and mask.max() <= 1.0
 
     def test_heuristic_positive_on_wide_anechoic_mixtures(self, array6, pairs6,
@@ -229,7 +229,8 @@ class TestDirectionalMask:
             assert angle_difference(az[0], az[1]) > 90.0
             spec = multichannel_stft(scene.mixture, cfg_default)
             spatial = SpatialAnalysis(spec, array6, pairs6, grid36, frozenset(az))
-            mask = directional_mask(spatial.angle_feature(az[0]), spatial.dpr(az[0]))
+            mask = directional_mask(spatial.angle_feature(az[0]), spatial.dpr(az[0]),
+                                    alpha=1.0, beta=1.0)
             est = apply_mask(spec.channel(0), mask, scene.mixture.shape[1])
             scores.append(si_sdri(est, scene.images[0][0], scene.mixture[0]))
         assert float(np.mean(scores)) > 0.0

@@ -1,5 +1,6 @@
 """Guards read from the syntax tree of ``src/ssk``: every member has a reader
-in ``src/``, and no signature or field gives the sample rate a default."""
+in ``src/``, and no signature or field gives the sample rate or another run
+setting a default."""
 
 import ast
 from pathlib import Path
@@ -53,21 +54,38 @@ def test_every_member_has_a_reader_in_src():
     assert unread == UNREAD
 
 
+# Run settings a caller states: the sample rate is the recording's (a
+# manifest states it), and the others are the settings of simulate, separate
+# and perturb. Each flag of the CLI holds its only default.
+RUN_SETTINGS = {"sample_rate", "cond", "alpha", "beta", "duration", "synth_kind", "source_dir",
+                "error_seed"}
+# The stage functions take jobs and method from their command too. Below the
+# stages two defaults of those names stay: stages._each(jobs=1) runs a batch
+# on one thread for evaluate, which has no --jobs flag, and
+# metrics.aggregate(method="") is the label of a report of any records, which
+# the stages always pass.
+STAGES = {"simulate_dataset", "build_features", "separate_dataset", "perturb_sweep",
+          "evaluate_dataset"}
+
+
+def _defaulted(args: ast.arguments) -> list[str]:
+    """Names of the parameters that have a default."""
+    positional = args.posonlyargs + args.args
+    names = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+    return names + [arg.arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
 def test_no_sample_rate_has_a_default():
-    # The sample rate is the recording's: a manifest states it, and
-    # simulate's --sample-rate flag holds the only default.
     defaulted = []
     for module, tree in TREES.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                a = node.args
-                positional = a.posonlyargs + a.args
-                names = [arg.arg for arg in positional[len(positional) - len(a.defaults):]]
-                names += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-                if "sample_rate" in names:
-                    defaulted.append(f"{module}:{node.lineno}")
+                stated = RUN_SETTINGS | ({"jobs", "method"}
+                                         if getattr(node, "name", None) in STAGES else set())
+                defaulted += [f"{module}:{node.lineno}:{name}"
+                              for name in _defaulted(node.args) if name in stated]
             elif isinstance(node, ast.ClassDef):
-                defaulted += [f"{module}:{s.lineno}" for s in node.body
+                defaulted += [f"{module}:{s.lineno}:{s.target.id}" for s in node.body
                               if isinstance(s, ast.AnnAssign) and s.value is not None
-                              and getattr(s.target, "id", None) == "sample_rate"]
+                              and getattr(s.target, "id", None) in RUN_SETTINGS]
     assert defaulted == []
