@@ -90,6 +90,11 @@ def _analysis(args) -> dict:
             if getattr(args, name) is not None}
 
 
+# --seed of separate and perturb: the rule of pipeline.separate_dataset.
+_SIGN_SEED_HELP = ("error-sign seed: target t of the manifest's utterance i is steered at "
+                   "minus the error if random.Random(f'{seed}/{i}/{t}').random() < 0.5")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssk",
@@ -132,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--direction-error-deg", type=_finite_from(0.0, strict=False),
                        default=0.0, help="perturb the target azimuth by this magnitude, "
                        "random sign")
-    p_sep.add_argument("--seed", type=int, default=0, help="error-sign seed")
+    p_sep.add_argument("--seed", type=int, default=0, help=_SIGN_SEED_HELP)
     p_sep.add_argument("--jobs", type=_at_least(1), default=1)
     _add_analysis_flags(p_sep)
 
@@ -147,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--out", required=True, help="sweep output directory")
     p_pert.add_argument("--direction-error-deg", default="0,1,2,3,4,5,6,7,8,9,10",
                         type=_magnitudes, help="comma list of error magnitudes in degrees")
-    p_pert.add_argument("--seed", type=int, default=0)
+    p_pert.add_argument("--seed", type=int, default=0, help=_SIGN_SEED_HELP)
     p_pert.add_argument("--cond", default="tgt", choices=CONDS)
     p_pert.add_argument("--jobs", type=_at_least(1), default=1)
     _add_analysis_flags(p_pert)

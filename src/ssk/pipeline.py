@@ -19,6 +19,7 @@ the analysis keywords ``grid_step``, ``fft_size``, ``win_len`` and ``hop``."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -196,11 +197,14 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: froz
 def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: str,
                    jobs: int, **analysis: float) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
-    and analysed once for all its targets. ``analysis``: ``grid_step``,
+    and analysed once for all its targets. Then the summary file ``run.json``
+    (an earlier one is removed before the batch) states the blocks, in
+    :data:`FEATURE_BLOCKS` order, and ``cond``. ``analysis``: ``grid_step``,
     ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`)."""
     cfg = _stage_config(manifest, cond, analysis)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "run.json").unlink(missing_ok=True)
 
     def one(index: int, written: list[Path]) -> list[Path]:
         entry = manifest.utterances[index]
@@ -211,8 +215,10 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
             written.append(path)
         return written
 
-    labels = [e.id for e in manifest.utterances]
-    return [p for paths in _each(one, labels, jobs) for p in paths]
+    results = _each(one, [e.id for e in manifest.utterances], jobs)
+    write_json(out / "run.json", {"blocks": [name for name in FEATURE_BLOCKS if name in blocks],
+                                  "cond": cond})
+    return [p for paths in results for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +269,10 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     (an earlier one is removed before the batch): the run's settings and,
     per estimate in manifest and target order, the azimuth used; null for
     an oracle mask, which steers at none and so takes no direction error.
-    The error sign is drawn once per (utterance, target) from ``error_seed``
-    and serves every run. ``analysis``: ``grid_step``, ``fft_size``,
-    ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
+    The error sign is drawn once per (utterance, target) and serves every
+    run: minus if ``random.Random(f"{error_seed}/{index}/{target}").random()``,
+    ``index`` the manifest position, is below 0.5. ``analysis``:
+    ``grid_step``, ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
 
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
@@ -286,10 +293,6 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
         run.out_dir.mkdir(parents=True, exist_ok=True)
         (run.out_dir / "run.json").unlink(missing_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
-    # Without a perturbed run no generator is built: the first one imports
-    # numpy.random, whose secrets -> hmac -> _hashlib chain maps OpenSSL's
-    # libcrypto, about +6 MB of RSS and 14 ms once per process.
-    perturbed = any(run.direction_error_deg != 0.0 for run in runs)
 
     def one(index: int, written: list[Path]):
         entry = manifest.utterances[index]
@@ -300,8 +303,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
             if score:
                 reference = manifest.read(src.image, ref_row=True)
                 si_sdr_mix = si_sdr(analysis.reference, reference)
-            sign = -1.0 if perturbed and not np.random.default_rng(
-                [error_seed, index, target]).integers(2) else 1.0
+            sign = -1.0 if random.Random(f"{error_seed}/{index}/{target}").random() < 0.5 else 1.0
             for i in order:
                 run = runs[i]
                 azimuth = src.azimuth_deg + sign * run.direction_error_deg
@@ -347,8 +349,8 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     reference image once and no estimate. Per target it takes the errors in
     turn and both variants at each, so each perturbed azimuth's AF is
     computed once and dropped before the next: memory stays flat in the
-    number of errors. The error sign is random per (utterance, target),
-    drawn from a dedicated seeded stream, and is the same for every
+    number of errors. The error sign, drawn per (utterance, target) from
+    ``seed`` by the rule of :func:`separate_dataset`, is the same for every
     magnitude. ``analysis``: ``grid_step``, ``fft_size``, ``win_len``, ``hop``.
     """
     out = Path(out_dir)

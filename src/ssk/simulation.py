@@ -38,8 +38,6 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
     removed before the batch). Dry sources are ``synth_kind`` signals unless
     ``source_dir`` names a pool of WAVs. Deterministic for a fixed seed."""
     out = Path(out_dir)
-    wav_dir = out / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     seed_rng = np.random.default_rng(seed)
     scene_seeds = seed_rng.integers(0, 2 ** 31 - 1, size=num_scenes)
     array_radius = float(np.max(np.hypot(array.positions[:, 0], array.positions[:, 1])))
@@ -51,6 +49,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
             raise FileNotFoundError(f"no WAV files in source dir {source_dir}")
     elif synth_kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synthetic source kind {synth_kind!r}")
+    (out / "wav").mkdir(parents=True, exist_ok=True)
 
     ids = [f"utt_{index:05d}" for index in range(num_scenes)]
 

@@ -69,7 +69,7 @@ class StftConfig:
         if self.sample_rate <= 0:
             raise StftConfigError("sample_rate must be positive")
         folded = _hop_folded(win, self.hop)
-        if np.max(np.abs(folded - np.median(folded))) >= 1e-10:
+        if np.ptp(folded) >= 1e-10:
             raise StftConfigError(
                 f"window of length {win.size} violates COLA at hop {self.hop}")
         object.__setattr__(self, "window", win)

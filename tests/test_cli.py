@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -61,22 +62,28 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-# Modules a stage that does not run them must not load, at --jobs 1.
-_SIMULATION = {"ssk.room_sim", "ssk.synth", "concurrent.futures"}
-_ANALYSIS = {"ssk.separation", "ssk.spatial_features", "ssk.spectral", "concurrent.futures"}
+# Modules a stage that does not run them must not load, at --jobs 1. No stage
+# computes with numpy.ma; only simulate draws from numpy.random, whose
+# secrets -> hmac -> _hashlib chain maps OpenSSL.
+_SIMULATION = {"ssk.room_sim", "ssk.synth", "concurrent.futures", "numpy.random", "secrets",
+               "hashlib", "numpy.ma"}
+_ANALYSIS = {"ssk.separation", "ssk.spatial_features", "ssk.spectral", "concurrent.futures",
+             "numpy.ma"}
 
 
 @pytest.mark.parametrize("argv, stage, unloaded", [
     (["simulate", "--num-scenes", "1", "--duration", "0.3", "--jobs", "1"], "simulation",
      _ANALYSIS),
     (["features", "--cond", "tgt+intf", "--jobs", "1"], "pipeline", _SIMULATION),
-    (["separate", "--method", "heuristic", "--jobs", "1"], "pipeline", _SIMULATION),
+    (["separate", "--method", "heuristic", "--direction-error-deg", "5", "--jobs", "1"],
+     "pipeline", _SIMULATION),
     (["perturb", "--direction-error-deg", "0,4", "--jobs", "1"], "pipeline", _SIMULATION),
     (["evaluate", "--estimates"], "evaluation", _SIMULATION | _ANALYSIS | {"ssk.pipeline"}),
 ], ids=["simulate", "features", "separate", "perturb", "evaluate"])
 def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloaded):
     # In a fresh interpreter, each subcommand imports the modules it runs
-    # and none of another stage's.
+    # and none of another stage's, nor numeric modules it does not compute
+    # with: separate steers with a direction error, so its sign is drawn.
     if argv[0] == "evaluate":
         assert main(["separate", "--manifest", str(dataset[0] / "manifest.json"),
                      "--out", str(tmp_path / "est"), "--method", "das"]) == 0
@@ -214,6 +221,17 @@ class TestSimulate:
         assert rc == 1
         assert "sample rate 8000 Hz, expected 16000 Hz" in capsys.readouterr().err
 
+    def test_empty_source_dir_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # A pool without WAVs is an argument error, found before any output
+        # directory is made.
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        rc = main(["simulate", "--out", str(tmp_path / "d"), "--num-scenes", "1",
+                   "--source-dir", str(pool)])
+        assert rc == 1
+        assert "no WAV files in source dir" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_multichannel_source_rejected(self, tmp_path, capsys):
         # The pool takes mono WAVs: a multichannel one fails its scene rather
         # than giving up all channels but the first.
@@ -293,6 +311,18 @@ class TestSimulate:
 
 
 class TestFeatures:
+    def test_run_record_states_blocks_and_cond(self, dataset, tmp_path):
+        # One run.json states the blocks, in stack order whatever the flag's
+        # order, and the condition; nothing else sits beside the TSNF1 files.
+        out, manifest = dataset
+        dest = tmp_path / "feat"
+        assert main(["features", "--manifest", str(out / "manifest.json"), "--out", str(dest),
+                     "--features", "dpr,lps,af", "--cond", "tgt+intf"]) == 0
+        assert json.loads((dest / "run.json").read_text()) == {
+            "blocks": ["lps", "af", "dpr"], "cond": "tgt+intf"}
+        assert {p.name for p in dest.iterdir()} == {"run.json"} | {
+            f"{u.stem(t)}.tsnf" for u in manifest.utterances for t in range(len(u.sources))}
+
     def test_default_dimensionality_297(self, dataset, tmp_path):
         out, manifest = dataset
         rc = main(["features", "--manifest", str(out / "manifest.json"),
@@ -454,7 +484,7 @@ class TestSeparate:
         expected = []
         for index, u in enumerate(manifest.utterances):
             for target, src in enumerate(u.sources):
-                sign = 1.0 if np.random.default_rng([3, index, target]).integers(2) else -1.0
+                sign = -1.0 if random.Random(f"3/{index}/{target}").random() < 0.5 else 1.0
                 expected.append({"utterance": u.id, "target_index": target,
                                  "azimuth_used_deg": None if oracle
                                  else src.azimuth_deg + sign * error})
@@ -769,8 +799,8 @@ def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, caps
         assert {n for n in names if n.startswith("utt_00000_tgt1")}
 
 
-SUMMARY_FILES = {"simulate": {"manifest.json"}, "separate": {"run.json"},
-                 "perturb": {"sweep.json", "sweep.csv", "run.json"}}
+SUMMARY_FILES = {"simulate": {"manifest.json"}, "features": {"run.json"},
+                 "separate": {"run.json"}, "perturb": {"sweep.json", "sweep.csv", "run.json"}}
 
 
 @pytest.mark.parametrize("stage", sorted(SUMMARY_FILES))
@@ -790,14 +820,16 @@ def test_a_failed_rerun_leaves_no_summary_file(tmp_path, capsys, stage):
     else:
         manifest = simulate(tmp_path / "data", seed=7, n=2, speakers=2, duration=0.4)
         argv = [stage, "--manifest", str(tmp_path / "data" / "manifest.json")]
-        argv += ["--method", "heuristic"] if stage == "separate" else [
-            "--direction-error-deg", "0,4"]
+        argv += {"features": [], "separate": ["--method", "heuristic"],
+                 "perturb": ["--direction-error-deg", "0,4"]}[stage]
         spoiled = tmp_path / "data" / manifest.utterances[1].mixture
     assert main([*argv, "--out", str(out)]) == 0
     names = {p.name for p in out.rglob("*") if p.is_file()}
     assert SUMMARY_FILES[stage] <= names
     spoiled.write_bytes(b"garbage")
-    assert main([*argv, "--out", str(out), "--seed", "3"]) == 1
+    # features takes no --seed: its rerun differs only by the spoiled input.
+    seed = [] if stage == "features" else ["--seed", "3"]
+    assert main([*argv, "--out", str(out), *seed]) == 1
     assert "failed: " in capsys.readouterr().err
     names = {p.name for p in out.rglob("*") if p.is_file()}
     assert names and not SUMMARY_FILES[stage] & names
