@@ -200,9 +200,12 @@ def cmd_evaluate(args) -> int:
     from . import evaluation
 
     manifest = read_manifest(args.manifest)
+    json_path, csv_path = Path(f"{args.out}.json"), Path(f"{args.out}.csv")
+    json_path.unlink(missing_ok=True)
+    csv_path.unlink(missing_ok=True)
     report, _ = evaluation.evaluate_dataset(manifest, args.estimates, method=args.method)
-    write_json(Path(f"{args.out}.json"), report.to_dict())
-    report.write_csv(Path(f"{args.out}.csv"))
+    write_json(json_path, report.to_dict())
+    report.write_csv(csv_path)
     for b in report.bins:
         mean = "-" if b.mean_si_sdri is None else f"{b.mean_si_sdri:.2f}"
         print(f"bin {b.label:>6}: count {b.count:4d}  mean SI-SDRi {mean} dB")

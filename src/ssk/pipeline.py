@@ -5,13 +5,17 @@ Simulation is :mod:`ssk.simulation` and evaluation :mod:`ssk.evaluation`, so
 a stage loads only the modules it runs; the sweep scores with the evaluation
 stage's rule, and :func:`evaluate_dataset` is re-exported here.
 
-Features, separation and the sweep work one utterance at a time: an
-:class:`UtteranceAnalysis` reads the mixture, transforms it once and holds
-its :class:`~ssk.spatial_features.SpatialAnalysis`, and every target of that
-utterance, under every separation :class:`Run` (one per sweep point), reuses
-both. The sweep also scores each estimate in the same task. Methods, feature
-blocks and direction conditions are plain names, each set stated once in
-:mod:`ssk.stages`; masks are (T, F) arrays.
+Features, separation and the sweep work one utterance at a time. Each first
+states the utterance's DPR plan: the azimuths whose DPR maps it will read,
+every target's under every separation :class:`Run` (one per sweep point,
+with its signed direction error) and, under ``tgt+intf``, the interferers'.
+An :class:`UtteranceAnalysis` then reads the mixture, transforms it once and
+builds its :class:`~ssk.spatial_features.SpatialAnalysis` from the
+spectrogram and the plan; every target, under every run, reuses both. When
+the plan fits, the (J, T, F) spectrogram is released before the first
+estimate. The sweep also scores each estimate in the same task. Methods,
+feature blocks and direction conditions are plain names, each set stated
+once in :mod:`ssk.stages`; masks are (T, F) arrays.
 
 Each stage is one batch under the rule of :mod:`ssk.stages`, and builds its
 :class:`PipelineConfig` once, from the manifest's array and sample rate and
@@ -20,7 +24,7 @@ the analysis keywords ``grid_step``, ``fft_size``, ``win_len`` and ``hop``."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +37,7 @@ from .geometry import DirectionGrid, MicArray, PairSelection, closest_source
 from .metrics import EvalRecord, aggregate, si_sdr
 from .separation import apply_mask, das_beamform, directional_mask, oracle_mask
 from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
-                               computed_once, multichannel_stft)
+                               multichannel_stft)
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 from .stages import CONDS, FEATURE_BLOCKS, METHODS, ORACLE_KINDS, _each
 
@@ -53,7 +57,7 @@ def __getattr__(name: str):
 class PipelineConfig:
     """Array, pair selection, direction grid and analysis configs used by
     every analysis stage. ``pairs`` is None for single-mic arrays, where
-    pairwise features are unavailable."""
+    pairwise features are unavailable, and in a features run that reads none."""
 
     array: MicArray
     pairs: PairSelection | None
@@ -101,6 +105,22 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return azimuths[closest_source(azimuths, target_index)[0]]
 
 
+class computed_once:
+    """Property computed on first use and then stored on the instance. Unlike
+    ``functools.cached_property`` before Python 3.12 it takes no lock shared
+    by all instances, which would let one ``--jobs`` thread at a time
+    analyse an utterance; each analysis is used by a single thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class UtteranceAnalysis:
     """One utterance's analysis, shared by every target, method and run; it
@@ -113,16 +133,19 @@ class UtteranceAnalysis:
     itself is held only until the (J, T, F) spectrogram at
     ``cfg.stft_cfg`` (:attr:`spec`) is built, or until the oracle methods'
     ``cfg.oracle_cfg`` spectrograms of the reference rows of the mixture and
-    source images (:attr:`ref_specs`) are; an analysis asked for both reads
-    the mixture again, which no stage does. It also holds the
-    :class:`~ssk.spatial_features.SpatialAnalysis` of the spectrogram, with
-    its bounded AF and DPR memos. Each part is computed on first use, so a
-    method pays only for what it reads.
+    source images (:attr:`ref_specs`) are. The spectrogram goes in turn
+    when :attr:`spatial`, its :class:`~ssk.spatial_features.SpatialAnalysis`
+    for the DPR ``plan``, releases it; masks and the LPS block read
+    :attr:`ref_spec`, a copy of its reference-mic row made before. Each part
+    is computed on first use, so a method pays only for what it reads; one
+    asked for after its source went reads the mixture again, which no stage
+    does.
     """
 
     entry: UtteranceEntry
     manifest: Manifest
     cfg: PipelineConfig
+    plan: Sequence[float]
 
     @computed_once
     def reference(self) -> np.ndarray:
@@ -155,16 +178,26 @@ class UtteranceAnalysis:
         return multichannel_stft(wav, self.cfg.stft_cfg)
 
     @computed_once
+    def ref_spec(self) -> ComplexSpectrogram:
+        """The reference-mic (T, F) row of :attr:`spec`, owning its data."""
+        row = self.spec.channel(self.cfg.array.ref_index)
+        return ComplexSpectrogram(data=row.data.copy(), config=row.config)
+
+    @computed_once
     def spatial(self) -> SpatialAnalysis:
         cfg = self.cfg
-        return SpatialAnalysis(self.spec, cfg.array, cfg.pairs, cfg.grid,
-                               frozenset(src.azimuth_deg for src in self.entry.sources))
+        spatial = SpatialAnalysis(self.spec, cfg.array, cfg.pairs, cfg.grid, self.plan,
+                                  frozenset(src.azimuth_deg for src in self.entry.sources))
+        if spatial.spec is None:
+            self.ref_spec
+            del self.__dict__["spec"]
+        return spatial
 
 
 # The feature blocks, in FEATURE_BLOCKS order: each maps an analysis and the
 # (who, azimuth) directions of a target to its named maps.
 _BLOCKS = dict(zip(FEATURE_BLOCKS, (
-    lambda a, dirs: [("lps", lps(a.spec.channel(a.cfg.array.ref_index)))],
+    lambda a, dirs: [("lps", lps(a.ref_spec))],
     lambda a, dirs: [("cosipd", a.spatial.pair_cos_sin[0])],
     lambda a, dirs: [("sinipd", a.spatial.pair_cos_sin[1])],
     lambda a, dirs: [(f"af:{who}", a.spatial.angle_feature(az)) for who, az in dirs],
@@ -190,6 +223,8 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: froz
     directions = [("tgt", analysis.entry.sources[target].azimuth_deg)]
     if cond == "tgt+intf":
         directions.append(("intf", _interferer_azimuth(analysis.entry, target)))
+    if blocks - {"lps"}:
+        analysis.spatial  # first: no LPS map or reference row is alive at the build's peak
     return assemble_features([block for name in FEATURE_BLOCKS if name in blocks
                               for block in _BLOCKS[name](analysis, directions)])
 
@@ -202,13 +237,17 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
     :data:`FEATURE_BLOCKS` order, and ``cond``. ``analysis``: ``grid_step``,
     ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`)."""
     cfg = _stage_config(manifest, cond, analysis)
+    if not blocks & {"cosipd", "sinipd", "af"}:
+        cfg = replace(cfg, pairs=None)  # no block reads them, so no IPD phasors are built
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.json").unlink(missing_ok=True)
 
     def one(index: int, written: list[Path]) -> list[Path]:
         entry = manifest.utterances[index]
-        analysis = UtteranceAnalysis(entry, manifest, cfg)
+        # The DPR blocks read the targets and their interferers: all sources.
+        plan = [src.azimuth_deg for src in entry.sources] if "dpr" in blocks else []
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan)
         for target in range(len(entry.sources)):
             path = out / f"{entry.stem(target)}.tsnf"
             write_features(path, compute_feature_stack(analysis, target, blocks, cond))
@@ -244,7 +283,7 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
             af_intf, dpr_intf = spatial.angle_feature(intf_az), spatial.dpr(intf_az)
         mask = directional_mask(spatial.angle_feature(azimuth), spatial.dpr(azimuth),
                                 af_intf, dpr_intf, alpha=alpha, beta=beta)
-        return apply_mask(analysis.spec.channel(cfg.array.ref_index), mask, length)
+        return apply_mask(analysis.ref_spec, mask, length)
     if method == "das":
         return das_beamform(analysis.spec, azimuth, cfg.array, length)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -269,9 +308,11 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     (an earlier one is removed before the batch): the run's settings and,
     per estimate in manifest and target order, the azimuth used; null for
     an oracle mask, which steers at none and so takes no direction error.
-    The error sign is drawn once per (utterance, target) and serves every
-    run: minus if ``random.Random(f"{error_seed}/{index}/{target}").random()``,
-    ``index`` the manifest position, is below 0.5. ``analysis``:
+    The error sign is drawn once per (utterance, target), before any target
+    is separated, and serves every run: minus if
+    ``random.Random(f"{error_seed}/{index}/{target}").random()``, ``index``
+    the manifest position, is below 0.5. The heuristic's DPR plan follows
+    from the signs, the runs' errors and ``cond``. ``analysis``:
     ``grid_step``, ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
 
     Per target, the runs go in ascending direction error, so runs that share
@@ -296,17 +337,24 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
 
     def one(index: int, written: list[Path]):
         entry = manifest.utterances[index]
-        analysis = UtteranceAnalysis(entry, manifest, cfg)
+        azimuths = []  # per target, the azimuth of each run
+        for target, src in enumerate(entry.sources):
+            sign = -1.0 if random.Random(f"{error_seed}/{index}/{target}").random() < 0.5 else 1.0
+            azimuths.append([src.azimuth_deg + sign * run.direction_error_deg for run in runs])
+        plan = []
+        if method == "heuristic":
+            plan = [az for row in azimuths for az in row]
+            if cond == "tgt+intf":
+                plan += [_interferer_azimuth(entry, t) for t in range(len(entry.sources))]
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan)
         records: list[list[EvalRecord]] = [[] for _ in runs]
         rows: list[list[tuple]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
             if score:
                 reference = manifest.read(src.image, ref_row=True)
                 si_sdr_mix = si_sdr(analysis.reference, reference)
-            sign = -1.0 if random.Random(f"{error_seed}/{index}/{target}").random() < 0.5 else 1.0
             for i in order:
-                run = runs[i]
-                azimuth = src.azimuth_deg + sign * run.direction_error_deg
+                run, azimuth = runs[i], azimuths[target][i]
                 est = separate_utterance(analysis, method, target, azimuth, cond=cond,
                                          alpha=run.alpha, beta=run.beta)
                 path = run.out_dir / f"{entry.stem(target)}.wav"
@@ -348,8 +396,10 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     from a single analysis of each mixture, reading each mixture and
     reference image once and no estimate. Per target it takes the errors in
     turn and both variants at each, so each perturbed azimuth's AF is
-    computed once and dropped before the next: memory stays flat in the
-    number of errors. The error sign, drawn per (utterance, target) from
+    computed once and dropped before the next, and the DPR maps are those
+    of the plan or, for a plan wider than the spectrogram, of the sources
+    and the latest other direction: memory stays flat in the number of
+    errors. The error sign, drawn per (utterance, target) from
     ``seed`` by the rule of :func:`separate_dataset`, is the same for every
     magnitude. ``analysis``: ``grid_step``, ``fft_size``, ``win_len``, ``hop``.
     """

@@ -18,17 +18,18 @@
   summing the beams.
 
 :class:`SpatialAnalysis` is the one composition of these formulas from a
-spectrogram: it holds the IPD phasors, premask, grid weights and grid total
-of one utterance and memoises AF and DPR per direction. Every spectrogram
-here is a :class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F) data.
+spectrogram: built once per utterance, it holds the IPD phasors, the premask
+and the DPR maps of the directions its caller plans to read, and memoises AF
+per azimuth. Every spectrogram here is a
+:class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F) data.
 Delay-and-sum weights come from :func:`das_weights` alone and are applied by
 :func:`beam` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -206,80 +207,61 @@ def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:
     return int(np.argmin(np.minimum(d, 360.0 - d)))
 
 
-class computed_once:
-    """Property computed on first use and then stored on the instance. Unlike
-    ``functools.cached_property`` before Python 3.12 it takes no lock shared
-    by all instances, which would let one ``--jobs`` thread at a time
-    analyse an utterance; each analysis is used by a single thread."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
-@dataclass(frozen=True, eq=False)
 class SpatialAnalysis:
     """The spatial analysis of one utterance's (J, T, F) spectrogram, shared
     by every target, method and run; the only place AF and DPR are formed
     from a spectrogram.
 
-    It holds the spectrogram it was given and, each computed on first use
-    so that a caller pays only for what it reads: the cosine and sine of the
-    pair IPDs (two (U, T, F) arrays), the (T, F) premask at the array's
-    reference mic, the (P, F, J) delay-and-sum grid weights, the (T, F) grid
-    total, and the AF and DPR maps below, each (T, F).
+    It is built in one step from the spectrogram and the DPR ``plan``, the
+    azimuths whose DPR its caller will read, in this order: the cosine and
+    sine of the pair IPDs (two (U, T, F) arrays; none without pairs), the
+    (T, F) premask at the array's reference mic, then the (T, F) DPR map
+    (:func:`dpr` of one beam and the grid total) of each grid direction of
+    the plan, the :func:`nearest_direction` of its azimuths. If the plan
+    names at most 2J directions, no more float64 planes than the complex
+    spectrogram holds, the analysis keeps neither the spectrogram (:attr:`spec`
+    is None) nor the grid weights and total, and a DPR outside the plan
+    raises :class:`KeyError`. A wider plan keeps all three and forms each DPR
+    map on first use. It keeps the maps of the grid directions of the
+    ``pinned`` azimuths (the utterance's sources), and of any other only the
+    latest: at most G + 1 maps for the G directions of the sources, however
+    far the sweep strays.
 
-    AF (:func:`angle_feature`) is computed from the IPD phasors per azimuth,
-    DPR (:func:`dpr` of one beam and the grid total) per grid index, the
-    :func:`nearest_direction` of the azimuth. Both memos keep the maps of the
-    ``pinned`` azimuths (the utterance's sources), or of their grid indices,
-    for the analysis's lifetime: features, unperturbed separation and every
-    ``tgt+intf`` interferer reuse them. Of any other azimuth (a perturbed
-    target) or grid index only the latest map is kept. So the analysis holds
-    at most S + 1 AF maps for S pinned azimuths and G + 1 DPR maps for the G
-    grid indices they round to, however many sweep points it serves and
-    however far they stray; callers that steer at the same perturbed azimuth
-    should do so consecutively.
+    AF (:func:`angle_feature`) is formed from the IPD phasors on first use.
+    The maps of the pinned azimuths are kept for the analysis's lifetime:
+    features, unperturbed separation and every ``tgt+intf`` interferer reuse
+    them. Of any other azimuth (a perturbed target) only the latest map is
+    kept, so at most S + 1 AF maps for S pinned azimuths; callers that steer
+    at the same perturbed azimuth should do so consecutively.
     """
 
-    spec: ComplexSpectrogram
-    array: MicArray
-    pairs: PairSelection | None
-    grid: DirectionGrid
-    pinned: frozenset[float] = frozenset()
-    _af: dict = field(default_factory=dict, init=False, repr=False)
-    _af_latest: dict = field(default_factory=dict, init=False, repr=False)
-    _dpr: dict = field(default_factory=dict, init=False, repr=False)
-    _dpr_latest: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, spec: ComplexSpectrogram, array: MicArray, pairs: PairSelection | None,
+                 grid: DirectionGrid, plan: Iterable[float],
+                 pinned: frozenset[float] = frozenset()) -> None:
+        self.array, self.pairs, self.grid, self.pinned = array, pairs, grid, pinned
+        self.config = spec.config
+        self._cos_sin = None if pairs is None else pair_cos_sin(spec, pairs)
+        self.premask = premask(spec, array.ref_index)
+        self._af, self._af_latest = {}, {}
+        directions = sorted({nearest_direction(grid, az) for az in plan})
+        weights = das_filterbank(array, grid, spec.config) if directions else None
+        total = beam_power_total(spec, weights) if directions else None
+        if len(directions) <= 2 * spec.data.shape[0]:
+            self.spec = None
+            self._dpr = {p: dpr(spec, weights[p], total, grid.num_directions)
+                         for p in directions}
+        else:
+            self.spec, self._weights, self._total = spec, weights, total
+            self._dpr = {}
+            self._latest = None
+            self._kept = frozenset(nearest_direction(grid, az) for az in pinned)
 
-    @computed_once
+    @property
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
         """Cosine and sine of the pair IPDs, each (U, T, F)."""
-        if self.pairs is None:
+        if self._cos_sin is None:
             raise ValueError("pairwise features need at least two microphones")
-        return pair_cos_sin(self.spec, self.pairs)
-
-    @computed_once
-    def premask(self) -> np.ndarray:
-        return premask(self.spec, self.array.ref_index)
-
-    @computed_once
-    def weights(self) -> np.ndarray:
-        return das_filterbank(self.array, self.grid, self.spec.config)
-
-    @computed_once
-    def total(self) -> np.ndarray:
-        return beam_power_total(self.spec, self.weights)
-
-    @computed_once
-    def pinned_directions(self) -> frozenset[int]:
-        """Grid indices of the pinned azimuths."""
-        return frozenset(nearest_direction(self.grid, az) for az in self.pinned)
+        return self._cos_sin
 
     def angle_feature(self, azimuth: float) -> np.ndarray:
         cache = self._af if azimuth in self.pinned else self._af_latest
@@ -287,18 +269,21 @@ class SpatialAnalysis:
             cos_ipd, sin_ipd = self.pair_cos_sin  # first: it checks that there are pairs
             if cache is self._af_latest:
                 cache.clear()  # before computing, so no two perturbed maps coexist
-            steer = pair_steering_phases(self.array, azimuth, self.pairs, self.spec.config)
+            steer = pair_steering_phases(self.array, azimuth, self.pairs, self.config)
             cache[azimuth] = angle_feature(cos_ipd, sin_ipd, steer, self.premask)
         return cache[azimuth]
 
     def dpr(self, azimuth: float) -> np.ndarray:
         p = nearest_direction(self.grid, azimuth)
-        cache = self._dpr if p in self.pinned_directions else self._dpr_latest
-        if p not in cache:
-            if cache is self._dpr_latest:
-                cache.clear()  # before computing, as for AF
-            cache[p] = dpr(self.spec, self.weights[p], self.total, self.grid.num_directions)
-        return cache[p]
+        if p not in self._dpr:
+            if self.spec is None:
+                raise KeyError(f"DPR toward {azimuth:g} degrees (grid direction {p}) "
+                               "is not in the plan")
+            if p not in self._kept:
+                self._dpr.pop(self._latest, None)  # before computing, as for AF
+                self._latest = p
+            self._dpr[p] = dpr(self.spec, self._weights[p], self._total, self.grid.num_directions)
+        return self._dpr[p]
 
 
 def assemble_features(blocks: Sequence[tuple[str, np.ndarray]]) -> FeatureStack:

@@ -349,6 +349,26 @@ class TestFeatures:
         stack = read_features(tmp_path / "feat3" / "utt_00000_tgt0.tsnf")
         assert stack.dim == 198
 
+    def test_no_pairwise_block_builds_no_phasors(self, dataset, tmp_path, monkeypatch):
+        # The spatial analysis is built eagerly, so a run that asks for no
+        # cosipd, sinipd or af block analyses without pairs; its LPS and DPR
+        # blocks equal those of a run that asks for every block.
+        out, manifest = dataset
+        argv = ["features", "--manifest", str(out / "manifest.json"), "--cond", "tgt+intf"]
+        assert main([*argv, "--out", str(tmp_path / "all"),
+                     "--features", ",".join(pipeline.FEATURE_BLOCKS)]) == 0
+        calls = []
+        cos_sin = spatial_features.pair_cos_sin
+        monkeypatch.setattr(spatial_features, "pair_cos_sin",
+                            lambda *args: calls.append(1) or cos_sin(*args))
+        assert main([*argv, "--out", str(tmp_path / "some"), "--features", "lps,dpr"]) == 0
+        assert calls == []
+        for name in (f"{u.id}_tgt{t}.tsnf" for u in manifest.utterances
+                     for t in range(len(u.sources))):
+            some, every = (read_features(tmp_path / run / name) for run in ("some", "all"))
+            for block in ("lps", "dpr:tgt", "dpr:intf"):
+                assert np.array_equal(some.block(block), every.block(block)), (name, block)
+
     def test_rerun_bit_identical(self, dataset, tmp_path):
         out, _ = dataset
         args = ["features", "--manifest", str(out / "manifest.json"),
@@ -387,7 +407,9 @@ class TestFeatures:
         # U*F, AF and DPR F per direction (the target, then the interferer).
         _, manifest = dataset
         cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
-        analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
+        analysis = pipeline.UtteranceAnalysis(
+            manifest.utterances[0], manifest, cfg,
+            [src.azimuth_deg for src in manifest.utterances[0].sources])
         stack = pipeline.compute_feature_stack(analysis, 0, frozenset(blocks), cond)
         bins, pairs = cfg.stft_cfg.num_bins, len(cfg.pairs.pairs)
         who = ["tgt", "intf"] if cond == "tgt+intf" else ["tgt"]
@@ -800,7 +822,8 @@ def test_a_failed_utterance_leaves_none_of_its_files(tmp_path, monkeypatch, caps
 
 
 SUMMARY_FILES = {"simulate": {"manifest.json"}, "features": {"run.json"},
-                 "separate": {"run.json"}, "perturb": {"sweep.json", "sweep.csv", "run.json"}}
+                 "separate": {"run.json"}, "perturb": {"sweep.json", "sweep.csv", "run.json"},
+                 "evaluate": {"report.json", "report.csv"}}
 
 
 @pytest.mark.parametrize("stage", sorted(SUMMARY_FILES))
@@ -808,8 +831,9 @@ def test_a_failed_rerun_leaves_no_summary_file(tmp_path, capsys, stage):
     # A rerun into the same --out that fails on a corrupt input leaves no
     # summary file, neither its own nor the one of the clean run before, so
     # none sits beside a half-rewritten tree. simulate's input is its
-    # source pool, the others' the dataset's mixtures.
-    out = tmp_path / "out"
+    # source pool, the others' the dataset's mixtures. evaluate's --out is
+    # the prefix of its report, here beside the estimates it scores.
+    out = dest = tmp_path / "out"
     if stage == "simulate":
         pool = tmp_path / "pool"
         pool.mkdir()
@@ -821,15 +845,21 @@ def test_a_failed_rerun_leaves_no_summary_file(tmp_path, capsys, stage):
         manifest = simulate(tmp_path / "data", seed=7, n=2, speakers=2, duration=0.4)
         argv = [stage, "--manifest", str(tmp_path / "data" / "manifest.json")]
         argv += {"features": [], "separate": ["--method", "heuristic"],
-                 "perturb": ["--direction-error-deg", "0,4"]}[stage]
+                 "perturb": ["--direction-error-deg", "0,4"],
+                 "evaluate": ["--estimates", str(out / "est")]}[stage]
         spoiled = tmp_path / "data" / manifest.utterances[1].mixture
-    assert main([*argv, "--out", str(out)]) == 0
+        if stage == "evaluate":
+            assert main(["separate", *argv[1:3], "--method", "heuristic",
+                         "--out", str(out / "est")]) == 0
+            dest = out / "report"
+    assert main([*argv, "--out", str(dest)]) == 0
     names = {p.name for p in out.rglob("*") if p.is_file()}
     assert SUMMARY_FILES[stage] <= names
     spoiled.write_bytes(b"garbage")
-    # features takes no --seed: its rerun differs only by the spoiled input.
-    seed = [] if stage == "features" else ["--seed", "3"]
-    assert main([*argv, "--out", str(out), *seed]) == 1
+    # features and evaluate take no --seed: their reruns differ only by the
+    # spoiled input.
+    seed = [] if stage in ("features", "evaluate") else ["--seed", "3"]
+    assert main([*argv, "--out", str(dest), *seed]) == 1
     assert "failed: " in capsys.readouterr().err
     names = {p.name for p in out.rglob("*") if p.is_file()}
     assert names and not SUMMARY_FILES[stage] & names
@@ -1035,6 +1065,44 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
     assert len(wide) >= len(manifest.utterances)
 
 
+@pytest.mark.parametrize("argv, alive", [
+    (["perturb"], False),
+    (["separate", "--method", "heuristic", "--cond", "tgt+intf"], False),
+    (["features", "--cond", "tgt+intf"], False),
+    (["separate", "--method", "das"], True),
+], ids=["perturb", "heuristic", "features", "das"])
+def test_no_multichannel_spectrogram_outlives_the_spatial_analysis(dataset, tmp_path,
+                                                                   monkeypatch, argv, alive):
+    # The spatial stages plan their DPR directions before the loop, so once
+    # the spatial analysis is built no (J, T, F) spectrogram is alive at any
+    # write: what the estimates and feature stacks read is the pair phasors,
+    # the premask, the planned DPR maps and a copy of the reference row.
+    # das beams the whole spectrogram for every target, so it stays alive.
+    # Its data array is tracked, which a view of any channel keeps alive too.
+    out, manifest = dataset
+    specs, alive_at_write = [], []
+    stft = pipeline.multichannel_stft
+
+    def tracked(waveform, cfg):
+        spec = stft(waveform, cfg)
+        specs.append(weakref.ref(spec.data))
+        return spec
+
+    def checked(write):
+        def call(path, *args):
+            alive_at_write.append(any(ref() is not None for ref in specs))
+            return write(path, *args)
+        return call
+
+    monkeypatch.setattr(pipeline, "multichannel_stft", tracked)
+    monkeypatch.setattr(pipeline, "write_wav", checked(pipeline.write_wav))
+    monkeypatch.setattr(pipeline, "write_features", checked(pipeline.write_features))
+    assert main([*argv, "--manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(specs) == len(manifest.utterances)
+    assert alive_at_write and set(alive_at_write) == {alive}
+
+
 @pytest.mark.parametrize("cond", ["tgt", "tgt+intf"])
 def test_sweep_reports_equal_evaluate_of_each_run(dataset, tmp_path, cond):
     # The in-task scores are those of reading every estimate back: each
@@ -1059,7 +1127,8 @@ def test_cached_dpr_matches_grid_dpr(dataset):
     # the definition sums all P beams. They agree to rounding in every direction.
     out, manifest = dataset
     cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
-    analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg)
+    analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg,
+                                          cfg.grid.azimuths)
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
         npt.assert_allclose(analysis.spatial.dpr(azimuth),

@@ -87,11 +87,17 @@ def _reference_formulas(monkeypatch) -> None:
         phi = oracles.angle_ipd(spec.data, pairs)
         return np.cos(phi), np.sin(phi)
 
+    def keeping_spec(self, spec, *args):
+        # The analysis releases its spectrogram once built; the references
+        # below read the one it was built from.
+        real_init(self, spec, *args)
+        self.reference_spec = spec
+
     def angle_feature(self, azimuth):
         steer = oracles.loop_steering_phases(tdoa(self.array, azimuth),
-                                             self.spec.config.freqs, self.pairs)
-        return oracles.direct_angle_feature(oracles.angle_ipd(self.spec.data, self.pairs),
-                                            steer, self.premask)
+                                             self.reference_spec.config.freqs, self.pairs)
+        return oracles.direct_angle_feature(
+            oracles.angle_ipd(self.reference_spec.data, self.pairs), steer, self.premask)
 
     def oracle_mask(target, others, kind):
         if kind != "ipsm":
@@ -100,16 +106,17 @@ def _reference_formulas(monkeypatch) -> None:
         return oracles.angle_ipsm(target.data, mixture, MASK_EPS)
 
     def dpr(self, azimuth):
-        bank = das_filterbank(self.array, self.grid, self.spec.config)
-        return oracles.grid_dpr(self.spec.data, bank,
+        bank = das_filterbank(self.array, self.grid, self.reference_spec.config)
+        return oracles.grid_dpr(self.reference_spec.data, bank,
                                 oracles.nearest_direction(self.grid.azimuths, azimuth),
                                 DPR_POWER_FLOOR)
 
-    real_oracle_mask = pipeline.oracle_mask
+    real_oracle_mask, real_init = pipeline.oracle_mask, SpatialAnalysis.__init__
     monkeypatch.setattr(pipeline, "stft", one)
     monkeypatch.setattr(pipeline, "multichannel_stft", multichannel)
     monkeypatch.setattr(spatial_features, "pair_cos_sin", cos_sin)
     monkeypatch.setattr(pipeline, "oracle_mask", oracle_mask)
+    monkeypatch.setattr(SpatialAnalysis, "__init__", keeping_spec)
     monkeypatch.setattr(SpatialAnalysis, "angle_feature", angle_feature)
     monkeypatch.setattr(SpatialAnalysis, "dpr", dpr)
 

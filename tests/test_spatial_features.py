@@ -34,12 +34,13 @@ def _anechoic_scene(seed, azimuth, array, duration=0.8):
 
 def _angle_feature(spec, azimuth, array, pairs):
     """AF toward ``azimuth`` as the run paths form it."""
-    return SpatialAnalysis(spec, array, pairs, DirectionGrid.uniform(10.0)).angle_feature(azimuth)
+    return SpatialAnalysis(spec, array, pairs, DirectionGrid.uniform(10.0),
+                           ()).angle_feature(azimuth)
 
 
 def _grid_dpr(spec, array, grid):
     """DPR toward every grid direction, (P, T, F), one run-path call each."""
-    analysis = SpatialAnalysis(spec, array, None, grid)
+    analysis = SpatialAnalysis(spec, array, None, grid, grid.azimuths)
     return np.stack([analysis.dpr(az) for az in grid.azimuths])
 
 
@@ -197,7 +198,7 @@ class TestDpr:
     def test_silent_bins_uniform(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.zeros((6, 5, 33), dtype=complex),
                                   config=cfg_default)
-        analysis = SpatialAnalysis(spec, array6, None, grid36)
+        analysis = SpatialAnalysis(spec, array6, None, grid36, [70.0])
         npt.assert_array_equal(analysis.dpr(70.0), 1.0 / 36.0)
 
     def test_anechoic_source_localized(self, array6, grid36, cfg_default):
@@ -212,9 +213,10 @@ class TestDpr:
 
     def test_invariant_to_global_scaling(self, array6, grid36, cfg_default, rng):
         wav = rng.standard_normal((6, 1500))
-        d1 = SpatialAnalysis(multichannel_stft(wav, cfg_default), array6, None, grid36).dpr(30.0)
+        d1 = SpatialAnalysis(multichannel_stft(wav, cfg_default), array6, None, grid36,
+                             [30.0]).dpr(30.0)
         d2 = SpatialAnalysis(multichannel_stft(2.0 * wav, cfg_default), array6, None,
-                             grid36).dpr(30.0)
+                             grid36, [30.0]).dpr(30.0)
         npt.assert_allclose(d1, d2, atol=1e-9)
 
     def test_spectrogram_channel_check(self, grid36, cfg_default, rng):
@@ -388,9 +390,11 @@ class TestSpatialAnalysis:
     @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.data())
     def test_memo_matches_a_fresh_analysis(self, num_sources, seed, data):
         # Any sequence of pinned (source) azimuths, perturbed azimuths and
-        # repeats: every AF and DPR equals the same call on a fresh analysis,
-        # and at most S + 1 AF maps and G + 1 DPR maps are alive after each
-        # call, for the G grid directions of the S sources.
+        # repeats, planned alone or with the whole grid: every AF and DPR
+        # equals the same call on a fresh analysis, and after each call at
+        # most S + 1 AF maps are alive, for the S sources. DPR comes from
+        # the spectrogram and at most G + 1 maps, for the G grid directions
+        # of the sources, or from at most 2J planned maps and no spectrogram.
         array, pairs, grid = circular_array(6, 0.07), PairSelection.default_six(), \
             DirectionGrid.uniform(10.0)
         rng = np.random.default_rng(seed)
@@ -406,21 +410,63 @@ class TestSpatialAnalysis:
         calls = data.draw(st.lists(st.tuples(st.sampled_from(["angle_feature", "dpr"]),
                                              st.sampled_from(pinned + perturbed)),
                                    min_size=1, max_size=25), label="calls")
-        analysis = SpatialAnalysis(spec, array, pairs, grid, frozenset(pinned))
+        wide = data.draw(st.booleans(), label="wide")
+        plan = [az for _, az in calls] + (list(grid.azimuths) if wide else [])
+        analysis = SpatialAnalysis(spec, array, pairs, grid, plan, frozenset(pinned))
         directions = len({nearest_direction(grid, az) for az in pinned})
         maps = {"angle_feature": [], "dpr": []}
         for name, az in calls:
             got = getattr(analysis, name)(az)
-            fresh = getattr(SpatialAnalysis(spec, array, pairs, grid, frozenset(pinned)), name)(az)
+            fresh = getattr(SpatialAnalysis(spec, array, pairs, grid, plan, frozenset(pinned)),
+                            name)(az)
             assert np.array_equal(got, fresh), (name, az)
             maps[name].append(weakref.ref(got))
             del got, fresh
             live = {key: len({id(ref()) for ref in refs if ref() is not None})
                     for key, refs in maps.items()}
             assert live["angle_feature"] <= num_sources + 1
-            assert live["dpr"] <= directions + 1
+            if analysis.spec is None:
+                assert live["dpr"] <= 2 * shape[0]
+            else:
+                assert live["dpr"] <= directions + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.sampled_from([5.0, 10.0]), st.integers(0, 2 ** 31 - 1),
+           st.data())
+    def test_planned_maps_equal_the_on_demand_maps(self, mics, step, seed, data):
+        # For random spectra, sources and signed errors, a plan of at most 2J
+        # grid directions releases the spectrogram and serves each planned
+        # DPR map bit-equal to the on-demand map of an analysis planned over
+        # the whole grid (wider than 2J); a DPR outside the plan then raises
+        # KeyError. A plan wider than 2J keeps the spectrogram.
+        array, grid = circular_array(mics, 0.07), DirectionGrid.uniform(step)
+        pairs = PairSelection(tuple((0, j) for j in range(1, mics)))
+        rng = np.random.default_rng(seed)
+        shape = (mics, 5, 33)
+        spec = ComplexSpectrogram(data=rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape), config=oracles.PAPER_STFT)
+        sources = data.draw(st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1,
+                                     max_size=3, unique=True), label="sources")
+        errors = data.draw(st.lists(st.floats(0.0, 180.0), min_size=1, max_size=6),
+                           label="errors")
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(sources),
+                                   max_size=len(sources)), label="signs")
+        plan = [az + sign * error for az, sign in zip(sources, signs) for error in errors]
+        planned = {nearest_direction(grid, az) for az in plan}
+        analysis = SpatialAnalysis(spec, array, pairs, grid, plan, frozenset(sources))
+        on_demand = SpatialAnalysis(spec, array, pairs, grid, grid.azimuths, frozenset(sources))
+        assert on_demand.spec is spec
+        for az in plan:
+            assert np.array_equal(analysis.dpr(az), on_demand.dpr(az)), az
+        if len(planned) > 2 * mics:
+            assert analysis.spec is spec
+        else:
+            assert analysis.spec is None
+            unplanned = next(p for p in range(grid.num_directions) if p not in planned)
+            with pytest.raises(KeyError):
+                analysis.dpr(grid.azimuths[unplanned])
 
     def test_af_needs_pairs(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.ones((6, 4, 33), dtype=complex), config=cfg_default)
         with pytest.raises(ValueError, match="two microphones"):
-            SpatialAnalysis(spec, array6, None, grid36).angle_feature(0.0)
+            SpatialAnalysis(spec, array6, None, grid36, ()).angle_feature(0.0)
