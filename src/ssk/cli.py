@@ -1,8 +1,10 @@
 """Command line driver: simulate | features | separate | evaluate | perturb.
 
 Every subcommand is deterministic under a fixed --seed. Log level comes
-from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR). A stage
-runs under the batch rule of :mod:`ssk.stages`; if any utterance failed, it
+from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR). A
+subcommand parses its flags, calls its stage function and prints a summary;
+the stage writes every output file, under the batch rule of
+:mod:`ssk.stages`, and this module writes none. If any utterance failed, it
 exits 1 with the rule's one line that lists each failure.
 
 The parser needs only the names in :mod:`ssk.stages`. Each subcommand
@@ -21,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset_io import read_manifest, write_json
+from .dataset_io import read_manifest
 from .geometry import circular_array
 from .stages import CONDS, FEATURE_BLOCKS, INPUT_ERRORS, METHODS, SYNTH_KIND_NAMES
 
@@ -200,12 +202,7 @@ def cmd_evaluate(args) -> int:
     from . import evaluation
 
     manifest = read_manifest(args.manifest)
-    json_path, csv_path = Path(f"{args.out}.json"), Path(f"{args.out}.csv")
-    json_path.unlink(missing_ok=True)
-    csv_path.unlink(missing_ok=True)
-    report, _ = evaluation.evaluate_dataset(manifest, args.estimates, method=args.method)
-    write_json(json_path, report.to_dict())
-    report.write_csv(csv_path)
+    report = evaluation.evaluate_dataset(manifest, args.estimates, args.out, method=args.method)
     for b in report.bins:
         mean = "-" if b.mean_si_sdri is None else f"{b.mean_si_sdri:.2f}"
         print(f"bin {b.label:>6}: count {b.count:4d}  mean SI-SDRi {mean} dB")
@@ -220,14 +217,13 @@ def cmd_perturb(args) -> int:
     manifest = read_manifest(args.manifest)
     sweep = pipeline.perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed,
                                    cond=args.cond, jobs=args.jobs, **_analysis(args))
-    json_path, csv_path = pipeline.write_sweep_reports(sweep, args.out)
     for variant, rows in sweep["variants"].items():
         for row in rows:
             gt15 = "-" if row["mean_gt15"] is None else f"{row['mean_gt15']:.2f}"
             overall = "-" if row["overall"] is None else f"{row['overall']:.2f}"
             print(f"{variant:>7} error {row['error_deg']:4.1f} deg: "
                   f">15deg {gt15} dB, overall {overall} dB")
-    print(f"wrote {json_path} and {csv_path}")
+    print(f"wrote {Path(args.out) / 'sweep.json'} and {Path(args.out) / 'sweep.csv'}")
     return 0
 
 

@@ -1,8 +1,9 @@
 """The evaluation stage: SI-SDR of every estimate against its reference image.
 
 It reads only reference-mic rows of the dataset WAVs
-(:meth:`~ssk.dataset_io.Manifest.read`) and runs under the batch rule of
-:mod:`ssk.stages`; it loads none of the analysis or simulation modules.
+(:meth:`~ssk.dataset_io.Manifest.read`), runs under the batch rule of
+:mod:`ssk.stages` and writes its report, ``<out>.json`` and ``<out>.csv``,
+as the rule's summary files; it loads none of the analysis or simulation modules.
 :func:`_record` is the one scoring rule, shared with the direction-error
 sweep of :mod:`ssk.pipeline`.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset_io import DataFormatError, Manifest, UtteranceEntry, read_wav
+from .dataset_io import DataFormatError, Manifest, UtteranceEntry, read_wav, write_json
 from .metrics import EvalRecord, EvalReport, aggregate, si_sdr
 from .stages import _each
 
@@ -26,14 +27,13 @@ def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.n
                       si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix, method=method)
 
 
-def evaluate_dataset(manifest: Manifest, estimates_dir, method: str
-                     ) -> tuple[EvalReport, list[EvalRecord]]:
+def evaluate_dataset(manifest: Manifest, estimates_dir, out, method: str) -> EvalReport:
     """Score every (utterance, target) estimate ``<utterance>_tgt<k>.wav`` in
     ``estimates_dir`` against its reverberant image at the manifest's
-    reference mic, one utterance at a time in manifest order. An estimate
-    that is missing, unreadable, not mono or not as long as the mixture fails
-    its utterance, with a message that names the file; the batch rule of
-    :mod:`ssk.stages` applies. Returns (report, records in manifest order)."""
+    reference mic, one utterance at a time in manifest order, then write the
+    report labelled ``method`` to ``<out>.json`` and ``<out>.csv`` and return
+    it. An estimate that is missing, unreadable, not mono or not as long as
+    the mixture fails its utterance, with a message that names the file."""
 
     def one(index: int, written: list[Path]) -> list[EvalRecord]:
         entry = manifest.utterances[index]
@@ -51,6 +51,9 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, method: str
                                    si_sdr(mixture, reference), method))
         return records
 
-    labels = [e.id for e in manifest.utterances]
-    records = [rec for recs in _each(one, labels) for rec in recs]
-    return aggregate(records, method=method), records
+    json_path, csv_path = Path(f"{out}.json"), Path(f"{out}.csv")
+    results = _each(one, [e.id for e in manifest.utterances], 1, [json_path, csv_path])
+    report = aggregate([rec for recs in results for rec in recs], method=method)
+    write_json(json_path, report.to_dict())
+    report.write_csv(csv_path)
+    return report

@@ -17,7 +17,10 @@ estimate. The sweep also scores each estimate in the same task. Methods,
 feature blocks and direction conditions are plain names, each set stated
 once in :mod:`ssk.stages`; masks are (T, F) arrays.
 
-Each stage is one batch under the rule of :mod:`ssk.stages`, and builds its
+Each stage is one batch under the rule of :mod:`ssk.stages` and writes its
+whole tree: features a TSNF1 file per target and ``run.json``; separation
+an estimate WAV per target and a ``run.json`` per run; the sweep the same
+for each of its runs, then ``sweep.json`` and ``sweep.csv``. Each builds its
 :class:`PipelineConfig` once, from the manifest's array and sample rate and
 the analysis keywords ``grid_step``, ``fft_size``, ``win_len`` and ``hop``."""
 
@@ -137,9 +140,10 @@ class UtteranceAnalysis:
     when :attr:`spatial`, its :class:`~ssk.spatial_features.SpatialAnalysis`
     for the DPR ``plan``, releases it; masks and the LPS block read
     :attr:`ref_spec`, a copy of its reference-mic row made before. Each part
-    is computed on first use, so a method pays only for what it reads; one
-    asked for after its source went reads the mixture again, which no stage
-    does.
+    is computed on first use, so a method pays only for what it reads.
+    :attr:`spec` asked for after the mixture or the spectrogram went raises
+    :class:`LookupError`, a bug that no stage makes; the mixture is read
+    once.
     """
 
     entry: UtteranceEntry
@@ -174,7 +178,8 @@ class UtteranceAnalysis:
     def spec(self) -> ComplexSpectrogram:
         wav = self._release_mixture()
         if wav is None:
-            wav = self.manifest.read(self.entry.mixture)
+            raise LookupError(f"{self.entry.id}: the multichannel spectrogram was asked for "
+                              "after the analysis released the mixture or the spectrogram")
         return multichannel_stft(wav, self.cfg.stft_cfg)
 
     @computed_once
@@ -233,15 +238,14 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
                    jobs: int, **analysis: float) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
     and analysed once for all its targets. Then the summary file ``run.json``
-    (an earlier one is removed before the batch) states the blocks, in
-    :data:`FEATURE_BLOCKS` order, and ``cond``. ``analysis``: ``grid_step``,
-    ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`)."""
+    states the blocks, in :data:`FEATURE_BLOCKS` order, and ``cond``.
+    ``analysis``: ``grid_step``, ``fft_size``, ``win_len``, ``hop``
+    (:meth:`PipelineConfig.default`)."""
     cfg = _stage_config(manifest, cond, analysis)
     if not blocks & {"cosipd", "sinipd", "af"}:
         cfg = replace(cfg, pairs=None)  # no block reads them, so no IPD phasors are built
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run.json").unlink(missing_ok=True)
 
     def one(index: int, written: list[Path]) -> list[Path]:
         entry = manifest.utterances[index]
@@ -254,7 +258,7 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
             written.append(path)
         return written
 
-    results = _each(one, [e.id for e in manifest.utterances], jobs)
+    results = _each(one, [e.id for e in manifest.utterances], jobs, [out / "run.json"])
     write_json(out / "run.json", {"blocks": [name for name in FEATURE_BLOCKS if name in blocks],
                                   "cond": cond})
     return [p for paths in results for p in paths]
@@ -300,14 +304,14 @@ class Run:
 
 
 def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond: str,
-                     error_seed: int, jobs: int, score: bool = False, **analysis: float
-                     ) -> tuple[list[Path], list[list[EvalRecord]]]:
+                     error_seed: int, jobs: int, reports: Sequence[Path] = (),
+                     **analysis: float) -> tuple[list[Path], list[list[EvalRecord]]]:
     """Separate every (utterance, target) once per run, in one pass over the
     utterances that reads and analyses each mixture once. Writes estimate
-    WAVs and then, in each run's directory, its summary file ``run.json``
-    (an earlier one is removed before the batch): the run's settings and,
-    per estimate in manifest and target order, the azimuth used; null for
-    an oracle mask, which steers at none and so takes no direction error.
+    WAVs and then, in each run's directory, its summary file ``run.json``:
+    the run's settings and, per estimate in manifest and target order, the
+    azimuth used; null for an oracle mask, which steers at none and so takes
+    no direction error.
     The error sign is drawn once per (utterance, target), before any target
     is separated, and serves every run: minus if
     ``random.Random(f"{error_seed}/{index}/{target}").random()``, ``index``
@@ -318,12 +322,14 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
     and the analysis computes its AF once and then drops it (see
-    :class:`~ssk.spatial_features.SpatialAnalysis`). With ``score`` each
-    target's reference image is read once and every estimate is scored as
-    written, rounded to float32, which is bit-equal to reading it back: the
-    records match :func:`evaluate_dataset` on the run's directory. Returns
-    the written paths and, per run, its records in manifest order (empty
-    lists without ``score``)."""
+    :class:`~ssk.spatial_features.SpatialAnalysis`). ``reports`` are the
+    summary files of a caller that reports the scores (the sweep's), which
+    it writes after this returns. With any, each target's reference image is
+    read once and every estimate is scored as written, rounded to float32,
+    which is bit-equal to reading it back: the records match
+    :func:`evaluate_dataset` on the run's directory. Returns the written
+    paths and, per run, its records in manifest order (empty lists without
+    ``reports``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     steered = method not in ORACLE_KINDS
@@ -332,7 +338,6 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     cfg = _stage_config(manifest, cond, analysis)
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
-        (run.out_dir / "run.json").unlink(missing_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
 
     def one(index: int, written: list[Path]):
@@ -350,7 +355,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
         records: list[list[EvalRecord]] = [[] for _ in runs]
         rows: list[list[tuple]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
-            if score:
+            if reports:
                 reference = manifest.read(src.image, ref_row=True)
                 si_sdr_mix = si_sdr(analysis.reference, reference)
             for i in order:
@@ -361,12 +366,13 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
                 write_wav(path, est, manifest.sample_rate)
                 written.append(path)
                 rows[i].append((entry.id, target, float(azimuth) if steered else None))
-                if score:
+                if reports:
                     records[i].append(_record(entry, target, est.astype(np.float32).astype(float),
                                               reference, si_sdr_mix, method))
         return written, records, rows
 
-    results = _each(one, [e.id for e in manifest.utterances], jobs)
+    results = _each(one, [e.id for e in manifest.utterances], jobs,
+                    [run.out_dir / "run.json" for run in runs] + list(reports))
     for i, run in enumerate(runs):
         write_json(run.out_dir / "run.json", {
             "method": method, "cond": cond, "direction_error_deg": float(run.direction_error_deg),
@@ -390,18 +396,19 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
     make one run, whose estimates and ``run.json`` go to ``<variant>/errNN``;
     two errors that would share an ``errNN``, equal ones included, raise
-    :class:`ValueError`. The summary files of :func:`write_sweep_reports`
-    are removed before the batch, so a failed sweep leaves none.
-    One scoring :func:`separate_dataset` pass writes and scores all runs
-    from a single analysis of each mixture, reading each mixture and
-    reference image once and no estimate. Per target it takes the errors in
-    turn and both variants at each, so each perturbed azimuth's AF is
-    computed once and dropped before the next, and the DPR maps are those
-    of the plan or, for a plan wider than the spectrogram, of the sources
-    and the latest other direction: memory stays flat in the number of
-    errors. The error sign, drawn per (utterance, target) from
+    :class:`ValueError`. One scoring :func:`separate_dataset` pass writes
+    and scores all runs from a single analysis of each mixture, reading each
+    mixture and reference image once and no estimate. Per target it takes
+    the errors in turn and both variants at each, so each perturbed
+    azimuth's AF is computed once and dropped before the next, and the DPR
+    maps are those of the plan or, for a plan wider than the spectrogram,
+    of the sources and the latest other direction: memory stays flat in the
+    number of errors. The error sign, drawn per (utterance, target) from
     ``seed`` by the rule of :func:`separate_dataset`, is the same for every
-    magnitude. ``analysis``: ``grid_step``, ``fft_size``, ``win_len``, ``hop``.
+    magnitude. Then the sweep, each run's report and its mean above 15
+    degrees of angle difference, is written to ``sweep.json`` and, one row
+    per bin, to ``sweep.csv``, and returned. ``analysis``: ``grid_step``,
+    ``fft_size``, ``win_len``, ``hop``.
     """
     out = Path(out_dir)
     dirs: dict[str, float] = {}
@@ -414,10 +421,9 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     runs = {(variant, error): Run(out / variant / name, error, alpha, beta)
             for variant, (alpha, beta) in PERTURB_VARIANTS.items()
             for name, error in dirs.items()}
-    for name in ("sweep.json", "sweep.csv"):
-        (out / name).unlink(missing_ok=True)
     _, records = separate_dataset(manifest, list(runs.values()), "heuristic", cond=cond,
-                                  error_seed=seed, jobs=jobs, score=True, **analysis)
+                                  error_seed=seed, jobs=jobs,
+                                  reports=(out / "sweep.json", out / "sweep.csv"), **analysis)
     reports = {key: aggregate(run_records, method=f"heuristic/{key[0]}")
                for key, run_records in zip(runs, records)}
     sweep: dict = {"seed": seed, "cond": cond,
@@ -425,35 +431,22 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
                    "note": ("single-target separators have no output-permutation "
                             "freedom; rows are strictly comparable only above 15 "
                             "degrees of angle difference")}
+    lines = ["variant,error_deg,bin,count,mean_si_sdri"]
     for variant in PERTURB_VARIANTS:
         rows = []
         for error in errors:
             report = reports[variant, float(error)]
-            count_gt15 = sum(b.count for b in report.bins if b.lo >= 15.0)
-            rows.append({"error_deg": float(error), "report": report.to_dict(),
-                         "mean_gt15": report.mean_above(15.0),
-                         "count_gt15": count_gt15,
-                         "overall": report.overall_mean})
+            row = {"error_deg": float(error), "report": report.to_dict(),
+                   "mean_gt15": report.mean_above(15.0),
+                   "count_gt15": sum(b.count for b in report.bins if b.lo >= 15.0),
+                   "overall": report.overall_mean}
+            rows.append(row)
+            cells = [(b.label, b.count, b.mean_si_sdri) for b in report.bins]
+            cells += [(">15", row["count_gt15"], row["mean_gt15"]),
+                      ("overall", report.overall_count, row["overall"])]
+            lines += [f"{variant},{row['error_deg']:g},{label},{count},"
+                      + ("" if mean is None else f"{mean:.6f}") for label, count, mean in cells]
         sweep["variants"][variant] = rows
+    write_json(out / "sweep.json", sweep)
+    atomic_write_bytes(out / "sweep.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     return sweep
-
-
-def write_sweep_reports(sweep: dict, out_dir) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "sweep.json"
-    write_json(json_path, sweep)
-    lines = ["variant,error_deg,bin,count,mean_si_sdri"]
-    for variant, rows in sweep["variants"].items():
-        for row in rows:
-            for b in row["report"]["bins"]:
-                mean = "" if b["mean_si_sdri"] is None else f"{b['mean_si_sdri']:.6f}"
-                lines.append(f"{variant},{row['error_deg']:g},{b['label']},{b['count']},{mean}")
-            gt15 = "" if row["mean_gt15"] is None else f"{row['mean_gt15']:.6f}"
-            overall = "" if row["overall"] is None else f"{row['overall']:.6f}"
-            count = row["report"]["overall"]["count"]
-            lines.append(f"{variant},{row['error_deg']:g},>15,{row['count_gt15']},{gt15}")
-            lines.append(f"{variant},{row['error_deg']:g},overall,{count},{overall}")
-    csv_path = out / "sweep.csv"
-    atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
-    return json_path, csv_path

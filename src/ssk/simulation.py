@@ -3,8 +3,8 @@
 Each scene is drawn from its own seed (room, T60, array centre, source
 positions, dry signals and mixing gains), rendered by
 :func:`~ssk.room_sim.render_mixture` and written as WAVs; one utterance per
-scene, on ``jobs`` threads under the batch rule of :mod:`ssk.stages`, whose
-summary file is the manifest.
+scene, on ``jobs`` threads under the batch rule of :mod:`ssk.stages`; the
+stage writes the WAVs and then its summary file, the manifest.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
                      array: MicArray, sample_rate: int, duration: float, synth_kind: str,
                      source_dir, jobs: int) -> Manifest:
     """Render ``num_scenes`` reverberant scenes recorded by ``array`` at
-    ``sample_rate`` to ``out_dir``, then the manifest (an earlier one is
-    removed before the batch). Dry sources are ``synth_kind`` signals unless
-    ``source_dir`` names a pool of WAVs. Deterministic for a fixed seed."""
+    ``sample_rate`` to ``out_dir``, then the manifest. Dry sources are
+    ``synth_kind`` signals unless ``source_dir`` names a pool of WAVs.
+    Deterministic for a fixed seed."""
     out = Path(out_dir)
     seed_rng = np.random.default_rng(seed)
     scene_seeds = seed_rng.integers(0, 2 ** 31 - 1, size=num_scenes)
@@ -84,8 +84,7 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
             room_dimensions=tuple(float(d) for d in room.dimensions),
             array_center=tuple(float(x) for x in room.array_center))
 
-    (out / "manifest.json").unlink(missing_ok=True)
-    utterances = _each(render_one, ids, jobs)
+    utterances = _each(render_one, ids, jobs, [out / "manifest.json"])
 
     manifest = Manifest(sample_rate=sample_rate, array=array, utterances=tuple(utterances))
     write_manifest(out / "manifest.json", manifest)

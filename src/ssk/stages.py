@@ -7,14 +7,15 @@ synthetic source kinds. The parser offers them, and the stage modules key
 their implementations by them.
 
 Each stage is one batch (:func:`_each`), on ``jobs`` threads that take whole
-utterances. Every utterance runs. One that fails leaves none of the files it
-had written, whatever the error; an input error (:data:`INPUT_ERRORS`) then
-fails only its own utterance, and one :class:`RuntimeError` lists each
-failure in manifest order, so no summary file (manifest, report, sweep,
-run record) is written. A stage that writes a tree removes its summary
-files from it before the batch, so a failed rerun into the same directory
-leaves none from the run before. Any other exception is a bug and
-propagates as itself.
+utterances, and writes its whole output tree itself. Every utterance runs.
+One that fails leaves none of the files it had written, whatever the error;
+an input error (:data:`INPUT_ERRORS`) then fails only its own utterance, and
+one :class:`RuntimeError` lists each failure in manifest order. Any other
+exception is a bug and propagates as itself. A stage's summary files (the
+manifest, each ``run.json``, ``sweep.json`` and ``sweep.csv``, evaluate's
+``<out>.json`` and ``<out>.csv``) are removed by :func:`_each` before the
+batch and written by the stage only after every utterance succeeded, so a
+failed run leaves none, not even those of an earlier run.
 Importing this module loads no numeric ``ssk`` module, so the CLI can build
 its parser before it knows which stage to import.
 """
@@ -22,7 +23,7 @@ its parser before it knows which stage to import.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Errors of input or run, not bugs: each fails its utterance; the CLI exits 1.
 INPUT_ERRORS = (ValueError, OSError, RuntimeError)
@@ -35,11 +36,15 @@ FEATURE_BLOCKS = ("lps", "cosipd", "sinipd", "af", "dpr")
 SYNTH_KIND_NAMES = ("speech", "noise", "am", "chirp")
 
 
-def _each(task, labels: Sequence[str], jobs: int = 1) -> list:
+def _each(task, labels: Sequence[str], jobs: int, summaries: Iterable[Path]) -> list:
     """``[task(i, written) for i in range(len(labels))]`` on ``jobs`` threads
-    under the batch rule. ``task`` lists in ``written`` each file it writes;
-    if it raises, those files are removed. A failure keeps its message alone,
-    so no traceback pins the utterance's arrays."""
+    under the batch rule, after the stage's ``summaries`` are removed.
+    ``task`` lists in ``written`` each file it writes; if it raises, those
+    files are removed. A failure keeps its message alone, so no traceback
+    pins the utterance's arrays."""
+    for path in summaries:
+        path.unlink(missing_ok=True)
+
     def attempt(i: int) -> tuple[bool, object]:
         written: list[Path] = []
         try:

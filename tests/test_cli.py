@@ -25,6 +25,7 @@ from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
 from ssk.room_sim import MIN_SOURCE_DISTANCE, WALL_MARGIN, sample_scene
 from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
+from ssk.stages import INPUT_ERRORS
 
 import oracles
 
@@ -422,7 +423,29 @@ class TestFeatures:
             else:
                 expected += [(f"{name}:{w}", bins) for w in who]
         assert stack.layout == tuple(expected)
-        assert stack.data.shape == (analysis.spec.num_frames, sum(w for _, w in expected))
+        frames = (analysis.reference.size - cfg.stft_cfg.win_len) // cfg.stft_cfg.hop + 1
+        assert stack.data.shape == (frames, sum(w for _, w in expected))
+
+
+def test_spectrogram_asked_for_after_its_release_raises(dataset, monkeypatch):
+    # Once the spatial analysis has released the spectrogram, asking for it
+    # is a bug: it raises an error that fails no utterance as an input error
+    # would, and the mixture is not read again.
+    _, manifest = dataset
+    reads = []
+    read = dataset_io.read_wav
+    monkeypatch.setattr(dataset_io, "read_wav",
+                        lambda path, **k: reads.append(Path(path).name) or read(path, **k))
+    entry = manifest.utterances[0]
+    cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
+    analysis = pipeline.UtteranceAnalysis(entry, manifest, cfg,
+                                          [src.azimuth_deg for src in entry.sources])
+    pipeline.compute_feature_stack(analysis, 0, frozenset({"lps", "dpr"}), "tgt")
+    assert reads == [Path(entry.mixture).name]
+    with pytest.raises(LookupError) as raised:
+        analysis.spec
+    assert not isinstance(raised.value, INPUT_ERRORS)
+    assert reads == [Path(entry.mixture).name]
 
 
 @pytest.mark.parametrize("stage", ["features", "separate", "perturb"])
@@ -1189,6 +1212,9 @@ class TestManifestDecides:
             return pipeline.separate_dataset(manifest, [pipeline.Run(dest, 0.0, 1.0, 1.0)],
                                              method, cond=cond, error_seed=0, jobs=1)
 
+        estimates = tmp_path / "estimates"
+        run(estimates, "das")
+
         stages = {
             ("features", "--cond", "tgt+intf"): lambda dest: pipeline.build_features(
                 manifest, dest, frozenset({"lps", "cosipd", "af", "dpr"}), cond="tgt+intf",
@@ -1197,17 +1223,20 @@ class TestManifestDecides:
             ("separate", "--method", "das"): lambda dest: run(dest, "das"),
             ("separate", "--method", "heuristic", "--cond", "tgt+intf"):
                 lambda dest: run(dest, "heuristic", "tgt+intf"),
-            ("perturb", "--direction-error-deg", "0,3"): lambda dest: (
-                pipeline.write_sweep_reports(pipeline.perturb_sweep(
-                    manifest, dest, [0.0, 3.0], 0, cond="tgt", jobs=1), dest)),
+            ("perturb", "--direction-error-deg", "0,3"): lambda dest: pipeline.perturb_sweep(
+                manifest, dest, [0.0, 3.0], 0, cond="tgt", jobs=1),
+            ("evaluate", "--estimates", str(estimates), "--method", "das"):
+                lambda dest: evaluation.evaluate_dataset(manifest, estimates, dest, method="das"),
         }
+        # Each --out is "out" in a directory of its own, since evaluate's is
+        # the prefix of its report files.
         for k, (argv, api) in enumerate(stages.items()):
             assert main([*argv, "--manifest", str(out / "manifest.json"),
-                         "--out", str(tmp_path / f"cli{k}")]) == 0, argv
-            api(tmp_path / f"api{k}")
+                         "--out", str(tmp_path / f"cli{k}" / "out")]) == 0, argv
+            api(tmp_path / f"api{k}" / "out")
             assert tree_hash(tmp_path / f"cli{k}") == tree_hash(tmp_path / f"api{k}"), argv
         # Four mics make three pairs of 33 bins in the IPD block.
-        layout = dict(read_features(tmp_path / "cli0" / "utt_00000_tgt0.tsnf").layout)
+        layout = dict(read_features(tmp_path / "cli0" / "out" / "utt_00000_tgt0.tsnf").layout)
         assert layout["cosipd"] == 3 * 33
 
     @pytest.mark.parametrize("edit", [

@@ -1,6 +1,6 @@
 """Guards read from the syntax tree of ``src/ssk``: every member has a reader
-in ``src/``, and no signature or field gives the sample rate or another run
-setting a default."""
+in ``src/``, no signature or field gives the sample rate or another run
+setting a default, and only `stages._each` removes a summary file."""
 
 import ast
 from pathlib import Path
@@ -11,9 +11,12 @@ TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(Path(ssk.__file__).par
 
 # Members kept without a reader in src/, each for its reason.
 UNREAD = {
-    # The TSNF1 reader: the joint feature stacks that `features` writes are
-    # for a mask estimator outside ssk, and this reads them back.
+    # The TSNF1 reader and the API of the stacks it returns: the joint feature
+    # stacks that `features` writes are for a mask estimator outside ssk, and
+    # this reads them back. C12 reads dim.
     "dataset_io.read_features",
+    "spatial_features.FeatureStack.dim",
+    "spatial_features.FeatureStack.block",
     # The benchmark's by-name tracer (bench/spans.py LAYERS) looks these up;
     # they leave with it (ROADMAP item 7). It also names das_filterbank and
     # pipeline.__getattr__, which need no entry: the one has a reader, the
@@ -24,33 +27,38 @@ UNREAD = {
 
 
 def _members():
-    """(qualified name, name) of every top-level function and class and of
-    every method."""
+    """(qualified name, name, is a method) of every top-level function and
+    class and of every method."""
     for module, tree in TREES.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield f"{module}.{node.name}", node.name
+                yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef):
-                        yield f"{module}.{node.name}.{method.name}", method.name
+                        yield f"{module}.{node.name}.{method.name}", method.name, True
 
 
 def test_every_member_has_a_reader_in_src():
-    # The check works by name: a member counts as read when any bare name or
-    # attribute in src/ spells it, so one that shares its name with another
-    # member or a local passes. Dunders are called by Python. The list of
+    # The check works by name. A method or property counts as read when an
+    # attribute in src/ spells it; a function or class also when a loaded
+    # name or an import does. So a member that shares its name with another
+    # member passes, but not one that shares it with a local, a parameter or
+    # a keyword argument. Dunders are called by Python. The list of
     # exceptions must match exactly, so an entry that gains a reader or is
     # deleted leaves it too.
-    read = set()
+    attributes, names = set(), set()
     for tree in TREES.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    unread = {qualified for qualified, name in _members()
-              if name not in read and not (name.startswith("__") and name.endswith("__"))}
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    unread = {qualified for qualified, name, method in _members()
+              if name not in (attributes if method else attributes | names)
+              and not (name.startswith("__") and name.endswith("__"))}
     assert unread == UNREAD
 
 
@@ -60,10 +68,8 @@ def test_every_member_has_a_reader_in_src():
 RUN_SETTINGS = {"sample_rate", "cond", "alpha", "beta", "duration", "synth_kind", "source_dir",
                 "error_seed"}
 # The stage functions take jobs and method from their command too. Below the
-# stages two defaults of those names stay: stages._each(jobs=1) runs a batch
-# on one thread for evaluate, which has no --jobs flag, and
-# metrics.aggregate(method="") is the label of a report of any records, which
-# the stages always pass.
+# stages one default of those names stays: metrics.aggregate(method="") is
+# the label of a report of any records, which the stages always pass.
 STAGES = {"simulate_dataset", "build_features", "separate_dataset", "perturb_sweep",
           "evaluate_dataset"}
 
@@ -89,3 +95,31 @@ def test_no_sample_rate_has_a_default():
                               if isinstance(s, ast.AnnAssign) and s.value is not None
                               and getattr(s.target, "id", None) in RUN_SETTINGS]
     assert defaulted == []
+
+
+def _calls(attr: str):
+    """``module.definition`` of the top-level definition around each call of
+    a method named ``attr``."""
+    for module, tree in TREES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr:
+                    yield f"{module}.{getattr(top, 'name', None)}"
+
+
+def test_only_the_batch_rule_removes_a_file():
+    # The summary-file rule is stated once, in stages._each, which removes a
+    # stage's summary files before its batch and the files of a failed
+    # utterance. The one other removal is atomic_write_bytes's of its own
+    # temp file when a write fails.
+    assert [where for where in _calls("unlink") if not where.startswith("stages.")] == [
+        "dataset_io.atomic_write_bytes"]
+
+
+def test_the_cli_writes_no_file():
+    # Every stage function writes its whole output tree; a command parses,
+    # calls its stage and prints.
+    spelled = {node.id for node in ast.walk(TREES["cli"]) if isinstance(node, ast.Name)}
+    spelled |= {node.attr for node in ast.walk(TREES["cli"]) if isinstance(node, ast.Attribute)}
+    spelled |= {node.name for node in ast.walk(TREES["cli"]) if isinstance(node, ast.alias)}
+    assert not {name for name in spelled if name.startswith(("write", "atomic_write", "open"))}
