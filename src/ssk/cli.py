@@ -5,7 +5,9 @@ from the SSK_LOG environment variable (DEBUG/INFO/WARNING/ERROR). A
 subcommand parses its flags, calls its stage function and prints a summary;
 the stage writes every output file, under the batch rule of
 :mod:`ssk.stages`, and this module writes none. If any utterance failed, it
-exits 1 with the rule's one line that lists each failure.
+exits 1 with the rule's one line that lists each failure. The analysis is
+the paper's fixed front end (:meth:`ssk.pipeline.PipelineConfig.default`),
+so no subcommand takes an STFT or grid flag.
 
 The parser needs only the names in :mod:`ssk.stages`. Each subcommand
 imports its stage module when it runs and looks its stage function up
@@ -71,27 +73,6 @@ def _magnitudes(text: str) -> list[float]:
     return values
 
 
-# Analysis flags: stage keyword -> (type, help). A flag left out is None and is
-# not passed, so its default is stated once, in PipelineConfig.default.
-_ANALYSIS_FLAGS = {
-    "fft_size": (_at_least(1), "FFT length for features"),
-    "win_len": (_at_least(1), "analysis window length, samples"),
-    "hop": (_at_least(1), "hop size, samples"),
-    "grid_step": (_finite, "direction grid spacing in degrees"),
-}
-
-
-def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    for name, (kind, text) in _ANALYSIS_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
-
-
-def _analysis(args) -> dict:
-    """The analysis flags the user set, as stage keywords."""
-    return {name: getattr(args, name) for name in _ANALYSIS_FLAGS
-            if getattr(args, name) is not None}
-
-
 # --seed of separate and perturb: the rule of pipeline.separate_dataset.
 _SIGN_SEED_HELP = ("error-sign seed: target t of the manifest's utterance i is steered at "
                    "minus the error if random.Random(f'{seed}/{i}/{t}').random() < 0.5")
@@ -127,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list from " + ",".join(FEATURE_BLOCKS))
     p_feat.add_argument("--cond", default="tgt", choices=CONDS)
     p_feat.add_argument("--jobs", type=_at_least(1), default=1)
-    _add_analysis_flags(p_feat)
 
     p_sep = sub.add_parser("separate", help="run a separation method over a manifest")
     p_sep.add_argument("--manifest", required=True)
@@ -141,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "random sign")
     p_sep.add_argument("--seed", type=int, default=0, help=_SIGN_SEED_HELP)
     p_sep.add_argument("--jobs", type=_at_least(1), default=1)
-    _add_analysis_flags(p_sep)
 
     p_eval = sub.add_parser("evaluate", help="score estimates against reference images")
     p_eval.add_argument("--manifest", required=True)
@@ -157,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--seed", type=int, default=0, help=_SIGN_SEED_HELP)
     p_pert.add_argument("--cond", default="tgt", choices=CONDS)
     p_pert.add_argument("--jobs", type=_at_least(1), default=1)
-    _add_analysis_flags(p_pert)
 
     return parser
 
@@ -182,7 +160,7 @@ def cmd_features(args) -> int:
 
     manifest = read_manifest(args.manifest)
     paths = pipeline.build_features(manifest, args.out, pipeline.parse_features(args.features),
-                                    cond=args.cond, jobs=args.jobs, **_analysis(args))
+                                    cond=args.cond, jobs=args.jobs)
     print(f"wrote {len(paths)} feature files to {args.out}")
     return 0
 
@@ -193,7 +171,7 @@ def cmd_separate(args) -> int:
     manifest = read_manifest(args.manifest)
     run = pipeline.Run(Path(args.out), args.direction_error_deg, args.alpha, args.beta)
     paths, _ = pipeline.separate_dataset(manifest, [run], args.method, cond=args.cond,
-                                         error_seed=args.seed, jobs=args.jobs, **_analysis(args))
+                                         error_seed=args.seed, jobs=args.jobs)
     print(f"wrote {len(paths)} estimates to {args.out}")
     return 0
 
@@ -216,7 +194,7 @@ def cmd_perturb(args) -> int:
 
     manifest = read_manifest(args.manifest)
     sweep = pipeline.perturb_sweep(manifest, args.out, args.direction_error_deg, args.seed,
-                                   cond=args.cond, jobs=args.jobs, **_analysis(args))
+                                   cond=args.cond, jobs=args.jobs)
     for variant, rows in sweep["variants"].items():
         for row in rows:
             gt15 = "-" if row["mean_gt15"] is None else f"{row['mean_gt15']:.2f}"

@@ -360,8 +360,6 @@ def _fields(mapping, kinds: dict, path, where: str, optional=()) -> dict:
 
 def write_features(path, stack) -> None:
     layout = list(stack.layout)
-    if not layout:
-        raise ValueError("feature layout must be non-empty")
     data = np.ascontiguousarray(stack.data, dtype="<f4")
     frames, dim = data.shape
     layout_bytes = json.dumps([[name, int(width)] for name, width in layout]).encode("utf-8")
@@ -372,7 +370,8 @@ def write_features(path, stack) -> None:
 
 def read_features(path):
     """Read a TSNF1 file back into a FeatureStack (float32 data); the payload
-    is read straight into the returned array."""
+    is read straight into the returned array. A layout that the stack
+    refuses raises :class:`DataFormatError`."""
     from .spatial_features import FeatureStack
 
     with open(path, "rb") as fh:
@@ -398,4 +397,7 @@ def read_features(path):
         data = np.empty((frames, dim), dtype="<f4")
         if fh.readinto(data) != expected:
             raise DataFormatError(f"{path}: payload shorter than {expected} bytes")
-    return FeatureStack(data=data, layout=layout)
+    try:
+        return FeatureStack(data=data, layout=layout)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -21,11 +21,11 @@ Each stage is one batch under the rule of :mod:`ssk.stages` and writes its
 whole tree: features a TSNF1 file per target and ``run.json``; separation
 an estimate WAV per target and a ``run.json`` per run; the sweep the same
 for each of its runs, then ``sweep.json`` and ``sweep.csv``. Each builds its
-:class:`PipelineConfig` once, from the manifest's array and sample rate and
-the analysis keywords ``grid_step``, ``fft_size``, ``win_len`` and ``hop``."""
+:class:`PipelineConfig` once, from the manifest's array and sample rate."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,31 +69,29 @@ class PipelineConfig:
     oracle_cfg: StftConfig
 
     @classmethod
-    def default(cls, sample_rate: int, array: MicArray, grid_step: float = 10.0,
-                fft_size: int = 64, win_len: int = 40, hop: int = 20) -> "PipelineConfig":
+    def default(cls, sample_rate: int, array: MicArray) -> "PipelineConfig":
         """Config for a recording by ``array`` at ``sample_rate``, both stated
-        by the caller. The analysis keywords default, in their one statement,
-        to the paper's 40-sample Hann at hop 20 with a 64-point FFT (2.5 ms at
-        16 kHz) and a 10-degree grid. Six mics use the default pairs; other
-        counts pair every mic with mic 0."""
+        by the caller. The analysis is the paper's, stated here once: a
+        40-sample periodic Hann window (2.5 ms at 16 kHz) at hop 20 (1.25 ms),
+        a 64-point FFT and a 10-degree direction grid. Six mics use the
+        default pairs; other counts pair every mic with mic 0."""
         if array.num_mics == 6:
             pairs = PairSelection.default_six()
         elif array.num_mics > 1:
             pairs = PairSelection(tuple((0, j) for j in range(1, array.num_mics)))
         else:
             pairs = None
-        cfg = StftConfig(window=hann_periodic(win_len), fft_size=fft_size,
-                         hop=hop, sample_rate=sample_rate)
-        return cls(array=array, pairs=pairs, grid=DirectionGrid.uniform(grid_step),
+        cfg = StftConfig(window=hann_periodic(40), fft_size=64, hop=20, sample_rate=sample_rate)
+        return cls(array=array, pairs=pairs, grid=DirectionGrid.uniform(10.0),
                    stft_cfg=cfg, oracle_cfg=StftConfig.oracle_mask_default(sample_rate))
 
 
-def _stage_config(manifest: Manifest, cond: str, analysis: dict) -> PipelineConfig:
-    """A stage's config: the manifest's array and sample rate with the
-    ``analysis`` choices. An unknown ``cond`` raises :class:`ValueError`."""
+def _stage_config(manifest: Manifest, cond: str) -> PipelineConfig:
+    """A stage's config, for the manifest's array and sample rate. An unknown
+    ``cond`` raises :class:`ValueError`."""
     if cond not in CONDS:
         raise ValueError(f"cond must be one of {CONDS}, got {cond!r}")
-    return PipelineConfig.default(manifest.sample_rate, manifest.array, **analysis)
+    return PipelineConfig.default(manifest.sample_rate, manifest.array)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +233,11 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: froz
 
 
 def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: str,
-                   jobs: int, **analysis: float) -> list[Path]:
+                   jobs: int) -> list[Path]:
     """One TSNF1 file per utterance per target speaker; each mixture is read
     and analysed once for all its targets. Then the summary file ``run.json``
-    states the blocks, in :data:`FEATURE_BLOCKS` order, and ``cond``.
-    ``analysis``: ``grid_step``, ``fft_size``, ``win_len``, ``hop``
-    (:meth:`PipelineConfig.default`)."""
-    cfg = _stage_config(manifest, cond, analysis)
+    states the blocks, in :data:`FEATURE_BLOCKS` order, and ``cond``."""
+    cfg = _stage_config(manifest, cond)
     if not blocks & {"cosipd", "sinipd", "af"}:
         cfg = replace(cfg, pairs=None)  # no block reads them, so no IPD phasors are built
     out = Path(out_dir)
@@ -295,17 +291,23 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
 
 @dataclass(frozen=True)
 class Run:
-    """One setting to separate a dataset with; its estimates go to ``out_dir``."""
+    """One setting to separate a dataset with; its estimates go to ``out_dir``.
+    The direction error is a magnitude: finite and at least 0."""
 
     out_dir: Path
     direction_error_deg: float
     alpha: float
     beta: float
 
+    def __post_init__(self) -> None:
+        error = self.direction_error_deg
+        if not (math.isfinite(error) and error >= 0.0):
+            raise ValueError(f"direction error must be a finite magnitude >= 0, got {error!r}")
+
 
 def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond: str,
-                     error_seed: int, jobs: int, reports: Sequence[Path] = (),
-                     **analysis: float) -> tuple[list[Path], list[list[EvalRecord]]]:
+                     error_seed: int, jobs: int,
+                     reports: Sequence[Path] = ()) -> tuple[list[Path], list[list[EvalRecord]]]:
     """Separate every (utterance, target) once per run, in one pass over the
     utterances that reads and analyses each mixture once. Writes estimate
     WAVs and then, in each run's directory, its summary file ``run.json``:
@@ -316,8 +318,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     is separated, and serves every run: minus if
     ``random.Random(f"{error_seed}/{index}/{target}").random()``, ``index``
     the manifest position, is below 0.5. The heuristic's DPR plan follows
-    from the signs, the runs' errors and ``cond``. ``analysis``:
-    ``grid_step``, ``fft_size``, ``win_len``, ``hop`` (:meth:`PipelineConfig.default`).
+    from the signs, the runs' errors and ``cond``.
 
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
@@ -329,13 +330,18 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     which is bit-equal to reading it back: the records match
     :func:`evaluate_dataset` on the run's directory. Returns the written
     paths and, per run, its records in manifest order (empty lists without
-    ``reports``)."""
+    ``reports``). No runs, or two that share an ``out_dir``, raise
+    :class:`ValueError` before anything is written."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     steered = method not in ORACLE_KINDS
     if not steered and any(run.direction_error_deg != 0.0 for run in runs):
         raise ValueError(f"oracle masks use no direction; {method} takes no direction error")
-    cfg = _stage_config(manifest, cond, analysis)
+    if not runs:
+        raise ValueError("no runs given")
+    if len({run.out_dir.resolve() for run in runs}) < len(runs):
+        raise ValueError("each run needs an output directory of its own")
+    cfg = _stage_config(manifest, cond)
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
@@ -390,7 +396,7 @@ PERTURB_VARIANTS = {"af": (1.0, 0.0), "af_dpr": (1.0, 1.0)}
 
 
 def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: int,
-                  cond: str, jobs: int, **analysis: float) -> dict:
+                  cond: str, jobs: int) -> dict:
     """Heuristic separation under direction estimation error.
 
     Every error magnitude and both heuristic variants (AF only and AF+DPR)
@@ -407,8 +413,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     ``seed`` by the rule of :func:`separate_dataset`, is the same for every
     magnitude. Then the sweep, each run's report and its mean above 15
     degrees of angle difference, is written to ``sweep.json`` and, one row
-    per bin, to ``sweep.csv``, and returned. ``analysis``: ``grid_step``,
-    ``fft_size``, ``win_len``, ``hop``.
+    per bin, to ``sweep.csv``, and returned.
     """
     out = Path(out_dir)
     dirs: dict[str, float] = {}
@@ -423,7 +428,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
             for name, error in dirs.items()}
     _, records = separate_dataset(manifest, list(runs.values()), "heuristic", cond=cond,
                                   error_seed=seed, jobs=jobs,
-                                  reports=(out / "sweep.json", out / "sweep.csv"), **analysis)
+                                  reports=(out / "sweep.json", out / "sweep.csv"))
     reports = {key: aggregate(run_records, method=f"heuristic/{key[0]}")
                for key, run_records in zip(runs, records)}
     sweep: dict = {"seed": seed, "cond": cond,

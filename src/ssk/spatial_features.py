@@ -49,12 +49,15 @@ def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogr
 @dataclass(frozen=True, eq=False)
 class FeatureStack:
     """Frames x D float32 feature matrix with a recorded block layout: in
-    memory exactly what a TSNF1 file holds."""
+    memory exactly what a TSNF1 file holds. The layout names at least one
+    block, each at least one column wide."""
 
     data: np.ndarray
     layout: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        if not self.layout or min(w for _, w in self.layout) < 1:
+            raise ValueError(f"layout must list blocks of width at least 1, got {self.layout}")
         widths = sum(w for _, w in self.layout)
         if self.data.ndim != 2 or self.data.shape[1] != widths:
             raise ValueError(f"layout widths sum to {widths}, data has {self.data.shape}")

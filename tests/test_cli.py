@@ -1,6 +1,5 @@
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ssk
 from ssk import dataset_io, evaluation, pipeline, simulation, spatial_features, spectral
-from ssk.cli import _ANALYSIS_FLAGS, build_parser, main
+from ssk.cli import build_parser, main
 from ssk.dataset_io import read_features, read_manifest, read_wav, write_wav
 from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
@@ -122,14 +121,10 @@ def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloa
     (["simulate", "--num-scenes", "-2"], "--num-scenes"),
     (["simulate", "--sample-rate", "0", "--num-scenes", "1"], "--sample-rate"),
     (["simulate", "--num-mics", "0"], "--num-mics"),
-    (["features", "--fft-size", "0"], "--fft-size"),
-    (["separate", "--method", "das", "--win-len", "-40"], "--win-len"),
-    (["perturb", "--hop", "0"], "--hop"),
 ], ids=["duration-inf", "duration-0", "duration-negative", "error-list-negative",
         "error-negative", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan",
         "simulate-jobs-0", "features-jobs-negative", "separate-jobs-0",
-        "perturb-jobs-negative", "num-scenes-negative", "sample-rate-0", "num-mics-0",
-        "fft-size-0", "win-len-negative", "hop-0"])
+        "perturb-jobs-negative", "num-scenes-negative", "sample-rate-0", "num-mics-0"])
 def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag):
     # Every float flag, and each item of perturb's error list, must be
     # finite, an error magnitude at least 0, --duration above 0, --jobs and
@@ -165,30 +160,6 @@ def test_negative_zero_error_reads_as_zero():
     args = parser.parse_args(["separate", "--manifest", "m", "--out", "o", "--method", "das",
                               "--direction-error-deg=-0"])
     assert not np.signbit(args.direction_error_deg)
-
-
-def test_analysis_flags_are_the_config_keywords(dataset, tmp_path):
-    # The analysis defaults are stated once, in PipelineConfig.default: each
-    # analysis stage offers exactly its analysis keywords as flags, and
-    # features with no flag writes what it writes with the defaults spelled out.
-    params = inspect.signature(pipeline.PipelineConfig.default).parameters
-    defaults = {name: p.default for name, p in params.items()
-                if name not in ("sample_rate", "array")}
-    assert set(_ANALYSIS_FLAGS) == set(defaults)
-    spelled = [tok for name, value in defaults.items()
-               for tok in ("--" + name.replace("_", "-"), str(value))]
-    parser = build_parser()
-    for stage, extra in (("features", []), ("separate", ["--method", "das"]), ("perturb", [])):
-        argv = [stage, "--manifest", "m", "--out", "o", *extra]
-        args = parser.parse_args(argv)
-        assert {name: getattr(args, name) for name in defaults} == dict.fromkeys(defaults), stage
-        args = parser.parse_args([*argv, *spelled])
-        assert {name: getattr(args, name) for name in defaults} == defaults, stage
-    m = str(dataset[0] / "manifest.json")
-    assert main(["features", "--manifest", m, "--out", str(tmp_path / "bare")]) == 0
-    assert main(["features", "--manifest", m, "--out", str(tmp_path / "spelled"),
-                 *spelled]) == 0
-    assert tree_hash(tmp_path / "bare") == tree_hash(tmp_path / "spelled")
 
 
 class TestSimulate:
@@ -298,17 +269,24 @@ class TestSimulate:
         assert "angle-difference bins" in out
 
     @pytest.mark.parametrize("flag, value", [("--fft-size", "32"), ("--win-len", "50"),
-                                             ("--hop", "13"), ("--grid-step", "5")])
-    def test_analysis_flags_usage_error(self, tmp_path, flag, value, capsys):
-        # simulate analyses nothing; the STFT and grid flags belong to the
-        # stages that read a dataset, and only those accept them.
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--out", str(tmp_path / "x"), "--num-scenes", "1", flag, value])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-        for command in (["features"], ["separate", "--method", "das"], ["perturb"]):
-            build_parser().parse_args([*command, "--manifest", "m", "--out", "o", flag, value])
+                                             ("--hop", "13"), ("--grid-step", "5"),
+                                             ("--fft-size", "0"), ("--win-len", "-40"),
+                                             ("--hop", "0")])
+    def test_analysis_flags_usage_error(self, dataset, tmp_path, flag, value, capsys):
+        # The analysis is the paper's fixed 2.5 ms STFT and 10-degree grid
+        # (PipelineConfig.default): no subcommand takes an STFT or grid flag,
+        # whatever its value, and each refuses one before it writes anything.
+        manifest = str(dataset[0] / "manifest.json")
+        for command in (["simulate", "--num-scenes", "1"],
+                        ["features", "--manifest", manifest],
+                        ["separate", "--manifest", manifest, "--method", "das"],
+                        ["evaluate", "--manifest", manifest, "--estimates", str(dataset[0])],
+                        ["perturb", "--manifest", manifest]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--out", str(tmp_path / "x"), flag, value])
+            assert exc.value.code == 2, command[0]
+            assert "unrecognized arguments" in capsys.readouterr().err, command[0]
+            assert not any(tmp_path.iterdir()), command[0]
 
 
 class TestFeatures:
@@ -461,6 +439,36 @@ def test_unknown_cond_raises_and_writes_nothing(dataset, tmp_path, stage):
                                       "heuristic", cond="intf", error_seed=0, jobs=1)
         else:
             pipeline.perturb_sweep(manifest, dest, [0.0], 0, cond="intf", jobs=1)
+    assert not dest.exists()
+
+
+def _separate(manifest, runs, method="heuristic"):
+    return pipeline.separate_dataset(manifest, runs, method, cond="tgt", error_seed=0, jobs=1)
+
+
+# Each takes the manifest and the output directory it must leave unmade.
+_BAD_RUNS = {
+    "no-runs": lambda m, dest: _separate(m, [], "das"),
+    "shared-out-dir": lambda m, dest: _separate(m, [pipeline.Run(dest, 0.0, 1.0, 1.0),
+                                                    pipeline.Run(dest, 5.0, 1.0, 0.0)]),
+    "negative-error": lambda m, dest: _separate(m, [pipeline.Run(dest, -3.0, 1.0, 1.0)]),
+    "nan-error": lambda m, dest: _separate(m, [pipeline.Run(dest, np.nan, 1.0, 1.0)]),
+    "inf-error": lambda m, dest: _separate(m, [pipeline.Run(dest, np.inf, 1.0, 1.0)]),
+    "sweep-no-errors": lambda m, dest: pipeline.perturb_sweep(m, dest, [], 0, cond="tgt", jobs=1),
+    "sweep-negative-error": lambda m, dest: pipeline.perturb_sweep(m, dest, [-3.0], 0,
+                                                                   cond="tgt", jobs=1),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_RUNS))
+def test_bad_runs_raise_and_write_nothing(dataset, tmp_path, case):
+    # The library refuses what the parser refuses, before it writes anything:
+    # no run, two runs in one directory (whose run.json would state only the
+    # last), and a direction error that is not a finite magnitude (the sweep
+    # would write it to af/err-3).
+    dest = tmp_path / "out"
+    with pytest.raises(ValueError, match="run|direction error"):
+        _BAD_RUNS[case](dataset[1], dest)
     assert not dest.exists()
 
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from ssk.dataset_io import (DataFormatError, Manifest, SourceEntry,
-                            UtteranceEntry, read_features, read_manifest,
+from ssk.dataset_io import (FEATURE_MAGIC, FEATURE_VERSION, DataFormatError, Manifest,
+                            SourceEntry, UtteranceEntry, read_features, read_manifest,
                             read_wav, write_features, write_manifest, write_wav)
 from ssk.geometry import MicArray, circular_array
 from ssk.spatial_features import FeatureStack
@@ -464,6 +464,20 @@ class TestFeatures:
         struct.pack_into("<H", raw, 5, 9)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
+            read_features(path)
+
+    @pytest.mark.parametrize("layout, dim", [([["a", -1], ["b", 5]], 4), ([["a", 0], ["b", 4]], 4),
+                                             ([], 0), ([["a", 3]], 4)],
+                             ids=["negative-width", "zero-width", "empty", "widths-not-dim"])
+    def test_bad_layout_rejected_naming_the_file(self, tmp_path, layout, dim):
+        # The layout slices the payload into blocks, so one with a block
+        # narrower than a column, no block, or widths that do not sum to D
+        # is refused like a bad header: a DataFormatError that names the file.
+        text = json.dumps(layout).encode("utf-8")
+        path = tmp_path / "f.tsnf"
+        path.write_bytes(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, 2, dim, len(text))
+                         + text + np.zeros((2, dim), dtype="<f4").tobytes())
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
             read_features(path)
 
     def test_stack_holds_float32_only(self, rng):

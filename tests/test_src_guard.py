@@ -1,6 +1,7 @@
 """Guards read from the syntax tree of ``src/ssk``: every member has a reader
 in ``src/``, no signature or field gives the sample rate or another run
-setting a default, and only `stages._each` removes a summary file."""
+setting a default, no stage takes an analysis setting, and only
+`stages._each` removes a summary file."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,9 @@ UNREAD = {
     # other is a dunder.
     "spatial_features.ipd",
     "spectral.build_kernel",
+    # The metric C04 and C09 state their claims through; the stages score
+    # with si_sdr and report the difference to the mixture's themselves.
+    "metrics.si_sdri",
 }
 
 
@@ -41,23 +45,27 @@ def _members():
 
 def test_every_member_has_a_reader_in_src():
     # The check works by name. A method or property counts as read when an
-    # attribute in src/ spells it; a function or class also when a loaded
-    # name or an import does. So a member that shares its name with another
-    # member passes, but not one that shares it with a local, a parameter or
-    # a keyword argument. Dunders are called by Python. The list of
-    # exceptions must match exactly, so an entry that gains a reader or is
-    # deleted leaves it too.
+    # attribute in src/ spells it; a top-level function or class when a
+    # loaded name, an import or an attribute of an ssk module name (such as
+    # synth.speech_like) does, not an attribute of any other object. So a
+    # member that shares its name with another member passes, but not one
+    # that shares it with a local, a parameter, a keyword argument or an
+    # attribute of a value (rec.si_sdri). Dunders are called by Python. The
+    # list of exceptions must match exactly, so an entry that gains a reader
+    # or is deleted leaves it too.
     attributes, names = set(), set()
     for tree in TREES.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in TREES:
+                    names.add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
     unread = {qualified for qualified, name, method in _members()
-              if name not in (attributes if method else attributes | names)
+              if name not in (attributes if method else names)
               and not (name.startswith("__") and name.endswith("__"))}
     assert unread == UNREAD
 
@@ -95,6 +103,32 @@ def test_no_sample_rate_has_a_default():
                               if isinstance(s, ast.AnnAssign) and s.value is not None
                               and getattr(s.target, "id", None) in RUN_SETTINGS]
     assert defaulted == []
+
+
+# The paper's analysis (a 40-sample Hann at hop 20, a 64-point FFT and a
+# 10-degree grid) is a constant, stated once in PipelineConfig.default.
+ANALYSIS_SETTINGS = {"grid_step", "fft_size", "win_len", "hop"}
+
+
+def test_no_stage_takes_an_analysis_setting():
+    # No stage function or PipelineConfig method takes an analysis setting,
+    # by name or through ** keywords, so no run can differ from the paper's
+    # analysis without its run record saying so.
+    signatures = {}
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in STAGES:
+                signatures[f"{module}.{node.name}"] = node.args
+            elif isinstance(node, ast.ClassDef) and node.name == "PipelineConfig":
+                signatures.update({f"{module}.{node.name}.{m.name}": m.args for m in node.body
+                                   if isinstance(m, ast.FunctionDef)})
+    assert {where.rsplit(".", 1)[1] for where in signatures} >= STAGES | {"default"}
+    taking = []
+    for where, args in signatures.items():
+        params = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+        taking += [f"{where}: {name}" for name in sorted(params & ANALYSIS_SETTINGS)]
+        taking += [f"{where}: **{args.kwarg.arg}"] if args.kwarg else []
+    assert taking == []
 
 
 def _calls(attr: str):
