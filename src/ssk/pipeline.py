@@ -9,11 +9,11 @@ Features, separation and the sweep work one utterance at a time. Each first
 states the utterance's DPR plan: the azimuths whose DPR maps it will read,
 every target's under every separation :class:`Run` (one per sweep point,
 with its signed direction error) and, under ``tgt+intf``, the interferers'.
-An :class:`UtteranceAnalysis` then reads the mixture, transforms it once and
-builds its :class:`~ssk.spatial_features.SpatialAnalysis` from the
-spectrogram and the plan; every target, under every run, reuses both. When
-the plan fits, the (J, T, F) spectrogram is released before the first
-estimate. The sweep also scores each estimate in the same task. Methods,
+An :class:`UtteranceAnalysis` then reads the mixture and builds its
+:class:`~ssk.spatial_features.SpatialAnalysis` for the plan in one pass over
+blocks of frames; every target, under every run, reuses it. When the plan
+fits, no (J, T, F) spectrogram is ever whole. The sweep also scores each
+estimate in the same task. Methods,
 feature blocks and direction conditions are plain names, each set stated
 once in :mod:`ssk.stages`; masks are (T, F) arrays.
 
@@ -131,17 +131,17 @@ class UtteranceAnalysis:
     It reads the mixture once (:meth:`~ssk.dataset_io.Manifest.read`) and
     keeps only a contiguous copy of the reference-mic row
     (:attr:`reference`, whose size is the sample count). The (J, n) array
-    itself is held only until the (J, T, F) spectrogram at
-    ``cfg.stft_cfg`` (:attr:`spec`) is built, or until the oracle methods'
-    ``cfg.oracle_cfg`` spectrograms of the reference rows of the mixture and
-    source images (:attr:`ref_specs`) are. The spectrogram goes in turn
-    when :attr:`spatial`, its :class:`~ssk.spatial_features.SpatialAnalysis`
-    for the DPR ``plan``, releases it; masks and the LPS block read
-    :attr:`ref_spec`, a copy of its reference-mic row made before. Each part
-    is computed on first use, so a method pays only for what it reads.
-    :attr:`spec` asked for after the mixture or the spectrogram went raises
-    :class:`LookupError`, a bug that no stage makes; the mixture is read
-    once.
+    itself is held only until one of three parts takes it: :attr:`spatial`,
+    the :class:`~ssk.spatial_features.SpatialAnalysis` for the DPR ``plan``,
+    which transforms it block by block; :attr:`spec`, the whole (J, T, F)
+    spectrogram at ``cfg.stft_cfg`` that ``das`` beams; or :attr:`ref_specs`,
+    the oracle methods' ``cfg.oracle_cfg`` spectrograms of the reference rows
+    of the mixture and source images. Masks and the LPS block read
+    :attr:`ref_spec`, the spatial analysis's reference-mic row. Each part is
+    computed on first use, so a method pays only for what it reads.
+    :attr:`spec` or :attr:`spatial` asked for after another part took the
+    mixture raises :class:`LookupError`, a bug that no stage makes; the
+    mixture is read once.
     """
 
     entry: UtteranceEntry
@@ -153,7 +153,7 @@ class UtteranceAnalysis:
     def reference(self) -> np.ndarray:
         """The mixture's reference-mic row, (n,), owning its data."""
         wav = self.manifest.read(self.entry.mixture)
-        self.__dict__["_mixture"] = wav  # until a spectrogram takes it
+        self.__dict__["_mixture"] = wav  # until a part takes it
         return wav[self.cfg.array.ref_index].copy()
 
     def _release_mixture(self) -> np.ndarray | None:
@@ -161,6 +161,13 @@ class UtteranceAnalysis:
         if it was released before."""
         self.reference
         return self.__dict__.pop("_mixture", None)
+
+    def _take_mixture(self, part: str) -> np.ndarray:
+        wav = self._release_mixture()
+        if wav is None:
+            raise LookupError(f"{self.entry.id}: the {part} was asked for after "
+                              "the analysis released the mixture")
+        return wav
 
     @computed_once
     def ref_specs(self) -> tuple[ComplexSpectrogram, list[ComplexSpectrogram]]:
@@ -174,27 +181,20 @@ class UtteranceAnalysis:
 
     @computed_once
     def spec(self) -> ComplexSpectrogram:
-        wav = self._release_mixture()
-        if wav is None:
-            raise LookupError(f"{self.entry.id}: the multichannel spectrogram was asked for "
-                              "after the analysis released the mixture or the spectrogram")
-        return multichannel_stft(wav, self.cfg.stft_cfg)
+        return multichannel_stft(self._take_mixture("multichannel spectrogram"),
+                                 self.cfg.stft_cfg)
 
-    @computed_once
+    @property
     def ref_spec(self) -> ComplexSpectrogram:
-        """The reference-mic (T, F) row of :attr:`spec`, owning its data."""
-        row = self.spec.channel(self.cfg.array.ref_index)
-        return ComplexSpectrogram(data=row.data.copy(), config=row.config)
+        """The reference-mic (T, F) row of the spectrogram at ``cfg.stft_cfg``."""
+        return self.spatial.ref_spec
 
     @computed_once
     def spatial(self) -> SpatialAnalysis:
         cfg = self.cfg
-        spatial = SpatialAnalysis(self.spec, cfg.array, cfg.pairs, cfg.grid, self.plan,
-                                  frozenset(src.azimuth_deg for src in self.entry.sources))
-        if spatial.spec is None:
-            self.ref_spec
-            del self.__dict__["spec"]
-        return spatial
+        return SpatialAnalysis.of_mixture(self._take_mixture("spatial analysis"), cfg.stft_cfg,
+                                          cfg.array, cfg.pairs, cfg.grid, self.plan,
+                                          frozenset(src.azimuth_deg for src in self.entry.sources))
 
 
 # The feature blocks, in FEATURE_BLOCKS order: each maps an analysis and the
@@ -226,8 +226,6 @@ def compute_feature_stack(analysis: UtteranceAnalysis, target: int, blocks: froz
     directions = [("tgt", analysis.entry.sources[target].azimuth_deg)]
     if cond == "tgt+intf":
         directions.append(("intf", _interferer_azimuth(analysis.entry, target)))
-    if blocks - {"lps"}:
-        analysis.spatial  # first: no LPS map or reference row is alive at the build's peak
     return assemble_features([block for name in FEATURE_BLOCKS if name in blocks
                               for block in _BLOCKS[name](analysis, directions)])
 
@@ -300,9 +298,12 @@ class Run:
     beta: float
 
     def __post_init__(self) -> None:
-        error = self.direction_error_deg
-        if not (math.isfinite(error) and error >= 0.0):
-            raise ValueError(f"direction error must be a finite magnitude >= 0, got {error!r}")
+        _check_error(self.direction_error_deg)
+
+
+def _check_error(error: float) -> None:
+    if not (math.isfinite(error) and error >= 0.0):
+        raise ValueError(f"direction error must be a finite magnitude >= 0, got {error!r}")
 
 
 def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond: str,
@@ -418,6 +419,7 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     out = Path(out_dir)
     dirs: dict[str, float] = {}
     for error in errors:
+        _check_error(error)  # before it names a directory
         name = f"err{int(round(error)):02d}"
         if name in dirs:
             raise ValueError(f"direction errors {dirs[name]:g} and {error:g} "

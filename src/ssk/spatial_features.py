@@ -17,11 +17,12 @@
   weights (R = A^H A), J squares in place of P beams and as accurate as
   summing the beams.
 
-:class:`SpatialAnalysis` is the one composition of these formulas from a
-spectrogram: built once per utterance, it holds the IPD phasors, the premask
-and the DPR maps of the directions its caller plans to read, and memoises AF
-per azimuth. Every spectrogram here is a
-:class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F) data.
+:class:`SpatialAnalysis` is the one composition of these formulas: built once
+per utterance from its spectrogram, read in blocks of frames, it holds the
+reference-mic row, the IPD phasors, the premask and the DPR maps of the
+directions its caller plans to read, and memoises AF per azimuth. Every
+spectrogram here is a :class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F)
+data.
 Delay-and-sum weights come from :func:`das_weights` alone and are applied by
 :func:`beam` alone.
 """
@@ -29,7 +30,7 @@ Delay-and-sum weights come from :func:`das_weights` alone and are applied by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .spectral import ComplexSpectrogram, StftConfig, rfft_frames
 
 DPR_POWER_FLOOR = 1e-12
 PREMASK_DB = 40.0
+# Frames per block of the spatial analysis: 0.16 s at the paper's 1.25 ms hop.
+BLOCK_FRAMES = 128
 
 
 def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
@@ -50,7 +53,7 @@ def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogr
 class FeatureStack:
     """Frames x D float32 feature matrix with a recorded block layout: in
     memory exactly what a TSNF1 file holds. The layout names at least one
-    block, each at least one column wide."""
+    block, each once and at least one column wide."""
 
     data: np.ndarray
     layout: tuple[tuple[str, int], ...]
@@ -58,6 +61,8 @@ class FeatureStack:
     def __post_init__(self) -> None:
         if not self.layout or min(w for _, w in self.layout) < 1:
             raise ValueError(f"layout must list blocks of width at least 1, got {self.layout}")
+        if len({name for name, _ in self.layout}) < len(self.layout):
+            raise ValueError(f"layout names a block more than once: {self.layout}")
         widths = sum(w for _, w in self.layout)
         if self.data.ndim != 2 or self.data.shape[1] != widths:
             raise ValueError(f"layout widths sum to {widths}, data has {self.data.shape}")
@@ -81,15 +86,16 @@ class FeatureStack:
         raise KeyError(name)
 
 
-def pair_cos_sin(spec: ComplexSpectrogram, pairs: PairSelection) -> tuple[np.ndarray, np.ndarray]:
+def pair_cos_sin(spec: ComplexSpectrogram, pairs: PairSelection,
+                 out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine of the per-pair IPD, each (U, T, F): Re and Im of
     Y_a conj(Y_b) over its modulus, 0 where either channel is 0. Real products
     give identical channels a sine of exactly 0. Each pair's products are
-    formed straight in its output rows, and two (T, F) scratch maps and one
-    boolean map serve every pair."""
+    formed straight in its output rows (``out`` if given), and two (T, F)
+    scratch maps and one boolean map serve every pair."""
     pairs.validate_for(spec.data.shape[0])
     re, im = spec.data.real, spec.data.imag
-    cos, sin = np.empty((2, len(pairs.pairs)) + spec.data.shape[1:])
+    cos, sin = np.empty((2, len(pairs.pairs)) + spec.data.shape[1:]) if out is None else out
     mod, scratch = np.empty((2,) + spec.data.shape[1:])
     silent = np.empty(spec.data.shape[1:], dtype=bool)
     for u, (a, b) in enumerate(pairs.pairs):
@@ -123,10 +129,11 @@ def pair_steering_phases(array: MicArray, azimuth: float, pairs: PairSelection,
     return 2.0 * np.pi * cfg.freqs * (delays[b] - delays[a])[:, None]
 
 
-def premask(spec: ComplexSpectrogram, ref_index: int) -> np.ndarray:
-    """Boolean (T, F) map of bins within ``PREMASK_DB`` of the utterance's
-    reference-channel magnitude maximum. A silent utterance masks everything."""
-    mag = np.abs(spec.data[ref_index])
+def premask(ref: ComplexSpectrogram) -> np.ndarray:
+    """Boolean (T, F) map of the bins of ``ref``, the utterance's (T, F)
+    reference-channel spectrogram, within ``PREMASK_DB`` of its magnitude
+    maximum. A silent utterance masks everything."""
+    mag = np.abs(ref.data)
     peak = float(mag.max())
     if peak <= 0.0:
         return np.zeros(mag.shape, dtype=bool)
@@ -191,12 +198,13 @@ def beam_power_total(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarra
 
 
 def dpr(spec: ComplexSpectrogram, weights: np.ndarray, total: np.ndarray,
-        num_directions: int) -> np.ndarray:
+        num_directions: int, out: np.ndarray | None = None) -> np.ndarray:
     """Directional power ratio |w^H Y|^2 / total, in [0, 1]: (T, F) toward one
-    direction for (F, J) weights, (P, T, F) toward each of (P, F, J). ``total``
-    is the :func:`beam_power_total` of the ``num_directions`` grid beams;
-    bins whose total falls below the floor get the uniform value 1/P."""
-    out = np.abs(beam(spec, weights))
+    direction for (F, J) weights, (P, T, F) toward each of (P, F, J), written
+    to ``out`` if given. ``total`` is the :func:`beam_power_total` of the
+    ``num_directions`` grid beams; bins whose total falls below the floor get
+    the uniform value 1/P."""
+    out = np.abs(beam(spec, weights), out=out)
     np.square(out, out=out)
     out /= np.maximum(total, DPR_POWER_FLOOR)
     np.copyto(out, 1.0 / num_directions, where=total < DPR_POWER_FLOOR)
@@ -210,25 +218,52 @@ def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:
     return int(np.argmin(np.minimum(d, 360.0 - d)))
 
 
+def _frame_blocks(blocks: Iterable[np.ndarray], num_frames: int) -> Iterator[np.ndarray]:
+    """The frames of ``blocks``, (J, T_b, F) each and ``num_frames`` in all,
+    regrouped into blocks of ``BLOCK_FRAMES`` frames from frame 0 (the last
+    may be shorter); a block that already is one is passed on uncopied. The
+    BLAS products of :func:`beam_power_total` round a frame by its column in
+    the product, so fixed blocks keep every output independent of where the
+    caller cut the frames."""
+    held, count, start = [], 0, 0
+    for block in blocks:
+        held.append(block)
+        count += block.shape[1]
+        while start < num_frames and count >= min(BLOCK_FRAMES, num_frames - start):
+            size = min(BLOCK_FRAMES, num_frames - start)
+            data = held[0] if len(held) == 1 else np.concatenate(held, axis=1)
+            yield data[:, :size]
+            rest = data[:, size:]
+            held, count, start = [rest] if rest.shape[1] else [], count - size, start + size
+    if count or start != num_frames:
+        raise ValueError(f"blocks hold {start + count} frames, expected {num_frames}")
+
+
 class SpatialAnalysis:
     """The spatial analysis of one utterance's (J, T, F) spectrogram, shared
     by every target, method and run; the only place AF and DPR are formed
     from a spectrogram.
 
-    It is built in one step from the spectrogram and the DPR ``plan``, the
-    azimuths whose DPR its caller will read, in this order: the cosine and
-    sine of the pair IPDs (two (U, T, F) arrays; none without pairs), the
-    (T, F) premask at the array's reference mic, then the (T, F) DPR map
-    (:func:`dpr` of one beam and the grid total) of each grid direction of
-    the plan, the :func:`nearest_direction` of its azimuths. If the plan
-    names at most 2J directions, no more float64 planes than the complex
-    spectrogram holds, the analysis keeps neither the spectrogram (:attr:`spec`
-    is None) nor the grid weights and total, and a DPR outside the plan
-    raises :class:`KeyError`. A wider plan keeps all three and forms each DPR
-    map on first use. It keeps the maps of the grid directions of the
+    It is built in one pass over the spectrogram's ``blocks``, consecutive
+    (J, T_b, F) arrays of ``num_frames`` frames in all (regrouped into blocks
+    of ``BLOCK_FRAMES`` frames, so where they are cut changes no output bit),
+    for the DPR ``plan``, the azimuths whose DPR its caller will read. Each
+    block is written straight into the outputs, allocated before the pass:
+    the reference-mic row (:attr:`ref_spec`), the cosine and sine of the pair
+    IPDs (two (U, T, F) arrays; none without pairs) and the (T, F) DPR map
+    (:func:`dpr` of one beam and the block's grid total) of each grid
+    direction of the plan, the :func:`nearest_direction` of its azimuths.
+    The (T, F) :attr:`premask` is then taken from the reference row. So no
+    whole (J, T, F) spectrogram is held if the plan names at most 2J
+    directions, no more float64 planes than the complex spectrogram holds:
+    :attr:`spec` is None, and a DPR outside the plan raises
+    :class:`KeyError`. A wider plan assembles the spectrogram and the grid
+    total from the blocks, keeps both with the grid weights, and forms each
+    DPR map on first use. It keeps the maps of the grid directions of the
     ``pinned`` azimuths (the utterance's sources), and of any other only the
     latest: at most G + 1 maps for the G directions of the sources, however
-    far the sweep strays.
+    far the sweep strays. :meth:`of_mixture` makes the blocks from a (J, n)
+    mixture.
 
     AF (:func:`angle_feature`) is formed from the IPD phasors on first use.
     The maps of the pinned azimuths are kept for the analysis's lifetime:
@@ -238,26 +273,58 @@ class SpatialAnalysis:
     at the same perturbed azimuth should do so consecutively.
     """
 
-    def __init__(self, spec: ComplexSpectrogram, array: MicArray, pairs: PairSelection | None,
-                 grid: DirectionGrid, plan: Iterable[float],
-                 pinned: frozenset[float] = frozenset()) -> None:
+    def __init__(self, blocks: Iterable[np.ndarray], num_frames: int, config: StftConfig,
+                 array: MicArray, pairs: PairSelection | None, grid: DirectionGrid,
+                 plan: Iterable[float], pinned: frozenset[float] = frozenset()) -> None:
         self.array, self.pairs, self.grid, self.pinned = array, pairs, grid, pinned
-        self.config = spec.config
-        self._cos_sin = None if pairs is None else pair_cos_sin(spec, pairs)
-        self.premask = premask(spec, array.ref_index)
+        self.config = config
+        shape = (num_frames, config.num_bins)
+        ref = np.empty(shape, dtype=complex)
+        self._cos_sin = None if pairs is None else tuple(np.empty((2, len(pairs.pairs)) + shape))
         self._af, self._af_latest = {}, {}
         directions = sorted({nearest_direction(grid, az) for az in plan})
-        weights = das_filterbank(array, grid, spec.config) if directions else None
-        total = beam_power_total(spec, weights) if directions else None
-        if len(directions) <= 2 * spec.data.shape[0]:
+        weights = das_filterbank(array, grid, config) if directions else None
+        if len(directions) <= 2 * array.num_mics:
             self.spec = None
-            self._dpr = {p: dpr(spec, weights[p], total, grid.num_directions)
-                         for p in directions}
+            self._dpr = {p: np.empty(shape) for p in directions}
         else:
-            self.spec, self._weights, self._total = spec, weights, total
-            self._dpr = {}
-            self._latest = None
+            self.spec = ComplexSpectrogram(data=np.empty((array.num_mics,) + shape, dtype=complex),
+                                           config=config)
+            self._weights, self._total = weights, np.empty(shape)
+            self._dpr, self._latest = {}, None
             self._kept = frozenset(nearest_direction(grid, az) for az in pinned)
+        start = 0
+        for data in _frame_blocks(blocks, num_frames):
+            stop = start + data.shape[1]
+            if data.shape != (array.num_mics, stop - start, config.num_bins):
+                raise ValueError(f"block of shape {data.shape}, expected "
+                                 f"({array.num_mics}, frames, {config.num_bins})")
+            block = ComplexSpectrogram(data=data, config=config)
+            ref[start:stop] = data[array.ref_index]
+            if pairs is not None:
+                pair_cos_sin(block, pairs, out=tuple(a[:, start:stop] for a in self._cos_sin))
+            total = beam_power_total(block, weights) if directions else None
+            if self.spec is not None:
+                self.spec.data[:, start:stop] = data
+                self._total[start:stop] = total
+            for p, out in self._dpr.items():
+                dpr(block, weights[p], total, grid.num_directions, out=out[start:stop])
+            start = stop
+        self.ref_spec = ComplexSpectrogram(data=ref, config=config)
+        self.premask = premask(self.ref_spec)
+
+    @classmethod
+    def of_mixture(cls, mixture: np.ndarray, config: StftConfig, array: MicArray,
+                   pairs: PairSelection | None, grid: DirectionGrid, plan: Iterable[float],
+                   pinned: frozenset[float] = frozenset()) -> "SpatialAnalysis":
+        """The analysis of a (J, n) mixture, whose blocks of ``BLOCK_FRAMES``
+        frames are each the :func:`~ssk.spectral.rfft_frames` of their slice of
+        it: frame for frame bit-equal to one transform of the whole."""
+        num_frames, hop = config.num_frames(mixture.shape[-1]), config.hop
+        blocks = (rfft_frames(mixture[:, t * hop:(min(t + BLOCK_FRAMES, num_frames) - 1) * hop
+                                      + config.win_len], config)
+                  for t in range(0, num_frames, BLOCK_FRAMES))
+        return cls(blocks, num_frames, config, array, pairs, grid, plan, pinned)
 
     @property
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:

@@ -92,6 +92,14 @@ class StftConfig:
         """Bin center frequencies in Hz."""
         return np.arange(self.num_bins) * self.sample_rate / self.fft_size
 
+    def num_frames(self, num_samples: int) -> int:
+        """Frames of a signal of ``num_samples`` samples (see :func:`rfft_frames`);
+        one shorter than a window raises :class:`ValueError`."""
+        if num_samples < self.win_len:
+            raise ValueError(
+                f"signal of {num_samples} samples is shorter than one frame ({self.win_len})")
+        return (num_samples - self.win_len) // self.hop + 1
+
 
 @dataclass(frozen=True, eq=False)
 class ComplexSpectrogram:
@@ -104,9 +112,6 @@ class ComplexSpectrogram:
     @property
     def num_frames(self) -> int:
         return int(self.data.shape[-2])
-
-    def channel(self, j: int) -> "ComplexSpectrogram":
-        return ComplexSpectrogram(data=self.data[j], config=self.config)
 
 
 def build_kernel(cfg: StftConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -124,9 +129,7 @@ def rfft_frames(waveform: np.ndarray, cfg: StftConfig) -> np.ndarray:
     [t*hop, t*hop + win_len), no boundary padding. Each row along the leading
     axes is transformed as if alone, bit for bit."""
     x = np.asarray(waveform, dtype=float)
-    if x.shape[-1] < cfg.win_len:
-        raise ValueError(
-            f"signal of {x.shape[-1]} samples is shorter than one frame ({cfg.win_len})")
+    cfg.num_frames(x.shape[-1])
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.win_len, axis=-1)[..., ::cfg.hop, :]
     return np.fft.rfft(frames * cfg.window, n=cfg.fft_size)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssk.geometry import DirectionGrid, PairSelection, circular_array
+from ssk.spatial_features import SpatialAnalysis
 
 from oracles import PAPER_STFT
 
@@ -31,6 +32,12 @@ def cfg_default():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def whole_analysis(spec, *args):
+    """The :class:`SpatialAnalysis` of a whole (J, T, F) spectrogram, handed
+    over as one block; ``args`` follow the config in its signature."""
+    return SpatialAnalysis([spec.data], spec.num_frames, spec.config, *args)
 
 
 def traced_peak(fn):

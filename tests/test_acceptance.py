@@ -20,9 +20,10 @@ from ssk.pipeline import PipelineConfig, perturb_sweep, simulate_dataset
 from ssk.room_sim import RoomConfig, calibrated_reflection_coefficient, estimate_t60, \
     render_mixture, sample_scene, simulate_rir
 from ssk.separation import apply_mask, oracle_mask
-from ssk.spatial_features import SpatialAnalysis, multichannel_stft, nearest_direction
+from ssk.spatial_features import SpatialAnalysis, nearest_direction
 from ssk.spectral import ComplexSpectrogram, istft, stft
 
+from conftest import whole_analysis
 from oracles import ARRAY_RADIUS, FS, naive_stft, xcorr_peak_lag
 from test_cli import tree_hash
 
@@ -97,13 +98,13 @@ def test_c03_dpr_normalization(cfg):
     rng = np.random.default_rng(303)
     data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
     spec = ComplexSpectrogram(data=data, config=cfg.stft_cfg)
-    sums = _grid_dpr(SpatialAnalysis(spec, cfg.array, cfg.pairs, cfg.grid,
-                                     cfg.grid.azimuths)).sum(axis=0)
+    sums = _grid_dpr(whole_analysis(spec, cfg.array, cfg.pairs, cfg.grid,
+                                    cfg.grid.azimuths)).sum(axis=0)
     sum_err = float(np.abs(sums - 1.0).max())
     silent = ComplexSpectrogram(data=np.zeros((6, 4, 33), dtype=complex),
                                 config=cfg.stft_cfg)
-    silent_vals = _grid_dpr(SpatialAnalysis(silent, cfg.array, cfg.pairs, cfg.grid,
-                                             cfg.grid.azimuths))
+    silent_vals = _grid_dpr(whole_analysis(silent, cfg.array, cfg.pairs, cfg.grid,
+                                            cfg.grid.azimuths))
     silent_exact = bool((silent_vals == 1.0 / 36.0).all())
     report(3, "DPR sums to one; silent bins exactly 1/P",
            sum_err < 1e-6 and silent_vals.size > 0 and silent_exact,
@@ -171,8 +172,8 @@ def test_c07_af_discrimination(cfg):
         rng = np.random.default_rng(7000 + seed)
         azimuth = float(rng.uniform(0.0, 360.0))
         scene, az, array = _anechoic_scene(7000 + seed, [azimuth], duration=0.6)
-        spatial = SpatialAnalysis(multichannel_stft(scene.mixture, kernel), array, cfg.pairs,
-                                  cfg.grid, (), frozenset(az))
+        spatial = SpatialAnalysis.of_mixture(scene.mixture, kernel, array, cfg.pairs,
+                                             cfg.grid, (), frozenset(az))
         keep = spatial.premask
         true_means.append(float(spatial.angle_feature(az[0])[keep].mean()))
         off_means.append(float(spatial.angle_feature(az[0] + 90.0)[keep].mean()))
@@ -189,8 +190,8 @@ def test_c08_dpr_localization(cfg):
         grid_index = seed % 36
         azimuth = float(cfg.grid.azimuths[grid_index])
         scene, az, array = _anechoic_scene(8000 + seed, [azimuth], duration=0.6)
-        spatial = SpatialAnalysis(multichannel_stft(scene.mixture, kernel), array, cfg.pairs,
-                                  cfg.grid, cfg.grid.azimuths, frozenset(az))
+        spatial = SpatialAnalysis.of_mixture(scene.mixture, kernel, array, cfg.pairs,
+                                             cfg.grid, cfg.grid.azimuths, frozenset(az))
         keep = spatial.premask[:, high]
         powers = _grid_dpr(spatial)
         means = np.array([powers[p][:, high][keep].mean() for p in range(36)])

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -406,9 +407,9 @@ class TestFeatures:
 
 
 def test_spectrogram_asked_for_after_its_release_raises(dataset, monkeypatch):
-    # Once the spatial analysis has released the spectrogram, asking for it
-    # is a bug: it raises an error that fails no utterance as an input error
-    # would, and the mixture is not read again.
+    # Once the spatial analysis has taken the mixture, asking for the whole
+    # spectrogram is a bug: it raises an error that fails no utterance as an
+    # input error would, and the mixture is not read again.
     _, manifest = dataset
     reads = []
     read = dataset_io.read_wav
@@ -457,6 +458,12 @@ _BAD_RUNS = {
     "sweep-no-errors": lambda m, dest: pipeline.perturb_sweep(m, dest, [], 0, cond="tgt", jobs=1),
     "sweep-negative-error": lambda m, dest: pipeline.perturb_sweep(m, dest, [-3.0], 0,
                                                                    cond="tgt", jobs=1),
+    # Checked before the error names its errNN directory, which neither
+    # value could.
+    "sweep-inf-error": lambda m, dest: pipeline.perturb_sweep(m, dest, [math.inf], 0,
+                                                              cond="tgt", jobs=1),
+    "sweep-nan-error": lambda m, dest: pipeline.perturb_sweep(m, dest, [math.nan], 0,
+                                                              cond="tgt", jobs=1),
 }
 
 
@@ -926,53 +933,70 @@ def test_a_bug_in_evaluate_propagates_as_itself(dataset, tmp_path, monkeypatch):
 
 def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
     # Every target, method and run of an utterance shares one analysis: one
-    # STFT of each of the J mixture channels, or for the oracle masks one of
-    # the reference-channel mixture and of each source image. A transform of
-    # a (J, n) waveform counts as J channel STFTs.
+    # STFT of each of the J mixture channels, whole (das) or block by block
+    # (the spatial analysis), or for the oracle masks one of the
+    # reference-channel mixture and of each source image. Transforms are
+    # counted in channel frames, so each frame of each channel is
+    # transformed once.
     out, manifest = dataset
-    analyses, stfts = [], []
-    multichannel = pipeline.multichannel_stft
+    analyses, frames = [], []
+    multichannel, spatial = pipeline.multichannel_stft, spatial_features.SpatialAnalysis.__init__
     monkeypatch.setattr(pipeline, "multichannel_stft",
                         lambda *a, **k: analyses.append(1) or multichannel(*a, **k))
+    monkeypatch.setattr(spatial_features.SpatialAnalysis, "__init__",
+                        lambda *a, **k: analyses.append(1) or spatial(*a, **k))
     original = spectral.rfft_frames
 
     def counted(waveform, cfg):
-        stfts.extend([1] * int(np.prod(np.shape(waveform)[:-1])))
-        return original(waveform, cfg)
+        spectra = original(waveform, cfg)
+        frames.append(int(np.prod(spectra.shape[:-1])))
+        return spectra
 
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ssk"]:
         if getattr(module, "rfft_frames", None) is original:
             monkeypatch.setattr(module, "rfft_frames", counted)
     m = str(out / "manifest.json")
     mics = manifest.array.num_mics
-    for argv, per_utterance, multichannel_calls in (
-            (["features", "--cond", "tgt+intf"], lambda u: mics, 1),
-            (["separate", "--method", "heuristic", "--cond", "tgt+intf"], lambda u: mics, 1),
-            (["separate", "--method", "das"], lambda u: mics, 1),
-            (["separate", "--method", "ibm"], lambda u: 1 + len(u.sources), 0),
-            (["separate", "--method", "irm"], lambda u: 1 + len(u.sources), 0),
-            (["separate", "--method", "ipsm"], lambda u: 1 + len(u.sources), 0),
-            (["perturb", "--direction-error-deg", "0,4"], lambda u: mics, 1)):
+    cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
+    samples = {u.id: manifest.read(u.mixture).shape[-1] for u in manifest.utterances}
+
+    def mixture(u):
+        return mics * cfg.stft_cfg.num_frames(samples[u.id])
+
+    def oracle(u):
+        return (1 + len(u.sources)) * cfg.oracle_cfg.num_frames(samples[u.id])
+
+    for argv, per_utterance in (
+            (["features", "--cond", "tgt+intf"], mixture),
+            (["features", "--features", "lps"], mixture),
+            (["separate", "--method", "heuristic", "--cond", "tgt+intf"], mixture),
+            (["separate", "--method", "das"], mixture),
+            (["separate", "--method", "ibm"], oracle),
+            (["separate", "--method", "irm"], oracle),
+            (["separate", "--method", "ipsm"], oracle),
+            (["perturb", "--direction-error-deg", "0,4"], mixture)):
         analyses.clear()
-        stfts.clear()
+        frames.clear()
         assert main([*argv, "--manifest", m, "--out", str(tmp_path / "-".join(argv))]) == 0
+        multichannel_calls = per_utterance is mixture
         assert len(analyses) == multichannel_calls * len(manifest.utterances), argv
-        assert len(stfts) == sum(per_utterance(u) for u in manifest.utterances), argv
+        assert sum(frames) == sum(per_utterance(u) for u in manifest.utterances), argv
 
 
 def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
     # The af and af_dpr variants steer alike, and small errors often keep the
-    # grid direction: each (utterance, azimuth) AF, each (utterance, grid
-    # index) beam and each utterance's grid total is computed exactly once.
+    # grid direction: each (utterance, azimuth) AF is computed exactly once,
+    # and so are each (block, grid index) beam and each block's grid total,
+    # over the frames of each utterance.
     out, manifest = dataset
     afs, beams, totals = [], [], []
     af, dpr, total = (spatial_features.angle_feature, spatial_features.dpr,
                       spatial_features.beam_power_total)
     monkeypatch.setattr(spatial_features, "angle_feature", lambda cos_ipd, sin_ipd, steer, keep:
                         afs.append((cos_ipd, steer)) or af(cos_ipd, sin_ipd, steer, keep))
-    monkeypatch.setattr(spatial_features, "dpr", lambda spec, weights, grid_total, n:
+    monkeypatch.setattr(spatial_features, "dpr", lambda spec, weights, grid_total, n, out=None:
                         beams.append((spec, weights.tobytes()))
-                        or dpr(spec, weights, grid_total, n))
+                        or dpr(spec, weights, grid_total, n, out))
     monkeypatch.setattr(spatial_features, "beam_power_total", lambda spec, weights:
                         totals.append(spec) or total(spec, weights))
     sweep = tmp_path / "sweep"
@@ -982,14 +1006,20 @@ def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
     for record in sweep.rglob("run.json"):
         for row in json.loads(record.read_text())["estimates"]:
             used.setdefault(row["utterance"], set()).add(row["azimuth_used_deg"])
-    grid = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array).grid
-    assert len(used) == len(manifest.utterances) == len(totals) == len(set(map(id, totals)))
+    cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
+    frames = {u.id: cfg.stft_cfg.num_frames(manifest.read(u.mixture).shape[-1])
+              for u in manifest.utterances}
+    assert len(used) == len(manifest.utterances)
     # The recorded arrays stay referenced, so their ids identify them.
+    assert len(set(map(id, totals))) == len(totals)
+    assert sum(spec.num_frames for spec in totals) == sum(frames.values())
     assert len({(id(cos_ipd), steer.tobytes()) for cos_ipd, steer in afs}) == len(afs)
     assert len(afs) == sum(map(len, used.values()))
     assert len({(id(spec), weights) for spec, weights in beams}) == len(beams)
-    assert len(beams) == sum(len({spatial_features.nearest_direction(grid, az) for az in azimuths})
-                             for azimuths in used.values())
+    assert sum(spec.num_frames for spec, _ in beams) == sum(
+        frames[utterance] * len({spatial_features.nearest_direction(cfg.grid, az)
+                                 for az in azimuths})
+        for utterance, azimuths in used.items())
 
 
 def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
@@ -1104,20 +1134,21 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
 ], ids=["perturb", "heuristic", "features", "das"])
 def test_no_multichannel_spectrogram_outlives_the_spatial_analysis(dataset, tmp_path,
                                                                    monkeypatch, argv, alive):
-    # The spatial stages plan their DPR directions before the loop, so once
-    # the spatial analysis is built no (J, T, F) spectrogram is alive at any
-    # write: what the estimates and feature stacks read is the pair phasors,
-    # the premask, the planned DPR maps and a copy of the reference row.
-    # das beams the whole spectrogram for every target, so it stays alive.
-    # Its data array is tracked, which a view of any channel keeps alive too.
+    # The spatial stages plan their DPR directions before the loop, and the
+    # spatial analysis reads the spectrogram block by block, so no block of
+    # it is alive at any write: what the estimates and feature stacks read is
+    # the pair phasors, the premask, the planned DPR maps and the reference
+    # row. das beams the whole spectrogram for every target, so it stays
+    # alive. Each transform's array is tracked, which a view of any channel
+    # keeps alive too.
     out, manifest = dataset
     specs, alive_at_write = [], []
-    stft = pipeline.multichannel_stft
+    stft = spatial_features.rfft_frames
 
     def tracked(waveform, cfg):
-        spec = stft(waveform, cfg)
-        specs.append(weakref.ref(spec.data))
-        return spec
+        spectra = stft(waveform, cfg)
+        specs.append(weakref.ref(spectra))
+        return spectra
 
     def checked(write):
         def call(path, *args):
@@ -1125,12 +1156,12 @@ def test_no_multichannel_spectrogram_outlives_the_spatial_analysis(dataset, tmp_
             return write(path, *args)
         return call
 
-    monkeypatch.setattr(pipeline, "multichannel_stft", tracked)
+    monkeypatch.setattr(spatial_features, "rfft_frames", tracked)
     monkeypatch.setattr(pipeline, "write_wav", checked(pipeline.write_wav))
     monkeypatch.setattr(pipeline, "write_features", checked(pipeline.write_features))
     assert main([*argv, "--manifest", str(out / "manifest.json"),
                  "--out", str(tmp_path / "out")]) == 0
-    assert len(specs) == len(manifest.utterances)
+    assert len(specs) >= len(manifest.utterances)
     assert alive_at_write and set(alive_at_write) == {alive}
 
 
@@ -1163,7 +1194,7 @@ def test_cached_dpr_matches_grid_dpr(dataset):
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
         npt.assert_allclose(analysis.spatial.dpr(azimuth),
-                            oracles.grid_dpr(analysis.spec.data, bank, p,
+                            oracles.grid_dpr(analysis.spatial.spec.data, bank, p,
                                              DPR_POWER_FLOOR),
                             rtol=1e-12, atol=0)
 

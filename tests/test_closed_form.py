@@ -79,19 +79,20 @@ def _reference_formulas(monkeypatch) -> None:
     def one(x, cfg):
         return ComplexSpectrogram(data=oracles.kernel_stft(x, cfg), config=cfg)
 
-    def multichannel(wav, cfg):
-        return ComplexSpectrogram(
-            data=np.stack([oracles.kernel_stft(ch, cfg) for ch in wav]), config=cfg)
+    def frames(wav, cfg):
+        return np.stack([oracles.kernel_stft(ch, cfg) for ch in wav])
 
-    def cos_sin(spec, pairs):
+    def cos_sin(spec, pairs, out):
         phi = oracles.angle_ipd(spec.data, pairs)
-        return np.cos(phi), np.sin(phi)
+        out[0][...], out[1][...] = np.cos(phi), np.sin(phi)
 
-    def keeping_spec(self, spec, *args):
-        # The analysis releases its spectrogram once built; the references
-        # below read the one it was built from.
-        real_init(self, spec, *args)
-        self.reference_spec = spec
+    def keeping_spec(self, blocks, num_frames, config, *args):
+        # The analysis keeps no spectrogram; the references below read the
+        # one its blocks make up.
+        blocks = list(blocks)
+        real_init(self, blocks, num_frames, config, *args)
+        self.reference_spec = ComplexSpectrogram(data=np.concatenate(blocks, axis=1),
+                                                 config=config)
 
     def angle_feature(self, azimuth):
         steer = oracles.loop_steering_phases(tdoa(self.array, azimuth),
@@ -113,7 +114,7 @@ def _reference_formulas(monkeypatch) -> None:
 
     real_oracle_mask, real_init = pipeline.oracle_mask, SpatialAnalysis.__init__
     monkeypatch.setattr(pipeline, "stft", one)
-    monkeypatch.setattr(pipeline, "multichannel_stft", multichannel)
+    monkeypatch.setattr(spatial_features, "rfft_frames", frames)
     monkeypatch.setattr(spatial_features, "pair_cos_sin", cos_sin)
     monkeypatch.setattr(pipeline, "oracle_mask", oracle_mask)
     monkeypatch.setattr(SpatialAnalysis, "__init__", keeping_spec)

@@ -467,18 +467,27 @@ class TestFeatures:
             read_features(path)
 
     @pytest.mark.parametrize("layout, dim", [([["a", -1], ["b", 5]], 4), ([["a", 0], ["b", 4]], 4),
-                                             ([], 0), ([["a", 3]], 4)],
-                             ids=["negative-width", "zero-width", "empty", "widths-not-dim"])
+                                             ([], 0), ([["a", 3]], 4),
+                                             ([["af:tgt", 2], ["af:tgt", 2]], 4)],
+                             ids=["negative-width", "zero-width", "empty", "widths-not-dim",
+                                  "repeated-name"])
     def test_bad_layout_rejected_naming_the_file(self, tmp_path, layout, dim):
         # The layout slices the payload into blocks, so one with a block
-        # narrower than a column, no block, or widths that do not sum to D
-        # is refused like a bad header: a DataFormatError that names the file.
+        # narrower than a column, no block, widths that do not sum to D, or
+        # a name that repeats (whose second block no name could reach) is
+        # refused like a bad header: a DataFormatError that names the file.
         text = json.dumps(layout).encode("utf-8")
         path = tmp_path / "f.tsnf"
         path.write_bytes(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, 2, dim, len(text))
                          + text + np.zeros((2, dim), dtype="<f4").tobytes())
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             read_features(path)
+
+    def test_stack_refuses_a_repeated_block_name(self):
+        # block() could reach only the first of two blocks of one name.
+        with pytest.raises(ValueError, match="more than once"):
+            FeatureStack(data=np.zeros((2, 4), dtype=np.float32),
+                         layout=(("af:tgt", 2), ("af:tgt", 2)))
 
     def test_stack_holds_float32_only(self, rng):
         # A stack holds what its file holds, so reading back is bit-equal.

@@ -227,11 +227,11 @@ class TestDirectionalMask:
             scene, az, _ = _reverberant_scene(2000 + seed, anechoic=True,
                                               duration=0.6, azimuths=[az1, az2])
             assert angle_difference(az[0], az[1]) > 90.0
-            spec = multichannel_stft(scene.mixture, cfg_default)
-            spatial = SpatialAnalysis(spec, array6, pairs6, grid36, az, frozenset(az))
+            spatial = SpatialAnalysis.of_mixture(scene.mixture, cfg_default, array6, pairs6,
+                                                 grid36, az, frozenset(az))
             mask = directional_mask(spatial.angle_feature(az[0]), spatial.dpr(az[0]),
                                     alpha=1.0, beta=1.0)
-            est = apply_mask(spec.channel(0), mask, scene.mixture.shape[1])
+            est = apply_mask(spatial.ref_spec, mask, scene.mixture.shape[1])
             scores.append(si_sdri(est, scene.images[0][0], scene.mixture[0]))
         assert float(np.mean(scores)) > 0.0
 

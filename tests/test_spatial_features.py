@@ -15,10 +15,10 @@ from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power
                                   das_filterbank, dpr, ipd, multichannel_stft,
                                   nearest_direction, pair_cos_sin, pair_steering_phases,
                                   premask)
-from ssk.spectral import ComplexSpectrogram, stft
+from ssk.spectral import ComplexSpectrogram, rfft_frames, stft
 
 import oracles
-from conftest import traced_peak
+from conftest import traced_peak, whole_analysis
 
 FS, ARRAY_RADIUS = oracles.FS, oracles.ARRAY_RADIUS
 
@@ -34,14 +34,19 @@ def _anechoic_scene(seed, azimuth, array, duration=0.8):
 
 def _angle_feature(spec, azimuth, array, pairs):
     """AF toward ``azimuth`` as the run paths form it."""
-    return SpatialAnalysis(spec, array, pairs, DirectionGrid.uniform(10.0),
-                           ()).angle_feature(azimuth)
+    return whole_analysis(spec, array, pairs, DirectionGrid.uniform(10.0),
+                          ()).angle_feature(azimuth)
 
 
 def _grid_dpr(spec, array, grid):
     """DPR toward every grid direction, (P, T, F), one run-path call each."""
-    analysis = SpatialAnalysis(spec, array, None, grid, grid.azimuths)
+    analysis = whole_analysis(spec, array, None, grid, grid.azimuths)
     return np.stack([analysis.dpr(az) for az in grid.azimuths])
+
+
+def _row(spec, j=0):
+    """Channel ``j`` of a (J, T, F) spectrogram."""
+    return ComplexSpectrogram(data=spec.data[j], config=spec.config)
 
 
 class TestIpd:
@@ -74,7 +79,7 @@ class TestIpd:
         spec = multichannel_stft(scene.mixture, cfg_default)
         phi = ipd(spec, pairs6)
         steer = pair_steering_phases(array6, az, pairs6, cfg_default)
-        keep = premask(spec, 0)
+        keep = premask(_row(spec))
         mid = slice(2, 10)
         err = np.abs(oracles.wrap_phase(phi[:, :, mid] - steer[:, None, mid]))
         active = np.broadcast_to(keep[None, :, mid], err.shape)
@@ -133,7 +138,7 @@ class TestAngleFeature:
     def test_anechoic_source_discrimination(self, array6, pairs6, cfg_default):
         scene, az = _anechoic_scene(4, 150.0, array6)
         spec = multichannel_stft(scene.mixture, cfg_default)
-        keep = premask(spec, 0)
+        keep = premask(_row(spec))
         af_true = _angle_feature(spec, az, array6, pairs6)
         af_off = _angle_feature(spec, az + 90.0, array6, pairs6)
         assert af_true[keep].mean() > 0.9
@@ -198,14 +203,14 @@ class TestDpr:
     def test_silent_bins_uniform(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.zeros((6, 5, 33), dtype=complex),
                                   config=cfg_default)
-        analysis = SpatialAnalysis(spec, array6, None, grid36, [70.0])
+        analysis = whole_analysis(spec, array6, None, grid36, [70.0])
         npt.assert_array_equal(analysis.dpr(70.0), 1.0 / 36.0)
 
     def test_anechoic_source_localized(self, array6, grid36, cfg_default):
         scene, az = _anechoic_scene(6, 130.0, array6)
         spec = multichannel_stft(scene.mixture, cfg_default)
         powers = _grid_dpr(spec, array6, grid36)
-        keep = premask(spec, 0)
+        keep = premask(_row(spec))
         high = cfg_default.freqs > 1000.0
         sel = keep[:, high]
         means = np.array([powers[p][:, high][sel].mean() for p in range(36)])
@@ -213,10 +218,10 @@ class TestDpr:
 
     def test_invariant_to_global_scaling(self, array6, grid36, cfg_default, rng):
         wav = rng.standard_normal((6, 1500))
-        d1 = SpatialAnalysis(multichannel_stft(wav, cfg_default), array6, None, grid36,
-                             [30.0]).dpr(30.0)
-        d2 = SpatialAnalysis(multichannel_stft(2.0 * wav, cfg_default), array6, None,
-                             grid36, [30.0]).dpr(30.0)
+        d1 = SpatialAnalysis.of_mixture(wav, cfg_default, array6, None, grid36,
+                                        [30.0]).dpr(30.0)
+        d2 = SpatialAnalysis.of_mixture(2.0 * wav, cfg_default, array6, None, grid36,
+                                        [30.0]).dpr(30.0)
         npt.assert_allclose(d1, d2, atol=1e-9)
 
     def test_spectrogram_channel_check(self, grid36, cfg_default, rng):
@@ -382,7 +387,7 @@ class TestMultichannel:
         wav = rng.standard_normal((6, num_samples))
         spec = multichannel_stft(wav, cfg_default)
         for j in range(6):
-            npt.assert_array_equal(spec.channel(j).data, stft(wav[j], cfg_default).data)
+            npt.assert_array_equal(spec.data[j], stft(wav[j], cfg_default).data)
 
 
 class TestSpatialAnalysis:
@@ -412,12 +417,12 @@ class TestSpatialAnalysis:
                                    min_size=1, max_size=25), label="calls")
         wide = data.draw(st.booleans(), label="wide")
         plan = [az for _, az in calls] + (list(grid.azimuths) if wide else [])
-        analysis = SpatialAnalysis(spec, array, pairs, grid, plan, frozenset(pinned))
+        analysis = whole_analysis(spec, array, pairs, grid, plan, frozenset(pinned))
         directions = len({nearest_direction(grid, az) for az in pinned})
         maps = {"angle_feature": [], "dpr": []}
         for name, az in calls:
             got = getattr(analysis, name)(az)
-            fresh = getattr(SpatialAnalysis(spec, array, pairs, grid, plan, frozenset(pinned)),
+            fresh = getattr(whole_analysis(spec, array, pairs, grid, plan, frozenset(pinned)),
                             name)(az)
             assert np.array_equal(got, fresh), (name, az)
             maps[name].append(weakref.ref(got))
@@ -435,10 +440,10 @@ class TestSpatialAnalysis:
            st.data())
     def test_planned_maps_equal_the_on_demand_maps(self, mics, step, seed, data):
         # For random spectra, sources and signed errors, a plan of at most 2J
-        # grid directions releases the spectrogram and serves each planned
-        # DPR map bit-equal to the on-demand map of an analysis planned over
-        # the whole grid (wider than 2J); a DPR outside the plan then raises
-        # KeyError. A plan wider than 2J keeps the spectrogram.
+        # grid directions keeps no spectrogram and serves each planned DPR
+        # map bit-equal to the on-demand map of an analysis planned over the
+        # whole grid (wider than 2J); a DPR outside the plan then raises
+        # KeyError. A plan wider than 2J assembles the spectrogram.
         array, grid = circular_array(mics, 0.07), DirectionGrid.uniform(step)
         pairs = PairSelection(tuple((0, j) for j in range(1, mics)))
         rng = np.random.default_rng(seed)
@@ -453,20 +458,96 @@ class TestSpatialAnalysis:
                                    max_size=len(sources)), label="signs")
         plan = [az + sign * error for az, sign in zip(sources, signs) for error in errors]
         planned = {nearest_direction(grid, az) for az in plan}
-        analysis = SpatialAnalysis(spec, array, pairs, grid, plan, frozenset(sources))
-        on_demand = SpatialAnalysis(spec, array, pairs, grid, grid.azimuths, frozenset(sources))
-        assert on_demand.spec is spec
+        analysis = whole_analysis(spec, array, pairs, grid, plan, frozenset(sources))
+        on_demand = whole_analysis(spec, array, pairs, grid, grid.azimuths, frozenset(sources))
+        assert np.array_equal(on_demand.spec.data, spec.data)
         for az in plan:
             assert np.array_equal(analysis.dpr(az), on_demand.dpr(az)), az
         if len(planned) > 2 * mics:
-            assert analysis.spec is spec
+            assert np.array_equal(analysis.spec.data, spec.data)
         else:
             assert analysis.spec is None
             unplanned = next(p for p in range(grid.num_directions) if p not in planned)
             with pytest.raises(KeyError):
                 analysis.dpr(grid.azimuths[unplanned])
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6), st.one_of(st.integers(40, 400), st.integers(5200, 7000)),
+           st.booleans(), st.integers(0, 2 ** 31 - 1), st.data())
+    def test_block_splitting_changes_nothing(self, mics, samples, wide, seed, data):
+        # For random mixtures and plans, at most 2J directions or the whole
+        # grid, the analysis is the same whether its frames come one per
+        # block, in random blocks or in one block: the reference row, the
+        # premask, the phasors, every planned DPR map and every AF map are
+        # bit-equal, and equal to the whole-spectrogram formulas (DPR to
+        # rounding: its BLAS products are cut into BLOCK_FRAMES-frame blocks).
+        # The longer mixtures span more than one such block.
+        cfg, grid = oracles.PAPER_STFT, DirectionGrid.uniform(10.0)
+        array = circular_array(mics, 0.07)
+        pairs = PairSelection(tuple((0, j) for j in range(1, mics))) if mics > 1 else None
+        wav = np.random.default_rng(seed).standard_normal((mics, samples))
+        frames = cfg.num_frames(samples)
+        sources = data.draw(st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1,
+                                     max_size=3, unique=True), label="sources")
+        steered = sources + [az + 7.0 for az in sources]
+        plan = list(grid.azimuths) if wide else steered
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(frames - 1, 1)), max_size=20),
+                                label="cuts") - {frames})
+
+        def analysis(cuts):
+            bounds = [0, *cuts, frames]
+            blocks = (rfft_frames(wav[:, a * cfg.hop:(b - 1) * cfg.hop + cfg.win_len], cfg)
+                      for a, b in zip(bounds, bounds[1:]))
+            return SpatialAnalysis(blocks, frames, cfg, array, pairs, grid, plan,
+                                   frozenset(sources))
+
+        one, *others = (analysis(range(1, frames)), analysis(cuts), analysis([]),
+                        SpatialAnalysis.of_mixture(wav, cfg, array, pairs, grid, plan,
+                                                   frozenset(sources)))
+        whole = ComplexSpectrogram(data=rfft_frames(wav, cfg), config=cfg)
+        total = beam_power_total(whole, das_filterbank(array, grid, cfg))
+        assert (one.spec is None) == (len({nearest_direction(grid, az) for az in plan})
+                                      <= 2 * mics)
+        assert np.array_equal(one.ref_spec.data, whole.data[0])
+        assert np.array_equal(one.premask, premask(_row(whole)))
+        if pairs is not None:
+            assert np.array_equal(np.stack(one.pair_cos_sin), np.stack(pair_cos_sin(whole, pairs)))
+        for az in steered:
+            bank = das_filterbank(array, grid, cfg)[nearest_direction(grid, az)]
+            npt.assert_allclose(one.dpr(az), dpr(whole, bank, total, grid.num_directions),
+                                rtol=0, atol=1e-12)
+        for other in others:
+            assert np.array_equal(other.ref_spec.data, one.ref_spec.data)
+            assert np.array_equal(other.premask, one.premask)
+            for az in steered:
+                assert np.array_equal(other.dpr(az), one.dpr(az)), az
+            if pairs is not None:
+                assert np.array_equal(np.stack(other.pair_cos_sin), np.stack(one.pair_cos_sin))
+                for az in steered:
+                    assert np.array_equal(other.angle_feature(az), one.angle_feature(az)), az
+
+    def test_blocks_must_hold_the_stated_frames(self, array6, grid36, cfg_default):
+        block = np.zeros((6, 4, 33), dtype=complex)
+        for blocks in ([block], [block] * 3):
+            with pytest.raises(ValueError, match="blocks hold"):
+                SpatialAnalysis(blocks, 8, cfg_default, array6, None, grid36, ())
+
+    def test_build_holds_no_whole_spectrogram(self, array6, pairs6, grid36, cfg_default):
+        # 10 s of a 6-channel mixture, planned as tgt+intf plans three
+        # sources: the traced peak of the build, less the arrays the analysis
+        # keeps, stays below one whole (J, T, F) complex128 spectrogram, which
+        # the build held before it read the spectrogram in blocks.
+        wav = np.random.default_rng(5).standard_normal((6, 10 * FS))
+        plan = [20.0, 140.0, 260.0, 80.0, 200.0, 320.0]
+        analysis, peak = traced_peak(lambda: SpatialAnalysis.of_mixture(
+            wav, cfg_default, array6, pairs6, grid36, plan, frozenset(plan[:3])))
+        kept = sum(a.nbytes for a in (*analysis.pair_cos_sin, analysis.ref_spec.data,
+                                      analysis.premask, *map(analysis.dpr, plan)))
+        spectrogram = 6 * cfg_default.num_frames(wav.shape[1]) * cfg_default.num_bins * 16
+        assert analysis.spec is None
+        assert peak - kept < spectrogram
+
     def test_af_needs_pairs(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.ones((6, 4, 33), dtype=complex), config=cfg_default)
         with pytest.raises(ValueError, match="two microphones"):
-            SpatialAnalysis(spec, array6, None, grid36, ()).angle_feature(0.0)
+            whole_analysis(spec, array6, None, grid36, ()).angle_feature(0.0)
