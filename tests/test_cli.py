@@ -978,8 +978,8 @@ def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
         analyses.clear()
         frames.clear()
         assert main([*argv, "--manifest", m, "--out", str(tmp_path / "-".join(argv))]) == 0
-        multichannel_calls = per_utterance is mixture
-        assert len(analyses) == multichannel_calls * len(manifest.utterances), argv
+        analysed = per_utterance is mixture  # the oracle masks analyse no mixture
+        assert len(analyses) == analysed * len(manifest.utterances), argv
         assert sum(frames) == sum(per_utterance(u) for u in manifest.utterances), argv
 
 
