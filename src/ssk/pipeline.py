@@ -6,14 +6,15 @@ a stage loads only the modules it runs; the sweep scores with the evaluation
 stage's rule, and :func:`evaluate_dataset` is re-exported here.
 
 Features, separation and the sweep work one utterance at a time. Each first
-states the utterance's DPR plan: the azimuths whose DPR maps it will read,
-every target's under every separation :class:`Run` (one per sweep point,
-with its signed direction error) and, under ``tgt+intf``, the interferers'.
-An :class:`UtteranceAnalysis` then reads the mixture and builds its
-:class:`~ssk.spatial_features.SpatialAnalysis` for the plan in one pass over
-blocks of frames; every target, under every run, reuses it. When the plan
-fits, no (J, T, F) spectrogram is ever whole. The sweep also scores each
-estimate in the same task. Methods,
+states what it will read: the DPR plan, the azimuths whose DPR maps it
+reads, every target's under every separation :class:`Run` (one per sweep
+point, with its signed direction error) and, under ``tgt+intf``, the
+interferers'; for ``das`` the azimuths it beams at instead; for the oracle
+masks the reference-row spectrograms. An :class:`UtteranceAnalysis` then
+reads the mixture and builds what was asked for, the spatial part in one
+:class:`~ssk.spatial_features.SpatialAnalysis` pass over blocks of frames;
+every target, under every run, reuses it, and no (J, T, F) spectrogram is
+ever whole. The sweep also scores each estimate in the same task. Methods,
 feature blocks and direction conditions are plain names, each set stated
 once in :mod:`ssk.stages`; masks are (T, F) arrays.
 
@@ -39,8 +40,7 @@ from .evaluation import _record, evaluate_dataset  # noqa: F401 (re-exported)
 from .geometry import DirectionGrid, MicArray, PairSelection, closest_source
 from .metrics import EvalRecord, aggregate, si_sdr
 from .separation import apply_mask, das_beamform, directional_mask, oracle_mask
-from .spatial_features import (FeatureStack, SpatialAnalysis, assemble_features,
-                               multichannel_stft)
+from .spatial_features import FeatureStack, SpatialAnalysis, assemble_features
 from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
 from .stages import CONDS, FEATURE_BLOCKS, METHODS, ORACLE_KINDS, _each
 
@@ -106,95 +106,45 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return azimuths[closest_source(azimuths, target_index)[0]]
 
 
-class computed_once:
-    """Property computed on first use and then stored on the instance. Unlike
-    ``functools.cached_property`` before Python 3.12 it takes no lock shared
-    by all instances, which would let one ``--jobs`` thread at a time
-    analyse an utterance; each analysis is used by a single thread."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
-@dataclass(frozen=True, eq=False)
 class UtteranceAnalysis:
-    """One utterance's analysis, shared by every target, method and run; it
-    alone turns the mixture into spectrograms, straight from the configs in
-    ``cfg`` (no analysis kernels are built).
+    """One utterance's analysis, shared by every target, method and run,
+    built in one step from what its stage states it will read; it alone turns
+    the mixture into spectrograms, straight from the configs in ``cfg`` (no
+    analysis kernels are built).
 
     It reads the mixture once (:meth:`~ssk.dataset_io.Manifest.read`) and
-    keeps only a contiguous copy of the reference-mic row
-    (:attr:`reference`, whose size is the sample count). The (J, n) array
-    itself is held only until one of three parts takes it: :attr:`spatial`,
-    the :class:`~ssk.spatial_features.SpatialAnalysis` for the DPR ``plan``,
-    which transforms it block by block; :attr:`spec`, the whole (J, T, F)
-    spectrogram at ``cfg.stft_cfg`` that ``das`` beams; or :attr:`ref_specs`,
-    the oracle methods' ``cfg.oracle_cfg`` spectrograms of the reference rows
-    of the mixture and source images. Masks and the LPS block read
-    :attr:`ref_spec`, the spatial analysis's reference-mic row. Each part is
-    computed on first use, so a method pays only for what it reads.
-    :attr:`spec` or :attr:`spatial` asked for after another part took the
-    mixture raises :class:`LookupError`, a bug that no stage makes; the
-    mixture is read once.
+    keeps a contiguous copy of its reference-mic row (:attr:`reference`,
+    whose size is the sample count). Unless ``oracle``, it then builds
+    :attr:`spatial`, the :class:`~ssk.spatial_features.SpatialAnalysis` for
+    the DPR ``plan`` and the delay-and-sum ``beams``, which transforms the
+    mixture block by block; masks and the LPS block read :attr:`ref_spec`,
+    its reference-mic row. With ``oracle`` it builds :attr:`ref_specs`
+    instead, the oracle methods' ``cfg.oracle_cfg`` spectrograms of the
+    reference rows of the mixture and of each source image, whose files it
+    reads after it has dropped the (J, n) mixture. So the mixture is dropped
+    before the analysis is returned.
     """
 
-    entry: UtteranceEntry
-    manifest: Manifest
-    cfg: PipelineConfig
-    plan: Sequence[float]
-
-    @computed_once
-    def reference(self) -> np.ndarray:
-        """The mixture's reference-mic row, (n,), owning its data."""
-        wav = self.manifest.read(self.entry.mixture)
-        self.__dict__["_mixture"] = wav  # until a part takes it
-        return wav[self.cfg.array.ref_index].copy()
-
-    def _release_mixture(self) -> np.ndarray | None:
-        """The held (J, n) mixture, which the analysis holds no longer; None
-        if it was released before."""
-        self.reference
-        return self.__dict__.pop("_mixture", None)
-
-    def _take_mixture(self, part: str) -> np.ndarray:
-        wav = self._release_mixture()
-        if wav is None:
-            raise LookupError(f"{self.entry.id}: the {part} was asked for after "
-                              "the analysis released the mixture")
-        return wav
-
-    @computed_once
-    def ref_specs(self) -> tuple[ComplexSpectrogram, list[ComplexSpectrogram]]:
-        """Oracle-config spectrograms of the reference-channel mixture and of
-        each reference-channel source image."""
-        self._release_mixture()
-        oracle_cfg = self.cfg.oracle_cfg
-        images = [stft(self.manifest.read(src.image, ref_row=True), oracle_cfg)
-                  for src in self.entry.sources]
-        return stft(self.reference, oracle_cfg), images
-
-    @computed_once
-    def spec(self) -> ComplexSpectrogram:
-        return multichannel_stft(self._take_mixture("multichannel spectrogram"),
-                                 self.cfg.stft_cfg)
+    def __init__(self, entry: UtteranceEntry, manifest: Manifest, cfg: PipelineConfig,
+                 plan: Sequence[float], beams: Sequence[float] = (),
+                 oracle: bool = False) -> None:
+        self.entry = entry
+        wav = manifest.read(entry.mixture)
+        self.reference = wav[cfg.array.ref_index].copy()
+        self.spatial = None if oracle else SpatialAnalysis.of_mixture(
+            wav, cfg.stft_cfg, cfg.array, cfg.pairs, cfg.grid, plan,
+            frozenset(src.azimuth_deg for src in entry.sources), beams)
+        del wav
+        self.ref_specs = None
+        if oracle:
+            images = [stft(manifest.read(src.image, ref_row=True), cfg.oracle_cfg)
+                      for src in entry.sources]
+            self.ref_specs = stft(self.reference, cfg.oracle_cfg), images
 
     @property
     def ref_spec(self) -> ComplexSpectrogram:
         """The reference-mic (T, F) row of the spectrogram at ``cfg.stft_cfg``."""
         return self.spatial.ref_spec
-
-    @computed_once
-    def spatial(self) -> SpatialAnalysis:
-        cfg = self.cfg
-        return SpatialAnalysis.of_mixture(self._take_mixture("spatial analysis"), cfg.stft_cfg,
-                                          cfg.array, cfg.pairs, cfg.grid, self.plan,
-                                          frozenset(src.azimuth_deg for src in self.entry.sources))
 
 
 # The feature blocks, in FEATURE_BLOCKS order: each maps an analysis and the
@@ -266,7 +216,6 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
                        azimuth: float, cond: str, alpha: float, beta: float) -> np.ndarray:
     """Run one separation method for one utterance/target steered at
     ``azimuth``, returning the estimated reference-channel waveform."""
-    cfg = analysis.cfg
     length = analysis.reference.size
     if method in ORACLE_KINDS:
         mixture, images = analysis.ref_specs
@@ -283,7 +232,7 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
                                 af_intf, dpr_intf, alpha=alpha, beta=beta)
         return apply_mask(analysis.ref_spec, mask, length)
     if method == "das":
-        return das_beamform(analysis.spec, azimuth, cfg.array, length)
+        return das_beamform(analysis.spatial.beam(azimuth), length)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
@@ -319,7 +268,8 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     is separated, and serves every run: minus if
     ``random.Random(f"{error_seed}/{index}/{target}").random()``, ``index``
     the manifest position, is below 0.5. The heuristic's DPR plan follows
-    from the signs, the runs' errors and ``cond``.
+    from the signs, the runs' errors and ``cond``, and so do the azimuths
+    that ``das`` beams at.
 
     Per target, the runs go in ascending direction error, so runs that share
     an error (the sweep's variants) steer at one perturbed azimuth in a row
@@ -343,6 +293,8 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     if len({run.out_dir.resolve() for run in runs}) < len(runs):
         raise ValueError("each run needs an output directory of its own")
     cfg = _stage_config(manifest, cond)
+    if method == "das":
+        cfg = replace(cfg, pairs=None)  # the beams read no IPD phasors
     for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(range(len(runs)), key=lambda i: runs[i].direction_error_deg)
@@ -353,12 +305,14 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
         for target, src in enumerate(entry.sources):
             sign = -1.0 if random.Random(f"{error_seed}/{index}/{target}").random() < 0.5 else 1.0
             azimuths.append([src.azimuth_deg + sign * run.direction_error_deg for run in runs])
-        plan = []
+        plan, beams = [], []
         if method == "heuristic":
             plan = [az for row in azimuths for az in row]
             if cond == "tgt+intf":
                 plan += [_interferer_azimuth(entry, t) for t in range(len(entry.sources))]
-        analysis = UtteranceAnalysis(entry, manifest, cfg, plan)
+        elif method == "das":
+            beams = [az for row in azimuths for az in row]
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan, beams, oracle=not steered)
         records: list[list[EvalRecord]] = [[] for _ in runs]
         rows: list[list[tuple]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
@@ -407,10 +361,10 @@ def perturb_sweep(manifest: Manifest, out_dir, errors: Sequence[float], seed: in
     and scores all runs from a single analysis of each mixture, reading each
     mixture and reference image once and no estimate. Per target it takes
     the errors in turn and both variants at each, so each perturbed
-    azimuth's AF is computed once and dropped before the next, and the DPR
-    maps are those of the plan or, for a plan wider than the spectrogram,
-    of the sources and the latest other direction: memory stays flat in the
-    number of errors. The error sign, drawn per (utterance, target) from
+    azimuth's AF is computed once and dropped before the next. The DPR maps
+    are formed in the analysis pass, one (T, F) plane per planned grid
+    direction, so they grow with the errors up to at most P = 36 planes. The
+    error sign, drawn per (utterance, target) from
     ``seed`` by the rule of :func:`separate_dataset`, is the same for every
     magnitude. Then the sweep, each run's report and its mean above 15
     degrees of angle difference, is written to ``sweep.json`` and, one row

@@ -2,12 +2,13 @@
 delay-and-sum beamforming baseline.
 
 Every function here works in the T-F domain and runs no analysis of its
-own: it takes spectrograms (and AF/DPR maps) built once per utterance by
-``pipeline.UtteranceAnalysis`` and its ``spatial_features.SpatialAnalysis``
-(or by :func:`~ssk.spectral.stft` directly) and returns masks or
-reference-channel waveforms. A mask is a plain (T, F) float array in
-[0, 1]; it carries no config, and :func:`apply_mask` checks its shape
-against the mixture spectrogram it scales. Oracle masks are named by
+own: it takes spectrograms (and AF/DPR maps and delay-and-sum beams) built
+once per utterance by ``pipeline.UtteranceAnalysis`` and its
+``spatial_features.SpatialAnalysis`` (or by :func:`~ssk.spectral.stft`
+directly) and returns masks or reference-channel waveforms. A mask is a
+plain (T, F) float array in [0, 1]; it carries no config, and
+:func:`apply_mask` checks its shape against the mixture spectrogram it
+scales. Oracle masks are named by
 :data:`ORACLE_KINDS` and computed from ground-truth source-image
 spectrograms at their own analysis configuration (16 ms Hann, 256-point FFT
 by default) and applied with the mixture phase. The directional heuristic
@@ -21,9 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MicArray
 from .spectral import ComplexSpectrogram, istft
-from .spatial_features import beam, das_weights
 from .stages import ORACLE_KINDS
 
 MASK_EPS = 1e-12
@@ -132,9 +131,8 @@ def apply_mask(mixture: ComplexSpectrogram, mask: np.ndarray, length: int) -> np
     return _fit(istft(masked), length)
 
 
-def das_beamform(spec: ComplexSpectrogram, azimuth: float, array: MicArray,
-                 length: int) -> np.ndarray:
-    """Delay-and-sum beamformer steered at ``azimuth`` (the :func:`beam` of
-    its :func:`das_weights`), inverted by overlap-add to ``length`` samples."""
-    weights = das_weights(array, [azimuth], spec.config)[0]
-    return _fit(istft(ComplexSpectrogram(data=beam(spec, weights), config=spec.config)), length)
+def das_beamform(beam: ComplexSpectrogram, length: int) -> np.ndarray:
+    """Delay-and-sum estimate: the (T, F) ``beam`` that the spatial analysis
+    formed toward the steered azimuth, inverted by overlap-add to ``length``
+    samples."""
+    return _fit(istft(beam), length)

@@ -13,16 +13,16 @@
   power attributable to one direction of a fixed grid, always :func:`dpr` of
   the beam(s) and the grid total. The grid total sum_p |w_p^H y|^2 is the
   quadratic form y^H R y with R = sum_p w_p w_p^H, a J x J matrix per bin; it
-  is evaluated as |A y|^2 with A the triangular factor of the stacked beam
-  weights (R = A^H A), J squares in place of P beams and as accurate as
-  summing the beams.
+  is evaluated as |A y|^2 with A the triangular :func:`grid_factor` of the
+  stacked beam weights (R = A^H A), J squares in place of P beams and as
+  accurate as summing the beams.
 
 :class:`SpatialAnalysis` is the one composition of these formulas: built once
-per utterance from its spectrogram, read in blocks of frames, it holds the
-reference-mic row, the IPD phasors, the premask and the DPR maps of the
-directions its caller plans to read, and memoises AF per azimuth. Every
-spectrogram here is a :class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F)
-data.
+per utterance in one pass over blocks of its frames, it holds the
+reference-mic row, the IPD phasors, the premask, the DPR maps of the
+directions its caller plans to read and the delay-and-sum beams it plans to
+invert, and memoises AF per azimuth. Every spectrogram here is a
+:class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F) data.
 Delay-and-sum weights come from :func:`das_weights` alone and are applied by
 :func:`beam` alone.
 """
@@ -45,7 +45,8 @@ BLOCK_FRAMES = 128
 
 def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
     """Analyze a (J, n) waveform in one transform of all channels' frames,
-    (J, T, F); channel j is bit-equal to ``stft`` of row j."""
+    (J, T, F); channel j is bit-equal to ``stft`` of row j. No stage calls
+    it: they read :class:`SpatialAnalysis`, block by block."""
     return ComplexSpectrogram(data=rfft_frames(np.atleast_2d(waveform), cfg), config=cfg)
 
 
@@ -178,17 +179,20 @@ def beam(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...fj,jtf->...tf", np.conj(weights), spec.data)
 
 
-def beam_power_total(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
-    """Grid total of the beam powers, sum_p |w_p^H Y|^2 over (P, F, J)
-    ``weights``, (T, F), without forming any beam.
+def grid_factor(weights: np.ndarray) -> np.ndarray:
+    """The triangular factor A of the grid, (F, J, J), per bin from the (P, J)
+    stack of conjugated (P, F, J) ``weights``: R = sum_p w_p w_p^H = A^H A."""
+    return np.linalg.qr(np.conj(weights).transpose(1, 0, 2), mode="r")
 
-    Per bin, R = sum_p w_p w_p^H = A^H A with A the triangular factor of the
-    (P, J) stack of conjugated weights, so the total y^H R y is |A y|^2. Unlike
-    the expanded quadratic form, whose rounding error grows with the square of
-    the bin's conditioning, this sum of squares is as accurate as the beams.
-    It is formed one bin at a time, so the (J, T) transients are those of a
-    single bin."""
-    factor = np.linalg.qr(np.conj(weights).transpose(1, 0, 2), mode="r")  # (F, J, J)
+
+def beam_power_total(spec: ComplexSpectrogram, factor: np.ndarray) -> np.ndarray:
+    """Grid total of the beam powers, sum_p |w_p^H Y|^2, (T, F), without
+    forming any beam, from the :func:`grid_factor` of the grid weights.
+
+    Per bin the total y^H R y is |A y|^2. Unlike the expanded quadratic form,
+    whose rounding error grows with the square of the bin's conditioning,
+    this sum of squares is as accurate as the beams. It is formed one bin at
+    a time, so the (J, T) transients are those of a single bin."""
     y = spec.data.transpose(2, 0, 1)  # (F, J, T)
     total = np.empty(spec.data.shape[1:])
     for f in range(total.shape[1]):
@@ -241,58 +245,54 @@ def _frame_blocks(blocks: Iterable[np.ndarray], num_frames: int) -> Iterator[np.
 
 class SpatialAnalysis:
     """The spatial analysis of one utterance's (J, T, F) spectrogram, shared
-    by every target, method and run; the only place AF and DPR are formed
-    from a spectrogram.
+    by every target, method and run; the only place AF, DPR and delay-and-sum
+    beams are formed from a spectrogram.
 
     It is built in one pass over the spectrogram's ``blocks``, consecutive
     (J, T_b, F) arrays of ``num_frames`` frames in all (regrouped into blocks
-    of ``BLOCK_FRAMES`` frames, so where they are cut changes no output bit),
-    for the DPR ``plan``, the azimuths whose DPR its caller will read. Each
-    block is written straight into the outputs, allocated before the pass:
-    the reference-mic row (:attr:`ref_spec`), the cosine and sine of the pair
-    IPDs (two (U, T, F) arrays; none without pairs) and the (T, F) DPR map
-    (:func:`dpr` of one beam and the block's grid total) of each grid
-    direction of the plan, the :func:`nearest_direction` of its azimuths.
-    The (T, F) :attr:`premask` is then taken from the reference row. So no
-    whole (J, T, F) spectrogram is held if the plan names at most 2J
-    directions, no more float64 planes than the complex spectrogram holds:
-    :attr:`spec` is None, and a DPR outside the plan raises
-    :class:`KeyError`. A wider plan assembles the spectrogram and the grid
-    total from the blocks, keeps both with the grid weights, and forms each
-    DPR map on first use. It keeps the maps of the grid directions of the
-    ``pinned`` azimuths (the utterance's sources), and of any other only the
-    latest: at most G + 1 maps for the G directions of the sources, however
-    far the sweep strays. :meth:`of_mixture` makes the blocks from a (J, n)
-    mixture.
+    of ``BLOCK_FRAMES`` frames, so where they are cut changes no output bit).
+    Its caller states what it will read: ``plan``, the azimuths whose DPR
+    it reads, and ``beams``, the exact azimuths it beams at. Each block is
+    written straight into the outputs, allocated before the pass: the
+    reference-mic row (:attr:`ref_spec`), the cosine and sine of the pair IPDs
+    (two (U, T, F) arrays; none without pairs), the (T, F) DPR map (:func:`dpr`
+    of one beam and the block's grid total) of each grid direction of the
+    plan, the :func:`nearest_direction` of its azimuths, and the (T, F)
+    :func:`beam` of each beam azimuth's :func:`das_weights`. The grid's
+    :func:`grid_factor` is taken once, before the pass, if the plan names any
+    direction. The (T, F) :attr:`premask` is then taken from the reference
+    row. So no whole (J, T, F) spectrogram is ever held; the analysis keeps
+    one (T, F) plane per planned grid direction, at most P, and one per beam.
+    A DPR or beam outside the plan raises :class:`KeyError`.
+    :meth:`of_mixture` makes the blocks from a (J, n) mixture.
 
     AF (:func:`angle_feature`) is formed from the IPD phasors on first use.
-    The maps of the pinned azimuths are kept for the analysis's lifetime:
-    features, unperturbed separation and every ``tgt+intf`` interferer reuse
-    them. Of any other azimuth (a perturbed target) only the latest map is
-    kept, so at most S + 1 AF maps for S pinned azimuths; callers that steer
-    at the same perturbed azimuth should do so consecutively.
+    The maps of the ``pinned`` azimuths (the utterance's sources) are kept
+    for the analysis's lifetime: features, unperturbed separation and every
+    ``tgt+intf`` interferer reuse them. Of any other azimuth (a perturbed
+    target) only the latest map is kept, so at most S + 1 AF maps for S
+    pinned azimuths; callers that steer at the same perturbed azimuth should
+    do so consecutively.
     """
 
     def __init__(self, blocks: Iterable[np.ndarray], num_frames: int, config: StftConfig,
                  array: MicArray, pairs: PairSelection | None, grid: DirectionGrid,
-                 plan: Iterable[float], pinned: frozenset[float] = frozenset()) -> None:
+                 plan: Iterable[float], pinned: frozenset[float] = frozenset(),
+                 beams: Iterable[float] = ()) -> None:
         self.array, self.pairs, self.grid, self.pinned = array, pairs, grid, pinned
         self.config = config
         shape = (num_frames, config.num_bins)
         ref = np.empty(shape, dtype=complex)
         self._cos_sin = None if pairs is None else tuple(np.empty((2, len(pairs.pairs)) + shape))
         self._af, self._af_latest = {}, {}
-        directions = sorted({nearest_direction(grid, az) for az in plan})
-        weights = das_filterbank(array, grid, config) if directions else None
-        if len(directions) <= 2 * array.num_mics:
-            self.spec = None
-            self._dpr = {p: np.empty(shape) for p in directions}
-        else:
-            self.spec = ComplexSpectrogram(data=np.empty((array.num_mics,) + shape, dtype=complex),
-                                           config=config)
-            self._weights, self._total = weights, np.empty(shape)
-            self._dpr, self._latest = {}, None
-            self._kept = frozenset(nearest_direction(grid, az) for az in pinned)
+        self._dpr = {p: np.empty(shape) for p in sorted({nearest_direction(grid, az)
+                                                          for az in plan})}
+        if self._dpr:
+            weights = das_filterbank(array, grid, config)
+            factor = grid_factor(weights)
+        self._beams = {az: ComplexSpectrogram(data=np.empty(shape, dtype=complex), config=config)
+                       for az in beams}
+        steering = {az: das_weights(array, [az], config)[0] for az in self._beams}
         start = 0
         for data in _frame_blocks(blocks, num_frames):
             stop = start + data.shape[1]
@@ -303,12 +303,12 @@ class SpatialAnalysis:
             ref[start:stop] = data[array.ref_index]
             if pairs is not None:
                 pair_cos_sin(block, pairs, out=tuple(a[:, start:stop] for a in self._cos_sin))
-            total = beam_power_total(block, weights) if directions else None
-            if self.spec is not None:
-                self.spec.data[:, start:stop] = data
-                self._total[start:stop] = total
+            if self._dpr:
+                total = beam_power_total(block, factor)
             for p, out in self._dpr.items():
                 dpr(block, weights[p], total, grid.num_directions, out=out[start:stop])
+            for az, out in self._beams.items():
+                out.data[start:stop] = beam(block, steering[az])
             start = stop
         self.ref_spec = ComplexSpectrogram(data=ref, config=config)
         self.premask = premask(self.ref_spec)
@@ -316,7 +316,8 @@ class SpatialAnalysis:
     @classmethod
     def of_mixture(cls, mixture: np.ndarray, config: StftConfig, array: MicArray,
                    pairs: PairSelection | None, grid: DirectionGrid, plan: Iterable[float],
-                   pinned: frozenset[float] = frozenset()) -> "SpatialAnalysis":
+                   pinned: frozenset[float] = frozenset(),
+                   beams: Iterable[float] = ()) -> "SpatialAnalysis":
         """The analysis of a (J, n) mixture, whose blocks of ``BLOCK_FRAMES``
         frames are each the :func:`~ssk.spectral.rfft_frames` of their slice of
         it: frame for frame bit-equal to one transform of the whole."""
@@ -324,7 +325,7 @@ class SpatialAnalysis:
         blocks = (rfft_frames(mixture[:, t * hop:(min(t + BLOCK_FRAMES, num_frames) - 1) * hop
                                       + config.win_len], config)
                   for t in range(0, num_frames, BLOCK_FRAMES))
-        return cls(blocks, num_frames, config, array, pairs, grid, plan, pinned)
+        return cls(blocks, num_frames, config, array, pairs, grid, plan, pinned, beams)
 
     @property
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
@@ -346,14 +347,14 @@ class SpatialAnalysis:
     def dpr(self, azimuth: float) -> np.ndarray:
         p = nearest_direction(self.grid, azimuth)
         if p not in self._dpr:
-            if self.spec is None:
-                raise KeyError(f"DPR toward {azimuth:g} degrees (grid direction {p}) "
-                               "is not in the plan")
-            if p not in self._kept:
-                self._dpr.pop(self._latest, None)  # before computing, as for AF
-                self._latest = p
-            self._dpr[p] = dpr(self.spec, self._weights[p], self._total, self.grid.num_directions)
+            raise KeyError(f"DPR toward {azimuth:g} degrees (grid direction {p}) "
+                           "is not in the plan")
         return self._dpr[p]
+
+    def beam(self, azimuth: float) -> ComplexSpectrogram:
+        """The (T, F) delay-and-sum beam steered at ``azimuth``, one of the
+        ``beams`` the analysis was built for."""
+        return self._beams[azimuth]
 
 
 def assemble_features(blocks: Sequence[tuple[str, np.ndarray]]) -> FeatureStack:

@@ -25,7 +25,6 @@ from ssk.geometry import circular_array
 from ssk.metrics import SI_SDR_CAP_DB, si_sdr, si_sdri
 from ssk.room_sim import MIN_SOURCE_DISTANCE, WALL_MARGIN, sample_scene
 from ssk.spatial_features import DPR_POWER_FLOOR, FeatureStack, das_filterbank
-from ssk.stages import INPUT_ERRORS
 
 import oracles
 
@@ -404,27 +403,6 @@ class TestFeatures:
         assert stack.layout == tuple(expected)
         frames = (analysis.reference.size - cfg.stft_cfg.win_len) // cfg.stft_cfg.hop + 1
         assert stack.data.shape == (frames, sum(w for _, w in expected))
-
-
-def test_spectrogram_asked_for_after_its_release_raises(dataset, monkeypatch):
-    # Once the spatial analysis has taken the mixture, asking for the whole
-    # spectrogram is a bug: it raises an error that fails no utterance as an
-    # input error would, and the mixture is not read again.
-    _, manifest = dataset
-    reads = []
-    read = dataset_io.read_wav
-    monkeypatch.setattr(dataset_io, "read_wav",
-                        lambda path, **k: reads.append(Path(path).name) or read(path, **k))
-    entry = manifest.utterances[0]
-    cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
-    analysis = pipeline.UtteranceAnalysis(entry, manifest, cfg,
-                                          [src.azimuth_deg for src in entry.sources])
-    pipeline.compute_feature_stack(analysis, 0, frozenset({"lps", "dpr"}), "tgt")
-    assert reads == [Path(entry.mixture).name]
-    with pytest.raises(LookupError) as raised:
-        analysis.spec
-    assert not isinstance(raised.value, INPUT_ERRORS)
-    assert reads == [Path(entry.mixture).name]
 
 
 @pytest.mark.parametrize("stage", ["features", "separate", "perturb"])
@@ -933,16 +911,14 @@ def test_a_bug_in_evaluate_propagates_as_itself(dataset, tmp_path, monkeypatch):
 
 def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
     # Every target, method and run of an utterance shares one analysis: one
-    # STFT of each of the J mixture channels, whole (das) or block by block
-    # (the spatial analysis), or for the oracle masks one of the
+    # STFT of each of the J mixture channels, block by block in the spatial
+    # analysis (das beams in it too), or for the oracle masks one of the
     # reference-channel mixture and of each source image. Transforms are
     # counted in channel frames, so each frame of each channel is
     # transformed once.
     out, manifest = dataset
     analyses, frames = [], []
-    multichannel, spatial = pipeline.multichannel_stft, spatial_features.SpatialAnalysis.__init__
-    monkeypatch.setattr(pipeline, "multichannel_stft",
-                        lambda *a, **k: analyses.append(1) or multichannel(*a, **k))
+    spatial = spatial_features.SpatialAnalysis.__init__
     monkeypatch.setattr(spatial_features.SpatialAnalysis, "__init__",
                         lambda *a, **k: analyses.append(1) or spatial(*a, **k))
     original = spectral.rfft_frames
@@ -1062,32 +1038,33 @@ def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch
     assert most and max(most.values()) <= max(sources) + 1
 
 
-def test_sweep_holds_the_dpr_maps_of_its_sources_and_one_other(dataset, tmp_path,
-                                                                monkeypatch):
+def test_sweep_holds_one_dpr_map_per_planned_direction(dataset, tmp_path, monkeypatch):
     # Errors of 0 to 180 degrees steer each target at up to 19 grid
-    # directions; an analysis keeps the DPR maps of the G grid directions of
-    # its sources and of the latest other one, so at most G + 1 are alive.
+    # directions, more than 2J for the utterance: the analysis pass writes
+    # one DPR plane per planned grid direction and no other, at most P.
     out, manifest = dataset
     grid = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array).grid
-    pinned = max(len({spatial_features.nearest_direction(grid, s.azimuth_deg)
-                      for s in u.sources}) for u in manifest.utterances)
-    live: dict[int, list] = {}
-    most: dict[int, int] = {}
-    dpr = spatial_features.dpr
+    planes: list[set] = []
+    dpr, init = spatial_features.dpr, spatial_features.SpatialAnalysis.__init__
 
-    def tracked(spec, weights, total, num_directions):
-        result = dpr(spec, weights, total, num_directions)
-        refs = live.setdefault(id(spec), [])
-        refs.append(weakref.ref(result))
-        most[id(spec)] = max(most.get(id(spec), 0), sum(r() is not None for r in refs))
-        return result
+    def tracked(spec, weights, total, num_directions, out):
+        planes[-1].add(id(out.base))
+        return dpr(spec, weights, total, num_directions, out)
 
     monkeypatch.setattr(spatial_features, "dpr", tracked)
+    monkeypatch.setattr(spatial_features.SpatialAnalysis, "__init__",
+                        lambda *a, **k: planes.append(set()) or init(*a, **k))
     errors = ",".join(str(e) for e in range(0, 181, 10))
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
                  str(tmp_path / "sweep"), "--direction-error-deg", errors]) == 0
-    assert sum(map(len, live.values())) > len(manifest.utterances) * (pinned + 1)
-    assert max(most.values()) <= pinned + 1
+    used = {}
+    for record in (tmp_path / "sweep").rglob("run.json"):
+        for row in json.loads(record.read_text())["estimates"]:
+            used.setdefault(row["utterance"], set()).add(
+                spatial_features.nearest_direction(grid, row["azimuth_used_deg"]))
+    assert list(map(len, planes)) == [len(used[u.id]) for u in manifest.utterances]
+    assert max(map(len, planes)) > 2 * manifest.array.num_mics
+    assert max(map(len, planes)) <= grid.num_directions
 
 
 @pytest.mark.parametrize("argv", [["perturb", "--direction-error-deg", "0,4"],
@@ -1126,21 +1103,20 @@ def test_no_multichannel_waveform_outlives_the_analysis(dataset, tmp_path, monke
     assert len(wide) >= len(manifest.utterances)
 
 
-@pytest.mark.parametrize("argv, alive", [
-    (["perturb"], False),
-    (["separate", "--method", "heuristic", "--cond", "tgt+intf"], False),
-    (["features", "--cond", "tgt+intf"], False),
-    (["separate", "--method", "das"], True),
+@pytest.mark.parametrize("argv", [
+    ["perturb"],
+    ["separate", "--method", "heuristic", "--cond", "tgt+intf"],
+    ["features", "--cond", "tgt+intf"],
+    ["separate", "--method", "das"],
 ], ids=["perturb", "heuristic", "features", "das"])
 def test_no_multichannel_spectrogram_outlives_the_spatial_analysis(dataset, tmp_path,
-                                                                   monkeypatch, argv, alive):
-    # The spatial stages plan their DPR directions before the loop, and the
-    # spatial analysis reads the spectrogram block by block, so no block of
-    # it is alive at any write: what the estimates and feature stacks read is
-    # the pair phasors, the premask, the planned DPR maps and the reference
-    # row. das beams the whole spectrogram for every target, so it stays
-    # alive. Each transform's array is tracked, which a view of any channel
-    # keeps alive too.
+                                                                   monkeypatch, argv):
+    # The spatial stages plan their DPR directions and das its beams before
+    # the loop, and the spatial analysis reads the spectrogram block by
+    # block, so no block of it is alive at any write: what the estimates and
+    # feature stacks read is the pair phasors, the premask, the planned DPR
+    # maps, the planned beams and the reference row. Each transform's array
+    # is tracked, which a view of any channel keeps alive too.
     out, manifest = dataset
     specs, alive_at_write = [], []
     stft = spatial_features.rfft_frames
@@ -1162,7 +1138,7 @@ def test_no_multichannel_spectrogram_outlives_the_spatial_analysis(dataset, tmp_
     assert main([*argv, "--manifest", str(out / "manifest.json"),
                  "--out", str(tmp_path / "out")]) == 0
     assert len(specs) >= len(manifest.utterances)
-    assert alive_at_write and set(alive_at_write) == {alive}
+    assert alive_at_write and set(alive_at_write) == {False}
 
 
 @pytest.mark.parametrize("cond", ["tgt", "tgt+intf"])
@@ -1189,13 +1165,13 @@ def test_cached_dpr_matches_grid_dpr(dataset):
     # the definition sums all P beams. They agree to rounding in every direction.
     out, manifest = dataset
     cfg = pipeline.PipelineConfig.default(manifest.sample_rate, manifest.array)
-    analysis = pipeline.UtteranceAnalysis(manifest.utterances[0], manifest, cfg,
-                                          cfg.grid.azimuths)
+    entry = manifest.utterances[0]
+    analysis = pipeline.UtteranceAnalysis(entry, manifest, cfg, cfg.grid.azimuths)
+    spec = spectral.rfft_frames(manifest.read(entry.mixture), cfg.stft_cfg)
     bank = das_filterbank(cfg.array, cfg.grid, cfg.stft_cfg)
     for p, azimuth in enumerate(cfg.grid.azimuths):
         npt.assert_allclose(analysis.spatial.dpr(azimuth),
-                            oracles.grid_dpr(analysis.spatial.spec.data, bank, p,
-                                             DPR_POWER_FLOOR),
+                            oracles.grid_dpr(spec, bank, p, DPR_POWER_FLOOR),
                             rtol=1e-12, atol=0)
 
 

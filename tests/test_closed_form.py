@@ -16,7 +16,7 @@ from ssk.dataset_io import read_features, read_wav
 from ssk.geometry import DirectionGrid, circular_array, tdoa
 from ssk.separation import MASK_EPS
 from ssk.spatial_features import (DPR_POWER_FLOOR, SpatialAnalysis, angle_feature, beam,
-                                  beam_power_total, das_filterbank)
+                                  beam_power_total, das_filterbank, grid_factor)
 from ssk.spectral import ComplexSpectrogram, StftConfig, hann_periodic, stft
 
 import oracles
@@ -67,7 +67,7 @@ def test_beam_power_total_matches_grid_sum(mics, diameter, step, shape, seed):
     # Rounding in any evaluation of a beam scales with the beam of |y_j|,
     # which equals the beam itself unless the channels cancel in it.
     scale = bank.shape[0] * (np.abs(data).sum(axis=0) / mics) ** 2
-    assert np.all(np.abs(beam_power_total(spec, bank) - powers.sum(axis=0)) <= 1e-12 * scale)
+    assert np.all(np.abs(beam_power_total(spec, grid_factor(bank)) - powers.sum(axis=0)) <= 1e-12 * scale)
     p = int(rng.integers(bank.shape[0]))
     assert np.all(np.abs(np.abs(beam(spec, bank[p])) ** 2 - powers[p]) <= 1e-12 * scale)
 

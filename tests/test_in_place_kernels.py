@@ -10,7 +10,8 @@ from ssk.geometry import DirectionGrid, PairSelection, circular_array
 from ssk.metrics import SI_SDR_CAP_DB, _ZERO_ERROR_RATIO, si_sdr
 from ssk.separation import MASK_EPS, directional_mask
 from ssk.spatial_features import (DPR_POWER_FLOOR, angle_feature, beam_power_total,
-                                  das_filterbank, dpr, pair_cos_sin, pair_steering_phases)
+                                  das_filterbank, dpr, grid_factor, pair_cos_sin,
+                                  pair_steering_phases)
 from ssk.spectral import (ComplexSpectrogram, StftConfig, _istft_normaliser, hann_periodic,
                           istft)
 
@@ -49,7 +50,7 @@ class TestAllocation:
     def test_dpr(self, cfg_default, array6, grid36, rng):
         spec = ComplexSpectrogram(data=_spectrum(rng, (6, FRAMES, BINS)), config=cfg_default)
         bank = das_filterbank(array6, grid36, cfg_default)
-        total = beam_power_total(spec, bank)
+        total = beam_power_total(spec, grid_factor(bank))
         out, peak = traced_peak(lambda: dpr(spec, bank[3], total, 36))
         # The complex beam is the scratch; the power is squared and divided
         # in the output.
@@ -125,7 +126,7 @@ def test_dpr_bit_equal(mics, frames, decade, every, seed):
     data[:, rng.random((frames, cfg.num_bins)) < 0.2] = 0.0
     spec = ComplexSpectrogram(data=data, config=cfg)
     bank = das_filterbank(circular_array(mics, 0.07), DirectionGrid.uniform(30.0), cfg)
-    total = beam_power_total(spec, bank)
+    total = beam_power_total(spec, grid_factor(bank))
     weights = bank if every else bank[int(rng.integers(bank.shape[0]))]
     ours = dpr(spec, weights, total, bank.shape[0])
     assert _same(ours, oracles.fresh_dpr(data, weights, total, bank.shape[0], DPR_POWER_FLOOR))

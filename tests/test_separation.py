@@ -9,8 +9,8 @@ from ssk.metrics import si_sdr, si_sdri
 from ssk.room_sim import render_mixture, sample_scene
 from ssk.separation import (MASK_EPS, apply_mask, das_beamform, directional_mask,
                             oracle_mask)
-from ssk.spatial_features import SpatialAnalysis, multichannel_stft
-from ssk.spectral import ComplexSpectrogram, stft
+from ssk.spatial_features import SpatialAnalysis, beam, das_weights
+from ssk.spectral import ComplexSpectrogram, rfft_frames, stft
 
 import oracles
 
@@ -26,6 +26,14 @@ def oracle(target, others, kind):
 def masked(mixture, mask, cfg=ORACLE_CFG):
     """Apply ``mask`` to the analysis of a reference-channel waveform."""
     return apply_mask(stft(mixture, cfg), mask, mixture.size)
+
+
+def das(mixture, azimuth, array, cfg):
+    """The delay-and-sum estimate of a (J, n) mixture, beamed from its whole
+    spectrogram."""
+    whole = ComplexSpectrogram(data=rfft_frames(mixture, cfg), config=cfg)
+    steered = beam(whole, das_weights(array, [azimuth], cfg)[0])
+    return das_beamform(ComplexSpectrogram(data=steered, config=cfg), mixture.shape[-1])
 
 
 def _reverberant_scene(seed, n_sources=2, duration=1.0, anechoic=False,
@@ -240,8 +248,7 @@ class TestDasBeamform:
     def test_single_mic_passthrough(self, cfg_default, rng):
         arr1 = circular_array(1, 0.07)
         mix = rng.standard_normal(4000)
-        est = das_beamform(multichannel_stft(mix[None, :], cfg_default), 123.0, arr1,
-                           mix.size)
+        est = das(mix[None, :], 123.0, arr1, cfg_default)
         lo, hi = cfg_default.win_len, est.size - 2 * cfg_default.win_len
         err = np.linalg.norm(est[lo:hi] - mix[lo:hi]) / np.linalg.norm(mix[lo:hi])
         assert err < 1e-6
@@ -249,9 +256,8 @@ class TestDasBeamform:
     def test_steering_at_source_beats_off_steering(self, cfg_default):
         scene, az, array = _reverberant_scene(21, n_sources=1, anechoic=True)
         ref = scene.images[0][0]
-        spec, n = multichannel_stft(scene.mixture, cfg_default), scene.mixture.shape[1]
-        on = das_beamform(spec, az[0], array, n)
-        off = das_beamform(spec, az[0] + 90.0, array, n)
+        on = das(scene.mixture, az[0], array, cfg_default)
+        off = das(scene.mixture, az[0] + 90.0, array, cfg_default)
         assert si_sdr(on, ref) > si_sdr(off, ref)
 
     def test_opposite_sources_positive_improvement(self, cfg_default):
@@ -262,12 +268,10 @@ class TestDasBeamform:
             scene, az, array = _reverberant_scene(3000 + seed, anechoic=True,
                                                   duration=0.6,
                                                   azimuths=[az1, az1 + 180.0])
-            est = das_beamform(multichannel_stft(scene.mixture, cfg_default), az[0],
-                               array, scene.mixture.shape[1])
+            est = das(scene.mixture, az[0], array, cfg_default)
             scores.append(si_sdri(est, scene.images[0][0], scene.mixture[0]))
         assert float(np.mean(scores)) > 0.0
 
     def test_channel_count_mismatch(self, array6, cfg_default, rng):
-        spec = multichannel_stft(rng.standard_normal((4, 2000)), cfg_default)
         with pytest.raises(ValueError):
-            das_beamform(spec, 0.0, array6, 2000)
+            das(rng.standard_normal((4, 2000)), 0.0, array6, cfg_default)

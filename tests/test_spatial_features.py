@@ -11,10 +11,10 @@ from ssk import synth
 from ssk.dataset_io import read_features, write_features
 from ssk.geometry import DirectionGrid, PairSelection, circular_array, tdoa
 from ssk.room_sim import render_mixture, sample_scene
-from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam_power_total,
-                                  das_filterbank, dpr, ipd, multichannel_stft,
-                                  nearest_direction, pair_cos_sin, pair_steering_phases,
-                                  premask)
+from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam, beam_power_total,
+                                  das_filterbank, das_weights, dpr, grid_factor, ipd,
+                                  multichannel_stft, nearest_direction, pair_cos_sin,
+                                  pair_steering_phases, premask)
 from ssk.spectral import ComplexSpectrogram, rfft_frames, stft
 
 import oracles
@@ -197,7 +197,7 @@ class TestDpr:
         data = rng.standard_normal((6, 40, 33)) + 1j * rng.standard_normal((6, 40, 33))
         spec = ComplexSpectrogram(data=data, config=cfg_default)
         bank = das_filterbank(array6, grid36, cfg_default)
-        every = dpr(spec, bank, beam_power_total(spec, bank), 36)
+        every = dpr(spec, bank, beam_power_total(spec, grid_factor(bank)), 36)
         npt.assert_allclose(every, _grid_dpr(spec, array6, grid36), rtol=1e-12, atol=0)
 
     def test_silent_bins_uniform(self, array6, grid36, cfg_default):
@@ -397,9 +397,8 @@ class TestSpatialAnalysis:
         # Any sequence of pinned (source) azimuths, perturbed azimuths and
         # repeats, planned alone or with the whole grid: every AF and DPR
         # equals the same call on a fresh analysis, and after each call at
-        # most S + 1 AF maps are alive, for the S sources. DPR comes from
-        # the spectrogram and at most G + 1 maps, for the G grid directions
-        # of the sources, or from at most 2J planned maps and no spectrogram.
+        # most S + 1 AF maps are alive, for the S sources. DPR comes from one
+        # map per planned grid direction, formed in the pass.
         array, pairs, grid = circular_array(6, 0.07), PairSelection.default_six(), \
             DirectionGrid.uniform(10.0)
         rng = np.random.default_rng(seed)
@@ -418,7 +417,7 @@ class TestSpatialAnalysis:
         wide = data.draw(st.booleans(), label="wide")
         plan = [az for _, az in calls] + (list(grid.azimuths) if wide else [])
         analysis = whole_analysis(spec, array, pairs, grid, plan, frozenset(pinned))
-        directions = len({nearest_direction(grid, az) for az in pinned})
+        planned = len({nearest_direction(grid, az) for az in plan})
         maps = {"angle_feature": [], "dpr": []}
         for name, az in calls:
             got = getattr(analysis, name)(az)
@@ -430,20 +429,17 @@ class TestSpatialAnalysis:
             live = {key: len({id(ref()) for ref in refs if ref() is not None})
                     for key, refs in maps.items()}
             assert live["angle_feature"] <= num_sources + 1
-            if analysis.spec is None:
-                assert live["dpr"] <= 2 * shape[0]
-            else:
-                assert live["dpr"] <= directions + 1
+            assert live["dpr"] <= planned
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.sampled_from([5.0, 10.0]), st.integers(0, 2 ** 31 - 1),
            st.data())
     def test_planned_maps_equal_the_on_demand_maps(self, mics, step, seed, data):
-        # For random spectra, sources and signed errors, a plan of at most 2J
-        # grid directions keeps no spectrogram and serves each planned DPR
-        # map bit-equal to the on-demand map of an analysis planned over the
-        # whole grid (wider than 2J); a DPR outside the plan then raises
-        # KeyError. A plan wider than 2J assembles the spectrogram.
+        # For random spectra, sources and signed errors, a plan of any width
+        # is served from one map per planned grid direction, formed in the
+        # pass, each bit-equal to the map of an analysis planned over the
+        # whole grid, which serves any direction on demand; a DPR outside the
+        # plan raises KeyError.
         array, grid = circular_array(mics, 0.07), DirectionGrid.uniform(step)
         pairs = PairSelection(tuple((0, j) for j in range(1, mics)))
         rng = np.random.default_rng(seed)
@@ -460,26 +456,24 @@ class TestSpatialAnalysis:
         planned = {nearest_direction(grid, az) for az in plan}
         analysis = whole_analysis(spec, array, pairs, grid, plan, frozenset(sources))
         on_demand = whole_analysis(spec, array, pairs, grid, grid.azimuths, frozenset(sources))
-        assert np.array_equal(on_demand.spec.data, spec.data)
         for az in plan:
             assert np.array_equal(analysis.dpr(az), on_demand.dpr(az)), az
-        if len(planned) > 2 * mics:
-            assert np.array_equal(analysis.spec.data, spec.data)
-        else:
-            assert analysis.spec is None
-            unplanned = next(p for p in range(grid.num_directions) if p not in planned)
+        assert len({id(analysis.dpr(az)) for az in plan}) == len(planned)
+        unplanned = [p for p in range(grid.num_directions) if p not in planned]
+        for p in unplanned[:1]:
             with pytest.raises(KeyError):
-                analysis.dpr(grid.azimuths[unplanned])
+                analysis.dpr(grid.azimuths[p])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 6), st.one_of(st.integers(40, 400), st.integers(5200, 7000)),
            st.booleans(), st.integers(0, 2 ** 31 - 1), st.data())
     def test_block_splitting_changes_nothing(self, mics, samples, wide, seed, data):
         # For random mixtures and plans, at most 2J directions or the whole
-        # grid, the analysis is the same whether its frames come one per
-        # block, in random blocks or in one block: the reference row, the
-        # premask, the phasors, every planned DPR map and every AF map are
-        # bit-equal, and equal to the whole-spectrogram formulas (DPR to
+        # grid, and random beams, off the grid and perturbed, the analysis is
+        # the same whether its frames come one per block, in random blocks or
+        # in one block: the reference row, the premask, the phasors, every
+        # planned DPR map, every AF map and every beam are bit-equal, and
+        # equal to the whole-spectrogram formulas (beams bit-equal; DPR to
         # rounding: its BLAS products are cut into BLOCK_FRAMES-frame blocks).
         # The longer mixtures span more than one such block.
         cfg, grid = oracles.PAPER_STFT, DirectionGrid.uniform(10.0)
@@ -491,6 +485,9 @@ class TestSpatialAnalysis:
                                      max_size=3, unique=True), label="sources")
         steered = sources + [az + 7.0 for az in sources]
         plan = list(grid.azimuths) if wide else steered
+        errors = data.draw(st.lists(st.floats(-180.0, 180.0), min_size=len(sources),
+                                    max_size=len(sources)), label="errors")
+        beams = sources + [az + error for az, error in zip(sources, errors)]
         cuts = sorted(data.draw(st.sets(st.integers(1, max(frames - 1, 1)), max_size=20),
                                 label="cuts") - {frames})
 
@@ -499,28 +496,34 @@ class TestSpatialAnalysis:
             blocks = (rfft_frames(wav[:, a * cfg.hop:(b - 1) * cfg.hop + cfg.win_len], cfg)
                       for a, b in zip(bounds, bounds[1:]))
             return SpatialAnalysis(blocks, frames, cfg, array, pairs, grid, plan,
-                                   frozenset(sources))
+                                   frozenset(sources), beams)
 
         one, *others = (analysis(range(1, frames)), analysis(cuts), analysis([]),
                         SpatialAnalysis.of_mixture(wav, cfg, array, pairs, grid, plan,
-                                                   frozenset(sources)))
+                                                   frozenset(sources), beams))
         whole = ComplexSpectrogram(data=rfft_frames(wav, cfg), config=cfg)
-        total = beam_power_total(whole, das_filterbank(array, grid, cfg))
-        assert (one.spec is None) == (len({nearest_direction(grid, az) for az in plan})
-                                      <= 2 * mics)
+        bank = das_filterbank(array, grid, cfg)
+        total = beam_power_total(whole, grid_factor(bank))
         assert np.array_equal(one.ref_spec.data, whole.data[0])
         assert np.array_equal(one.premask, premask(_row(whole)))
         if pairs is not None:
             assert np.array_equal(np.stack(one.pair_cos_sin), np.stack(pair_cos_sin(whole, pairs)))
-        for az in steered:
-            bank = das_filterbank(array, grid, cfg)[nearest_direction(grid, az)]
-            npt.assert_allclose(one.dpr(az), dpr(whole, bank, total, grid.num_directions),
+        # The whole-grid plan serves every grid direction's map from the pass.
+        for az in (grid.azimuths if wide else steered):
+            p = nearest_direction(grid, az)
+            assert one.dpr(az) is one.dpr(az)
+            npt.assert_allclose(one.dpr(az), dpr(whole, bank[p], total, grid.num_directions),
                                 rtol=0, atol=1e-12)
+        for az in beams:
+            assert np.array_equal(one.beam(az).data,
+                                  beam(whole, das_weights(array, [az], cfg)[0])), az
         for other in others:
             assert np.array_equal(other.ref_spec.data, one.ref_spec.data)
             assert np.array_equal(other.premask, one.premask)
-            for az in steered:
+            for az in plan:
                 assert np.array_equal(other.dpr(az), one.dpr(az)), az
+            for az in beams:
+                assert np.array_equal(other.beam(az).data, one.beam(az).data), az
             if pairs is not None:
                 assert np.array_equal(np.stack(other.pair_cos_sin), np.stack(one.pair_cos_sin))
                 for az in steered:
@@ -534,18 +537,25 @@ class TestSpatialAnalysis:
 
     def test_build_holds_no_whole_spectrogram(self, array6, pairs6, grid36, cfg_default):
         # 10 s of a 6-channel mixture, planned as tgt+intf plans three
-        # sources: the traced peak of the build, less the arrays the analysis
+        # sources, as das plans three beams (no pairs), and over the whole
+        # grid: the traced peak of each build, less the arrays the analysis
         # keeps, stays below one whole (J, T, F) complex128 spectrogram, which
         # the build held before it read the spectrogram in blocks.
         wav = np.random.default_rng(5).standard_normal((6, 10 * FS))
-        plan = [20.0, 140.0, 260.0, 80.0, 200.0, 320.0]
-        analysis, peak = traced_peak(lambda: SpatialAnalysis.of_mixture(
-            wav, cfg_default, array6, pairs6, grid36, plan, frozenset(plan[:3])))
-        kept = sum(a.nbytes for a in (*analysis.pair_cos_sin, analysis.ref_spec.data,
-                                      analysis.premask, *map(analysis.dpr, plan)))
         spectrogram = 6 * cfg_default.num_frames(wav.shape[1]) * cfg_default.num_bins * 16
-        assert analysis.spec is None
-        assert peak - kept < spectrogram
+        sources = [20.0, 140.0, 260.0]
+        for pairs, plan, beams in ((pairs6, sources + [80.0, 200.0, 320.0], ()),
+                                   (None, (), sources),
+                                   (pairs6, list(grid36.azimuths), ())):
+            analysis, peak = traced_peak(lambda: SpatialAnalysis.of_mixture(
+                wav, cfg_default, array6, pairs, grid36, plan, frozenset(sources), beams))
+            maps = {id(m): m for m in map(analysis.dpr, plan)}
+            kept = sum(a.nbytes for a in (*(analysis.pair_cos_sin if pairs else ()),
+                                          analysis.ref_spec.data, analysis.premask,
+                                          *maps.values(),
+                                          *(analysis.beam(az).data for az in beams)))
+            assert peak - kept < spectrogram, (len(plan), len(beams))
+            del analysis, maps
 
     def test_af_needs_pairs(self, array6, grid36, cfg_default):
         spec = ComplexSpectrogram(data=np.ones((6, 4, 33), dtype=complex), config=cfg_default)

@@ -18,11 +18,14 @@ UNREAD = {
     "dataset_io.read_features",
     "spatial_features.FeatureStack.dim",
     "spatial_features.FeatureStack.block",
-    # The benchmark's by-name tracer (bench/spans.py LAYERS) looks these up;
-    # they leave with it (ROADMAP item 7). It also names das_filterbank and
-    # pipeline.__getattr__, which need no entry: the one has a reader, the
-    # other is a dunder.
+    # The benchmark's by-name tracer (bench/spans.py LAYERS) looks these up,
+    # though no stage calls them: every stage reads the mixture through the
+    # block pass of SpatialAnalysis. They leave with the tracer (ROADMAP item
+    # 7). It also names das_filterbank, dpr, angle_feature, das_beamform and
+    # pipeline.__getattr__, which need no entry: the pass reads the first
+    # two, the stages the next two, and the last is a dunder.
     "spatial_features.ipd",
+    "spatial_features.multichannel_stft",
     "spectral.build_kernel",
     # The metric C04 and C09 state their claims through; the stages score
     # with si_sdr and report the difference to the mixture's themselves.
