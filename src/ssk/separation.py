@@ -6,14 +6,18 @@ own: it takes spectrograms (and AF/DPR maps and delay-and-sum beams) built
 once per utterance by ``pipeline.UtteranceAnalysis`` and its
 ``spatial_features.SpatialAnalysis`` (or by :func:`~ssk.spectral.stft`
 directly) and returns masks or reference-channel waveforms. A mask is a
-plain (T, F) float array in [0, 1]; it carries no config, and
-:func:`apply_mask` checks its shape against the mixture spectrogram it
-scales. Oracle masks are named by
-:data:`ORACLE_KINDS` and computed from ground-truth source-image
-spectrograms at their own analysis configuration (16 ms Hann, 256-point FFT
-by default) and applied with the mixture phase. The directional heuristic
-is a non-neural stand-in that turns AF/DPR evidence into a soft mask; its
-numbers are this toolkit's own, not a published reference.
+plain (T, F) float array in [0, 1]; it carries no config.
+:func:`apply_mask` and :func:`das_beamform` are single calls of
+:func:`~ssk.spectral.istft`, which checks a mask's shape against the mixture
+spectrogram it scales, applies it one block of frames at a time (so no whole
+masked spectrogram or frame array is formed, and frames still sum in
+ascending order across blocks) and writes the estimate at the mixture's
+length. Oracle masks are named by :data:`ORACLE_KINDS` and computed from
+ground-truth source-image spectrograms at their own analysis configuration
+(16 ms Hann, 256-point FFT by default) and applied with the mixture phase.
+The directional heuristic is a non-neural stand-in that turns AF/DPR
+evidence into a soft mask; its numbers are this toolkit's own, not a
+published reference.
 """
 
 from __future__ import annotations
@@ -108,31 +112,17 @@ def directional_mask(af_tgt: np.ndarray, dpr_tgt: np.ndarray,
     return np.clip(score, 0.0, 1.0, out=score)
 
 
-def _fit(signal: np.ndarray, length: int) -> np.ndarray:
-    """``signal`` zero-padded or trimmed to ``length`` samples (a view when
-    it is long enough)."""
-    if signal.size >= length:
-        return signal[:length]
-    out = np.zeros(length)
-    out[:signal.size] = signal
-    return out
-
-
 def apply_mask(mixture: ComplexSpectrogram, mask: np.ndarray, length: int) -> np.ndarray:
-    """Reconstruct with the mixture phase: istft(mask * mixture) at the
-    mixture's config, padded or trimmed to the mixture's ``length`` samples.
-    The (T, F) ``mask`` must have the spectrogram's shape; the bin count
-    tells the analysis configs in use apart. The trailing partial frame and
-    boundary windows carry reconstruction error as usual."""
-    if mask.shape != mixture.data.shape:
-        raise ValueError(f"mask has {mask.shape} (frames, bins), the mixture spectrogram "
-                         f"{mixture.data.shape}: a mask from another config or of other frames")
-    masked = ComplexSpectrogram(data=mixture.data * mask, config=mixture.config)
-    return _fit(istft(masked), length)
+    """Reconstruct with the mixture phase: :func:`~ssk.spectral.istft` of
+    ``mask * mixture`` at the mixture's config, as the mixture's ``length``
+    samples. The (T, F) ``mask`` must have the spectrogram's shape; the bin
+    count tells the analysis configs in use apart. The trailing partial frame
+    and boundary windows carry reconstruction error as usual."""
+    return istft(mixture, length, mask)
 
 
 def das_beamform(beam: ComplexSpectrogram, length: int) -> np.ndarray:
     """Delay-and-sum estimate: the (T, F) ``beam`` that the spatial analysis
     formed toward the steered azimuth, inverted by overlap-add to ``length``
     samples."""
-    return _fit(istft(beam), length)
+    return istft(beam, length)

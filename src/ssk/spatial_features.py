@@ -19,28 +19,28 @@
 
 :class:`SpatialAnalysis` is the one composition of these formulas: built once
 per utterance in one pass over blocks of its frames, it holds the
-reference-mic row, the IPD phasors, the premask, the DPR maps of the
-directions its caller plans to read and the delay-and-sum beams it plans to
-invert, and memoises AF per azimuth. Every spectrogram here is a
-:class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F) data.
+reference-mic row, the IPD phasors, the DPR maps of the directions its caller
+plans to read and the delay-and-sum beams it plans to invert, and takes the
+premask and each AF (memoised per azimuth) on first read. Every
+spectrogram here is a :class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F)
+data.
 Delay-and-sum weights come from :func:`das_weights` alone and are applied by
 :func:`beam` alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import DirectionGrid, MicArray, PairSelection, normalize_azimuth, tdoa
-from .spectral import ComplexSpectrogram, StftConfig, rfft_frames
+from .spectral import BLOCK_FRAMES, ComplexSpectrogram, StftConfig, rfft_frames
 
 DPR_POWER_FLOOR = 1e-12
 PREMASK_DB = 40.0
-# Frames per block of the spatial analysis: 0.16 s at the paper's 1.25 ms hop.
-BLOCK_FRAMES = 128
 
 
 def multichannel_stft(waveform: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
@@ -260,8 +260,9 @@ class SpatialAnalysis:
     plan, the :func:`nearest_direction` of its azimuths, and the (T, F)
     :func:`beam` of each beam azimuth's :func:`das_weights`. The grid's
     :func:`grid_factor` is taken once, before the pass, if the plan names any
-    direction. The (T, F) :attr:`premask` is then taken from the reference
-    row. So no whole (J, T, F) spectrogram is ever held; the analysis keeps
+    direction. The (T, F) :attr:`premask` is taken from the reference row on
+    first read, by the first AF, so an analysis that forms no AF never forms
+    it. So no whole (J, T, F) spectrogram is ever held; the analysis keeps
     one (T, F) plane per planned grid direction, at most P, and one per beam.
     A DPR or beam outside the plan raises :class:`KeyError`.
     :meth:`of_mixture` makes the blocks from a (J, n) mixture.
@@ -311,7 +312,6 @@ class SpatialAnalysis:
                 out.data[start:stop] = beam(block, steering[az])
             start = stop
         self.ref_spec = ComplexSpectrogram(data=ref, config=config)
-        self.premask = premask(self.ref_spec)
 
     @classmethod
     def of_mixture(cls, mixture: np.ndarray, config: StftConfig, array: MicArray,
@@ -326,6 +326,11 @@ class SpatialAnalysis:
                                       + config.win_len], config)
                   for t in range(0, num_frames, BLOCK_FRAMES))
         return cls(blocks, num_frames, config, array, pairs, grid, plan, pinned, beams)
+
+    @functools.cached_property
+    def premask(self) -> np.ndarray:
+        """The (T, F) :func:`premask` of the reference row."""
+        return premask(self.ref_spec)
 
     @property
     def pair_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:

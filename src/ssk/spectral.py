@@ -15,6 +15,14 @@ spectrogram, one channel or many, is a :class:`ComplexSpectrogram`. The
 constant per-frame phase factor of the convolutional STFT is omitted
 throughout: it has unit magnitude and cancels in every inter-channel phase
 difference, which is all the downstream features consume.
+
+Long signals are worked in blocks of :data:`BLOCK_FRAMES` frames, one size
+for the spatial analysis (``spatial_features.SpatialAnalysis``) and the
+synthesis. :func:`istft` inverts a spectrogram, times a mask if one is
+given, one block at a time into one output buffer of the caller's length:
+blocks go in ascending order and each overlap-adds its frames so that every
+sample sums them in ascending frame order, so the result is bit-equal to one
+pass over all frames and no whole frame array is held.
 """
 
 from __future__ import annotations
@@ -23,6 +31,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+# Frames per block of the spatial analysis and of the synthesis: 0.16 s at
+# the paper's 1.25 ms hop.
+BLOCK_FRAMES = 128
 
 
 class StftConfigError(ValueError):
@@ -141,22 +153,41 @@ def stft(signal: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(data=rfft_frames(np.ravel(signal), cfg), config=cfg)
 
 
-def istft(spec: ComplexSpectrogram) -> np.ndarray:
-    """Weighted overlap-add inverse; reproduces interior samples of the
-    analyzed signal (the first/last window length is boundary-distorted).
-    The normaliser is floored at its fully overlapped minimum: at the ends it
-    falls to one tapered window square (2e-8 at sample 1 of a 256-point
-    Hann), which would blow masked edge samples up. The window and the
-    normaliser are applied in place, so besides the frames of the inverse
-    rfft only the overlap-add output is allocated."""
+def istft(spec: ComplexSpectrogram, length: int | None = None,
+          mask: np.ndarray | None = None) -> np.ndarray:
+    """Weighted overlap-add inverse of ``spec``, times the (T, F) ``mask``
+    when given, as ``length`` samples (by default those the frames cover):
+    zero-padded past the last frame or trimmed. It reproduces interior
+    samples of the analyzed signal (the first/last window length is
+    boundary-distorted). The normaliser is floored at its fully overlapped
+    minimum: at the ends it falls to one tapered window square (2e-8 at
+    sample 1 of a 256-point Hann), which would blow masked edge samples up.
+
+    The frames are synthesised in blocks of ``BLOCK_FRAMES``: each block's
+    spectrum (times its mask rows) goes through the inverse rfft, the window
+    and the overlap-add into the one zeroed output buffer. Blocks go in
+    ascending order, so every sample still sums its frames in ascending
+    frame order, bit for bit as one pass over all frames; besides the output
+    only one block's scratch is allocated."""
     cfg = spec.config
     num_frames = spec.num_frames
-    # Frame waveforms via the inverse rfft of the zero-padded spectrum.
-    frames = np.fft.irfft(spec.data, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
-    frames *= cfg.window
+    if mask is not None and mask.shape != spec.data.shape:
+        raise ValueError(f"mask has {mask.shape} (frames, bins), the spectrogram "
+                         f"{spec.data.shape}: a mask from another config or of other frames")
     norm = _istft_normaliser(cfg, num_frames)
-    out = _overlap_add(frames, cfg.hop)[:norm.size]
-    out /= norm
+    length = norm.size if length is None else length
+    out = np.zeros((-(-max(length, norm.size) // cfg.hop), cfg.hop))
+    for start in range(0, num_frames, BLOCK_FRAMES):
+        block = spec.data[start:start + BLOCK_FRAMES]
+        if mask is not None:
+            block = block * mask[start:start + BLOCK_FRAMES]
+        frames = np.fft.irfft(block, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
+        frames *= cfg.window
+        _overlap_add(frames, cfg.hop, out[start:])
+        del block, frames  # before the next block's, so one block's scratch at a time
+    out = out.ravel()[:length]
+    fitted = min(length, norm.size)
+    out[:fitted] /= norm[:fitted]
     return out
 
 
@@ -167,24 +198,24 @@ def _istft_normaliser(cfg: StftConfig, num_frames: int) -> np.ndarray:
     it is built once per pair (configs hash by identity) and kept read-only."""
     out_len = (num_frames - 1) * cfg.hop + cfg.win_len if num_frames else 0
     win_sq = cfg.window * cfg.window
-    norm = _overlap_add(np.broadcast_to(win_sq, (num_frames, cfg.win_len)), cfg.hop)[:out_len]
-    norm = np.maximum(norm, max(float(_hop_folded(win_sq, cfg.hop).min()), 1e-10))
+    norm = np.zeros((-(-out_len // cfg.hop), cfg.hop))
+    _overlap_add(np.broadcast_to(win_sq, (num_frames, cfg.win_len)), cfg.hop, norm)
+    norm = np.maximum(norm.ravel()[:out_len], max(float(_hop_folded(win_sq, cfg.hop).min()),
+                                                  1e-10))
     norm.flags.writeable = False
     return norm
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Overlap-add (T, L) frames at ``hop``, one hop-wide column block per
-    step (the last one may be narrower). Blocks go in descending offset, so
-    each sample sums its frames in ascending frame order, as a
-    frame-by-frame loop does, bit for bit."""
+def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> None:
+    """Add (T, L) frames at ``hop`` into the rows of the (rows, hop) buffer
+    ``out``, frame t from row t on, one hop-wide column block per step (the
+    last one may be narrower). Column blocks go in descending offset, so each
+    sample sums its frames in ascending frame order, as a frame-by-frame
+    loop does, bit for bit."""
     num_frames, length = frames.shape
-    blocks = -(-length // hop)
-    out = np.zeros((num_frames + blocks - 1, hop))
-    for r in reversed(range(blocks)):
+    for r in reversed(range(-(-length // hop))):
         width = min(hop, length - r * hop)
         out[r:r + num_frames, :width] += frames[:, r * hop:r * hop + width]
-    return out.ravel()
 
 
 LPS_FLOOR = 1e-12

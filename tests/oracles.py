@@ -294,6 +294,16 @@ def fresh_istft(data: np.ndarray, cfg, norm: np.ndarray) -> np.ndarray:
     return out.ravel()[:norm.size] / norm
 
 
+def fit(signal: np.ndarray, length: int) -> np.ndarray:
+    """``signal`` zero-padded or trimmed to ``length`` samples (a view when
+    it is long enough)."""
+    if signal.size >= length:
+        return signal[:length]
+    out = np.zeros(length)
+    out[:signal.size] = signal
+    return out
+
+
 def fresh_si_sdr(estimate: np.ndarray, reference: np.ndarray, cap_db: float,
                  zero_ratio: float) -> float:
     """SI-SDR in dB of zero-mean copies, capped at +-``cap_db``; +cap when

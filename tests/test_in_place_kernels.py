@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from ssk.geometry import DirectionGrid, PairSelection, circular_array
 from ssk.metrics import SI_SDR_CAP_DB, _ZERO_ERROR_RATIO, si_sdr
-from ssk.separation import MASK_EPS, directional_mask
+from ssk.separation import MASK_EPS, apply_mask, directional_mask
 from ssk.spatial_features import (DPR_POWER_FLOOR, angle_feature, beam_power_total,
                                   das_filterbank, dpr, grid_factor, pair_cos_sin,
                                   pair_steering_phases)
-from ssk.spectral import (ComplexSpectrogram, StftConfig, _istft_normaliser, hann_periodic,
-                          istft)
+from ssk.spectral import (BLOCK_FRAMES, ComplexSpectrogram, StftConfig, _istft_normaliser,
+                          hann_periodic, istft)
 
 import oracles
 from conftest import traced_peak
@@ -56,19 +56,34 @@ class TestAllocation:
         # in the output.
         assert peak <= out.nbytes + 2 * MAP + MAP // 32
 
+    @staticmethod
+    def _check_one_block_scratch(cfg, rng, masked):
+        # A 2 s mixture: every frame but the trailing partial one.
+        frames = 32_000 // cfg.hop - 1
+        spec = ComplexSpectrogram(data=_spectrum(rng, (frames, cfg.num_bins)), config=cfg)
+        mask = rng.random(spec.data.shape)
+        run = (lambda: apply_mask(spec, mask, 32_000)) if masked else (lambda: istft(spec, 32_000))
+        run()  # the normaliser is cached per (config, frame count)
+        out, peak = traced_peak(run)
+        # The output is a view of the overlap-add buffer. One block's inverse
+        # rfft frames (and, with a mask, its masked spectrum) are the scratch:
+        # window and normaliser are applied in place. The strided in-place
+        # steps may each use two float64 ufunc buffers.
+        overlap_add = (frames + -(-cfg.win_len // cfg.hop) - 1) * cfg.hop * 8
+        block = BLOCK_FRAMES * (cfg.fft_size * 8 + (cfg.num_bins * 16 if masked else 0))
+        buffers = 2 * 8 * np.getbufsize()
+        assert out.size == 32_000
+        assert peak <= overlap_add + block + buffers
+
     @pytest.mark.parametrize("cfg", [oracles.PAPER_STFT, oracles.ORACLE_STFT],
                              ids=["default", "oracle"])
     def test_istft(self, cfg, rng):
-        frames = 32_000 // cfg.hop - 1
-        spec = ComplexSpectrogram(data=_spectrum(rng, (frames, cfg.num_bins)), config=cfg)
-        istft(spec)  # the normaliser is cached per (config, frame count)
-        out, peak = traced_peak(lambda: istft(spec))
-        # The output is a view of the overlap-add buffer, the inverse rfft
-        # frames are the scratch: window and normaliser are applied in place.
-        # The strided in-place steps may each use two float64 ufunc buffers.
-        overlap_add = (frames + -(-cfg.win_len // cfg.hop) - 1) * cfg.hop * 8
-        buffers = 2 * 8 * np.getbufsize()
-        assert peak <= overlap_add + frames * cfg.fft_size * 8 + buffers
+        self._check_one_block_scratch(cfg, rng, masked=False)
+
+    @pytest.mark.parametrize("cfg", [oracles.PAPER_STFT, oracles.ORACLE_STFT],
+                             ids=["default", "oracle"])
+    def test_apply_mask(self, cfg, rng):
+        self._check_one_block_scratch(cfg, rng, masked=True)
 
     @pytest.mark.parametrize("alpha, beta, intf", [(1.0, 1.0, True), (1.0, 1.0, False),
                                                    (0.5, 0.5, True), (1.0, 0.0, False)])
@@ -133,13 +148,24 @@ def test_dpr_bit_equal(mics, frames, decade, every, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 64), st.integers(0, 32), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
-def test_istft_bit_equal(half_window, pad, frames, seed):
-    cfg = StftConfig(window=hann_periodic(2 * half_window), fft_size=2 * half_window + pad,
-                     hop=half_window, sample_rate=oracles.FS)
-    data = _spectrum(np.random.default_rng(seed), (frames, cfg.num_bins))
-    ours = istft(ComplexSpectrogram(data=data, config=cfg))
-    assert _same(ours, oracles.fresh_istft(data, cfg, _istft_normaliser(cfg, frames)))
+@given(st.integers(1, 64), st.sampled_from([2, 4]), st.integers(0, 32),
+       st.integers(1, 3 * BLOCK_FRAMES + 20), st.none() | st.integers(-100, 100),
+       st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_istft_bit_equal(hop, overlap, pad, frames, extra, masked, seed):
+    # Past BLOCK_FRAMES frames the synthesis runs in several blocks; at 4x
+    # overlap a sample sums up to four frames, so their order shows in the
+    # rounding. The output is padded or trimmed by ``extra`` samples (None:
+    # not fitted).
+    cfg = StftConfig(window=hann_periodic(overlap * hop), fft_size=overlap * hop + pad,
+                     hop=hop, sample_rate=oracles.FS)
+    rng = np.random.default_rng(seed)
+    data = _spectrum(rng, (frames, cfg.num_bins))
+    mask = rng.random(data.shape) if masked else None
+    norm = _istft_normaliser(cfg, frames)
+    length = None if extra is None else max(norm.size + extra, 0)
+    ours = istft(ComplexSpectrogram(data=data, config=cfg), length, mask)
+    ref = oracles.fresh_istft(data if mask is None else data * mask, cfg, norm)
+    assert _same(ours, ref if length is None else oracles.fit(ref, length))
 
 
 mask_weights = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]) | st.floats(0.0, 4.0)

@@ -549,10 +549,11 @@ class TestSpatialAnalysis:
                                    (pairs6, list(grid36.azimuths), ())):
             analysis, peak = traced_peak(lambda: SpatialAnalysis.of_mixture(
                 wav, cfg_default, array6, pairs, grid36, plan, frozenset(sources), beams))
+            # The premask is taken on the first AF read, so no build forms it.
+            assert "premask" not in vars(analysis)
             maps = {id(m): m for m in map(analysis.dpr, plan)}
             kept = sum(a.nbytes for a in (*(analysis.pair_cos_sin if pairs else ()),
-                                          analysis.ref_spec.data, analysis.premask,
-                                          *maps.values(),
+                                          analysis.ref_spec.data, *maps.values(),
                                           *(analysis.beam(az).data for az in beams)))
             assert peak - kept < spectrogram, (len(plan), len(beams))
             del analysis, maps
