@@ -106,6 +106,14 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return azimuths[closest_source(azimuths, target_index)[0]]
 
 
+def _pinned_af(entry: UtteranceEntry, cond: str) -> frozenset[float]:
+    """The azimuths whose AF maps are read out of turn, so the analysis keeps
+    them: under tgt+intf every source's, which is read again as another
+    target's interferer. Under tgt none: a target's own map is read only by
+    its consecutive error-0 runs, which the latest map serves."""
+    return frozenset(src.azimuth_deg for src in entry.sources if cond == "tgt+intf")
+
+
 class UtteranceAnalysis:
     """One utterance's analysis, shared by every target, method and run,
     built in one step from what its stage states it will read; it alone turns
@@ -116,24 +124,24 @@ class UtteranceAnalysis:
     keeps a contiguous copy of its reference-mic row (:attr:`reference`,
     whose size is the sample count). Unless ``oracle``, it then builds
     :attr:`spatial`, the :class:`~ssk.spatial_features.SpatialAnalysis` for
-    the DPR ``plan`` and the delay-and-sum ``beams``, which transforms the
-    mixture block by block; masks and the LPS block read :attr:`ref_spec`,
-    its reference-mic row. With ``oracle`` it builds :attr:`ref_specs`
-    instead, the oracle methods' ``cfg.oracle_cfg`` spectrograms of the
-    reference rows of the mixture and of each source image, whose files it
-    reads after it has dropped the (J, n) mixture. So the mixture is dropped
-    before the analysis is returned.
+    the DPR ``plan``, the delay-and-sum ``beams`` and the ``pinned`` AF
+    azimuths (:func:`_pinned_af`), which transforms the mixture block by
+    block; masks and the LPS block read :attr:`ref_spec`, its reference-mic
+    row. With ``oracle`` it builds :attr:`ref_specs` instead, the oracle
+    methods' ``cfg.oracle_cfg`` spectrograms of the reference rows of the
+    mixture and of each source image, whose files it reads after it has
+    dropped the (J, n) mixture. So the mixture is dropped before the
+    analysis is returned.
     """
 
     def __init__(self, entry: UtteranceEntry, manifest: Manifest, cfg: PipelineConfig,
                  plan: Sequence[float], beams: Sequence[float] = (),
-                 oracle: bool = False) -> None:
+                 oracle: bool = False, pinned: frozenset[float] = frozenset()) -> None:
         self.entry = entry
         wav = manifest.read(entry.mixture)
         self.reference = wav[cfg.array.ref_index].copy()
         self.spatial = None if oracle else SpatialAnalysis.of_mixture(
-            wav, cfg.stft_cfg, cfg.array, cfg.pairs, cfg.grid, plan,
-            frozenset(src.azimuth_deg for src in entry.sources), beams)
+            wav, cfg.stft_cfg, cfg.array, cfg.pairs, cfg.grid, plan, pinned, beams)
         del wav
         self.ref_specs = None
         if oracle:
@@ -195,7 +203,8 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
         entry = manifest.utterances[index]
         # The DPR blocks read the targets and their interferers: all sources.
         plan = [src.azimuth_deg for src in entry.sources] if "dpr" in blocks else []
-        analysis = UtteranceAnalysis(entry, manifest, cfg, plan)
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan,
+                                     pinned=_pinned_af(entry, cond))
         for target in range(len(entry.sources)):
             path = out / f"{entry.stem(target)}.tsnf"
             write_features(path, compute_feature_stack(analysis, target, blocks, cond))
@@ -312,7 +321,8 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
                 plan += [_interferer_azimuth(entry, t) for t in range(len(entry.sources))]
         elif method == "das":
             beams = [az for row in azimuths for az in row]
-        analysis = UtteranceAnalysis(entry, manifest, cfg, plan, beams, oracle=not steered)
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan, beams, oracle=not steered,
+                                     pinned=_pinned_af(entry, cond))
         records: list[list[EvalRecord]] = [[] for _ in runs]
         rows: list[list[tuple]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):

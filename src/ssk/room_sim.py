@@ -8,12 +8,17 @@ arrivals are placed with a Hann-windowed sinc (+-4 samples) so sub-sample
 inter-mic delays survive into the rendered channels; window x sinc is
 evaluated once per image source, through exact trigonometric identities,
 rather than once per tap (see :func:`_windowed_sinc_rir`).
+
+A mixture is rendered one source at a time (:func:`render_mixture`): each
+source's RIRs, convolution and image are made, handed on and dropped before
+the next source starts, so the working set does not grow with the number of
+sources.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,14 +78,6 @@ class RoomConfig:
         """Azimuth of each source as seen from the array center, degrees."""
         rel = self.source_positions - self.array_center[None, :]
         return np.mod(np.rad2deg(np.arctan2(rel[:, 1], rel[:, 0])), 360.0)
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureScene:
-    """Rendered scene: mixture is the sample-wise sum of per-source images."""
-
-    mixture: np.ndarray          # (J, n)
-    images: tuple                # per source, (J, n)
 
 
 def sabine_reflection_coefficient(dimensions: np.ndarray, t60: float) -> float:
@@ -170,11 +167,17 @@ def _windowed_sinc_rir(distances: np.ndarray, amplitudes: np.ndarray,
     return buf[w:w + npts]
 
 
+def _rir_length(source: np.ndarray, mic: np.ndarray, t60: float, fs: float) -> int:
+    """Samples in the response from ``source`` to ``mic``: it lasts ``t60``
+    past the direct-path arrival, and the arrival's sinc reaches
+    ``SINC_HALF_WIDTH`` samples beyond that."""
+    duration = t60 + float(np.linalg.norm(source - mic)) / SOUND_SPEED
+    return int(np.ceil(duration * fs)) + SINC_HALF_WIDTH + 1
+
+
 def _image_method(source: np.ndarray, mic: np.ndarray, dims: np.ndarray,
                   beta: float, t60: float, fs: float) -> np.ndarray:
-    # The response lasts ``t60`` past the direct-path arrival.
-    duration = t60 + float(np.linalg.norm(source - mic)) / SOUND_SPEED
-    npts = int(np.ceil(duration * fs)) + SINC_HALF_WIDTH + 1
+    npts = _rir_length(source, mic, t60, fs)
     max_dist = SOUND_SPEED * (npts + SINC_HALF_WIDTH) / fs
     if beta == 0.0:
         orders = np.zeros(3, dtype=int)
@@ -244,20 +247,15 @@ def mic_positions_in_room(room: RoomConfig, array: MicArray) -> np.ndarray:
     return array.positions + room.array_center[None, :]
 
 
-def simulate_rirs(room: RoomConfig, array: MicArray) -> tuple[np.ndarray, ...]:
-    """All source-to-mic RIRs; per source a (J, length) array.
-
-    One calibrated reflection coefficient is shared by every path in the
-    room.
-    """
+def simulate_rirs(room: RoomConfig, array: MicArray, source_index: int,
+                  reflection_coefficient: float) -> np.ndarray:
+    """The RIRs from one source to every mic of ``array``, with walls of
+    ``reflection_coefficient`` (as :func:`simulate_rir`): a (J, length)
+    array, each row zero-padded to the longest."""
     mics = mic_positions_in_room(room, array)
-    beta = calibrated_reflection_coefficient(room)
-    per_source = []
-    for c in range(room.num_sources):
-        rirs = [simulate_rir(room, c, mic, reflection_coefficient=beta) for mic in mics]
-        length = max(r.size for r in rirs)
-        per_source.append(np.stack([np.pad(r, (0, length - r.size)) for r in rirs]))
-    return tuple(per_source)
+    rirs = [simulate_rir(room, source_index, mic, reflection_coefficient) for mic in mics]
+    length = max(r.size for r in rirs)
+    return np.stack([np.pad(r, (0, length - r.size)) for r in rirs])
 
 
 def _fast_rfft_length(n: int) -> int:
@@ -277,7 +275,12 @@ def _convolve_rows(signal: np.ndarray, rirs: np.ndarray) -> np.ndarray:
 
     The FFT length is the 2*3*5-smooth size ``fftconvolve`` pads to: with it
     the images match datasets rendered by ``fftconvolve`` bit for bit, while
-    an exact or power-of-two length moves ~3% of float32 samples by one ULP."""
+    an exact or power-of-two length moves ~3% of float32 samples by one ULP.
+    The out-of-place broadcast product of the signal's spectrum with the
+    (J, n_fft/2 + 1) RIR spectra, and the transforms batched over the J rows,
+    define the output bits too: an in-place ``spec *= rfft(signal)`` or a
+    row-at-a-time convolution each changed bits of written images (and the
+    in-place product raised ``simulate``'s peak)."""
     n = signal.size + rirs.shape[1] - 1
     n_fft = _fast_rfft_length(n)
     spec = np.fft.rfft(signal, n_fft) * np.fft.rfft(rirs, n_fft, axis=-1)
@@ -285,13 +288,21 @@ def _convolve_rows(signal: np.ndarray, rirs: np.ndarray) -> np.ndarray:
 
 
 def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
-                   array: MicArray,
-                   mixing_gains_db: Sequence[float] | None = None) -> MixtureScene:
+                   array: MicArray, mixing_gains_db: Sequence[float] | None = None,
+                   on_image: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
     """Convolve dry sources with their RIRs, level them on the reference
-    channel, and sum into a J-channel mixture.
+    channel, and sum them into the (J, n) mixture it returns.
 
     ``mixing_gains_db[c]`` is the level of source c's reference-channel
-    image; relative gains are realized as exact power ratios.
+    image; relative gains are realized as exact power ratios. The walls are
+    calibrated once, and n (the longest source plus its longest RIR, less
+    one) follows from the geometry before any RIR is made. Then the sources
+    are rendered one at a time, in order: source c's (J, L)
+    :func:`simulate_rirs`, their convolution and the scaled (J, n) image,
+    which ``on_image(c, image)`` receives, and must not change, before it is
+    added into the mixture. All three are dropped before the next source
+    starts, so the working set is one mixture, one image, one source's RIRs
+    and one convolution, whatever the number of sources.
     """
     dry = [np.asarray(s, dtype=float).ravel() for s in dry_sources]
     if len(dry) != room.num_sources:
@@ -303,32 +314,36 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
     if gains.size != len(dry):
         raise ValueError("one gain per source expected")
 
-    # Every RIR first, so the common image length is known before any
-    # convolution: each image is then copied once into a zero-padded buffer,
-    # scaled there and summed into the mixture, with no other copy.
-    rirs = simulate_rirs(room, array)
-    length = max(s.size + h.shape[1] - 1 for s, h in zip(dry, rirs))
+    mics = mic_positions_in_room(room, array)
+    length = max(s.size - 1 + max(_rir_length(source, mic, room.t60, room.sample_rate)
+                                  for mic in mics)
+                 for s, source in zip(dry, room.source_positions))
+    beta = calibrated_reflection_coefficient(room)
     ref = array.ref_index
-    images, mixture = [], None
-    for c, (s, h) in enumerate(zip(dry, rirs)):
-        convolved = _convolve_rows(s, h)
+    mixture = None
+    for c, s in enumerate(dry):
+        rirs = simulate_rirs(room, array, c, beta)
+        convolved = _convolve_rows(s, rirs)
+        del rirs
         # Allocated after the convolution, the buffer sits above the hole its
         # freed spectra leave, which the next source's convolution reuses; a
         # free heap top instead is trimmed and faulted in again per source.
-        img = np.zeros((h.shape[0], length))
+        img = np.zeros((convolved.shape[0], length))
         img[:, :convolved.shape[1]] = convolved
         del convolved
         power = float(np.mean(img[ref] ** 2))
         if power <= 0.0:
             raise ValueError(f"source {c} produced a silent reference image")
         img *= REF_IMAGE_RMS * 10.0 ** (gains[c] / 20.0) / np.sqrt(power)
-        images.append(img)
+        if on_image is not None:
+            on_image(c, img)
         # Summed in source order, as np.sum over the stacked images does.
         if mixture is None:
             mixture = img.copy()
         else:
             mixture += img
-    return MixtureScene(mixture=mixture, images=tuple(images))
+        del img
+    return mixture
 
 
 def _ray_box_range(center: np.ndarray, direction: np.ndarray,

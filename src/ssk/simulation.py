@@ -1,10 +1,14 @@
 """The simulation stage: reverberant scenes and their manifest.
 
 Each scene is drawn from its own seed (room, T60, array centre, source
-positions, dry signals and mixing gains), rendered by
-:func:`~ssk.room_sim.render_mixture` and written as WAVs; one utterance per
-scene, on ``jobs`` threads under the batch rule of :mod:`ssk.stages`; the
-stage writes the WAVs and then its summary file, the manifest.
+positions, dry signals and mixing gains) and rendered by
+:func:`~ssk.room_sim.render_mixture` one source at a time: each source
+image is written as soon as it is made and dropped before the next source
+starts, then the mixture and the dry sources are written. So a scene holds
+one image and the mixture, not all S images. One utterance per scene, on
+``jobs`` threads under the batch rule of :mod:`ssk.stages`; each call
+writes through its own writer, so threads never share one. The stage writes
+the WAVs and then its summary file, the manifest.
 """
 
 from __future__ import annotations
@@ -62,17 +66,18 @@ def simulate_dataset(out_dir, num_scenes: int, num_speakers: int, seed: int,
         dry = [_draw_source(rng, duration, sample_rate, synth_kind, source_pool)
                for _ in range(num_speakers)]
         gains = _scene_gains(rng, num_speakers)
-        scene = render_mixture(dry, room, array, mixing_gains_db=gains)
 
         def write(relative: str, waveform: np.ndarray) -> str:
             write_wav(out / relative, waveform, sample_rate)
             written.append(out / relative)
             return relative
 
-        mix_rel = write(f"wav/{utt_id}_mix.wav", scene.mixture)
+        img_rels = [f"wav/{utt_id}_src{c}_img.wav" for c in range(num_speakers)]
+        mixture = render_mixture(dry, room, array, mixing_gains_db=gains,
+                                 on_image=lambda c, image: write(img_rels[c], image))
+        mix_rel = write(f"wav/{utt_id}_mix.wav", mixture)
         sources = []
-        for c in range(num_speakers):
-            img_rel = write(f"wav/{utt_id}_src{c}_img.wav", scene.images[c])
+        for c, img_rel in enumerate(img_rels):
             dry_rel = write(f"wav/{utt_id}_src{c}_dry.wav", dry[c])
             difference = closest_source(azimuths, c)[1] if num_speakers > 1 else 180.0
             sources.append(SourceEntry(

@@ -268,12 +268,12 @@ class SpatialAnalysis:
     :meth:`of_mixture` makes the blocks from a (J, n) mixture.
 
     AF (:func:`angle_feature`) is formed from the IPD phasors on first use.
-    The maps of the ``pinned`` azimuths (the utterance's sources) are kept
-    for the analysis's lifetime: features, unperturbed separation and every
-    ``tgt+intf`` interferer reuse them. Of any other azimuth (a perturbed
-    target) only the latest map is kept, so at most S + 1 AF maps for S
-    pinned azimuths; callers that steer at the same perturbed azimuth should
-    do so consecutively.
+    The maps of the ``pinned`` azimuths are kept for the analysis's
+    lifetime: the stages pin the utterance's sources under ``tgt+intf``,
+    where each source's map is read again as another target's interferer.
+    Of any other azimuth only the latest map is kept, so at most S + 1 AF
+    maps for S pinned azimuths; callers that steer at the same unpinned
+    azimuth should do so consecutively.
     """
 
     def __init__(self, blocks: Iterable[np.ndarray], num_frames: int, config: StftConfig,

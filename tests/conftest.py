@@ -1,9 +1,11 @@
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from ssk.geometry import DirectionGrid, PairSelection, circular_array
+from ssk.room_sim import render_mixture
 from ssk.spatial_features import SpatialAnalysis
 
 from oracles import PAPER_STFT
@@ -38,6 +40,24 @@ def whole_analysis(spec, *args):
     """The :class:`SpatialAnalysis` of a whole (J, T, F) spectrogram, handed
     over as one block; ``args`` follow the config in its signature."""
     return SpatialAnalysis([spec.data], spec.num_frames, spec.config, *args)
+
+
+class Scene(NamedTuple):
+    mixture: np.ndarray          # (J, n)
+    images: tuple                # per source, (J, n)
+
+
+def render_scene(dry, room, array, mixing_gains_db=None) -> Scene:
+    """The mixture :func:`render_mixture` returns and the images it hands
+    on, collected in source order."""
+    images = []
+
+    def collect(c, image):
+        assert c == len(images)
+        images.append(image)
+
+    mixture = render_mixture(dry, room, array, mixing_gains_db, on_image=collect)
+    return Scene(mixture, tuple(images))
 
 
 def traced_peak(fn):

@@ -23,7 +23,7 @@ from ssk.separation import apply_mask, oracle_mask
 from ssk.spatial_features import SpatialAnalysis, nearest_direction
 from ssk.spectral import ComplexSpectrogram, istft, stft
 
-from conftest import whole_analysis
+from conftest import render_scene, whole_analysis
 from oracles import ARRAY_RADIUS, FS, naive_stft, xcorr_peak_lag
 from test_cli import tree_hash
 
@@ -132,7 +132,7 @@ def test_c05_geometry_consistency():
         rng = np.random.default_rng(5000 + seed)
         room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.3, FS)]
-        scene = render_mixture(dry, room, array)
+        scene = render_scene(dry, room, array)
         delays = tdoa(array, az[0]) * FS
         ref = scene.images[0][0]
         for j in range(1, 6):
@@ -171,8 +171,8 @@ def test_c07_af_discrimination(cfg):
     for seed in range(50):
         rng = np.random.default_rng(7000 + seed)
         azimuth = float(rng.uniform(0.0, 360.0))
-        scene, az, array = _anechoic_scene(7000 + seed, [azimuth], duration=0.6)
-        spatial = SpatialAnalysis.of_mixture(scene.mixture, kernel, array, cfg.pairs,
+        mixture, az, array = _anechoic_scene(7000 + seed, [azimuth], duration=0.6)
+        spatial = SpatialAnalysis.of_mixture(mixture, kernel, array, cfg.pairs,
                                              cfg.grid, (), frozenset(az))
         keep = spatial.premask
         true_means.append(float(spatial.angle_feature(az[0])[keep].mean()))
@@ -189,8 +189,8 @@ def test_c08_dpr_localization(cfg):
     for seed in range(50):
         grid_index = seed % 36
         azimuth = float(cfg.grid.azimuths[grid_index])
-        scene, az, array = _anechoic_scene(8000 + seed, [azimuth], duration=0.6)
-        spatial = SpatialAnalysis.of_mixture(scene.mixture, kernel, array, cfg.pairs,
+        mixture, az, array = _anechoic_scene(8000 + seed, [azimuth], duration=0.6)
+        spatial = SpatialAnalysis.of_mixture(mixture, kernel, array, cfg.pairs,
                                              cfg.grid, cfg.grid.azimuths, frozenset(az))
         keep = spatial.premask[:, high]
         powers = _grid_dpr(spatial)
@@ -210,7 +210,7 @@ def test_c09_oracle_mask_ordering(cfg):
         room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 1.5, FS) for _ in range(2)]
         gains = [0.0, float(rng.uniform(-5.0, 0.0))]
-        scene = render_mixture(dry, room, cfg.array, mixing_gains_db=gains)
+        scene = render_scene(dry, room, cfg.array, mixing_gains_db=gains)
         mix_ref = scene.mixture[0]
         tgt_ref, intf_ref = scene.images[0][0], scene.images[1][0]
         for name in means:

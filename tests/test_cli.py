@@ -179,10 +179,12 @@ class TestSimulate:
         assert manifest.utterances == ()
 
     def test_parallel_jobs_identical_output(self, tmp_path):
+        # Scenes rendered side by side each write their own images: at --jobs
+        # 2 and 3 the whole tree, names and bytes, is the one --jobs 1 writes.
         simulate(tmp_path / "j1", seed=11, n=3, duration=0.5)
-        simulate(tmp_path / "j2", seed=11, n=3, duration=0.5,
-                 extra=["--jobs", "3"])
-        assert tree_hash(tmp_path / "j1") == tree_hash(tmp_path / "j2")
+        for jobs in ("2", "3"):
+            simulate(tmp_path / jobs, seed=11, n=3, duration=0.5, extra=["--jobs", jobs])
+            assert tree_files(tmp_path / "j1") == tree_files(tmp_path / jobs), jobs
 
     def test_source_at_other_rate_rejected(self, tmp_path, capsys):
         pool = tmp_path / "pool"
@@ -957,6 +959,28 @@ def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
         analysed = per_utterance is mixture  # the oracle masks analyse no mixture
         assert len(analyses) == analysed * len(manifest.utterances), argv
         assert sum(frames) == sum(per_utterance(u) for u in manifest.utterances), argv
+
+
+@pytest.mark.parametrize("cond, most", [("tgt", 1), ("tgt+intf", 3)])
+def test_af_maps_are_kept_only_where_read_out_of_turn(dataset, tmp_path, monkeypatch, cond,
+                                                      most):
+    # Under tgt a target's own AF map is read only by its consecutive runs,
+    # so the analysis keeps one map at a time. Under tgt+intf each source's
+    # map is read again as another target's interferer, so both sources'
+    # maps stay, next to the latest perturbed one. Counted when each
+    # estimate is written.
+    out, manifest = dataset
+    maps, live = [], []
+    angle_feature = spatial_features.SpatialAnalysis.angle_feature
+    write = pipeline.write_wav
+    monkeypatch.setattr(spatial_features.SpatialAnalysis, "angle_feature",
+                        lambda self, az: maps.append(weakref.ref(angle_feature(self, az)))
+                        or maps[-1]())
+    monkeypatch.setattr(pipeline, "write_wav", lambda *a: live.append(
+        len({id(ref()) for ref in maps if ref() is not None})) or write(*a))
+    assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
+                 str(tmp_path / "sweep"), "--direction-error-deg", "0,4", "--cond", cond]) == 0
+    assert max(live) == most
 
 
 def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):

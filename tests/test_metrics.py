@@ -9,10 +9,11 @@ from ssk import synth
 from ssk.geometry import circular_array
 from ssk.metrics import (SI_SDR_CAP_DB, EvalRecord, aggregate, bin_index,
                          si_sdr, si_sdri)
-from ssk.room_sim import render_mixture, sample_scene
+from ssk.room_sim import sample_scene
 from ssk.separation import apply_mask, oracle_mask
 from ssk.spectral import stft
 
+from conftest import render_scene
 from oracles import ARRAY_RADIUS, FS, ORACLE_STFT
 
 
@@ -79,7 +80,7 @@ class TestSiSdri:
         array = circular_array(6, 0.07)
         room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 1.0, FS) for _ in range(2)]
-        scene = render_mixture(dry, room, array, mixing_gains_db=[0.0, -3.0])
+        scene = render_scene(dry, room, array, mixing_gains_db=[0.0, -3.0])
         cfg = ORACLE_STFT
         mask = oracle_mask(stft(scene.images[0][0], cfg),
                            [stft(scene.images[1][0], cfg)], "ipsm")

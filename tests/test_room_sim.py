@@ -14,7 +14,7 @@ from ssk.room_sim import (REF_IMAGE_RMS, SINC_HALF_WIDTH, RoomConfig, SceneGener
                           mic_positions_in_room, render_mixture, sample_scene,
                           simulate_rir, simulate_rirs)
 
-from conftest import traced_peak
+from conftest import render_scene, traced_peak
 from oracles import (ARRAY_RADIUS, FS, fresh_render_mixture, image_method_rir,
                      per_tap_windowed_sinc_rir, xcorr_peak_lag)
 
@@ -27,8 +27,15 @@ def _room(dims, t60, center, sources):
 
 
 def _rir(room, source_index, mic):
-    """The RIR with the room's calibrated walls, as :func:`simulate_rirs` has it."""
+    """The RIR with the room's calibrated walls, as :func:`render_mixture` has it."""
     return simulate_rir(room, source_index, mic, calibrated_reflection_coefficient(room))
+
+
+def _rirs(room, array):
+    """Every source's (J, L) RIRs with the room's calibrated walls, as
+    :func:`render_mixture` makes them."""
+    beta = calibrated_reflection_coefficient(room)
+    return [simulate_rirs(room, array, c, beta) for c in range(room.num_sources)]
 
 
 class TestRoomConfig:
@@ -132,7 +139,7 @@ def test_simulate_rirs_matches_image_method_oracle(dims, t60):
     room = _room(dims, t60, center, [[0.6, 0.5, 1.2]])
     array = circular_array(2, 0.07)
     beta = calibrated_reflection_coefficient(room)
-    rirs = simulate_rirs(room, array)[0]
+    rirs = simulate_rirs(room, array, 0, beta)
     for h, mic in zip(rirs, mic_positions_in_room(room, array)):
         direct = np.linalg.norm(room.source_positions[0] - mic)
         npts = int(np.ceil((t60 + direct / C) * FS)) + SINC_HALF_WIDTH + 1
@@ -146,13 +153,13 @@ class TestRenderMixture:
     def test_single_source_mixture_equals_image(self, array6, rng):
         room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS)
         dry = [synth.noise_burst(rng, 0.4, FS)]
-        scene = render_mixture(dry, room, array6)
+        scene = render_scene(dry, room, array6)
         npt.assert_array_equal(scene.mixture, scene.images[0])
 
     def test_relative_gain_realized_on_ref_channel(self, array6, rng):
         room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 0.7, FS) for _ in range(2)]
-        scene = render_mixture(dry, room, array6, mixing_gains_db=[0.0, -5.0])
+        scene = render_scene(dry, room, array6, mixing_gains_db=[0.0, -5.0])
         p0 = np.mean(scene.images[0][0] ** 2)
         p1 = np.mean(scene.images[1][0] ** 2)
         assert 10.0 * np.log10(p0 / p1) == pytest.approx(5.0, abs=0.01)
@@ -160,7 +167,7 @@ class TestRenderMixture:
     def test_mixture_is_sum_of_images(self, array6, rng):
         room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
         dry = [synth.speech_like(rng, 0.5, FS) for _ in range(2)]
-        scene = render_mixture(dry, room, array6)
+        scene = render_scene(dry, room, array6)
         npt.assert_array_equal(scene.mixture, scene.images[0] + scene.images[1])
 
     def test_anechoic_ref_channel_is_scaled_delayed_sum(self, array6, rng):
@@ -168,8 +175,8 @@ class TestRenderMixture:
         # by hand and rescale to the realized image level.
         room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.4, FS) for _ in range(2)]
-        scene = render_mixture(dry, room, array6)
-        rirs = simulate_rirs(room, array6)
+        scene = render_scene(dry, room, array6)
+        rirs = _rirs(room, array6)
         n = scene.mixture.shape[1]
         manual = np.zeros(n)
         for c in range(2):
@@ -182,7 +189,7 @@ class TestRenderMixture:
     def test_convolution_matches_fftconvolve_bit_for_bit(self, array6):
         rng = np.random.default_rng(45)
         room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.45, 0.45))
-        rirs = simulate_rirs(room, array6)[0]
+        rirs = _rirs(room, array6)[0]
         dry = synth.speech_like(rng, 1.0, FS)
         expected = np.stack([fftconvolve(dry, h) for h in rirs])
         npt.assert_array_equal(_convolve_rows(dry, rirs), expected)
@@ -201,27 +208,29 @@ class TestRenderMixture:
         room, _ = sample_scene(rng, sources, 8000, 0.05, t60_range=(0.05, 0.3))
         dry = [rng.standard_normal(int(rng.integers(50, 3000))) for _ in range(sources)]
         gains = list(rng.uniform(-5.0, 0.0, sources))
-        scene = render_mixture(dry, room, array, mixing_gains_db=gains)
-        convolved = [_convolve_rows(s, h) for s, h in zip(dry, simulate_rirs(room, array))]
+        scene = render_scene(dry, room, array, mixing_gains_db=gains)
+        convolved = [_convolve_rows(s, h) for s, h in zip(dry, _rirs(room, array))]
         mixture, images = fresh_render_mixture(convolved, array.ref_index, gains, REF_IMAGE_RMS)
         assert scene.mixture.tobytes() == mixture.tobytes()
         assert [img.tobytes() for img in scene.images] == [img.tobytes() for img in images]
         assert all(img.shape == mixture.shape for img in scene.images)
 
-    def test_holds_the_images_the_mixture_and_one_convolution(self, array6):
-        # Each image is convolved into its padded buffer and scaled there:
-        # the peak is the S images, the mixture, the RIRs and one
-        # convolution's two (J, n_fft/2 + 1) spectra and (J, n_fft) inverse.
+    def test_holds_one_mixture_one_image_one_source_and_one_convolution(self, array6):
+        # Sources are rendered one at a time, each image handed on and dropped
+        # before the next source starts: the peak is the mixture, one image,
+        # one source's RIRs and one convolution's two (J, n_fft/2 + 1) spectra
+        # and (J, n_fft) inverse, whatever the number of sources. A render that
+        # held all four images would exceed it.
         rng = np.random.default_rng(5)
-        room, _ = sample_scene(rng, 3, FS, ARRAY_RADIUS, t60_range=(0.1, 0.1))
-        dry = [synth.speech_like(rng, 2.0, FS) for _ in range(3)]
-        rirs = simulate_rirs(room, array6)
-        scene, peak = traced_peak(lambda: render_mixture(dry, room, array6))
+        room, _ = sample_scene(rng, 4, FS, ARRAY_RADIUS, t60_range=(0.1, 0.1))
+        dry = [synth.speech_like(rng, 2.0, FS) for _ in range(4)]
+        rirs = _rirs(room, array6)
+        mixture, peak = traced_peak(lambda: render_mixture(dry, room, array6))
         J = array6.num_mics
         n_fft = max(_fast_rfft_length(s.size + h.shape[1] - 1) for s, h in zip(dry, rirs))
         convolution = 2 * J * (n_fft // 2 + 1) * 16 + J * n_fft * 8
-        held = sum(img.nbytes for img in scene.images) + scene.mixture.nbytes
-        assert peak <= held + sum(h.nbytes for h in rirs) + convolution
+        image = mixture.nbytes  # every image has the mixture's shape
+        assert peak <= mixture.nbytes + image + max(h.nbytes for h in rirs) + convolution
 
     def test_silent_source_rejected(self, array6, rng):
         room, _ = sample_scene(rng, 2, FS, ARRAY_RADIUS)
@@ -282,7 +291,7 @@ class TestGeometryConsistency:
         rng = np.random.default_rng(seed)
         room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
         dry = [synth.noise_burst(rng, 0.4, FS)]
-        scene = render_mixture(dry, room, array6)
+        scene = render_scene(dry, room, array6)
         delays = tdoa(array6, az[0]) * FS
         ref = scene.images[0][0]
         for j in range(1, 6):

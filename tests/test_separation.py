@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from ssk import synth
 from ssk.geometry import angle_difference, circular_array
 from ssk.metrics import si_sdr, si_sdri
-from ssk.room_sim import render_mixture, sample_scene
+from ssk.room_sim import sample_scene
 from ssk.separation import (MASK_EPS, apply_mask, das_beamform, directional_mask,
                             oracle_mask)
 from ssk.spatial_features import SpatialAnalysis, beam, das_weights
 from ssk.spectral import ComplexSpectrogram, rfft_frames, stft
 
 import oracles
+from conftest import render_scene
 
 FS, ARRAY_RADIUS, ORACLE_CFG = oracles.FS, oracles.ARRAY_RADIUS, oracles.ORACLE_STFT
 
@@ -45,7 +46,7 @@ def _reverberant_scene(seed, n_sources=2, duration=1.0, anechoic=False,
     dry = [synth.speech_like(rng, duration, FS) for _ in range(n_sources)]
     gains = [0.0] + [float(rng.uniform(-5, 0)) for _ in range(n_sources - 1)]
     array = circular_array(6, 0.07)
-    return render_mixture(dry, room, array, mixing_gains_db=gains), az, array
+    return render_scene(dry, room, array, mixing_gains_db=gains), az, array
 
 
 class TestOracleMask:
@@ -184,7 +185,7 @@ class TestApplyMask:
             rng = np.random.default_rng(seed)
             room, _ = sample_scene(rng, 3, FS, ARRAY_RADIUS, t60_range=(0.05, 0.2))
             dry = [synth.speech_like(rng, 1.0, FS) for _ in range(3)]
-            scene = render_mixture(dry, room, array)
+            scene = render_scene(dry, room, array)
             mix = scene.mixture[array.ref_index]
             for kind in ("ibm", "irm", "ipsm"):
                 for t, img in enumerate(scene.images):

@@ -28,8 +28,7 @@ def _anechoic_scene(seed, azimuth, array, duration=0.8):
     room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, azimuths=[azimuth],
                             t60_range=(0.0, 0.0))
     dry = [synth.speech_like(rng, duration, FS)]
-    scene = render_mixture(dry, room, array)
-    return scene, az[0]
+    return render_mixture(dry, room, array), az[0]
 
 
 def _angle_feature(spec, azimuth, array, pairs):
@@ -75,8 +74,8 @@ class TestIpd:
         npt.assert_allclose(phi[strong, m0], expected, atol=0.05)
 
     def test_anechoic_source_matches_steering(self, array6, pairs6, cfg_default):
-        scene, az = _anechoic_scene(3, 75.0, array6)
-        spec = multichannel_stft(scene.mixture, cfg_default)
+        mixture, az = _anechoic_scene(3, 75.0, array6)
+        spec = multichannel_stft(mixture, cfg_default)
         phi = ipd(spec, pairs6)
         steer = pair_steering_phases(array6, az, pairs6, cfg_default)
         keep = premask(_row(spec))
@@ -136,8 +135,8 @@ class TestAngleFeature:
         npt.assert_allclose(af, 1.0, atol=1e-12)
 
     def test_anechoic_source_discrimination(self, array6, pairs6, cfg_default):
-        scene, az = _anechoic_scene(4, 150.0, array6)
-        spec = multichannel_stft(scene.mixture, cfg_default)
+        mixture, az = _anechoic_scene(4, 150.0, array6)
+        spec = multichannel_stft(mixture, cfg_default)
         keep = premask(_row(spec))
         af_true = _angle_feature(spec, az, array6, pairs6)
         af_off = _angle_feature(spec, az + 90.0, array6, pairs6)
@@ -207,8 +206,8 @@ class TestDpr:
         npt.assert_array_equal(analysis.dpr(70.0), 1.0 / 36.0)
 
     def test_anechoic_source_localized(self, array6, grid36, cfg_default):
-        scene, az = _anechoic_scene(6, 130.0, array6)
-        spec = multichannel_stft(scene.mixture, cfg_default)
+        mixture, az = _anechoic_scene(6, 130.0, array6)
+        spec = multichannel_stft(mixture, cfg_default)
         powers = _grid_dpr(spec, array6, grid36)
         keep = premask(_row(spec))
         high = cfg_default.freqs > 1000.0
