@@ -114,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--out", required=True, help="estimate output directory")
     p_sep.add_argument("--method", required=True, choices=METHODS)
     p_sep.add_argument("--cond", default="tgt", choices=CONDS)
-    p_sep.add_argument("--alpha", type=_finite, default=1.0, help="heuristic AF weight")
-    p_sep.add_argument("--beta", type=_finite, default=1.0, help="heuristic DPR weight")
+    p_sep.add_argument("--alpha", type=_finite_from(0.0, strict=False), default=1.0,
+                       help="heuristic AF weight")
+    p_sep.add_argument("--beta", type=_finite_from(0.0, strict=False), default=1.0,
+                       help="heuristic DPR weight")
     p_sep.add_argument("--direction-error-deg", type=_finite_from(0.0, strict=False),
                        default=0.0, help="perturb the target azimuth by this magnitude, "
                        "random sign")

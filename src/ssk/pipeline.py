@@ -6,17 +6,19 @@ a stage loads only the modules it runs; the sweep scores with the evaluation
 stage's rule, and :func:`evaluate_dataset` is re-exported here.
 
 Features, separation and the sweep work one utterance at a time. Each first
-states what it will read: the DPR plan, the azimuths whose DPR maps it
-reads, every target's under every separation :class:`Run` (one per sweep
-point, with its signed direction error) and, under ``tgt+intf``, the
-interferers'; for ``das`` the azimuths it beams at instead; for the oracle
-masks the reference-row spectrograms. An :class:`UtteranceAnalysis` then
-reads the mixture and builds what was asked for, the spatial part in one
+states what it will read: the DPR plan, the azimuths whose DPR maps it reads,
+every target's under every separation :class:`Run` (one per sweep point, with
+its signed direction error) and, under ``tgt+intf``, the interferers'; for
+``das`` the azimuths it beams at instead; for the oracle masks the
+reference-row spectrograms. An :class:`UtteranceAnalysis` then reads the
+mixture and builds what was asked for, the spatial part in one
 :class:`~ssk.spatial_features.SpatialAnalysis` pass over blocks of frames;
-every target, under every run, reuses it, and no (J, T, F) spectrogram is
-ever whole. The sweep also scores each estimate in the same task. Methods,
-feature blocks and direction conditions are plain names, each set stated
-once in :mod:`ssk.stages`; masks are (T, F) arrays.
+every target, under every run, reuses it, and no (J, T, F) spectrogram is ever
+whole. It keeps one AF map, the latest; the maps of a target's interferer,
+which ``tgt+intf`` reads out of turn, are held by their reader. The sweep also
+scores each estimate in the same task. Methods, feature blocks and direction
+conditions are plain names, each set stated once in :mod:`ssk.stages`; masks
+are (T, F) arrays.
 
 Each stage is one batch under the rule of :mod:`ssk.stages` and writes its
 whole tree: features a TSNF1 file per target and ``run.json``; separation
@@ -41,7 +43,7 @@ from .geometry import DirectionGrid, MicArray, PairSelection, closest_source
 from .metrics import EvalRecord, aggregate, si_sdr
 from .separation import apply_mask, das_beamform, directional_mask, oracle_mask
 from .spatial_features import FeatureStack, SpatialAnalysis, assemble_features
-from .spectral import ComplexSpectrogram, StftConfig, hann_periodic, lps, stft
+from .spectral import StftConfig, hann_periodic, lps, stft
 from .stages import CONDS, FEATURE_BLOCKS, METHODS, ORACLE_KINDS, _each
 
 
@@ -106,42 +108,32 @@ def _interferer_azimuth(entry: UtteranceEntry, target_index: int) -> float:
     return azimuths[closest_source(azimuths, target_index)[0]]
 
 
-def _pinned_af(entry: UtteranceEntry, cond: str) -> frozenset[float]:
-    """The azimuths whose AF maps are read out of turn, so the analysis keeps
-    them: under tgt+intf every source's, which is read again as another
-    target's interferer. Under tgt none: a target's own map is read only by
-    its consecutive error-0 runs, which the latest map serves."""
-    return frozenset(src.azimuth_deg for src in entry.sources if cond == "tgt+intf")
-
-
 class UtteranceAnalysis:
     """One utterance's analysis, shared by every target, method and run,
     built in one step from what its stage states it will read; it alone turns
     the mixture into spectrograms, straight from the configs in ``cfg`` (no
     analysis kernels are built).
 
-    It reads the mixture once (:meth:`~ssk.dataset_io.Manifest.read`) and
-    keeps a contiguous copy of its reference-mic row (:attr:`reference`,
-    whose size is the sample count). Unless ``oracle``, it then builds
-    :attr:`spatial`, the :class:`~ssk.spatial_features.SpatialAnalysis` for
-    the DPR ``plan``, the delay-and-sum ``beams`` and the ``pinned`` AF
-    azimuths (:func:`_pinned_af`), which transforms the mixture block by
-    block; masks and the LPS block read :attr:`ref_spec`, its reference-mic
-    row. With ``oracle`` it builds :attr:`ref_specs` instead, the oracle
-    methods' ``cfg.oracle_cfg`` spectrograms of the reference rows of the
-    mixture and of each source image, whose files it reads after it has
-    dropped the (J, n) mixture. So the mixture is dropped before the
-    analysis is returned.
+    It reads the mixture once (:meth:`~ssk.dataset_io.Manifest.read`) and,
+    unless ``oracle``, builds :attr:`spatial`, the
+    :class:`~ssk.spatial_features.SpatialAnalysis` of the DPR ``plan`` and
+    the delay-and-sum ``beams``, block by block; masks and the LPS block read
+    its reference-mic row. Only after that pass does it copy the mixture's
+    reference-mic row (:attr:`reference`, whose size is the sample count).
+    With ``oracle`` it builds :attr:`ref_specs` instead, the
+    ``cfg.oracle_cfg`` spectrograms of the reference rows of the mixture and
+    of each source image, whose files it reads after it has dropped the
+    (J, n) mixture, as it does before it returns.
     """
 
     def __init__(self, entry: UtteranceEntry, manifest: Manifest, cfg: PipelineConfig,
                  plan: Sequence[float], beams: Sequence[float] = (),
-                 oracle: bool = False, pinned: frozenset[float] = frozenset()) -> None:
+                 oracle: bool = False) -> None:
         self.entry = entry
         wav = manifest.read(entry.mixture)
-        self.reference = wav[cfg.array.ref_index].copy()
         self.spatial = None if oracle else SpatialAnalysis.of_mixture(
-            wav, cfg.stft_cfg, cfg.array, cfg.pairs, cfg.grid, plan, pinned, beams)
+            wav, cfg.stft_cfg, cfg.array, cfg.pairs, cfg.grid, plan, beams)
+        self.reference = wav[cfg.array.ref_index].copy()
         del wav
         self.ref_specs = None
         if oracle:
@@ -149,16 +141,11 @@ class UtteranceAnalysis:
                       for src in entry.sources]
             self.ref_specs = stft(self.reference, cfg.oracle_cfg), images
 
-    @property
-    def ref_spec(self) -> ComplexSpectrogram:
-        """The reference-mic (T, F) row of the spectrogram at ``cfg.stft_cfg``."""
-        return self.spatial.ref_spec
-
 
 # The feature blocks, in FEATURE_BLOCKS order: each maps an analysis and the
 # (who, azimuth) directions of a target to its named maps.
 _BLOCKS = dict(zip(FEATURE_BLOCKS, (
-    lambda a, dirs: [("lps", lps(a.ref_spec))],
+    lambda a, dirs: [("lps", lps(a.spatial.ref_spec))],
     lambda a, dirs: [("cosipd", a.spatial.pair_cos_sin[0])],
     lambda a, dirs: [("sinipd", a.spatial.pair_cos_sin[1])],
     lambda a, dirs: [(f"af:{who}", a.spatial.angle_feature(az)) for who, az in dirs],
@@ -194,6 +181,8 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
     and analysed once for all its targets. Then the summary file ``run.json``
     states the blocks, in :data:`FEATURE_BLOCKS` order, and ``cond``."""
     cfg = _stage_config(manifest, cond)
+    if not blocks:
+        raise ValueError("no feature blocks given")
     if not blocks & {"cosipd", "sinipd", "af"}:
         cfg = replace(cfg, pairs=None)  # no block reads them, so no IPD phasors are built
     out = Path(out_dir)
@@ -203,8 +192,7 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
         entry = manifest.utterances[index]
         # The DPR blocks read the targets and their interferers: all sources.
         plan = [src.azimuth_deg for src in entry.sources] if "dpr" in blocks else []
-        analysis = UtteranceAnalysis(entry, manifest, cfg, plan,
-                                     pinned=_pinned_af(entry, cond))
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan)
         for target in range(len(entry.sources)):
             path = out / f"{entry.stem(target)}.tsnf"
             write_features(path, compute_feature_stack(analysis, target, blocks, cond))
@@ -222,9 +210,12 @@ def build_features(manifest: Manifest, out_dir, blocks: frozenset[str], cond: st
 
 
 def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
-                       azimuth: float, cond: str, alpha: float, beta: float) -> np.ndarray:
+                       azimuth: float, intf: tuple[np.ndarray, ...], alpha: float,
+                       beta: float) -> np.ndarray:
     """Run one separation method for one utterance/target steered at
-    ``azimuth``, returning the estimated reference-channel waveform."""
+    ``azimuth``, returning the estimated reference-channel waveform. The
+    heuristic also reads ``intf``: the AF and DPR maps of the target's
+    closest interferer under ``tgt+intf``, empty under ``tgt``."""
     length = analysis.reference.size
     if method in ORACLE_KINDS:
         mixture, images = analysis.ref_specs
@@ -232,14 +223,10 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
         mask = oracle_mask(images[target], others, method)
         return apply_mask(mixture, mask, length)
     if method == "heuristic":
-        entry, spatial = analysis.entry, analysis.spatial
-        af_intf = dpr_intf = None
-        if cond == "tgt+intf":
-            intf_az = _interferer_azimuth(entry, target)
-            af_intf, dpr_intf = spatial.angle_feature(intf_az), spatial.dpr(intf_az)
-        mask = directional_mask(spatial.angle_feature(azimuth), spatial.dpr(azimuth),
-                                af_intf, dpr_intf, alpha=alpha, beta=beta)
-        return apply_mask(analysis.ref_spec, mask, length)
+        spatial = analysis.spatial
+        mask = directional_mask(spatial.angle_feature(azimuth), spatial.dpr(azimuth), *intf,
+                                alpha=alpha, beta=beta)
+        return apply_mask(spatial.ref_spec, mask, length)
     if method == "das":
         return das_beamform(analysis.spatial.beam(azimuth), length)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -248,7 +235,8 @@ def separate_utterance(analysis: UtteranceAnalysis, method: str, target: int,
 @dataclass(frozen=True)
 class Run:
     """One setting to separate a dataset with; its estimates go to ``out_dir``.
-    The direction error is a magnitude: finite and at least 0."""
+    The direction error is a magnitude, finite and at least 0; the heuristic
+    weights, which ``run.json`` records, are at least 0 and not both 0."""
 
     out_dir: Path
     direction_error_deg: float
@@ -257,6 +245,9 @@ class Run:
 
     def __post_init__(self) -> None:
         _check_error(self.direction_error_deg)
+        if not (self.alpha >= 0.0 and self.beta >= 0.0 and self.alpha + self.beta > 0.0):
+            raise ValueError("weights must be non-negative and not both zero, got alpha "
+                             f"{self.alpha!r} and beta {self.beta!r}")
 
 
 def _check_error(error: float) -> None:
@@ -281,14 +272,15 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
     that ``das`` beams at.
 
     Per target, the runs go in ascending direction error, so runs that share
-    an error (the sweep's variants) steer at one perturbed azimuth in a row
-    and the analysis computes its AF once and then drops it (see
-    :class:`~ssk.spatial_features.SpatialAnalysis`). ``reports`` are the
-    summary files of a caller that reports the scores (the sweep's), which
-    it writes after this returns. With any, each target's reference image is
-    read once and every estimate is scored as written, rounded to float32,
-    which is bit-equal to reading it back: the records match
-    :func:`evaluate_dataset` on the run's directory. Returns the written
+    an error (the sweep's variants) steer at one perturbed azimuth in a row,
+    whose AF the analysis computes once (it keeps only the latest map; see
+    :class:`~ssk.spatial_features.SpatialAnalysis`). Under ``tgt+intf`` the
+    heuristic reads the interferer's maps once, before the target's runs.
+    ``reports`` are the summary files of a caller that reports the scores (the
+    sweep's), which it writes after this returns. With any, each target's
+    reference image is read once and every estimate is scored as written,
+    rounded to float32, which is bit-equal to reading it back: the records
+    match :func:`evaluate_dataset` on the run's directory. Returns the written
     paths and, per run, its records in manifest order (empty lists without
     ``reports``). No runs, or two that share an ``out_dir``, raise
     :class:`ValueError` before anything is written."""
@@ -321,17 +313,20 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
                 plan += [_interferer_azimuth(entry, t) for t in range(len(entry.sources))]
         elif method == "das":
             beams = [az for row in azimuths for az in row]
-        analysis = UtteranceAnalysis(entry, manifest, cfg, plan, beams, oracle=not steered,
-                                     pinned=_pinned_af(entry, cond))
+        analysis = UtteranceAnalysis(entry, manifest, cfg, plan, beams, oracle=not steered)
         records: list[list[EvalRecord]] = [[] for _ in runs]
         rows: list[list[tuple]] = [[] for _ in runs]
         for target, src in enumerate(entry.sources):
+            intf = ()  # dropped before the next target's maps are read
+            if method == "heuristic" and cond == "tgt+intf":
+                intf_az = _interferer_azimuth(entry, target)
+                intf = analysis.spatial.angle_feature(intf_az), analysis.spatial.dpr(intf_az)
             if reports:
                 reference = manifest.read(src.image, ref_row=True)
                 si_sdr_mix = si_sdr(analysis.reference, reference)
             for i in order:
                 run, azimuth = runs[i], azimuths[target][i]
-                est = separate_utterance(analysis, method, target, azimuth, cond=cond,
+                est = separate_utterance(analysis, method, target, azimuth, intf,
                                          alpha=run.alpha, beta=run.beta)
                 path = run.out_dir / f"{entry.stem(target)}.wav"
                 write_wav(path, est, manifest.sample_rate)

@@ -21,7 +21,7 @@
 per utterance in one pass over blocks of its frames, it holds the
 reference-mic row, the IPD phasors, the DPR maps of the directions its caller
 plans to read and the delay-and-sum beams it plans to invert, and takes the
-premask and each AF (memoised per azimuth) on first read. Every
+premask on first read and each AF on read, keeping the latest map only. Every
 spectrogram here is a :class:`~ssk.spectral.ComplexSpectrogram` of (J, T, F)
 data.
 Delay-and-sum weights come from :func:`das_weights` alone and are applied by
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -222,35 +222,16 @@ def nearest_direction(grid: DirectionGrid, azimuth: float) -> int:
     return int(np.argmin(np.minimum(d, 360.0 - d)))
 
 
-def _frame_blocks(blocks: Iterable[np.ndarray], num_frames: int) -> Iterator[np.ndarray]:
-    """The frames of ``blocks``, (J, T_b, F) each and ``num_frames`` in all,
-    regrouped into blocks of ``BLOCK_FRAMES`` frames from frame 0 (the last
-    may be shorter); a block that already is one is passed on uncopied. The
-    BLAS products of :func:`beam_power_total` round a frame by its column in
-    the product, so fixed blocks keep every output independent of where the
-    caller cut the frames."""
-    held, count, start = [], 0, 0
-    for block in blocks:
-        held.append(block)
-        count += block.shape[1]
-        while start < num_frames and count >= min(BLOCK_FRAMES, num_frames - start):
-            size = min(BLOCK_FRAMES, num_frames - start)
-            data = held[0] if len(held) == 1 else np.concatenate(held, axis=1)
-            yield data[:, :size]
-            rest = data[:, size:]
-            held, count, start = [rest] if rest.shape[1] else [], count - size, start + size
-    if count or start != num_frames:
-        raise ValueError(f"blocks hold {start + count} frames, expected {num_frames}")
-
-
 class SpatialAnalysis:
     """The spatial analysis of one utterance's (J, T, F) spectrogram, shared
     by every target, method and run; the only place AF, DPR and delay-and-sum
     beams are formed from a spectrogram.
 
-    It is built in one pass over the spectrogram's ``blocks``, consecutive
-    (J, T_b, F) arrays of ``num_frames`` frames in all (regrouped into blocks
-    of ``BLOCK_FRAMES`` frames, so where they are cut changes no output bit).
+    It is built in one pass over the ``num_frames`` frames in blocks of
+    ``BLOCK_FRAMES`` from frame 0 (the last may be shorter), each the
+    (J, stop - start, F) spectra that ``frames(start, stop)`` returns. The
+    BLAS products of :func:`beam_power_total` round a frame by its column in
+    the product, so the analysis, not its caller, cuts the blocks.
     Its caller states what it will read: ``plan``, the azimuths whose DPR
     it reads, and ``beams``, the exact azimuths it beams at. Each block is
     written straight into the outputs, allocated before the pass: the
@@ -265,27 +246,22 @@ class SpatialAnalysis:
     it. So no whole (J, T, F) spectrogram is ever held; the analysis keeps
     one (T, F) plane per planned grid direction, at most P, and one per beam.
     A DPR or beam outside the plan raises :class:`KeyError`.
-    :meth:`of_mixture` makes the blocks from a (J, n) mixture.
+    :meth:`of_mixture` transforms a (J, n) mixture block by block.
 
-    AF (:func:`angle_feature`) is formed from the IPD phasors on first use.
-    The maps of the ``pinned`` azimuths are kept for the analysis's
-    lifetime: the stages pin the utterance's sources under ``tgt+intf``,
-    where each source's map is read again as another target's interferer.
-    Of any other azimuth only the latest map is kept, so at most S + 1 AF
-    maps for S pinned azimuths; callers that steer at the same unpinned
-    azimuth should do so consecutively.
+    AF (:func:`angle_feature`) is formed from the IPD phasors on read, and
+    only the latest map is kept: callers read an azimuth's map again
+    consecutively, or hold it themselves.
     """
 
-    def __init__(self, blocks: Iterable[np.ndarray], num_frames: int, config: StftConfig,
-                 array: MicArray, pairs: PairSelection | None, grid: DirectionGrid,
-                 plan: Iterable[float], pinned: frozenset[float] = frozenset(),
-                 beams: Iterable[float] = ()) -> None:
-        self.array, self.pairs, self.grid, self.pinned = array, pairs, grid, pinned
+    def __init__(self, frames: Callable[[int, int], np.ndarray], num_frames: int,
+                 config: StftConfig, array: MicArray, pairs: PairSelection | None,
+                 grid: DirectionGrid, plan: Iterable[float], beams: Iterable[float] = ()) -> None:
+        self.array, self.pairs, self.grid = array, pairs, grid
         self.config = config
         shape = (num_frames, config.num_bins)
         ref = np.empty(shape, dtype=complex)
         self._cos_sin = None if pairs is None else tuple(np.empty((2, len(pairs.pairs)) + shape))
-        self._af, self._af_latest = {}, {}
+        self._af = {}
         self._dpr = {p: np.empty(shape) for p in sorted({nearest_direction(grid, az)
                                                           for az in plan})}
         if self._dpr:
@@ -294,12 +270,12 @@ class SpatialAnalysis:
         self._beams = {az: ComplexSpectrogram(data=np.empty(shape, dtype=complex), config=config)
                        for az in beams}
         steering = {az: das_weights(array, [az], config)[0] for az in self._beams}
-        start = 0
-        for data in _frame_blocks(blocks, num_frames):
-            stop = start + data.shape[1]
+        for start in range(0, num_frames, BLOCK_FRAMES):
+            stop = min(start + BLOCK_FRAMES, num_frames)
+            data = frames(start, stop)
             if data.shape != (array.num_mics, stop - start, config.num_bins):
                 raise ValueError(f"block of shape {data.shape}, expected "
-                                 f"({array.num_mics}, frames, {config.num_bins})")
+                                 f"({array.num_mics}, {stop - start}, {config.num_bins})")
             block = ComplexSpectrogram(data=data, config=config)
             ref[start:stop] = data[array.ref_index]
             if pairs is not None:
@@ -310,22 +286,18 @@ class SpatialAnalysis:
                 dpr(block, weights[p], total, grid.num_directions, out=out[start:stop])
             for az, out in self._beams.items():
                 out.data[start:stop] = beam(block, steering[az])
-            start = stop
         self.ref_spec = ComplexSpectrogram(data=ref, config=config)
 
     @classmethod
     def of_mixture(cls, mixture: np.ndarray, config: StftConfig, array: MicArray,
                    pairs: PairSelection | None, grid: DirectionGrid, plan: Iterable[float],
-                   pinned: frozenset[float] = frozenset(),
                    beams: Iterable[float] = ()) -> "SpatialAnalysis":
-        """The analysis of a (J, n) mixture, whose blocks of ``BLOCK_FRAMES``
-        frames are each the :func:`~ssk.spectral.rfft_frames` of their slice of
-        it: frame for frame bit-equal to one transform of the whole."""
-        num_frames, hop = config.num_frames(mixture.shape[-1]), config.hop
-        blocks = (rfft_frames(mixture[:, t * hop:(min(t + BLOCK_FRAMES, num_frames) - 1) * hop
-                                      + config.win_len], config)
-                  for t in range(0, num_frames, BLOCK_FRAMES))
-        return cls(blocks, num_frames, config, array, pairs, grid, plan, pinned, beams)
+        """The analysis of a (J, n) mixture, whose blocks are each the
+        :func:`~ssk.spectral.rfft_frames` of their slice of it: frame for
+        frame bit-equal to one transform of the whole."""
+        hop, win_len = config.hop, config.win_len
+        return cls(lambda a, b: rfft_frames(mixture[:, a * hop:(b - 1) * hop + win_len], config),
+                   config.num_frames(mixture.shape[-1]), config, array, pairs, grid, plan, beams)
 
     @functools.cached_property
     def premask(self) -> np.ndarray:
@@ -340,14 +312,12 @@ class SpatialAnalysis:
         return self._cos_sin
 
     def angle_feature(self, azimuth: float) -> np.ndarray:
-        cache = self._af if azimuth in self.pinned else self._af_latest
-        if azimuth not in cache:
+        if azimuth not in self._af:
             cos_ipd, sin_ipd = self.pair_cos_sin  # first: it checks that there are pairs
-            if cache is self._af_latest:
-                cache.clear()  # before computing, so no two perturbed maps coexist
+            self._af.clear()  # before computing, so the kept map and the new one never coexist
             steer = pair_steering_phases(self.array, azimuth, self.pairs, self.config)
-            cache[azimuth] = angle_feature(cos_ipd, sin_ipd, steer, self.premask)
-        return cache[azimuth]
+            self._af[azimuth] = angle_feature(cos_ipd, sin_ipd, steer, self.premask)
+        return self._af[azimuth]
 
     def dpr(self, azimuth: float) -> np.ndarray:
         p = nearest_direction(self.grid, azimuth)

@@ -37,9 +37,9 @@ def rng():
 
 
 def whole_analysis(spec, *args):
-    """The :class:`SpatialAnalysis` of a whole (J, T, F) spectrogram, handed
-    over as one block; ``args`` follow the config in its signature."""
-    return SpatialAnalysis([spec.data], spec.num_frames, spec.config, *args)
+    """The :class:`SpatialAnalysis` of a whole (J, T, F) spectrogram, whose
+    blocks are its slices; ``args`` follow the config in its signature."""
+    return SpatialAnalysis(lambda a, b: spec.data[:, a:b], spec.num_frames, spec.config, *args)
 
 
 class Scene(NamedTuple):

@@ -112,6 +112,8 @@ def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloa
     (["perturb", "--direction-error-deg", "0,inf"], "--direction-error-deg"),
     (["perturb", "--direction-error-deg", "nan"], "--direction-error-deg"),
     (["separate", "--method", "heuristic", "--alpha", "nan"], "--alpha"),
+    (["separate", "--method", "heuristic", "--alpha=-1"], "--alpha"),
+    (["separate", "--method", "heuristic", "--beta=-0.5"], "--beta"),
     (["separate", "--method", "heuristic", "--direction-error-deg", "nan"],
      "--direction-error-deg"),
     (["simulate", "--jobs", "0"], "--jobs"),
@@ -122,7 +124,8 @@ def test_each_stage_loads_only_its_modules(dataset, tmp_path, argv, stage, unloa
     (["simulate", "--sample-rate", "0", "--num-scenes", "1"], "--sample-rate"),
     (["simulate", "--num-mics", "0"], "--num-mics"),
 ], ids=["duration-inf", "duration-0", "duration-negative", "error-list-negative",
-        "error-negative", "error-list-inf", "error-list-nan", "alpha-nan", "error-nan",
+        "error-negative", "error-list-inf", "error-list-nan", "alpha-nan", "alpha-negative",
+        "beta-negative", "error-nan",
         "simulate-jobs-0", "features-jobs-negative", "separate-jobs-0",
         "perturb-jobs-negative", "num-scenes-negative", "sample-rate-0", "num-mics-0"])
 def test_non_finite_float_flag_usage_error(dataset, tmp_path, capsys, argv, flag):
@@ -380,6 +383,17 @@ class TestFeatures:
                    "--out", str(tmp_path / "f4"), "--features", "mel"])
         assert rc == 1
 
+    def test_empty_feature_list_reads_nothing(self, dataset, tmp_path, monkeypatch, capsys):
+        # A list that names no block is refused once, before any mixture is
+        # read or --out is made, not as a failure of every utterance.
+        out, _ = dataset
+        monkeypatch.setattr(dataset_io, "read_wav", _bug)
+        rc = main(["features", "--manifest", str(out / "manifest.json"),
+                   "--out", str(tmp_path / "f"), "--features", ","])
+        assert rc == 1
+        assert "no feature blocks given" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.sampled_from(pipeline.FEATURE_BLOCKS), min_size=1),
            st.sampled_from(pipeline.CONDS))
@@ -435,6 +449,8 @@ _BAD_RUNS = {
     "negative-error": lambda m, dest: _separate(m, [pipeline.Run(dest, -3.0, 1.0, 1.0)]),
     "nan-error": lambda m, dest: _separate(m, [pipeline.Run(dest, np.nan, 1.0, 1.0)]),
     "inf-error": lambda m, dest: _separate(m, [pipeline.Run(dest, np.inf, 1.0, 1.0)]),
+    "negative-weight": lambda m, dest: _separate(m, [pipeline.Run(dest, 0.0, -1.0, 1.0)]),
+    "zero-weights": lambda m, dest: _separate(m, [pipeline.Run(dest, 0.0, 0.0, 0.0)]),
     "sweep-no-errors": lambda m, dest: pipeline.perturb_sweep(m, dest, [], 0, cond="tgt", jobs=1),
     "sweep-negative-error": lambda m, dest: pipeline.perturb_sweep(m, dest, [-3.0], 0,
                                                                    cond="tgt", jobs=1),
@@ -447,14 +463,26 @@ _BAD_RUNS = {
 }
 
 
+def test_zero_weights_read_nothing(dataset, tmp_path, monkeypatch, capsys):
+    # Weights that are both zero are refused before any mixture is read, not
+    # as a failure of every utterance.
+    monkeypatch.setattr(dataset_io, "read_wav", _bug)
+    rc = main(["separate", "--manifest", str(dataset[0] / "manifest.json"), "--out",
+               str(tmp_path / "est"), "--method", "heuristic", "--alpha", "0", "--beta", "0"])
+    assert rc == 1
+    assert "weights must be non-negative and not both zero" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
+
+
 @pytest.mark.parametrize("case", list(_BAD_RUNS))
 def test_bad_runs_raise_and_write_nothing(dataset, tmp_path, case):
     # The library refuses what the parser refuses, before it writes anything:
     # no run, two runs in one directory (whose run.json would state only the
-    # last), and a direction error that is not a finite magnitude (the sweep
-    # would write it to af/err-3).
+    # last), a direction error that is not a finite magnitude (the sweep
+    # would write it to af/err-3), and heuristic weights that are negative or
+    # both zero (every mask would fail).
     dest = tmp_path / "out"
-    with pytest.raises(ValueError, match="run|direction error"):
+    with pytest.raises(ValueError, match="run|direction error|weights"):
         _BAD_RUNS[case](dataset[1], dest)
     assert not dest.exists()
 
@@ -961,14 +989,13 @@ def test_one_analysis_per_utterance(dataset, tmp_path, monkeypatch):
         assert sum(frames) == sum(per_utterance(u) for u in manifest.utterances), argv
 
 
-@pytest.mark.parametrize("cond, most", [("tgt", 1), ("tgt+intf", 3)])
+@pytest.mark.parametrize("cond, most", [("tgt", 1), ("tgt+intf", 2)])
 def test_af_maps_are_kept_only_where_read_out_of_turn(dataset, tmp_path, monkeypatch, cond,
                                                       most):
-    # Under tgt a target's own AF map is read only by its consecutive runs,
-    # so the analysis keeps one map at a time. Under tgt+intf each source's
-    # map is read again as another target's interferer, so both sources'
-    # maps stay, next to the latest perturbed one. Counted when each
-    # estimate is written.
+    # A target's own AF map is read only by its consecutive runs, and the
+    # analysis keeps one map at a time, the latest. Under tgt+intf the stage
+    # also holds the target's interferer map through the target's runs, so
+    # two are alive. Counted when each estimate is written.
     out, manifest = dataset
     maps, live = [], []
     angle_feature = spatial_features.SpatialAnalysis.angle_feature
@@ -981,6 +1008,28 @@ def test_af_maps_are_kept_only_where_read_out_of_turn(dataset, tmp_path, monkeyp
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
                  str(tmp_path / "sweep"), "--direction-error-deg", "0,4", "--cond", cond]) == 0
     assert max(live) == most
+
+
+def test_interferer_maps_are_read_once_per_target(dataset, tmp_path, monkeypatch):
+    # Under tgt+intf each target's interferer maps are read once, before its
+    # runs: per target, one AF for the interferer and one per distinct
+    # steered azimuth. A loop that read the interferer again in every run
+    # would form two AF maps per run.
+    out, manifest = dataset
+    calls = []
+    af = spatial_features.angle_feature
+    monkeypatch.setattr(spatial_features, "angle_feature",
+                        lambda *args: calls.append(1) or af(*args))
+    sweep = tmp_path / "sweep"
+    assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out", str(sweep),
+                 "--direction-error-deg", "0,4", "--cond", "tgt+intf"]) == 0
+    steered = {}
+    for record in sweep.rglob("run.json"):
+        for row in json.loads(record.read_text())["estimates"]:
+            steered.setdefault((row["utterance"], row["target_index"]), set()).add(
+                row["azimuth_used_deg"])
+    assert len(steered) == sum(len(u.sources) for u in manifest.utterances)
+    assert 0 < len(calls) <= sum(1 + len(azimuths) for azimuths in steered.values())
 
 
 def test_sweep_computes_each_af_and_dpr_once(dataset, tmp_path, monkeypatch):
@@ -1040,11 +1089,10 @@ def test_sweep_reads_each_file_once_per_pass(dataset, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("errors", ["0,5,10", "0,1,2,3,4,5,6,7,8,9,10"])
 def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch, errors):
-    # However many error points the sweep has, an analysis holds the AF maps
-    # of its S source azimuths and of the one perturbed azimuth in use, so
-    # at most S + 1 maps are alive whenever a new one has just been computed.
-    out, manifest = dataset
-    sources = {len(u.sources) for u in manifest.utterances}
+    # However many error points the sweep has, an analysis keeps one AF map,
+    # the latest, and under tgt no caller holds another, so one map is alive
+    # whenever a new one has just been computed.
+    out, _ = dataset
     live: dict[int, list] = {}
     most: dict[int, int] = {}
     af = spatial_features.angle_feature
@@ -1059,7 +1107,7 @@ def test_sweep_holds_at_most_one_perturbed_af_map(dataset, tmp_path, monkeypatch
     monkeypatch.setattr(spatial_features, "angle_feature", tracked)
     assert main(["perturb", "--manifest", str(out / "manifest.json"), "--out",
                  str(tmp_path / "sweep"), "--direction-error-deg", errors]) == 0
-    assert most and max(most.values()) <= max(sources) + 1
+    assert most and max(most.values()) == 1
 
 
 def test_sweep_holds_one_dpr_map_per_planned_direction(dataset, tmp_path, monkeypatch):

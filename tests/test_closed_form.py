@@ -86,11 +86,12 @@ def _reference_formulas(monkeypatch) -> None:
         phi = oracles.angle_ipd(spec.data, pairs)
         out[0][...], out[1][...] = np.cos(phi), np.sin(phi)
 
-    def keeping_spec(self, blocks, num_frames, config, *args):
+    def keeping_spec(self, frames, num_frames, config, *args):
         # The analysis keeps no spectrogram; the references below read the
         # one its blocks make up.
-        blocks = list(blocks)
-        real_init(self, blocks, num_frames, config, *args)
+        blocks = []
+        real_init(self, lambda a, b: blocks.append(frames(a, b)) or blocks[-1], num_frames,
+                  config, *args)
         self.reference_spec = ComplexSpectrogram(data=np.concatenate(blocks, axis=1),
                                                  config=config)
 

@@ -237,7 +237,7 @@ class TestDirectionalMask:
                                               duration=0.6, azimuths=[az1, az2])
             assert angle_difference(az[0], az[1]) > 90.0
             spatial = SpatialAnalysis.of_mixture(scene.mixture, cfg_default, array6, pairs6,
-                                                 grid36, az, frozenset(az))
+                                                 grid36, az)
             mask = directional_mask(spatial.angle_feature(az[0]), spatial.dpr(az[0]),
                                     alpha=1.0, beta=1.0)
             est = apply_mask(spatial.ref_spec, mask, scene.mixture.shape[1])

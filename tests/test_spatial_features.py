@@ -393,11 +393,11 @@ class TestSpatialAnalysis:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.data())
     def test_memo_matches_a_fresh_analysis(self, num_sources, seed, data):
-        # Any sequence of pinned (source) azimuths, perturbed azimuths and
-        # repeats, planned alone or with the whole grid: every AF and DPR
-        # equals the same call on a fresh analysis, and after each call at
-        # most S + 1 AF maps are alive, for the S sources. DPR comes from one
-        # map per planned grid direction, formed in the pass.
+        # Any sequence of source azimuths, perturbed azimuths and repeats,
+        # planned alone or with the whole grid: every AF and DPR equals the
+        # same call on a fresh analysis, and after each call at most one AF
+        # map, the latest, is alive. DPR comes from one map per planned grid
+        # direction, formed in the pass.
         array, pairs, grid = circular_array(6, 0.07), PairSelection.default_six(), \
             DirectionGrid.uniform(10.0)
         rng = np.random.default_rng(seed)
@@ -405,29 +405,28 @@ class TestSpatialAnalysis:
         spec = ComplexSpectrogram(data=rng.standard_normal(shape)
                                   + 1j * rng.standard_normal(shape), config=oracles.PAPER_STFT)
         azimuth = st.floats(0.0, 360.0, exclude_max=True)
-        pinned = data.draw(st.lists(azimuth, min_size=num_sources, max_size=num_sources,
-                                    unique=True), label="pinned")
-        perturbed = data.draw(st.lists(st.builds(lambda az, err: az + err, st.sampled_from(pinned),
+        sources = data.draw(st.lists(azimuth, min_size=num_sources, max_size=num_sources,
+                                     unique=True), label="sources")
+        perturbed = data.draw(st.lists(st.builds(lambda az, err: az + err, st.sampled_from(sources),
                                                  st.floats(-10.0, 10.0)),
                                        min_size=1, max_size=4), label="perturbed")
         calls = data.draw(st.lists(st.tuples(st.sampled_from(["angle_feature", "dpr"]),
-                                             st.sampled_from(pinned + perturbed)),
+                                             st.sampled_from(sources + perturbed)),
                                    min_size=1, max_size=25), label="calls")
         wide = data.draw(st.booleans(), label="wide")
         plan = [az for _, az in calls] + (list(grid.azimuths) if wide else [])
-        analysis = whole_analysis(spec, array, pairs, grid, plan, frozenset(pinned))
+        analysis = whole_analysis(spec, array, pairs, grid, plan)
         planned = len({nearest_direction(grid, az) for az in plan})
         maps = {"angle_feature": [], "dpr": []}
         for name, az in calls:
             got = getattr(analysis, name)(az)
-            fresh = getattr(whole_analysis(spec, array, pairs, grid, plan, frozenset(pinned)),
-                            name)(az)
+            fresh = getattr(whole_analysis(spec, array, pairs, grid, plan), name)(az)
             assert np.array_equal(got, fresh), (name, az)
             maps[name].append(weakref.ref(got))
             del got, fresh
             live = {key: len({id(ref()) for ref in refs if ref() is not None})
                     for key, refs in maps.items()}
-            assert live["angle_feature"] <= num_sources + 1
+            assert live["angle_feature"] <= 1
             assert live["dpr"] <= planned
 
     @settings(max_examples=40, deadline=None)
@@ -453,8 +452,8 @@ class TestSpatialAnalysis:
                                    max_size=len(sources)), label="signs")
         plan = [az + sign * error for az, sign in zip(sources, signs) for error in errors]
         planned = {nearest_direction(grid, az) for az in plan}
-        analysis = whole_analysis(spec, array, pairs, grid, plan, frozenset(sources))
-        on_demand = whole_analysis(spec, array, pairs, grid, grid.azimuths, frozenset(sources))
+        analysis = whole_analysis(spec, array, pairs, grid, plan)
+        on_demand = whole_analysis(spec, array, pairs, grid, grid.azimuths)
         for az in plan:
             assert np.array_equal(analysis.dpr(az), on_demand.dpr(az)), az
         assert len({id(analysis.dpr(az)) for az in plan}) == len(planned)
@@ -468,18 +467,18 @@ class TestSpatialAnalysis:
            st.booleans(), st.integers(0, 2 ** 31 - 1), st.data())
     def test_block_splitting_changes_nothing(self, mics, samples, wide, seed, data):
         # For random mixtures and plans, at most 2J directions or the whole
-        # grid, and random beams, off the grid and perturbed, the analysis is
-        # the same whether its frames come one per block, in random blocks or
-        # in one block: the reference row, the premask, the phasors, every
-        # planned DPR map, every AF map and every beam are bit-equal, and
-        # equal to the whole-spectrogram formulas (beams bit-equal; DPR to
-        # rounding: its BLAS products are cut into BLOCK_FRAMES-frame blocks).
-        # The longer mixtures span more than one such block.
+        # grid, and random beams, off the grid and perturbed, the analysis of
+        # the mixture, which transforms it block by block, equals that of its
+        # whole spectrogram, sliced into the same blocks: the reference row,
+        # the premask, the phasors, every planned DPR map, every AF map and
+        # every beam are bit-equal, and equal to the whole-spectrogram
+        # formulas (beams bit-equal; DPR to rounding: its BLAS products are
+        # cut into BLOCK_FRAMES-frame blocks). The longer mixtures span more
+        # than one such block.
         cfg, grid = oracles.PAPER_STFT, DirectionGrid.uniform(10.0)
         array = circular_array(mics, 0.07)
         pairs = PairSelection(tuple((0, j) for j in range(1, mics))) if mics > 1 else None
         wav = np.random.default_rng(seed).standard_normal((mics, samples))
-        frames = cfg.num_frames(samples)
         sources = data.draw(st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1,
                                      max_size=3, unique=True), label="sources")
         steered = sources + [az + 7.0 for az in sources]
@@ -487,20 +486,9 @@ class TestSpatialAnalysis:
         errors = data.draw(st.lists(st.floats(-180.0, 180.0), min_size=len(sources),
                                     max_size=len(sources)), label="errors")
         beams = sources + [az + error for az, error in zip(sources, errors)]
-        cuts = sorted(data.draw(st.sets(st.integers(1, max(frames - 1, 1)), max_size=20),
-                                label="cuts") - {frames})
-
-        def analysis(cuts):
-            bounds = [0, *cuts, frames]
-            blocks = (rfft_frames(wav[:, a * cfg.hop:(b - 1) * cfg.hop + cfg.win_len], cfg)
-                      for a, b in zip(bounds, bounds[1:]))
-            return SpatialAnalysis(blocks, frames, cfg, array, pairs, grid, plan,
-                                   frozenset(sources), beams)
-
-        one, *others = (analysis(range(1, frames)), analysis(cuts), analysis([]),
-                        SpatialAnalysis.of_mixture(wav, cfg, array, pairs, grid, plan,
-                                                   frozenset(sources), beams))
+        one = SpatialAnalysis.of_mixture(wav, cfg, array, pairs, grid, plan, beams)
         whole = ComplexSpectrogram(data=rfft_frames(wav, cfg), config=cfg)
+        other = whole_analysis(whole, array, pairs, grid, plan, beams)
         bank = das_filterbank(array, grid, cfg)
         total = beam_power_total(whole, grid_factor(bank))
         assert np.array_equal(one.ref_spec.data, whole.data[0])
@@ -516,23 +504,24 @@ class TestSpatialAnalysis:
         for az in beams:
             assert np.array_equal(one.beam(az).data,
                                   beam(whole, das_weights(array, [az], cfg)[0])), az
-        for other in others:
-            assert np.array_equal(other.ref_spec.data, one.ref_spec.data)
-            assert np.array_equal(other.premask, one.premask)
-            for az in plan:
-                assert np.array_equal(other.dpr(az), one.dpr(az)), az
-            for az in beams:
-                assert np.array_equal(other.beam(az).data, one.beam(az).data), az
-            if pairs is not None:
-                assert np.array_equal(np.stack(other.pair_cos_sin), np.stack(one.pair_cos_sin))
-                for az in steered:
-                    assert np.array_equal(other.angle_feature(az), one.angle_feature(az)), az
+        assert np.array_equal(other.ref_spec.data, one.ref_spec.data)
+        assert np.array_equal(other.premask, one.premask)
+        for az in plan:
+            assert np.array_equal(other.dpr(az), one.dpr(az)), az
+        for az in beams:
+            assert np.array_equal(other.beam(az).data, one.beam(az).data), az
+        if pairs is not None:
+            assert np.array_equal(np.stack(other.pair_cos_sin), np.stack(one.pair_cos_sin))
+            for az in steered:
+                assert np.array_equal(other.angle_feature(az), one.angle_feature(az)), az
 
     def test_blocks_must_hold_the_stated_frames(self, array6, grid36, cfg_default):
-        block = np.zeros((6, 4, 33), dtype=complex)
-        for blocks in ([block], [block] * 3):
-            with pytest.raises(ValueError, match="blocks hold"):
-                SpatialAnalysis(blocks, 8, cfg_default, array6, None, grid36, ())
+        # Each block ``frames`` returns must hold the array's channels, the
+        # frames asked for and the config's bins.
+        for shape in ((6, 4, 33), (5, 8, 33), (6, 8, 32)):
+            block = np.zeros(shape, dtype=complex)
+            with pytest.raises(ValueError, match="block of shape"):
+                SpatialAnalysis(lambda a, b: block, 8, cfg_default, array6, None, grid36, ())
 
     def test_build_holds_no_whole_spectrogram(self, array6, pairs6, grid36, cfg_default):
         # 10 s of a 6-channel mixture, planned as tgt+intf plans three
@@ -547,7 +536,7 @@ class TestSpatialAnalysis:
                                    (None, (), sources),
                                    (pairs6, list(grid36.azimuths), ())):
             analysis, peak = traced_peak(lambda: SpatialAnalysis.of_mixture(
-                wav, cfg_default, array6, pairs, grid36, plan, frozenset(sources), beams))
+                wav, cfg_default, array6, pairs, grid36, plan, beams))
             # The premask is taken on the first AF read, so no build forms it.
             assert "premask" not in vars(analysis)
             maps = {id(m): m for m in map(analysis.dpr, plan)}
