@@ -1,8 +1,9 @@
 """Persistence: multichannel WAV, scene manifests and binary feature tensors.
 
 Waveforms are channels-first float arrays in memory and RIFF/WAVE on disk.
-The WAV subset is little-endian RIFF with 16-bit PCM (format 1) or 32-bit
-IEEE float (format 3) samples, either also wrapped in WAVE_FORMAT_EXTENSIBLE;
+WAVs are written as little-endian RIFF with 32-bit IEEE float (format 3)
+samples. The reader also takes 16-bit PCM (format 1), the usual encoding of
+a source corpus, and either encoding wrapped in WAVE_FORMAT_EXTENSIBLE;
 other chunks are skipped. Manifests are a single versioned JSON document
 with paths relative to the manifest location. Feature tensors use the
 little-endian TSNF1 container laid out in the comment above
@@ -70,13 +71,11 @@ def _chunk(chunk_id: bytes, payload: bytes) -> bytes:
     return chunk_id + struct.pack("<I", len(payload)) + payload
 
 
-def write_wav(path, waveform: np.ndarray, sample_rate: int,
-              encoding: str = "float32") -> None:
-    """Write mono (n,) or multichannel (J, n) audio as PCM16 or float32.
-
-    PCM files carry a 16-byte ``fmt `` chunk, float files an 18-byte one
-    (``cbSize`` 0) followed by a ``fact`` chunk holding the frame count.
-    A waveform that is not finite, or not finite in float32, raises
+def write_wav(path, waveform: np.ndarray, sample_rate: int) -> None:
+    """Write mono (n,) or multichannel (J, n) audio as float32 samples, with
+    an 18-byte ``fmt `` chunk (``cbSize`` 0) followed by a ``fact`` chunk
+    holding the frame count. A waveform that is not finite in float32 (a
+    finite sample beyond the float32 range casts to inf) raises
     :class:`ValueError` and writes nothing.
     """
     wav = np.asarray(waveform)
@@ -87,26 +86,15 @@ def write_wav(path, waveform: np.ndarray, sample_rate: int,
     else:
         raise ValueError("waveform must be 1-D or (channels, samples)")
     # C order: frames interleave channels, and ``payload`` is written as is.
-    # Each encoding checks what it writes: a finite sample beyond the float32
-    # range casts to inf, and PCM16 clips every finite sample.
-    if encoding == "float32":
-        with np.errstate(over="ignore"):  # an overflow raises below
-            payload, tag = data.astype("<f4", order="C"), 3
-        if not np.all(np.isfinite(payload)):
-            raise ValueError("waveform must be finite in float32")
-    elif encoding == "pcm16":
-        if not np.all(np.isfinite(data)):
-            raise ValueError("waveform must be finite")
-        clipped = np.clip(np.round(data * 32768.0), -32768, 32767)
-        payload, tag = clipped.astype("<i2", order="C"), 1
-    else:
-        raise DataFormatError(f"unsupported encoding {encoding!r}")
+    with np.errstate(over="ignore"):  # an overflow raises below
+        payload = data.astype("<f4", order="C")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError("waveform must be finite in float32")
     frames, channels = payload.shape
     rate, block = int(sample_rate), channels * payload.itemsize
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * payload.itemsize)
-    header = _chunk(b"fmt ", fmt) if tag == 1 else (
-        _chunk(b"fmt ", fmt + b"\0\0") + _chunk(b"fact", struct.pack("<I", frames)))
-    head = b"WAVE" + header + b"data" + struct.pack("<I", payload.nbytes)
+    fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * block, block, 8 * payload.itemsize)
+    head = (b"WAVE" + _chunk(b"fmt ", fmt + b"\0\0") + _chunk(b"fact", struct.pack("<I", frames))
+            + b"data" + struct.pack("<I", payload.nbytes))
     atomic_write_bytes(path, b"RIFF" + struct.pack("<I", len(head) + payload.nbytes) + head,
                        payload)
 
@@ -370,8 +358,9 @@ def write_features(path, stack) -> None:
 
 def read_features(path):
     """Read a TSNF1 file back into a FeatureStack (float32 data); the payload
-    is read straight into the returned array. A layout that the stack
-    refuses raises :class:`DataFormatError`."""
+    is read straight into the returned array. A layout that is not a list
+    of [string name, integer width] pairs, or that the stack refuses,
+    raises :class:`DataFormatError`."""
     from .spatial_features import FeatureStack
 
     with open(path, "rb") as fh:
@@ -386,9 +375,17 @@ def read_features(path):
             raise DataFormatError(f"{path}: unsupported feature version {version}")
         try:
             layout_doc = json.loads(fh.read(layout_len).decode("utf-8"))
-            layout = tuple((str(name), int(width)) for name, width in layout_doc)
         except Exception as exc:
             raise DataFormatError(f"{path}: bad layout descriptor: {exc}") from exc
+        # Names and widths are taken as written, by the manifest's kinds: a
+        # width of 2.7, true or "2", or a name that is a number, is refused.
+        name, width = _KINDS["string"][0], _KINDS["integer"][0]
+        if not (isinstance(layout_doc, list) and all(
+                isinstance(entry, list) and len(entry) == 2 and name(entry[0]) and width(entry[1])
+                for entry in layout_doc)):
+            raise DataFormatError(f"{path}: bad layout descriptor {layout_doc!r}: expected "
+                                  "[[name, width], ...] of strings and integers")
+        layout = tuple(map(tuple, layout_doc))
         expected = 4 * frames * dim
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:

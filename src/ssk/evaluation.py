@@ -20,11 +20,11 @@ from .stages import _each
 
 
 def _record(entry: UtteranceEntry, target: int, est: np.ndarray, reference: np.ndarray,
-            si_sdr_mix: float, method: str) -> EvalRecord:
+            si_sdr_mix: float) -> EvalRecord:
     src = entry.sources[target]
     return EvalRecord(utterance_id=entry.stem(target), target_azimuth=src.azimuth_deg,
                       angle_difference=src.angle_difference_deg,
-                      si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix, method=method)
+                      si_sdr_est=si_sdr(est, reference), si_sdr_mix=si_sdr_mix)
 
 
 def evaluate_dataset(manifest: Manifest, estimates_dir, out, method: str) -> EvalReport:
@@ -47,8 +47,7 @@ def evaluate_dataset(manifest: Manifest, estimates_dir, out, method: str) -> Eva
                                       f"{est.shape[1]} samples; expected 1 channel of "
                                       f"{mixture.size}, the mixture's length")
             reference = manifest.read(src.image, ref_row=True)
-            records.append(_record(entry, target, est[0], reference,
-                                   si_sdr(mixture, reference), method))
+            records.append(_record(entry, target, est[0], reference, si_sdr(mixture, reference)))
         return records
 
     json_path, csv_path = Path(f"{out}.json"), Path(f"{out}.csv")

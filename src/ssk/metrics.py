@@ -64,7 +64,6 @@ class EvalRecord:
     angle_difference: float
     si_sdr_est: float
     si_sdr_mix: float
-    method: str
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.angle_difference <= 180.0:
@@ -91,7 +90,7 @@ class EvalReport:
     bins: tuple[BinSummary, ...]
     overall_count: int
     overall_mean: float | None
-    method: str = ""
+    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -133,8 +132,9 @@ def bin_index(angle_difference: float) -> int:
     return len(ANGLE_BINS) - 1
 
 
-def aggregate(records: Sequence[EvalRecord], method: str = "") -> EvalReport:
-    """Aggregate SI-SDRi records into the four angle-difference bins."""
+def aggregate(records: Sequence[EvalRecord], method: str) -> EvalReport:
+    """Aggregate SI-SDRi records into the four angle-difference bins of a
+    report labelled ``method``."""
     values: list[list[float]] = [[] for _ in ANGLE_BINS]
     for rec in records:
         values[bin_index(rec.angle_difference)].append(rec.si_sdri)
@@ -144,7 +144,5 @@ def aggregate(records: Sequence[EvalRecord], method: str = "") -> EvalReport:
                                mean_si_sdri=float(np.mean(vals)) if vals else None))
     all_vals = [rec.si_sdri for rec in records]
     overall = float(np.mean(all_vals)) if all_vals else None
-    if not method and records:
-        method = records[0].method
     return EvalReport(bins=tuple(bins), overall_count=len(all_vals),
                       overall_mean=overall, method=method)

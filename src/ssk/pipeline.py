@@ -334,7 +334,7 @@ def separate_dataset(manifest: Manifest, runs: Sequence[Run], method: str, cond:
                 rows[i].append((entry.id, target, float(azimuth) if steered else None))
                 if reports:
                     records[i].append(_record(entry, target, est.astype(np.float32).astype(float),
-                                              reference, si_sdr_mix, method))
+                                              reference, si_sdr_mix))
         return written, records, rows
 
     results = _each(one, [e.id for e in manifest.utterances], jobs,

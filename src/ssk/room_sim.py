@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import SOUND_SPEED, MicArray, normalize_azimuth
+from .geometry import SOUND_SPEED, MicArray
 
 WALL_MARGIN = 0.3
 MIN_SOURCE_DISTANCE = 0.5
@@ -33,6 +33,8 @@ REF_IMAGE_RMS = 0.05
 ROOM_DIM_LO = np.array([3.0, 3.0, 2.5])
 ROOM_DIM_HI = np.array([8.0, 10.0, 6.0])
 T60_RANGE = (0.05, 0.5)
+# Scenes sample_scene draws before it gives up.
+MAX_ATTEMPTS = 50
 
 
 class SceneGenerationError(RuntimeError):
@@ -288,8 +290,8 @@ def _convolve_rows(signal: np.ndarray, rirs: np.ndarray) -> np.ndarray:
 
 
 def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
-                   array: MicArray, mixing_gains_db: Sequence[float] | None = None,
-                   on_image: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+                   array: MicArray, mixing_gains_db: Sequence[float],
+                   on_image: Callable[[int, np.ndarray], None]) -> np.ndarray:
     """Convolve dry sources with their RIRs, level them on the reference
     channel, and sum them into the (J, n) mixture it returns.
 
@@ -310,7 +312,7 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
     for c, s in enumerate(dry):
         if s.size == 0 or not np.any(s):
             raise ValueError(f"dry source {c} is silent")
-    gains = np.zeros(len(dry)) if mixing_gains_db is None else np.asarray(mixing_gains_db, dtype=float)
+    gains = np.asarray(mixing_gains_db, dtype=float)
     if gains.size != len(dry):
         raise ValueError("one gain per source expected")
 
@@ -335,8 +337,7 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
         if power <= 0.0:
             raise ValueError(f"source {c} produced a silent reference image")
         img *= REF_IMAGE_RMS * 10.0 ** (gains[c] / 20.0) / np.sqrt(power)
-        if on_image is not None:
-            on_image(c, img)
+        on_image(c, img)
         # Summed in source order, as np.sum over the stacked images does.
         if mixture is None:
             mixture = img.copy()
@@ -346,48 +347,26 @@ def render_mixture(dry_sources: Sequence[np.ndarray], room: RoomConfig,
     return mixture
 
 
-def _ray_box_range(center: np.ndarray, direction: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> float:
-    """Largest distance from ``center`` along unit ``direction`` staying in [lo, hi] (xy)."""
-    t_max = np.inf
-    for ax in range(2):
-        if abs(direction[ax]) < 1e-12:
-            continue
-        for bound in (lo[ax], hi[ax]):
-            t = (bound - center[ax]) / direction[ax]
-            if t > 0:
-                t_max = min(t_max, t)
-    return float(t_max)
+def sample_scene(rng: np.random.Generator, n_sources: int, sample_rate: int,
+                 array_radius: float) -> tuple[RoomConfig, list[float]]:
+    """Sample a room, T60, array center and source positions from ``rng``
+    for a recording at ``sample_rate`` by an array of horizontal
+    ``array_radius``, both stated by the caller.
 
-
-def sample_scene(rng_seed, n_sources: int, sample_rate: int, array_radius: float,
-                 azimuths: Sequence[float] | None = None,
-                 t60_range: tuple[float, float] = T60_RANGE,
-                 max_attempts: int = 50) -> tuple[RoomConfig, list[float]]:
-    """Sample a room, T60, array center and source positions for a recording
-    at ``sample_rate`` by an array of horizontal ``array_radius``, both
-    stated by the caller.
-
-    Rooms range from 3x3x2.5 m to 8x10x6 m, T60 uniform in ``t60_range``,
+    Rooms range from 3x3x2.5 m to 8x10x6 m, T60 uniform in ``T60_RANGE``,
     sources and every mic of an array of horizontal ``array_radius`` at least
     0.3 m from every wall (an attempt whose room is too small fails), sources
     and array on one horizontal plane, drawn sources at least
-    ``MIN_SOURCE_DISTANCE`` from every mic. Deterministic for a fixed seed.
-    Optional ``azimuths`` pin the source bearings (used by calibration tests
-    and demos); pinned sources keep that distance from the array center only.
+    ``MIN_SOURCE_DISTANCE`` from every mic. The same generator state draws
+    the same scene.
 
     Returns the room plus the exact source azimuths in degrees.
     """
     if n_sources < 1:
         raise ValueError("n_sources must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    if azimuths is not None and len(azimuths) != n_sources:
-        raise ValueError("one pinned azimuth per source expected")
-
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         dims = rng.uniform(ROOM_DIM_LO, ROOM_DIM_HI)
-        t60 = float(rng.uniform(*t60_range))
+        t60 = float(rng.uniform(*T60_RANGE))
         lo = np.array([WALL_MARGIN, WALL_MARGIN])
         hi = dims[:2] - WALL_MARGIN
         center_lo = lo + array_radius
@@ -401,18 +380,9 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int, array_radius: float
         positions = []
         for c in range(n_sources):
             for _ in range(200):
-                if azimuths is not None:
-                    rad = np.deg2rad(normalize_azimuth(float(azimuths[c])))
-                    direction = np.array([np.cos(rad), np.sin(rad)])
-                    r_max = _ray_box_range(center_xy, direction, lo, hi)
-                    if r_max <= MIN_SOURCE_DISTANCE:
-                        break
-                    r = float(rng.uniform(MIN_SOURCE_DISTANCE, r_max))
-                    xy = center_xy + r * direction
-                else:
-                    xy = rng.uniform(lo, hi)
-                    if np.linalg.norm(xy - center_xy) < MIN_SOURCE_DISTANCE + array_radius:
-                        continue
+                xy = rng.uniform(lo, hi)
+                if np.linalg.norm(xy - center_xy) < MIN_SOURCE_DISTANCE + array_radius:
+                    continue
                 positions.append(np.array([xy[0], xy[1], plane_z]))
                 break
             if len(positions) == c:  # source c could not be placed
@@ -423,7 +393,7 @@ def sample_scene(rng_seed, n_sources: int, sample_rate: int, array_radius: float
                           source_positions=np.stack(positions), sample_rate=sample_rate)
         return room, [float(a) for a in room.source_azimuths()]
     raise SceneGenerationError(
-        f"could not satisfy scene constraints after {max_attempts} attempts")
+        f"could not satisfy scene constraints after {MAX_ATTEMPTS} attempts")
 
 
 def estimate_t60(rir: np.ndarray, sample_rate: int) -> float:

@@ -105,6 +105,8 @@ def _draw_source(rng: np.random.Generator, duration: float, sample_rate: int,
     if wav.shape[0] != 1:
         raise DataFormatError(f"{path}: {wav.shape[0]} channels; the pool takes mono WAVs")
     mono = wav[0]
+    if mono.size == 0:
+        raise DataFormatError(f"{path}: no samples; the pool takes non-empty WAVs")
     need = int(round(duration * sample_rate))
     if mono.size >= need:
         start = int(rng.integers(0, mono.size - need + 1))

@@ -153,11 +153,11 @@ def stft(signal: np.ndarray, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(data=rfft_frames(np.ravel(signal), cfg), config=cfg)
 
 
-def istft(spec: ComplexSpectrogram, length: int | None = None,
+def istft(spec: ComplexSpectrogram, length: int,
           mask: np.ndarray | None = None) -> np.ndarray:
     """Weighted overlap-add inverse of ``spec``, times the (T, F) ``mask``
-    when given, as ``length`` samples (by default those the frames cover):
-    zero-padded past the last frame or trimmed. It reproduces interior
+    when given, as ``length`` samples: zero-padded past the last frame or
+    trimmed. It reproduces interior
     samples of the analyzed signal (the first/last window length is
     boundary-distorted). The normaliser is floored at its fully overlapped
     minimum: at the ends it falls to one tapered window square (2e-8 at
@@ -175,7 +175,6 @@ def istft(spec: ComplexSpectrogram, length: int | None = None,
         raise ValueError(f"mask has {mask.shape} (frames, bins), the spectrogram "
                          f"{spec.data.shape}: a mask from another config or of other frames")
     norm = _istft_normaliser(cfg, num_frames)
-    length = norm.size if length is None else length
     out = np.zeros((-(-max(length, norm.size) // cfg.hop), cfg.hop))
     for start in range(0, num_frames, BLOCK_FRAMES):
         block = spec.data[start:start + BLOCK_FRAMES]

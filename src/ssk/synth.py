@@ -1,20 +1,16 @@
 """Built-in synthetic test signals: noise bursts, AM tones, chirps and a
 speech-like generator (random voiced/unvoiced/silence segments) used by the
-dataset pipeline when no source corpus is supplied."""
+dataset pipeline when no source corpus is supplied. Each generator draws
+from the ``np.random.Generator`` it is given."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def noise_burst(rng_seed, duration: float, sample_rate: int,
+def noise_burst(rng: np.random.Generator, duration: float, sample_rate: int,
                 band: tuple[float, float] = (200.0, 6000.0)) -> np.ndarray:
     """Band-limited white noise with a Hann fade on both ends."""
-    rng = _rng(rng_seed)
     n = int(round(duration * sample_rate))
     x = rng.standard_normal(n)
     spec = np.fft.rfft(x)
@@ -29,9 +25,8 @@ def noise_burst(rng_seed, duration: float, sample_rate: int,
     return _unit_rms(x)
 
 
-def am_tone(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
+def am_tone(rng: np.random.Generator, duration: float, sample_rate: int) -> np.ndarray:
     """Amplitude-modulated sinusoid: a 300-3000 Hz carrier, 2-8 Hz modulation."""
-    rng = _rng(rng_seed)
     carrier = float(rng.uniform(300.0, 3000.0))
     mod_rate = float(rng.uniform(2.0, 8.0))
     t = np.arange(int(round(duration * sample_rate))) / sample_rate
@@ -40,16 +35,15 @@ def am_tone(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
     return _unit_rms(x)
 
 
-def chirp(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
+def chirp(rng: np.random.Generator, duration: float, sample_rate: int) -> np.ndarray:
     """Linear frequency sweep from 200 to 6000 Hz."""
-    rng = _rng(rng_seed)
     f0, f1 = 200.0, 6000.0
     t = np.arange(int(round(duration * sample_rate))) / sample_rate
     phase = 2.0 * np.pi * (f0 * t + 0.5 * (f1 - f0) / duration * t ** 2)
     return _unit_rms(np.sin(phase + rng.uniform(0, 2 * np.pi)))
 
 
-def speech_like(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
+def speech_like(rng: np.random.Generator, duration: float, sample_rate: int) -> np.ndarray:
     """Speech-like signal: a random sequence of harmonic (voiced), noisy
     (unvoiced) and silent segments, 50-180 ms each, with formant-shaped
     spectra, pitch vibrato and syllel-level dynamics.
@@ -57,7 +51,6 @@ def speech_like(rng_seed, duration: float, sample_rate: int) -> np.ndarray:
     The point is time-frequency sparsity: mixtures of two such signals are
     largely disjoint in T-F, which is what makes oracle masks meaningful.
     """
-    rng = _rng(rng_seed)
     total = int(round(duration * sample_rate))
     out = np.zeros(total)
     pos = 0

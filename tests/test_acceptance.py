@@ -6,6 +6,7 @@ lines; the whole suite is deterministic and finishes in a few minutes.
 
 import struct
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,12 @@ from ssk.geometry import circular_array, tdoa
 from ssk.metrics import si_sdr, si_sdri
 from ssk.pipeline import PipelineConfig, perturb_sweep, simulate_dataset
 from ssk.room_sim import RoomConfig, calibrated_reflection_coefficient, estimate_t60, \
-    render_mixture, sample_scene, simulate_rir
+    sample_scene, simulate_rir
 from ssk.separation import apply_mask, oracle_mask
 from ssk.spatial_features import SpatialAnalysis, nearest_direction
 from ssk.spectral import ComplexSpectrogram, istft, stft
 
-from conftest import render_scene, whole_analysis
+from conftest import pinned_scene, render_scene, whole_analysis
 from oracles import ARRAY_RADIUS, FS, naive_stft, xcorr_peak_lag
 from test_cli import tree_hash
 
@@ -51,10 +52,9 @@ def small_dataset(tmp_path_factory):
 def _anechoic_scene(seed, azimuths, duration=0.8):
     rng = np.random.default_rng(seed)
     array = circular_array(6, 0.07)
-    room, az = sample_scene(rng, len(azimuths), FS, ARRAY_RADIUS,
-                            azimuths=azimuths, t60_range=(0.0, 0.0))
+    room, az = pinned_scene(rng, azimuths, FS, ARRAY_RADIUS)
     dry = [synth.speech_like(rng, duration, FS) for _ in azimuths]
-    return render_mixture(dry, room, array, mixing_gains_db=[0.0] * len(azimuths)), az, array
+    return render_scene(dry, replace(room, t60=0.0), array).mixture, az, array
 
 
 def _grid_dpr(spatial: SpatialAnalysis) -> np.ndarray:
@@ -86,7 +86,7 @@ def test_c02_istft_round_trip(cfg):
     worst = 0.0
     for _ in range(10):
         x = rng.standard_normal(FS)
-        y = istft(stft(x, kernel))
+        y = istft(stft(x, kernel), x.size)
         lo, hi = cfg.stft_cfg.win_len, y.size - cfg.stft_cfg.win_len
         err = np.linalg.norm(y[lo:hi] - x[lo:hi]) / np.linalg.norm(x[lo:hi])
         worst = max(worst, float(err))
@@ -130,9 +130,9 @@ def test_c05_geometry_consistency():
     failures = 0
     for seed in range(50):
         rng = np.random.default_rng(5000 + seed)
-        room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
+        room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS)
         dry = [synth.noise_burst(rng, 0.3, FS)]
-        scene = render_scene(dry, room, array)
+        scene = render_scene(dry, replace(room, t60=0.0), array)
         delays = tdoa(array, az[0]) * FS
         ref = scene.images[0][0]
         for j in range(1, 6):
@@ -148,7 +148,7 @@ def test_c06_rir_fidelity():
     arrival_ok = True
     for seed in range(12):
         rng = np.random.default_rng(6000 + seed)
-        room, _ = sample_scene(rng, 1, FS, ARRAY_RADIUS, t60_range=(0.0, 0.0))
+        room = replace(sample_scene(rng, 1, FS, ARRAY_RADIUS)[0], t60=0.0)
         mic = room.array_center + np.array([0.02, -0.015, 0.0])
         h = simulate_rir(room, 0, mic, calibrated_reflection_coefficient(room))
         d = float(np.linalg.norm(room.source_positions[0] - mic))

@@ -223,6 +223,20 @@ class TestSimulate:
         assert "mix.wav: 6 channels; the pool takes mono WAVs" in err
         assert not [p for p in (tmp_path / "d").rglob("*") if p.is_file()]
 
+    def test_empty_source_rejected(self, tmp_path, capsys):
+        # A WAV of no samples has nothing to cut or repeat: it fails its scene
+        # with a message that names it, as a multichannel one does.
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        write_wav(pool / "empty.wav", np.zeros(0), 16000)
+        rc = main(["simulate", "--out", str(tmp_path / "d"), "--num-scenes", "1",
+                   "--duration", "0.3", "--source-dir", str(pool)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "1 of 1 failed: utt_00000: " in err
+        assert "empty.wav: no samples" in err
+        assert not [p for p in (tmp_path / "d").rglob("*") if p.is_file()]
+
     def test_mics_keep_the_wall_margin(self, tmp_path):
         # The array centre keeps the whole array clear of the walls: every
         # mic of a 1.2 m circle stays at least WALL_MARGIN from every wall.

@@ -154,18 +154,18 @@ def test_dpr_bit_equal(mics, frames, decade, every, seed):
 def test_istft_bit_equal(hop, overlap, pad, frames, extra, masked, seed):
     # Past BLOCK_FRAMES frames the synthesis runs in several blocks; at 4x
     # overlap a sample sums up to four frames, so their order shows in the
-    # rounding. The output is padded or trimmed by ``extra`` samples (None:
-    # not fitted).
+    # rounding. The output is padded or trimmed by ``extra`` samples past
+    # those the frames cover (None: none).
     cfg = StftConfig(window=hann_periodic(overlap * hop), fft_size=overlap * hop + pad,
                      hop=hop, sample_rate=oracles.FS)
     rng = np.random.default_rng(seed)
     data = _spectrum(rng, (frames, cfg.num_bins))
     mask = rng.random(data.shape) if masked else None
     norm = _istft_normaliser(cfg, frames)
-    length = None if extra is None else max(norm.size + extra, 0)
+    length = max(norm.size + (extra or 0), 0)
     ours = istft(ComplexSpectrogram(data=data, config=cfg), length, mask)
     ref = oracles.fresh_istft(data if mask is None else data * mask, cfg, norm)
-    assert _same(ours, ref if length is None else oracles.fit(ref, length))
+    assert _same(ours, oracles.fit(ref, length))
 
 
 mask_weights = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]) | st.floats(0.0, 4.0)

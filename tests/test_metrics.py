@@ -92,7 +92,7 @@ class TestSiSdri:
 
 def _rec(ad, value, uid="u"):
     return EvalRecord(utterance_id=uid, target_azimuth=0.0, angle_difference=ad,
-                      si_sdr_est=value, si_sdr_mix=0.0, method="test")
+                      si_sdr_est=value, si_sdr_mix=0.0)
 
 
 def _bin_mean(report, label):
@@ -101,19 +101,19 @@ def _bin_mean(report, label):
 
 class TestAggregate:
     def test_single_record(self):
-        report = aggregate([_rec(30.0, 5.0)])
+        report = aggregate([_rec(30.0, 5.0)], "test")
         assert _bin_mean(report, "15-45") == pytest.approx(5.0)
         assert report.overall_mean == pytest.approx(5.0)
         assert report.overall_count == 1
 
     def test_empty_input(self):
-        report = aggregate([])
+        report = aggregate([], "test")
         assert report.overall_count == 0
         assert report.overall_mean is None
         assert all(b.count == 0 and b.mean_si_sdri is None for b in report.bins)
 
     def test_two_records_one_bin(self):
-        report = aggregate([_rec(20.0, 4.0), _rec(40.0, 6.0)])
+        report = aggregate([_rec(20.0, 4.0), _rec(40.0, 6.0)], "test")
         assert _bin_mean(report, "15-45") == pytest.approx(5.0)
 
     def test_bin_edges(self):
@@ -126,7 +126,7 @@ class TestAggregate:
 
     def test_overall_is_count_weighted_bin_mean(self):
         records = [_rec(5.0, 1.0), _rec(30.0, 2.0), _rec(30.0, 4.0), _rec(170.0, 8.0)]
-        report = aggregate(records)
+        report = aggregate(records, "test")
         weighted = sum(b.mean_si_sdri * b.count for b in report.bins if b.count)
         assert report.overall_mean == pytest.approx(weighted / report.overall_count)
 
@@ -134,8 +134,8 @@ class TestAggregate:
     @given(st.lists(st.tuples(st.floats(0, 180), st.floats(-30, 30)), max_size=40))
     def test_permutation_invariance(self, items):
         records = [_rec(ad, v, uid=str(i)) for i, (ad, v) in enumerate(items)]
-        fwd = aggregate(records)
-        rev = aggregate(records[::-1])
+        fwd = aggregate(records, "test")
+        rev = aggregate(records[::-1], "test")
         assert fwd.overall_count == rev.overall_count
         for a, b in zip(fwd.bins, rev.bins):
             assert a.count == b.count
@@ -150,7 +150,7 @@ class TestAggregate:
 
     def test_mean_above_threshold(self):
         records = [_rec(5.0, 1.0), _rec(30.0, 3.0), _rec(100.0, 5.0)]
-        report = aggregate(records)
+        report = aggregate(records, "test")
         assert report.mean_above(15.0) == pytest.approx(4.0)
 
     def test_report_serialization(self, tmp_path):
@@ -189,7 +189,7 @@ class TestAggregate:
                 return self.inner.writerow(row)
 
         monkeypatch.setattr(csv, "writer", Failing)
-        report = aggregate([_rec(30.0, 5.0)])
+        report = aggregate([_rec(30.0, 5.0)], "test")
         with pytest.raises(OSError, match="interrupted"):
             report.write_csv(tmp_path / "report.csv")
         assert list(tmp_path.iterdir()) == []

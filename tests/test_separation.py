@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,7 +15,7 @@ from ssk.spatial_features import SpatialAnalysis, beam, das_weights
 from ssk.spectral import ComplexSpectrogram, rfft_frames, stft
 
 import oracles
-from conftest import render_scene
+from conftest import pinned_scene, render_scene
 
 FS, ARRAY_RADIUS, ORACLE_CFG = oracles.FS, oracles.ARRAY_RADIUS, oracles.ORACLE_STFT
 
@@ -40,9 +42,10 @@ def das(mixture, azimuth, array, cfg):
 def _reverberant_scene(seed, n_sources=2, duration=1.0, anechoic=False,
                        azimuths=None):
     rng = np.random.default_rng(seed)
-    t60_range = (0.0, 0.0) if anechoic else (0.05, 0.5)
-    room, az = sample_scene(rng, n_sources, FS, ARRAY_RADIUS, azimuths=azimuths,
-                            t60_range=t60_range)
+    room, az = (sample_scene(rng, n_sources, FS, ARRAY_RADIUS) if azimuths is None
+                else pinned_scene(rng, azimuths, FS, ARRAY_RADIUS))
+    if anechoic:
+        room = replace(room, t60=0.0)
     dry = [synth.speech_like(rng, duration, FS) for _ in range(n_sources)]
     gains = [0.0] + [float(rng.uniform(-5, 0)) for _ in range(n_sources - 1)]
     array = circular_array(6, 0.07)
@@ -183,7 +186,9 @@ class TestApplyMask:
         array = circular_array(1, 0.07)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            room, _ = sample_scene(rng, 3, FS, ARRAY_RADIUS, t60_range=(0.05, 0.2))
+            room, _ = sample_scene(rng, 3, FS, ARRAY_RADIUS)
+            # The drawn T60, mapped from 0.05-0.5 s into 0.05-0.2 s.
+            room = replace(room, t60=0.05 + 0.15 * (room.t60 - 0.05) / 0.45)
             dry = [synth.speech_like(rng, 1.0, FS) for _ in range(3)]
             scene = render_scene(dry, room, array)
             mix = scene.mixture[array.ref_index]

@@ -1,6 +1,7 @@
 import pathlib
 import tempfile
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from ssk import synth
 from ssk.dataset_io import read_features, write_features
 from ssk.geometry import DirectionGrid, PairSelection, circular_array, tdoa
-from ssk.room_sim import render_mixture, sample_scene
 from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam, beam_power_total,
                                   das_filterbank, das_weights, dpr, grid_factor, ipd,
                                   multichannel_stft, nearest_direction, pair_cos_sin,
@@ -18,17 +18,16 @@ from ssk.spatial_features import (SpatialAnalysis, assemble_features, beam, beam
 from ssk.spectral import ComplexSpectrogram, rfft_frames, stft
 
 import oracles
-from conftest import traced_peak, whole_analysis
+from conftest import pinned_scene, render_scene, traced_peak, whole_analysis
 
 FS, ARRAY_RADIUS = oracles.FS, oracles.ARRAY_RADIUS
 
 
 def _anechoic_scene(seed, azimuth, array, duration=0.8):
     rng = np.random.default_rng(seed)
-    room, az = sample_scene(rng, 1, FS, ARRAY_RADIUS, azimuths=[azimuth],
-                            t60_range=(0.0, 0.0))
+    room, az = pinned_scene(rng, [azimuth], FS, ARRAY_RADIUS)
     dry = [synth.speech_like(rng, duration, FS)]
-    return render_mixture(dry, room, array), az[0]
+    return render_scene(dry, replace(room, t60=0.0), array).mixture, az[0]
 
 
 def _angle_feature(spec, azimuth, array, pairs):

@@ -1,7 +1,7 @@
 """Guards read from the syntax tree of ``src/ssk``: every member has a reader
-in ``src/``, no signature or field gives the sample rate or another run
-setting a default, no stage takes an analysis setting, and only
-`stages._each` removes a summary file."""
+in ``src/``, every default has a call in ``src/`` that sets it, no signature
+or field gives the sample rate or another run setting a default, no stage
+takes an analysis setting, and only `stages._each` removes a summary file."""
 
 import ast
 from pathlib import Path
@@ -73,14 +73,78 @@ def test_every_member_has_a_reader_in_src():
     assert unread == UNREAD
 
 
+# Defaults kept although no call in src/ sets them, each for its reason.
+UNSET = {
+    # The console script calls main() without arguments, so it parses
+    # sys.argv; the tests pass their own.
+    "cli.main(argv)",
+}
+
+
+def _defaults():
+    """(qualified name, callee, position, name) of every defaulted parameter
+    and dataclass field: ``callee`` is the name a call spells (the class for
+    __init__ and fields), ``position`` the index of the positional argument
+    that reaches it (None for keyword-only)."""
+    for module, tree in TREES.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                yield from _parameters(f"{module}.{top.name}", top.name, top.args, 0)
+            elif isinstance(top, ast.ClassDef):
+                fields = [s for s in top.body if isinstance(s, ast.AnnAssign)]
+                yield from ((f"{module}.{top.name}.{f.target.id}", top.name, k, f.target.id)
+                            for k, f in enumerate(fields) if f.value is not None)
+                for method in top.body:
+                    if isinstance(method, ast.FunctionDef):
+                        callee = top.name if method.name == "__init__" else method.name
+                        yield from _parameters(f"{module}.{top.name}.{method.name}", callee,
+                                               method.args, 1)
+
+
+def _parameters(where: str, callee: str, args: ast.arguments, bound: int):
+    """The defaulted parameters of one signature; its first ``bound``
+    parameters (self or cls) take no argument of a call."""
+    positional = args.posonlyargs + args.args
+    for k in range(len(positional) - len(args.defaults), len(positional)):
+        yield f"{where}({positional[k].arg})", callee, k - bound, positional[k].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{where}({arg.arg})", callee, None, arg.arg
+
+
+def test_every_default_has_a_setter_in_src():
+    # A default is set when a call in src/ that spells its callee (by name or
+    # attribute, or as cls inside the class) passes it by keyword, passes a
+    # positional argument that reaches it, or passes * or ** arguments that
+    # could. A default that no call sets is a constant spelled as an option:
+    # only tests reach its other values. The list of exceptions must match
+    # exactly, so an entry that gains a setter or is deleted leaves it too.
+    calls = []  # (callee, positional count or inf, keywords)
+    for tree in TREES.values():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee == "cls" and owner:
+                    callee = owner
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.append((callee, float("inf") if starred else len(node.args), keywords))
+    unset = {where for where, callee, position, name in _defaults()
+             if not any(c == callee and (name in keywords or None in keywords
+                                         or (position is not None and position < count))
+                        for c, count, keywords in calls)}
+    assert unset == UNSET
+
+
 # Run settings a caller states: the sample rate is the recording's (a
 # manifest states it), and the others are the settings of simulate, separate
 # and perturb. Each flag of the CLI holds its only default.
 RUN_SETTINGS = {"sample_rate", "cond", "alpha", "beta", "duration", "synth_kind", "source_dir",
                 "error_seed"}
-# The stage functions take jobs and method from their command too. Below the
-# stages one default of those names stays: metrics.aggregate(method="") is
-# the label of a report of any records, which the stages always pass.
+# The stage functions take jobs and method from their command too.
 STAGES = {"simulate_dataset", "build_features", "separate_dataset", "perturb_sweep",
           "evaluate_dataset"}
 
